@@ -203,27 +203,32 @@ func TestSessionConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestMergeStrategiesProduceSameFrontier: the built-in rmq merges worker
+// deltas (core.RMQ implements opt.DeltaFrontier), the registered
+// wrapped-rmq hides FrontierDelta and so takes the full-frontier
+// fallback; both must merge to the same frontier.
 func TestMergeStrategiesProduceSameFrontier(t *testing.T) {
+	registerWrappedRMQ()
 	cat := rmq.GenerateCatalog(rmq.WorkloadSpec{Tables: 12, Graph: rmq.Star}, 8)
-	run := func(s rmq.MergeStrategy) *rmq.Frontier {
+	run := func(algo rmq.Algorithm) *rmq.Frontier {
 		f, err := rmq.Optimize(context.Background(), cat,
+			rmq.WithAlgorithm(algo),
 			rmq.WithMetrics(rmq.MetricTime, rmq.MetricBuffer),
 			rmq.WithParallelism(3),
 			rmq.WithMaxIterations(25),
 			rmq.WithSeed(4),
-			rmq.WithMergeStrategy(s),
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
-	delta, full := run(rmq.MergeDelta), run(rmq.MergeFull)
-	if !slices.Equal(frontierCosts(delta), frontierCosts(full)) {
-		t.Error("delta and full merge strategies produced different frontiers")
+	delta, full := run(rmq.AlgoRMQ), run("wrapped-rmq")
+	if len(delta.Plans) == 0 {
+		t.Fatal("empty frontier")
 	}
-	if _, err := rmq.Optimize(context.Background(), cat, rmq.WithMergeStrategy(rmq.MergeStrategy(99))); err == nil {
-		t.Error("unknown merge strategy accepted")
+	if !slices.Equal(frontierCosts(delta), frontierCosts(full)) {
+		t.Error("delta and full-frontier merging produced different frontiers")
 	}
 }
 
@@ -300,16 +305,28 @@ func TestOnImprovementFiresAndSnapshotsAreNonDominated(t *testing.T) {
 
 // wrappedRMQ exercises external registration: an algorithm plugged in
 // through the public registry, here delegating to the core optimizer.
+// Embedding the rmq.Optimizer interface hides core.RMQ's FrontierDelta,
+// so runs of it merge full frontiers.
 type wrappedRMQ struct {
 	rmq.Optimizer
 }
 
 func (w *wrappedRMQ) Name() string { return "wrapped-rmq" }
 
-func TestRegisterAlgorithm(t *testing.T) {
-	rmq.RegisterAlgorithm("wrapped-rmq", func(rmq.AlgorithmSpec) (rmq.Optimizer, error) {
-		return &wrappedRMQ{Optimizer: core.New(core.Config{})}, nil
+var registerWrappedOnce sync.Once
+
+// registerWrappedRMQ registers wrapped-rmq once per test binary (the
+// registry panics on duplicate names).
+func registerWrappedRMQ() {
+	registerWrappedOnce.Do(func() {
+		rmq.RegisterAlgorithm("wrapped-rmq", func(rmq.AlgorithmSpec) (rmq.Optimizer, error) {
+			return &wrappedRMQ{Optimizer: core.New(core.Config{})}, nil
+		})
 	})
+}
+
+func TestRegisterAlgorithm(t *testing.T) {
+	registerWrappedRMQ()
 	if !slices.Contains(rmq.Algorithms(), rmq.Algorithm("wrapped-rmq")) {
 		t.Fatal("registered algorithm not listed")
 	}
@@ -335,26 +352,5 @@ func TestAlgorithmsListsBuiltins(t *testing.T) {
 		if !slices.Contains(got, want) {
 			t.Errorf("built-in %q missing from Algorithms(): %v", want, got)
 		}
-	}
-}
-
-func TestOptimizeWithOptionsShim(t *testing.T) {
-	cat := rmq.GenerateCatalog(rmq.WorkloadSpec{Tables: 6}, 42)
-	f, err := rmq.OptimizeWithOptions(cat, rmq.Options{
-		Metrics:       []rmq.Metric{rmq.MetricTime, rmq.MetricBuffer},
-		MaxIterations: 20,
-		Seed:          7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Plans) == 0 {
-		t.Fatal("empty frontier from deprecated shim")
-	}
-	if len(f.Metrics) != 2 {
-		t.Errorf("metrics = %v", f.Metrics)
-	}
-	if _, err := rmq.OptimizeWithOptions(nil, rmq.Options{}); err == nil {
-		t.Error("nil catalog accepted")
 	}
 }

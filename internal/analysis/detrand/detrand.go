@@ -2,8 +2,9 @@
 // trajectory-bearing packages deterministic.
 //
 // The optimizer's differential tests pin whole RMQ trajectories
-// bit-identical across implementations (indexed vs naive buckets,
-// in-place vs copying climbs, shared vs private caches), and every
+// bit-identical across implementations (columnar buckets vs the
+// Algorithm 3 reference, in-place vs copying climbs, shared vs private
+// caches), and every
 // kernel rewrite is validated against that discipline. It survives
 // only while the packages on the trajectory derive all randomness from
 // seeded sources and never let wall-clock time or map iteration order

@@ -10,8 +10,7 @@ import (
 
 // benchBucket populates an exact-retention bucket with a dense frontier
 // of n plans (two output classes, realistic tie-heavy vectors) and
-// returns it warmed: Prepare run and the sorted indexes built, the
-// state a probe burst inside approximateFrontiers sees.
+// returns it with a probe stream drawn from the same distribution.
 func benchBucket(n, dim int) (*Bucket, []cost.Vector) {
 	rng := rand.New(rand.NewPCG(uint64(n)*uint64(dim), 41))
 	c := New(nil)
@@ -20,22 +19,18 @@ func benchBucket(n, dim int) (*Bucket, []cost.Vector) {
 		vec := randVec(rng, dim)
 		b.Insert(mkPlan(rel, plan.OutputProp(rng.IntN(2)), vec.V[:dim]...), 1)
 	}
-	b.Prepare(1)
 	probes := make([]cost.Vector, 128)
 	for i := range probes {
 		probes[i] = randVec(rng, dim)
 	}
-	// Warm both class indexes so the loop measures probes, not builds.
-	b.Admits(probes[0], plan.Pipelined, 1)
-	b.Admits(probes[0], plan.Materialized, 1)
 	return b, probes
 }
 
 // BenchmarkAdmissionProbe measures one α-admission probe against a
 // 256-plan frontier — the dominant operation of recombination — through
-// the columnar bucket path (binary search, corner early-accept, batch
-// prefix sweep). The reference arm runs the naive per-plan scan
-// (WouldAdmit) over the same frontier and probes.
+// the columnar bucket path: one batch sweep over the probe's output
+// class. The reference arm runs the per-plan scan (WouldAdmit) over the
+// same frontier and probes.
 func BenchmarkAdmissionProbe(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -57,7 +52,7 @@ func BenchmarkAdmissionProbe(b *testing.B) {
 }
 
 // BenchmarkAdmissionProbeReference is the AoS arm of
-// BenchmarkAdmissionProbe: the naive per-plan reference scan over the
+// BenchmarkAdmissionProbe: the per-plan reference scan over the
 // identical frontier and probe stream.
 func BenchmarkAdmissionProbeReference(b *testing.B) {
 	for _, bc := range []struct {

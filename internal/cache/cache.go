@@ -12,51 +12,27 @@
 // sub-plans are replaced by cached Pareto partial plans, possibly with
 // different join orders.
 //
-// # Dominance index
+// # Admission
 //
 // The frontier-approximation inner loop is admission-test bound: almost
-// every recombined candidate is rejected, and the naive test scans the
-// whole frontier (WouldAdmit). Buckets therefore maintain, per output
-// representation, an index of their plans sorted by the first cost
-// metric together with prefix-min "corner" vectors (component-wise
-// minima of the sorted prefix). Admits binary-searches the prefix whose
-// first-metric cost can still α-dominate the candidate, early-accepts
-// when the prefix corner does not α-dominate it (the corner weakly
-// dominates every member, so a member α-dominating the candidate
-// implies the corner does too — if the corner fails, every member
-// fails), and otherwise scans only that prefix, strongest plans first.
+// every recombined candidate is rejected. The frontier data layout is
+// therefore columnar: every bucket mirrors, per output representation,
+// its plans' cost vectors in a cost.Columns block (one contiguous column
+// per metric, parallel to admission order), and the admission test of
+// Algorithm 3 — does any same-output plan α-dominate the candidate? — is
+// one batch sweep over that block (Bucket.Admits). Lemma 6 keeps each
+// table set's frontier small, so the plain sweep is the whole admission
+// path; it decides bit-identically to the per-plan reference scan
+// (WouldAdmit). Eviction is pre-checked through the same columns
+// (DominatesAny): a new plan that dominates no same-output plan cannot
+// evict anything, so the per-plan strict-dominance walk is skipped — on
+// the frontier's fast path an admission costs one batch sweep.
 //
-// The frontier data layout is columnar: every bucket mirrors, per
-// output representation, its plans' cost vectors in a cost.Columns
-// block (one contiguous column per metric, parallel to admission
-// order), and the admission, pruning and eviction predicates run as
-// batch kernels over those columns instead of dereferencing a plan
-// pointer per comparison. The mirrors are pure derived state,
-// maintained incrementally under the same lock discipline as the plan
-// slices they shadow: admissions append, evictions compact in
-// lockstep with the surviving plans, and wholesale rewrites (shed,
-// snapshot import) rebuild them from the plan slice (rebuildMirrors) —
-// the wire formats serialize plans only. The sorted index keeps its
-// own column mirror plus a corner block computed by one prefix-min
-// sweep, and the α-cell grid coordinates are batch-computed at
-// Prepare. Eviction is additionally pre-checked through the class
-// columns (DominatesAny): a new plan that dominates no same-output
-// plan cannot evict anything, so the per-plan strict-dominance walk is
-// skipped — on the frontier's fast path an admission costs one batch
-// sweep.
-//
-// The index is lazy: frontiers at or below the linear-scan cutoff are
-// probed with the plain reference scan and carry no index at all, and
-// an admission merely invalidates the class index until the next
-// over-cutoff probe rebuilds it — cold runs full of small buckets pay
-// nothing for the machinery. The admission DECISION is bit-identical
-// to the naive scan; only the work differs. On top, a per-bucket α-cell
-// grid keyed by ⌊log_α cost⌋ per component (the logarithmic cost cells
-// of Lemma 6) provides O(1) rejection at coarse α: plans sharing a cell
-// approximately dominate each other, so an occupied cell rejects a
-// candidate after a single verification against the cell representative.
-// Grid hits are verified, and evicted representatives stay sound because
-// every evicted plan is weakly dominated by a surviving one.
+// The columns are pure derived state, maintained incrementally under the
+// same lock discipline as the plan slice they shadow: admissions
+// append, evictions compact in lockstep with the surviving plans, and
+// wholesale rewrites (shed, snapshot import) rebuild them from the plan
+// slice (rebuildMirrors) — the wire formats serialize plans only.
 //
 // # Generations and deltas
 //
@@ -88,10 +64,6 @@
 package cache
 
 import (
-	"cmp"
-	"math"
-	"slices"
-
 	"rmq/internal/cost"
 	"rmq/internal/plan"
 	"rmq/internal/tableset"
@@ -132,9 +104,9 @@ func Prune(plans []*plan.Plan, newPlan *plan.Plan) []*plan.Plan {
 
 // WouldAdmit reports whether a plan with the given cost vector and output
 // representation would pass PruneApprox's admission test against plans.
-// It is the naive linear reference scan; indexed buckets answer the same
-// question through Bucket.Admits, and the differential tests pin the two
-// to identical decisions.
+// It is the per-plan reference scan; buckets answer the same question
+// through the columnar Bucket.Admits, and the differential tests pin the
+// two to identical decisions.
 func WouldAdmit(plans []*plan.Plan, vec cost.Vector, out plan.OutputProp, alpha float64) bool {
 	for _, p := range plans {
 		if p.Output == out && p.Cost.ApproxDominates(vec, alpha) {
@@ -150,7 +122,7 @@ func WouldAdmit(plans []*plan.Plan, vec cost.Vector, out plan.OutputProp, alpha 
 // (weakly) dominates are evicted. It returns the updated slice and
 // whether the new plan was admitted. With α = 1 the result is a plain
 // Pareto set per output format; larger α yields the sparser
-// α-approximate frontiers whose size Lemma 6 bounds. It is the naive
+// α-approximate frontiers whose size Lemma 6 bounds. It is the
 // reference implementation of Bucket.Insert.
 func PruneApprox(plans []*plan.Plan, newPlan *plan.Plan, alpha float64) ([]*plan.Plan, bool) {
 	if !WouldAdmit(plans, newPlan.Cost, newPlan.Output, alpha) {
@@ -165,19 +137,6 @@ func PruneApprox(plans []*plan.Plan, newPlan *plan.Plan, alpha float64) ([]*plan
 	return append(keep, newPlan), true
 }
 
-// minGridAlpha gates the α-cell grid: below it the cells are too fine to
-// reject much, and the map upkeep outweighs the saved scans.
-const minGridAlpha = 1.25
-
-// minGridPlans gates the α-cell grid by frontier size: for the small
-// buckets coarse α produces (Lemma 6), a linear scan beats any map.
-const minGridPlans = 24
-
-// linearScanCutoff is the per-output frontier size below which Admits
-// scans linearly instead of binary-searching — same decision, better
-// constants on the small buckets that dominate coarse-α runs.
-const linearScanCutoff = 12
-
 // maxRecombStates bounds the per-bucket partition memo; partitions past
 // the bound recombine fully on every visit (correct, just not
 // incremental). Only pathologically long runs on huge queries reach it.
@@ -189,45 +148,6 @@ const maxRecombStates = 4096
 // and the steady-state re-approximation loop performs one lookup per
 // join node per iteration — the map hash was its single largest cost.
 const recombLinearCutoff = 8
-
-// outClass is the live struct-of-arrays mirror of one output class of a
-// bucket: the class's plans in admission order next to a cost.Columns
-// block holding their cost vectors column-wise. Every dominance
-// predicate of Algorithm 3 (SigBetter, the WouldAdmit scan) compares
-// only same-output plans, so per-class columns cover all of admission
-// and eviction: Admits sweeps cols with a batch kernel instead of
-// filtering the pointer slice, and Insert pre-checks eviction with
-// DominatesAny before walking a single plan. The mirror is maintained
-// incrementally on every admission and eviction (and rebuilt wholesale
-// by shed and ImportBucket), under the same per-bucket lock the plan
-// slice already lives behind.
-type outClass struct {
-	plans []*plan.Plan
-	cols  cost.Columns
-}
-
-// outIdx is the per-output-representation dominance index of a bucket:
-// the class frontier sorted ascending by the first cost metric, as a
-// plan slice plus a column mirror in sorted order, with corners[i]
-// holding the component-wise minimum of sorted[:i+1] (also column-wise,
-// computed by one PrefixMinInto sweep). It is built lazily — only once
-// a bucket's per-output frontier outgrows the linear-scan cutoff does
-// an admission probe pay the one-time sort — and an admission to the
-// output class simply invalidates it, so the small buckets that
-// dominate cold runs never maintain an index at all.
-type outIdx struct {
-	sorted  []*plan.Plan
-	cols    cost.Columns
-	corners cost.Columns
-}
-
-// gridKey addresses one logarithmic cost cell of one output
-// representation (Lemma 6's cells, keyed per format because pruning
-// never compares across formats).
-type gridKey struct {
-	out   plan.OutputProp
-	cells [cost.MaxMetrics]int16
-}
 
 // bucketPair keys the partition memo of incremental recombination.
 // Buckets are stable for the lifetime of a cache, so the child bucket
@@ -278,7 +198,6 @@ type Bucket struct {
 	epochs []uint64 // admission epoch per plan; ascending
 	epoch  uint64   // admissions ever (evictions do not decrease it)
 	cache  *Cache
-	naive  bool
 
 	// id is the interned id of the bucket's table set (NoID for overflow
 	// buckets); shared-cache synchronization uses it to address the
@@ -290,26 +209,17 @@ type Bucket struct {
 	dirty    bool
 	syncMark uint64
 
-	// byOut mirrors the frontier per output class in struct-of-arrays
-	// form (see outClass); len(byOut[out].plans) is also the per-class
-	// size the admission path branches on. Maintained only for indexed
-	// buckets — the naive reference keeps the paper's literal loops.
-	byOut [plan.NumOutputProps]outClass
+	// cols holds the frontier's cost vectors per output class, column-
+	// wise in the class's admission order. Every dominance predicate of
+	// Algorithm 3 compares only same-output plans, so per-class columns
+	// cover all of admission and eviction (see the package doc).
+	cols [plan.NumOutputProps]cost.Columns
 	// corner is the running component-wise minimum over every admission.
 	// Evictions may leave it lower than the current frontier's true
 	// minimum, which only loosens (never unsounds) the floors built on
 	// it: a lower bound of a superset bounds the subset.
 	corner    cost.Vector
 	hasCorner bool
-
-	idx [plan.NumOutputProps]outIdx
-
-	grid      map[gridKey]*plan.Plan
-	gridAlpha float64
-	gridInv   float64 // 1/ln(gridAlpha)
-	// cellBuf is Prepare's scratch for batch-computed α-cell
-	// coordinates, reused across rebuilds.
-	cellBuf [][cost.MaxMetrics]int16
 
 	recombs   []recombState
 	recombIdx map[bucketPair]int
@@ -358,191 +268,45 @@ func EpochSuffix(epochs []uint64, mark uint64) int {
 	return lo
 }
 
-// Prepare readies the bucket's α-cell grid for a sequence of admission
-// probes at the given precision, rebuilding it when α changed since the
-// last preparation. Callers that skip Prepare still get exact answers —
-// the grid is consulted only when its α matches.
-func (b *Bucket) Prepare(alpha float64) {
-	if b.naive {
-		return
-	}
-	if alpha < minGridAlpha || math.IsInf(alpha, 1) {
-		b.grid = nil
-		return
-	}
-	if b.grid != nil && alpha == b.gridAlpha {
-		// Up to date; size dips below minGridPlans do not discard an
-		// already built grid (no rebuild thrash around the threshold).
-		return
-	}
-	if len(b.plans) < minGridPlans {
-		// Too small to pay for a grid. A stale-α grid may linger: Admits
-		// consults it only when its α matches, so it is inert until the
-		// next rebuild reuses its storage.
-		return
-	}
-	b.gridAlpha = alpha
-	b.gridInv = 1 / math.Log(alpha)
-	if b.grid == nil {
-		b.grid = make(map[gridKey]*plan.Plan, len(b.plans)+8)
-	} else {
-		clear(b.grid)
-	}
-	// Batch-compute the cell coordinates per class with one column sweep
-	// instead of one Cells call per plan. Within a class the admission
-	// order is preserved, and cross-class entries never share a key (out
-	// is part of it), so the last-writer-per-cell result is identical to
-	// the admission-ordered walk over b.plans.
-	for out := range b.byOut {
-		oc := &b.byOut[out]
-		if len(oc.plans) == 0 {
-			continue
-		}
-		if cap(b.cellBuf) < len(oc.plans) {
-			b.cellBuf = make([][cost.MaxMetrics]int16, len(oc.plans), 2*len(oc.plans))
-		}
-		b.cellBuf = b.cellBuf[:len(oc.plans)]
-		oc.cols.CellsInto(b.gridInv, b.cellBuf)
-		for j, p := range oc.plans {
-			b.grid[gridKey{plan.OutputProp(out), b.cellBuf[j]}] = p
-		}
-	}
-}
-
 // Admits reports whether a plan with the given cost and output
-// representation would be admitted under factor α. The decision is
-// bit-identical to the naive WouldAdmit scan; the index only shrinks the
-// work: an α-cell grid hit rejects in O(1), the sorted first-metric
-// index bounds the scan to the prefix that can still dominate, and the
-// prefix-min corner accepts clear newcomers without touching a single
-// plan. All scans run over the class's column mirror (cost.Columns)
-// with one fixed-dimension batch kernel call per probe, never over the
-// plan pointers.
+// representation would be admitted under factor α: one batch sweep over
+// the output class's cost columns, bit-identical to the WouldAdmit scan.
+//
+// Recombination also probes it with admission floors — component-wise
+// lower bounds on a whole group of candidates. Every join operator's cost
+// is the children's cost combination plus non-negative operator terms,
+// so when the bucket rejects the floor it provably rejects every
+// candidate above it (q ⪯α floor and floor ≤ vec imply q ⪯α vec) and the
+// caller can skip pricing the group.
 //
 //rmq:hotpath
 func (b *Bucket) Admits(vec cost.Vector, out plan.OutputProp, alpha float64) bool {
-	if b.naive {
-		return WouldAdmit(b.plans, vec, out, alpha)
-	}
-	oc := &b.byOut[out]
-	n := len(oc.plans)
-	if n == 0 {
-		return true
-	}
-	if math.IsInf(alpha, 1) {
-		// α = ∞ approximates everything: any same-output plan rejects.
-		return false
-	}
-	if n <= linearScanCutoff {
-		// Small frontiers (the common case at coarse α, Lemma 6) are
-		// cheapest to sweep directly, with zero index upkeep: one batch
-		// kernel call over the class columns.
-		return !oc.cols.ApproxDominatedBy(vec, alpha)
-	}
-	if b.grid != nil && alpha == b.gridAlpha {
-		if rep := b.grid[gridKey{out, vec.Cells(b.gridInv)}]; rep != nil && rep.Cost.ApproxDominates(vec, alpha) {
-			// The representative was admitted once; if since evicted, a
-			// surviving plan weakly dominates it and thus also α-dominates
-			// vec — the rejection matches the naive scan either way.
-			return false
-		}
-	}
-	// Only plans whose first metric is ≤ α·vec[0] can α-dominate vec,
-	// and the index is sorted by exactly that metric.
-	ix := b.ensureIdx(out)
-	bound := alpha * vec.V[0]
-	col0 := ix.cols.Col(0)
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if col0[mid] > bound {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == 0 {
-		return true
-	}
-	if !ix.corners.At(lo-1).ApproxDominates(vec, alpha) {
-		// The corner weakly dominates every prefix plan; if even it does
-		// not α-dominate the candidate, none of them can.
-		return true
-	}
-	return !ix.cols.PrefixApproxDominatedBy(lo, vec, alpha)
+	return !b.cols[out].ApproxDominatedBy(vec, alpha)
 }
-
-// Indexed reports whether the bucket runs the dominance-indexed
-// implementation (false for the Naive() reference). Recombination uses
-// it to decide whether floor pre-filtering is worthwhile.
-func (b *Bucket) Indexed() bool { return !b.naive }
 
 // Corner returns a component-wise lower bound on every plan of the
-// frontier (all output representations) and whether the bucket ever
-// admitted one. It is the running minimum over all admissions — after
-// evictions it may sit below the surviving frontier, which keeps it a
-// valid (merely looser) lower bound. Combining two buckets' corners
-// lower-bounds every recombination candidate of the two frontiers: the
-// whole-visit admission floor.
-func (b *Bucket) Corner() (cost.Vector, bool) {
-	return b.corner, b.hasCorner
-}
-
-// ensureIdx returns the dominance index of the output class, rebuilding
-// it if admissions invalidated it since the last build. The rebuild is
-// a copy of the class's admission-ordered mirror plus one stable sort
-// (so ties on the first metric keep admission order), then two column
-// sweeps: the sorted cost columns and their prefix-min corners.
-func (b *Bucket) ensureIdx(out plan.OutputProp) *outIdx {
-	ix := &b.idx[out]
-	oc := &b.byOut[out]
-	if len(ix.sorted) == len(oc.plans) {
-		return ix
-	}
-	ix.sorted = append(ix.sorted[:0], oc.plans...)               //rmq:allow-alloc(amortized index rebuild)
-	slices.SortStableFunc(ix.sorted, func(a, c *plan.Plan) int { //rmq:allow-alloc(amortized index rebuild; the comparator does not escape)
-		return cmp.Compare(a.Cost.V[0], c.Cost.V[0])
-	})
-	ix.cols.Reset()
-	for _, p := range ix.sorted {
-		ix.cols.Append(p.Cost)
-	}
-	ix.cols.PrefixMinInto(&ix.corners)
-	return ix
-}
-
-// AdmitsFloor reports whether a candidate plan whose cost is bounded
-// below (component-wise) by floor could be admitted under factor α with
-// the given output representation. It is the recombination pre-filter:
-// every join operator's cost is the children's cost combination plus
-// non-negative operator terms, so when the bucket rejects the
-// combination itself, it provably rejects every operator's actual cost
-// (q ⪯α floor and floor ≤ vec imply q ⪯α vec) and the caller can skip
-// pricing the whole operator group. A true result promises nothing —
-// callers still run the exact per-candidate test. Naive buckets always
-// return true, keeping the reference arm of the ablation a literal
-// transcription of Algorithm 3.
-//
-//rmq:hotpath
-func (b *Bucket) AdmitsFloor(floor cost.Vector, out plan.OutputProp, alpha float64) bool {
-	if b.naive {
-		return true
-	}
-	return b.Admits(floor, out, alpha)
+// frontier (all output representations); it is meaningful only once the
+// bucket has admitted a plan. It is the running minimum over all
+// admissions — after evictions it may sit below the surviving frontier,
+// which keeps it a valid (merely looser) lower bound. Combining two
+// buckets' corners lower-bounds every recombination candidate of the two
+// frontiers: the whole-visit admission floor.
+func (b *Bucket) Corner() cost.Vector {
+	return b.corner
 }
 
 // Insert prunes newPlan into the bucket under factor α — the PruneApprox
-// step of Algorithm 3, against the index — and reports whether it was
-// admitted. The surviving frontier is bit-identical to the naive
-// reference (same admission decision, same plans, same order).
+// step of Algorithm 3 — and reports whether it was admitted. The
+// surviving frontier is bit-identical to the PruneApprox reference (same
+// admission decision, same plans, same order).
 //
-// On indexed buckets the eviction walk is gated by a DominatesAny
-// column sweep over the new plan's output class: SigBetter requires
-// SameOutput, so when the new plan dominates no class member there is
-// provably nothing to evict and the per-plan walk is skipped entirely —
-// the common case, since most admissions extend the frontier rather
-// than replace part of it. The class mirror is updated in lockstep with
-// the plan slice either way.
+// The eviction walk is gated by a DominatesAny column sweep over the
+// new plan's output class: SigBetter requires SameOutput, so when the
+// new plan dominates no class member there is provably nothing to evict
+// and the per-plan walk is skipped entirely — the common case, since
+// most admissions extend the frontier rather than replace part of it.
+// The class columns are updated in lockstep with the plan slice either
+// way.
 //
 //rmq:hotpath
 func (b *Bucket) Insert(newPlan *plan.Plan, alpha float64) bool {
@@ -557,25 +321,24 @@ func (b *Bucket) Insert(newPlan *plan.Plan, alpha float64) bool {
 	}
 	evicted := 0
 	out := newPlan.Output
-	oc := &b.byOut[out]
-	if b.naive || oc.cols.DominatesAny(newPlan.Cost) {
+	cols := &b.cols[out]
+	if cols.DominatesAny(newPlan.Cost) {
 		// Evict plans the new one weakly dominates, preserving admission
 		// order; SigBetter requires SameOutput, so only one output class
-		// changes and the class mirror compacts in lockstep (cj walks the
-		// class as a subsequence of the bucket's admission order).
+		// changes and its columns compact in lockstep (cj walks the class
+		// as a subsequence of the bucket's admission order).
 		keep := b.plans[:0]
 		keepEp := b.epochs[:0]
 		ck, cj := 0, 0
 		for i, p := range b.plans {
-			inClass := !b.naive && p.Output == out
+			inClass := p.Output == out
 			if SigBetter(newPlan, p, 1) {
 				evicted++
 			} else {
 				keep = append(keep, p) //rmq:allow-alloc(appends into b.plans[:0]; capacity already exists)
 				keepEp = append(keepEp, b.epochs[i])
 				if inClass {
-					oc.plans[ck] = p
-					oc.cols.Move(ck, cj)
+					cols.Move(ck, cj)
 					ck++
 				}
 			}
@@ -585,10 +348,7 @@ func (b *Bucket) Insert(newPlan *plan.Plan, alpha float64) bool {
 		}
 		b.plans = keep
 		b.epochs = keepEp
-		if !b.naive {
-			oc.plans = oc.plans[:ck]
-			oc.cols.Truncate(ck)
-		}
+		cols.Truncate(ck)
 	}
 	b.plans = append(b.plans, newPlan) //rmq:allow-alloc(admission retains the plan; growth is amortized and the hot rejecting case returns before this)
 	b.epoch++
@@ -600,23 +360,12 @@ func (b *Bucket) Insert(newPlan *plan.Plan, alpha float64) bool {
 			c.dirty = append(c.dirty, b) //rmq:allow-alloc(grows once per bucket per sync interval)
 		}
 	}
-	if !b.naive {
-		oc.plans = append(oc.plans, newPlan) //rmq:allow-alloc(admission retains the plan in its class mirror; growth is amortized)
-		oc.cols.Append(newPlan.Cost)
-		// Invalidate the class index; the next over-cutoff probe
-		// rebuilds it. Small classes never build one at all.
-		b.idx[out].sorted = b.idx[out].sorted[:0]
-		if b.hasCorner {
-			b.corner = b.corner.Min(newPlan.Cost)
-		} else {
-			b.corner = newPlan.Cost
-			b.hasCorner = true
-		}
-		if b.grid != nil && alpha == b.gridAlpha {
-			// Stale cells of evicted plans stay: their dominator chain ends
-			// in a surviving plan, so rejections through them remain sound.
-			b.grid[gridKey{out, newPlan.Cost.Cells(b.gridInv)}] = newPlan //rmq:allow-alloc(grid upkeep on admission; the hot rejecting case never writes)
-		}
+	cols.Append(newPlan.Cost)
+	if b.hasCorner {
+		b.corner = b.corner.Min(newPlan.Cost)
+	} else {
+		b.corner = newPlan.Cost
+		b.hasCorner = true
 	}
 	return true
 }
@@ -755,9 +504,6 @@ type Cache struct {
 	// foreign id namespace and must be ignored — every probe interns the
 	// set instead, which is correct but forgoes the indexed fast path.
 	private bool
-	// naive selects the reference linear-scan bucket implementation for
-	// differential tests and the indexing ablation benchmarks.
-	naive bool
 	// track enables dirty-bucket tracking for shared-cache publication:
 	// buckets that admit a plan enqueue themselves on dirty exactly once,
 	// so a SyncState publish touches only what changed since the last one.
@@ -767,37 +513,23 @@ type Cache struct {
 	plans int
 }
 
-// Option configures a Cache at construction.
-type Option func(*Cache)
-
-// Naive selects the reference bucket implementation — linear WouldAdmit
-// scans and PruneApprox-by-the-book, no dominance index, no grid. It
-// exists so differential tests and ablation benchmarks can compare the
-// indexed buckets against the paper's literal loops.
-func Naive() Option {
-	return func(c *Cache) { c.naive = true }
-}
-
 // New returns an empty cache over the given interner, which must be the
 // one of the cost model constructing the cached plans (see
 // costmodel.Model.Interner) so that plan RelIDs agree with bucket
 // indices. A nil interner gives the cache a private one; plan RelIDs
 // (assigned by some other interner) are then ignored entirely.
-func New(in *tableset.Interner, opts ...Option) *Cache {
+func New(in *tableset.Interner) *Cache {
 	c := &Cache{in: in}
 	if in == nil {
 		c.in = tableset.NewInterner()
 		c.private = true
 	}
-	for _, o := range opts {
-		o(c)
-	}
 	return c
 }
 
-// newBucket returns an empty bucket wired to the cache's configuration.
+// newBucket returns an empty bucket wired to the cache.
 func (c *Cache) newBucket() *Bucket {
-	return &Bucket{cache: c, naive: c.naive} //rmq:allow-alloc(one bucket per table set, created on first contact)
+	return &Bucket{cache: c} //rmq:allow-alloc(one bucket per table set, created on first contact)
 }
 
 // bucketAt returns the bucket with the given id, creating it if absent.

@@ -90,10 +90,9 @@ func (s *Shared) Export(visit func(BucketSnapshot) error) (StoreState, error) {
 
 // ImportBucket installs one exported bucket verbatim into a store being
 // restored: plans, admission order, per-plan epochs and the admission
-// counter are taken as-is, and the derived per-output class mirrors
-// (including the struct-of-arrays cost columns) and corner vector are
-// rebuilt. The bucket's table set is interned into the
-// store's interner (restores drive the interner, so ids come out dense
+// counter are taken as-is, and the derived per-output class cost
+// columns and corner vector are rebuilt. The bucket's table set is
+// interned into the store's interner (restores drive the interner, so ids come out dense
 // in import order); the target bucket must not have been populated yet.
 // Plans must already carry the store's id for their table set in RelID —
 // the codec constructs them that way — and their epochs must be
@@ -135,7 +134,7 @@ func (s *Shared) ImportBucket(bs BucketSnapshot) error {
 	sb.b.epochs = slices.Clone(bs.Epochs)
 	sb.b.epoch = bs.Epoch
 	sb.lastVer = s.repSeq.Add(1)
-	// Mirrors and the corner are derived state, rebuilt here rather than
+	// Columns and the corner are derived state, rebuilt here rather than
 	// carried on the wire — the snapshot formats stay unchanged.
 	sb.b.rebuildMirrors()
 	for _, p := range sb.b.plans {

@@ -12,8 +12,8 @@ import (
 )
 
 // randVec draws a cost vector with log-scaled components, salted with
-// exact duplicates and zeros so the differential tests exercise the
-// grid's CellFloor clamp and the index's equal-first-metric handling.
+// exact duplicates and zeros so the differential tests exercise ties
+// and zero components in the admission and eviction sweeps.
 func randVec(rng *rand.Rand, dim int) cost.Vector {
 	comps := make([]float64, dim)
 	for i := range comps {
@@ -29,8 +29,8 @@ func randVec(rng *rand.Rand, dim int) cost.Vector {
 	return cost.New(comps...)
 }
 
-// runDifferential streams n random plans through an indexed bucket and
-// the naive reference loops side by side, checking every admission
+// runDifferential streams n random plans through a bucket and the
+// PruneApprox reference loop side by side, checking every admission
 // decision and the full surviving frontier (same plans, same order)
 // after every insertion. alphaFor picks the precision per step.
 func runDifferential(t *testing.T, seed uint64, n, dim int, alphaFor func(rng *rand.Rand) float64) {
@@ -41,11 +41,6 @@ func runDifferential(t *testing.T, seed uint64, n, dim int, alphaFor func(rng *r
 	var ref []*plan.Plan
 	for i := 0; i < n; i++ {
 		alpha := alphaFor(rng)
-		if rng.IntN(4) == 0 {
-			// Exercise the grid rebuild path the way the frontier loop
-			// does: Prepare before a probe burst.
-			b.Prepare(alpha)
-		}
 		vec := randVec(rng, dim)
 		np := mkPlan(rel, plan.OutputProp(rng.IntN(2)), vec.V[:dim]...)
 		// Probe first: Admits must predict the insertion outcome.
@@ -75,10 +70,10 @@ func runDifferential(t *testing.T, seed uint64, n, dim int, alphaFor func(rng *r
 }
 
 // TestIndexedBucketMatchesReference is the differential test of the
-// dominance index: random plan streams pruned through the indexed
-// bucket must reproduce the naive Prune/PruneApprox loops exactly —
-// identical admission decisions and identical surviving frontiers —
-// across the α schedule's extremes and every supported metric count.
+// columnar bucket: random plan streams pruned through the bucket must
+// reproduce the PruneApprox reference loop exactly — identical
+// admission decisions and identical surviving frontiers — across the α
+// schedule's extremes and every supported metric count.
 func TestIndexedBucketMatchesReference(t *testing.T) {
 	for _, alpha := range []float64{1, 2, 25} {
 		for dim := 1; dim <= cost.MaxMetrics; dim++ {
@@ -89,9 +84,8 @@ func TestIndexedBucketMatchesReference(t *testing.T) {
 }
 
 // TestIndexedBucketMatchesReferenceVaryingAlpha repeats the
-// differential test with a per-insert random α (including coarse values
-// that thrash the grid rebuild) — the indexed bucket may not depend on
-// a stable precision.
+// differential test with a per-insert random α (including α = +Inf) —
+// the bucket may not depend on a stable precision.
 func TestIndexedBucketMatchesReferenceVaryingAlpha(t *testing.T) {
 	alphas := []float64{1, 1.1, 2, 5, 25, math.Inf(1)}
 	for dim := 1; dim <= cost.MaxMetrics; dim++ {
@@ -213,7 +207,7 @@ func TestBeginRecombVisitLifecycle(t *testing.T) {
 }
 
 // TestBucketTableGrowth covers the geometric bucket-table growth and the
-// interaction between indexed and overflow buckets across growth: plans
+// interaction between id-addressed and overflow buckets across growth: plans
 // inserted before a growth burst must stay retrievable, countable and
 // prunable afterwards.
 func TestBucketTableGrowth(t *testing.T) {
@@ -249,7 +243,7 @@ func TestBucketTableGrowth(t *testing.T) {
 	if got := c.Get(ovRel); len(got) != 1 || got[0] != ovPlan {
 		t.Fatalf("overflow plan lost after growth: %v", got)
 	}
-	// The early indexed bucket still prunes correctly after growth.
+	// The early id-addressed bucket still prunes correctly after growth.
 	if !c.Insert(mkPlan(early, plan.Pipelined, 1, 1), 1) {
 		t.Fatal("dominating insert rejected after growth")
 	}
@@ -259,33 +253,5 @@ func TestBucketTableGrowth(t *testing.T) {
 	// And the overflow bucket still prunes too.
 	if c.Insert(mkPlan(ovRel, plan.Pipelined, 9, 9), 1) {
 		t.Fatal("dominated overflow insert admitted after growth")
-	}
-}
-
-// TestNaiveOptionMatchesIndexed pins the Naive() cache option to the
-// same observable behavior as the default indexed cache.
-func TestNaiveOptionMatchesIndexed(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 5))
-	ci := New(nil)
-	cn := New(nil, Naive())
-	for i := 0; i < 300; i++ {
-		vec := randVec(rng, 3)
-		out := plan.OutputProp(rng.IntN(2))
-		alpha := []float64{1, 2, 25}[rng.IntN(3)]
-		v3 := vec
-		gi := ci.Insert(mkPlan(rel, out, v3.V[:3]...), alpha)
-		gn := cn.Insert(mkPlan(rel, out, v3.V[:3]...), alpha)
-		if gi != gn {
-			t.Fatalf("step %d: indexed admitted=%v naive admitted=%v", i, gi, gn)
-		}
-	}
-	if ci.NumPlans() != cn.NumPlans() {
-		t.Fatalf("plan counts diverged: %d vs %d", ci.NumPlans(), cn.NumPlans())
-	}
-	a, b := ci.Get(rel), cn.Get(rel)
-	for i := range a {
-		if !a[i].Cost.Equal(b[i].Cost) || a[i].Output != b[i].Output {
-			t.Fatalf("frontier %d diverged: %v vs %v", i, a[i].Cost, b[i].Cost)
-		}
 	}
 }

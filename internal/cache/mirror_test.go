@@ -10,69 +10,31 @@ import (
 	"rmq/internal/tableset"
 )
 
-// checkMirrors verifies every struct-of-arrays invariant of an indexed
-// bucket: the per-class plan mirrors are exactly the class subsequences
-// of the admission-ordered frontier, the class cost columns match the
-// plan costs entry-wise, and any currently valid sorted index carries
-// column and corner blocks consistent with its plans.
+// checkMirrors verifies the struct-of-arrays invariant of a bucket: each
+// output class's cost columns hold exactly the costs of that class's
+// subsequence of the admission-ordered frontier, entry for entry.
 func checkMirrors(t *testing.T, b *Bucket) {
 	t.Helper()
-	if b.naive {
-		return
-	}
 	var seen [plan.NumOutputProps]int
 	for i, p := range b.plans {
-		oc := &b.byOut[p.Output]
+		cols := &b.cols[p.Output]
 		j := seen[p.Output]
-		if j >= len(oc.plans) || oc.plans[j] != p {
-			t.Fatalf("plan %d (out %d): class mirror diverges at class slot %d", i, p.Output, j)
-		}
-		if oc.cols.At(j) != p.Cost {
-			t.Fatalf("plan %d (out %d): column mirror %v, plan cost %v", i, p.Output, oc.cols.At(j), p.Cost)
+		if j >= cols.Len() || cols.At(j) != p.Cost {
+			t.Fatalf("plan %d (out %d): class columns diverge at class slot %d", i, p.Output, j)
 		}
 		seen[p.Output]++
 	}
-	for out := range b.byOut {
-		oc := &b.byOut[out]
-		if seen[out] != len(oc.plans) {
-			t.Fatalf("class %d mirror holds %d plans, frontier has %d", out, len(oc.plans), seen[out])
-		}
-		if oc.cols.Len() != len(oc.plans) {
-			t.Fatalf("class %d columns hold %d entries, mirror %d plans", out, oc.cols.Len(), len(oc.plans))
-		}
-	}
-	for out := range b.idx {
-		ix := &b.idx[out]
-		oc := &b.byOut[out]
-		if len(ix.sorted) != len(oc.plans) || len(ix.sorted) == 0 {
-			continue // invalidated (or never built); ensureIdx rebuilds before use
-		}
-		if ix.cols.Len() != len(ix.sorted) || ix.corners.Len() != len(ix.sorted) {
-			t.Fatalf("class %d index: %d plans, %d cols, %d corners",
-				out, len(ix.sorted), ix.cols.Len(), ix.corners.Len())
-		}
-		corner := ix.sorted[0].Cost
-		for j, p := range ix.sorted {
-			if j > 0 {
-				if p.Cost.V[0] < ix.sorted[j-1].Cost.V[0] {
-					t.Fatalf("class %d index not sorted at %d", out, j)
-				}
-				corner = corner.Min(p.Cost)
-			}
-			if ix.cols.At(j) != p.Cost {
-				t.Fatalf("class %d index column %d: %v vs %v", out, j, ix.cols.At(j), p.Cost)
-			}
-			if ix.corners.At(j) != corner {
-				t.Fatalf("class %d corner %d: %v, want prefix-min %v", out, j, ix.corners.At(j), corner)
-			}
+	for out := range b.cols {
+		if n := b.cols[out].Len(); n != seen[out] {
+			t.Fatalf("class %d columns hold %d entries, frontier has %d", out, n, seen[out])
 		}
 	}
 }
 
 // TestBucketMirrorConsistency streams random admissions (with the
-// evictions and index rebuilds they trigger) through indexed buckets
-// across every dimension and the α extremes, re-verifying the full
-// mirror invariants throughout, then again after a shed pass.
+// evictions they trigger) through buckets across every dimension and
+// the α extremes, re-verifying the full mirror invariants throughout,
+// then again after a shed pass.
 func TestBucketMirrorConsistency(t *testing.T) {
 	for dim := 1; dim <= cost.MaxMetrics; dim++ {
 		for _, alpha := range []float64{1, 2, 25} {
@@ -83,10 +45,6 @@ func TestBucketMirrorConsistency(t *testing.T) {
 				vec := randVec(rng, dim)
 				b.Insert(mkPlan(rel, plan.OutputProp(rng.IntN(2)), vec.V[:dim]...), alpha)
 				if i%16 == 0 {
-					// Force index builds the way probe bursts do.
-					b.Prepare(alpha)
-					b.Admits(randVec(rng, dim), plan.Pipelined, alpha)
-					b.Admits(randVec(rng, dim), plan.Materialized, alpha)
 					checkMirrors(t, b)
 				}
 			}
@@ -116,7 +74,7 @@ func TestBucketMirrorConsistency(t *testing.T) {
 // TestImportBucketRebuildsMirrors round-trips a populated store through
 // Export/ImportBucket and verifies the restored buckets carry fully
 // rebuilt column mirrors that answer admission probes identically to
-// the naive reference.
+// the WouldAdmit reference.
 func TestImportBucketRebuildsMirrors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 4))
 	src := NewShared(tableset.NewSharedInterner(), 0)

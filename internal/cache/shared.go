@@ -85,7 +85,8 @@ type Shared struct {
 }
 
 // sharedBucket is one table set's slot in the store: the ordinary
-// dominance-indexed Bucket behind a per-bucket mutex, plus a lock-free
+// Bucket (admitting through its per-class column sweep, exactly as in a
+// private Cache) behind a per-bucket mutex, plus a lock-free
 // mirror of its admission epoch so pullers can skip unchanged buckets
 // without taking the lock.
 type sharedBucket struct {

@@ -28,9 +28,10 @@ const bytesPerPlan = int64(unsafe.Sizeof(plan.Plan{})) + int64(unsafe.Sizeof((*p
 const bytesPerSet = int64(unsafe.Sizeof(sharedBucket{})) + int64(unsafe.Sizeof((*sharedBucket)(nil)))
 
 // Bytes estimates the store's retained memory from its set and plan
-// counts. An estimate, not an accounting: index and grid scratch
-// rebuilt on demand are excluded, so the true footprint can transiently
-// exceed it. Budget checks should leave headroom accordingly.
+// counts. An estimate, not an accounting: the per-class cost-column
+// mirrors, spare slice capacity and the recombination memo are
+// excluded, so the true footprint exceeds it. Budget checks should leave
+// headroom accordingly.
 func (s *Shared) Bytes() int64 {
 	return s.plans.Load()*bytesPerPlan + s.sets.Load()*bytesPerSet
 }
@@ -105,10 +106,9 @@ func (s *Shared) Shed(alpha float64) (removed int) {
 // keeping a plan only when the plans kept so far would still admit it
 // under α — exactly the prune an admission sequence under retention α
 // would have produced. Admission order and ascending epochs are
-// preserved, the per-output class mirrors are rebuilt wholesale, the
-// class indexes and the α-cell grid are invalidated (a grid rejection
-// must never chain through a plan this shed removed), and the corner
-// stays: a lower bound over a superset still bounds the survivors.
+// preserved, the per-output class columns are rebuilt wholesale, and the
+// corner stays: a lower bound over a superset still bounds the
+// survivors.
 func (b *Bucket) shed(alpha float64) (removed int) {
 	if len(b.plans) == 0 {
 		return 0
@@ -133,48 +133,29 @@ func (b *Bucket) shed(alpha float64) (removed int) {
 		return 0
 	}
 	b.rebuildMirrors()
-	for out := range b.idx {
-		b.idx[out].sorted = b.idx[out].sorted[:0]
-		b.idx[out].cols.Reset()
-		b.idx[out].corners.Reset()
-	}
-	b.grid = nil
-	b.gridAlpha = 0
 	return removed
 }
 
-// rebuildMirrors reconstructs the per-output class mirrors (plan
-// subsequences and cost columns) from the bucket's current frontier.
-// Bulk mutations that do not go through Insert — shed, snapshot import —
-// use it; admissions and evictions maintain the mirrors incrementally.
+// rebuildMirrors reconstructs the per-output class cost columns from
+// the bucket's current frontier. Bulk mutations that do not go through
+// Insert — shed, snapshot import — use it; admissions and evictions
+// maintain the columns incrementally.
 func (b *Bucket) rebuildMirrors() {
-	if b.naive {
-		return
-	}
-	// Pre-size the mirrors to their exact final shape: one allocation
-	// per class plus one per column instead of amortized growth — a
-	// restore materializes hundreds of thousands of plans through this
-	// path, so the growth reallocations (and the garbage they strand)
-	// are worth counting out.
+	// Pre-size the columns to their exact final shape: one allocation per
+	// column instead of amortized growth — a restore materializes hundreds
+	// of thousands of plans through this path, so the growth
+	// reallocations (and the garbage they strand) are worth counting out.
 	var counts [plan.NumOutputProps]int
 	for _, p := range b.plans {
 		counts[p.Output]++
 	}
-	for out := range b.byOut {
-		oc := &b.byOut[out]
-		clear(oc.plans[:cap(oc.plans)]) // keep dropped plans collectable
-		oc.plans = oc.plans[:0]
-		oc.cols.Reset()
+	for out := range b.cols {
+		b.cols[out].Reset()
 		if n := counts[out]; n > 0 {
-			if cap(oc.plans) < n {
-				oc.plans = make([]*plan.Plan, 0, n)
-			}
-			oc.cols.Grow(b.plans[0].Cost.N, n)
+			b.cols[out].Grow(b.plans[0].Cost.N, n)
 		}
 	}
 	for _, p := range b.plans {
-		oc := &b.byOut[p.Output]
-		oc.plans = append(oc.plans, p)
-		oc.cols.Append(p.Cost)
+		b.cols[p.Output].Append(p.Cost)
 	}
 }

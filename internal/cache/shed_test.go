@@ -74,11 +74,11 @@ func TestShedReprunesAndCoversRemoved(t *testing.T) {
 		}
 		last = e
 	}
-	for out := range sb.b.byOut {
-		total += len(sb.b.byOut[out].plans)
+	for out := range sb.b.cols {
+		total += sb.b.cols[out].Len()
 	}
 	if total != len(sb.b.plans) {
-		t.Errorf("mirror sizes sum %d, plans %d", total, len(sb.b.plans))
+		t.Errorf("column sizes sum %d, plans %d", total, len(sb.b.plans))
 	}
 	checkMirrors(t, &sb.b)
 }

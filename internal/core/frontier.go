@@ -72,7 +72,8 @@ func DefaultAlpha(iteration int) float64 {
 // bucket (rejections persist under eviction and admitted plans
 // re-reject), the resulting cache states are bit-identical to full
 // recombination for any non-increasing α schedule; a differential test
-// holds the two trajectories together.
+// holds the trajectory against a test-only transcription of Algorithm 3
+// (full cross products, PruneApprox into plain slices, no floors).
 func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alpha float64, incremental bool) {
 	if p.IsJoin() {
 		approximateFrontiers(m, p.Outer, pc, alpha, incremental)
@@ -92,7 +93,6 @@ func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alp
 		} else {
 			v = cache.Visit{Outers: ob.Plans(), Inners: ib.Plans(), Full: true}
 		}
-		bucket.Prepare(alpha)
 		if v.Full {
 			recombinePairs(m, bucket, ob, ib, v.Outers, v.Inners, p, alpha)
 		} else {
@@ -128,8 +128,8 @@ func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alp
 // out of the loop (admitted candidates materialize via NewJoinForSet
 // without re-hashing the set).
 //
-// Indexed buckets are pre-filtered through hierarchical admission
-// floors before any pricing happens: operator costs are the children's
+// Candidates are pre-filtered through hierarchical admission floors
+// before any pricing happens: operator costs are the children's
 // cost combination plus non-negative operator terms and the combination
 // rules are monotone, so the combination of the child buckets' corner
 // vectors lower-bounds every candidate of the visit, the combination of
@@ -139,7 +139,9 @@ func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alp
 // the whole group without touching the evaluator — a converged visit
 // costs two probes total. The filter only skips offers the bucket
 // provably rejects, so cache trajectories stay bit-identical to the
-// naive reference (the differential tests hold them together).
+// floor-free reference (the differential tests hold them together).
+// Non-empty outers and inners imply both child buckets admitted plans,
+// so both corners exist.
 func recombinePairs(m *costmodel.Model, bucket *cache.Bucket, ob, ib *cache.Bucket, outers, inners []*plan.Plan, parent *plan.Plan, alpha float64) {
 	if len(outers) == 0 || len(inners) == 0 {
 		return
@@ -152,43 +154,25 @@ func recombinePairs(m *costmodel.Model, bucket *cache.Bucket, ob, ib *cache.Buck
 	var ev costmodel.JoinEval
 	m.PrepareJoin(&ev, outers[0].Card, inners[0].Card, card)
 	var vecBuf [16]cost.Vector
-	indexed := bucket.Indexed()
-	var innerCorner cost.Vector
-	if indexed {
-		ev.PrepareFloors()
-		oc, okO := ob.Corner()
-		icv, okI := ib.Corner()
-		if okO && okI {
-			callBase := m.CombineChildren(oc, icv)
-			if !bucket.AdmitsFloor(ev.FloorCost(callBase, plan.Pipelined), plan.Pipelined, alpha) &&
-				!bucket.AdmitsFloor(ev.FloorCost(callBase, plan.Materialized), plan.Materialized, alpha) {
-				return
-			}
-		}
-		if okI {
-			innerCorner = icv
-		} else {
-			indexed = false
-		}
+	ev.PrepareFloors()
+	innerCorner := ib.Corner()
+	callBase := m.CombineChildren(ob.Corner(), innerCorner)
+	if !bucket.Admits(ev.FloorCost(callBase, plan.Pipelined), plan.Pipelined, alpha) &&
+		!bucket.Admits(ev.FloorCost(callBase, plan.Materialized), plan.Materialized, alpha) {
+		return
 	}
 	for _, outer := range outers {
-		if indexed {
-			outerBase := m.CombineChildren(outer.Cost, innerCorner)
-			if !bucket.AdmitsFloor(ev.FloorCost(outerBase, plan.Pipelined), plan.Pipelined, alpha) &&
-				!bucket.AdmitsFloor(ev.FloorCost(outerBase, plan.Materialized), plan.Materialized, alpha) {
-				continue
-			}
+		outerBase := m.CombineChildren(outer.Cost, innerCorner)
+		if !bucket.Admits(ev.FloorCost(outerBase, plan.Pipelined), plan.Pipelined, alpha) &&
+			!bucket.Admits(ev.FloorCost(outerBase, plan.Materialized), plan.Materialized, alpha) {
+			continue
 		}
 		for _, inner := range inners {
 			base := m.CombineChildren(outer.Cost, inner.Cost)
-			pipeOK := true
-			matOK := true
-			if indexed {
-				pipeOK = bucket.AdmitsFloor(ev.FloorCost(base, plan.Pipelined), plan.Pipelined, alpha)
-				matOK = bucket.AdmitsFloor(ev.FloorCost(base, plan.Materialized), plan.Materialized, alpha)
-				if !pipeOK && !matOK {
-					continue
-				}
+			pipeOK := bucket.Admits(ev.FloorCost(base, plan.Pipelined), plan.Pipelined, alpha)
+			matOK := bucket.Admits(ev.FloorCost(base, plan.Materialized), plan.Materialized, alpha)
+			if !pipeOK && !matOK {
+				continue
 			}
 			// Price only the operators of output classes that survived
 			// the floor, in one batch (bit-identical to per-operator

@@ -4,55 +4,68 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"rmq/internal/cache"
+	"rmq/internal/costmodel"
 	"rmq/internal/plan"
 	"rmq/internal/randplan"
 )
 
+// approxFunc re-approximates the frontiers of one climbed plan at α into
+// a frontier store bound to the model.
+type approxFunc func(p *plan.Plan, alpha float64)
+
 // benchApproxFrontiers measures the frontier-approximation phase in the
-// regime long anytime runs live in: a cache warmed by 200 real RMQ
-// iterations, then one climbed plan re-approximated per op from a
-// rotating pool of fresh local optima. After the pool's first lap the
-// cache is converged, so the measured work is the per-iteration cost of
-// ApproximateFrontiers once partial plans are shared — the half of the
-// iteration this PR attacks. All three variants produce bit-identical
-// caches (TestIncrementalRecombinationMatchesFull); only the machinery
-// differs: naive linear-scan buckets with full cross products, indexed
-// buckets (dominance index + admission floors) with full cross
-// products, and indexed buckets with incremental recombination.
-func benchApproxFrontiers(b *testing.B, cfg Config) {
+// regime long anytime runs live in: a store warmed by 200 RMQ iterations
+// (random plan, climb, approximate under the default α schedule), then
+// one climbed plan re-approximated per op from a rotating pool of fresh
+// local optima. After the pool's first lap the store is converged, so
+// the measured work is the per-iteration cost of ApproximateFrontiers
+// once partial plans are shared. Every variant ends in the same
+// frontiers (TestIncrementalRecombinationMatchesFull); only the
+// machinery differs.
+func benchApproxFrontiers(b *testing.B, bind func(m *costmodel.Model) approxFunc) {
 	const warmup = 200
 	p := testProblem(b, 50, 1)
-	r := New(cfg)
-	r.Init(p, 3)
-	for i := 0; i < warmup; i++ {
-		r.Step()
-	}
 	m := p.Model
+	approx := bind(m)
 	climber := NewClimber(m, ClimbConfig{})
-	rng := rand.New(rand.NewPCG(11, 12))
+	rng := rand.New(rand.NewPCG(3, 0x524d51))
+	for i := 1; i <= warmup; i++ {
+		optPlan, _ := climber.Climb(randplan.Random(m, p.Query, rng))
+		approx(optPlan, DefaultAlpha(i))
+	}
 	pool := make([]*plan.Plan, 32)
 	for i := range pool {
 		pool[i], _ = climber.Climb(randplan.Random(m, p.Query, rng))
 	}
 	alpha := DefaultAlpha(warmup)
-	incremental := !cfg.DisableIncremental
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		approximateFrontiers(m, pool[i%len(pool)], r.cache, alpha, incremental)
+		approx(pool[i%len(pool)], alpha)
 	}
 }
 
-// BenchmarkApproxFrontiers is the recombination ablation of the
-// indexed-cache PR; the acceptance bar is indexed-incremental ≥ 1.5×
-// faster than naive.
+// BenchmarkApproxFrontiers is the recombination ablation: the test-only
+// Algorithm 3 reference (refFrontiers: full cross products, PruneApprox
+// into plain slices, no floors), the production cache with full cross
+// products, and the production cache with incremental recombination.
 func BenchmarkApproxFrontiers(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
-		benchApproxFrontiers(b, Config{NaiveCache: true, DisableIncremental: true})
+		benchApproxFrontiers(b, func(m *costmodel.Model) approxFunc {
+			ref := newRefFrontiers()
+			return func(p *plan.Plan, alpha float64) { ref.approximate(m, p, alpha) }
+		})
 	})
-	b.Run("indexed", func(b *testing.B) {
-		benchApproxFrontiers(b, Config{DisableIncremental: true})
+	production := func(incremental bool) func(m *costmodel.Model) approxFunc {
+		return func(m *costmodel.Model) approxFunc {
+			pc := cache.New(m.Interner())
+			return func(p *plan.Plan, alpha float64) { approximateFrontiers(m, p, pc, alpha, incremental) }
+		}
+	}
+	b.Run("full", func(b *testing.B) {
+		benchApproxFrontiers(b, production(false))
 	})
 	b.Run("indexed-incremental", func(b *testing.B) {
-		benchApproxFrontiers(b, Config{})
+		benchApproxFrontiers(b, production(true))
 	})
 }

@@ -2,9 +2,14 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
+	"rmq/internal/cache"
+	"rmq/internal/costmodel"
 	"rmq/internal/plan"
+	"rmq/internal/randplan"
+	"rmq/internal/tableset"
 )
 
 // TestDefaultAlphaTableBitIdentical pins the precomputed α schedule
@@ -32,96 +37,119 @@ func TestDefaultAlphaTableBitIdentical(t *testing.T) {
 	}
 }
 
-// frontierTrace flattens a frontier into comparable (output, cost)
-// tuples, preserving order.
-func frontierTrace(plans []*plan.Plan) []float64 {
-	var out []float64
-	for _, p := range plans {
-		out = append(out, float64(p.Output))
-		for i := 0; i < p.Cost.Dim(); i++ {
-			out = append(out, p.Cost.At(i))
+// refFrontiers is a test-only transcription of Algorithm 3's
+// ApproximateFrontiers: plain per-table-set plan slices, every join node
+// recombined over the full cross product of its children's frontiers,
+// and every candidate materialized and pruned by cache.PruneApprox — no
+// buckets, no column mirrors, no admission floors, no visit memo. The
+// production path must reproduce its frontiers plan for plan.
+type refFrontiers struct {
+	sets  map[tableset.Set][]*plan.Plan
+	order []tableset.Set // first-contact order, for deterministic walks
+	plans int
+}
+
+func newRefFrontiers() *refFrontiers {
+	return &refFrontiers{sets: make(map[tableset.Set][]*plan.Plan)}
+}
+
+func (r *refFrontiers) prune(p *plan.Plan, alpha float64) {
+	plans, seen := r.sets[p.Rel]
+	if !seen {
+		r.order = append(r.order, p.Rel)
+	}
+	before := len(plans)
+	r.sets[p.Rel], _ = cache.PruneApprox(plans, p, alpha)
+	r.plans += len(r.sets[p.Rel]) - before
+}
+
+func (r *refFrontiers) approximate(m *costmodel.Model, p *plan.Plan, alpha float64) {
+	if !p.IsJoin() {
+		for _, op := range plan.AllScanOps() {
+			r.prune(m.NewScan(p.Table, op), alpha)
+		}
+		return
+	}
+	r.approximate(m, p.Outer, alpha)
+	r.approximate(m, p.Inner, alpha)
+	for _, outer := range r.sets[p.Outer.Rel] {
+		for _, inner := range r.sets[p.Inner.Rel] {
+			for _, op := range plan.JoinOps(outer, inner) {
+				r.prune(m.NewJoin(op, outer, inner), alpha)
+			}
 		}
 	}
-	return out
+}
+
+// samePlan reports whether two plans are the same tree: same operators,
+// table sets, output representations and cost vectors at every node.
+func samePlan(a, b *plan.Plan) bool {
+	if a.Rel != b.Rel || a.Output != b.Output || a.Cost != b.Cost || a.IsJoin() != b.IsJoin() {
+		return false
+	}
+	if !a.IsJoin() {
+		return a.Table == b.Table && a.Scan == b.Scan
+	}
+	return a.Join == b.Join && samePlan(a.Outer, b.Outer) && samePlan(a.Inner, b.Inner)
+}
+
+// checkAgainstReference climbs one sequence of random plans (climbing
+// never reads the cache) and re-approximates each one twice: through
+// approximateFrontiers with incremental recombination on a real
+// cache.Cache, and through refFrontiers. After every step both must
+// hold the same plans in the same order for every table set.
+func checkAgainstReference(t *testing.T, tables int, seed uint64, steps int, alphaAt func(iter int) float64) {
+	t.Helper()
+	p := testProblem(t, tables, seed)
+	m := p.Model
+	climber := NewClimber(m, ClimbConfig{})
+	rng := rand.New(rand.NewPCG(seed, 0x524d51))
+	pc := cache.New(m.Interner())
+	ref := newRefFrontiers()
+	for i := 1; i <= steps; i++ {
+		optPlan, _ := climber.Climb(randplan.Random(m, p.Query, rng))
+		alpha := alphaAt(i)
+		approximateFrontiers(m, optPlan, pc, alpha, true)
+		ref.approximate(m, optPlan, alpha)
+		if pc.NumSets() != len(ref.order) || pc.NumPlans() != ref.plans {
+			t.Fatalf("step %d (α=%g): cache holds %d sets/%d plans, reference %d/%d",
+				i, alpha, pc.NumSets(), pc.NumPlans(), len(ref.order), ref.plans)
+		}
+		for _, set := range ref.order {
+			got, want := pc.Get(set), ref.sets[set]
+			if len(got) != len(want) {
+				t.Fatalf("step %d (α=%g): set %v holds %d plans, reference %d", i, alpha, set, len(got), len(want))
+			}
+			for j := range got {
+				if !samePlan(got[j], want[j]) {
+					t.Fatalf("step %d (α=%g): set %v diverged at plan %d: %v vs %v",
+						i, alpha, set, j, got[j], want[j])
+				}
+			}
+		}
+	}
 }
 
 // TestIncrementalRecombinationMatchesFull is the end-to-end differential
-// test of the frontier-approximation rewrite: RMQ trajectories with the
-// indexed cache, the indexed cache without incremental recombination,
-// and the naive reference cache must be bit-identical — same root
-// frontier (plans and order), same cache size — because incremental
-// visits skip only provably no-op pair offers and the index only
-// accelerates identical admission decisions.
+// test of the frontier approximation under the paper's default α
+// schedule: incremental visits skip only provably no-op pair offers,
+// admission floors skip only provably rejected candidates, and the
+// columnar admission sweep decides exactly as PruneApprox, so the cache
+// must match the full-cross-product reference after every iteration.
+// The schedule also runs fast-forwarded (one precision level per step),
+// so that α drops far enough for earlier rejections to turn into
+// admissions — the case where a partition must be re-offered in full.
 func TestIncrementalRecombinationMatchesFull(t *testing.T) {
-	configs := map[string]Config{
-		"incremental": {},
-		"full":        {DisableIncremental: true},
-		"naive":       {DisableIncremental: true, NaiveCache: true},
-		"naive-inc":   {NaiveCache: true},
-	}
-	type result struct {
-		trace []float64
-		sets  int
-		plans int
-	}
-	results := make(map[string]result)
-	for name, cfg := range configs {
-		p := testProblem(t, 14, 42)
-		r := New(cfg)
-		r.Init(p, 7)
-		for i := 0; i < 80; i++ {
-			r.Step()
-		}
-		results[name] = result{
-			trace: frontierTrace(r.Frontier()),
-			sets:  r.Cache().NumSets(),
-			plans: r.Cache().NumPlans(),
-		}
-	}
-	ref := results["naive"]
-	for name, got := range results {
-		if got.sets != ref.sets || got.plans != ref.plans {
-			t.Errorf("%s cache size diverged: %d sets/%d plans, naive %d/%d",
-				name, got.sets, got.plans, ref.sets, ref.plans)
-		}
-		if len(got.trace) != len(ref.trace) {
-			t.Fatalf("%s frontier trace length %d, naive %d", name, len(got.trace), len(ref.trace))
-		}
-		for i := range got.trace {
-			if got.trace[i] != ref.trace[i] {
-				t.Fatalf("%s frontier diverged from naive at %d: %v vs %v",
-					name, i, got.trace[i], ref.trace[i])
-			}
-		}
-	}
+	checkAgainstReference(t, 14, 42, 80, DefaultAlpha)
+	checkAgainstReference(t, 14, 42, 80, func(i int) float64 { return DefaultAlpha(25 * i) })
 }
 
 // TestIncrementalMatchesFullUnderFixedAlpha repeats the differential
-// run with fixed coarse and fixed fine α schedules, the regimes where
+// run with fixed exact, fine and coarse α schedules, the regimes where
 // visit skipping is most aggressive.
 func TestIncrementalMatchesFullUnderFixedAlpha(t *testing.T) {
 	for _, alpha := range []float64{1, 2, 25} {
-		sched := func(int) float64 { return alpha }
-		run := func(cfg Config) []float64 {
-			cfg.Alpha = sched
-			p := testProblem(t, 10, 17)
-			r := New(cfg)
-			r.Init(p, 23)
-			for i := 0; i < 50; i++ {
-				r.Step()
-			}
-			return frontierTrace(r.Frontier())
-		}
-		inc := run(Config{})
-		full := run(Config{DisableIncremental: true, NaiveCache: true})
-		if len(inc) != len(full) {
-			t.Fatalf("α=%g: trace lengths %d vs %d", alpha, len(inc), len(full))
-		}
-		for i := range inc {
-			if inc[i] != full[i] {
-				t.Fatalf("α=%g: traces diverged at %d", alpha, i)
-			}
-		}
+		checkAgainstReference(t, 10, 17, 50, func(int) float64 { return alpha })
 	}
 }
 

@@ -26,16 +26,6 @@ type Config struct {
 	// (the cache ablation): every iteration approximates frontiers in a
 	// private cache and only the resulting full-query plans are retained.
 	DisableCache bool
-	// DisableIncremental forces full cross-product recombination on
-	// every join-node visit of the frontier approximation (the
-	// incremental-recombination ablation). The cache contents are
-	// identical either way — incremental visits skip only provably
-	// no-op pair offers — so this trades speed for nothing and exists
-	// for benchmarks and differential tests.
-	DisableIncremental bool
-	// NaiveCache replaces the indexed cache buckets with the reference
-	// linear-scan implementation (the dominance-index ablation).
-	NaiveCache bool
 	// DisableFrontier skips the frontier approximation phase entirely
 	// and archives only the locally optimal plans — this degenerates RMQ
 	// into plain iterative improvement and is used by ablation tests.
@@ -112,7 +102,7 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 	r.sync = nil
 	shared := r.cfg.Shared
 	if shared != nil && shared.Interner() == p.Model.Interner() &&
-		!r.cfg.DisableCache && !r.cfg.DisableFrontier && !r.cfg.NaiveCache {
+		!r.cfg.DisableCache && !r.cfg.DisableFrontier {
 		// Warm start from the session store. A problem pooled by a
 		// session carries the previous run's private cache and sync
 		// marks (opt.Problem.Retained): reusing them turns the warm
@@ -130,7 +120,7 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 		}
 		r.sync.Pull(r.cache)
 	} else {
-		r.cache = cache.New(p.Model.Interner(), r.cacheOptions()...)
+		r.cache = cache.New(p.Model.Interner())
 	}
 	r.archive.Reset()
 	r.iter = 0
@@ -181,7 +171,6 @@ func (r *RMQ) Step() bool {
 	if r.cfg.Alpha != nil {
 		alpha = r.cfg.Alpha(schedIter)
 	}
-	incremental := !r.cfg.DisableIncremental
 	switch {
 	case r.cfg.DisableFrontier:
 		r.archive.Add(optPlan)
@@ -192,13 +181,13 @@ func (r *RMQ) Step() bool {
 		// root bucket) so only the sharing effect is isolated.
 		// A per-iteration cache can never see a repeat visit, so the
 		// incremental memo would be pure bookkeeping here — skip it.
-		private := cache.New(m.Interner(), r.cacheOptions()...)
+		private := cache.New(m.Interner())
 		approximateFrontiers(m, optPlan, private, alpha, false)
 		for _, fp := range private.Get(r.problem.Query) {
 			r.cache.Insert(fp, alpha)
 		}
 	default:
-		approximateFrontiers(m, optPlan, r.cache, alpha, incremental)
+		approximateFrontiers(m, optPlan, r.cache, alpha, true)
 	}
 
 	if r.sync != nil {
@@ -213,14 +202,6 @@ func (r *RMQ) Step() bool {
 	r.stats.CachedSets = r.cache.NumSets()
 	r.stats.CachedPlans = r.cache.NumPlans()
 	return true
-}
-
-// cacheOptions translates the configuration into plan cache options.
-func (r *RMQ) cacheOptions() []cache.Option {
-	if r.cfg.NaiveCache {
-		return []cache.Option{cache.Naive()}
-	}
-	return nil
 }
 
 // Frontier implements opt.Optimizer: the cached Pareto plans for the full

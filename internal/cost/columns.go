@@ -20,7 +20,7 @@ import (
 // element, which is what makes the inner loops a single fused
 // compare-and-branch per entry.
 //
-// All kernels are semantics-preserving replacas of the per-Vector
+// All kernels are semantics-preserving batch forms of the per-Vector
 // relations in this package: for saturated (finite, ≤ Saturation)
 // components the fused form max(xᵢ-bᵢ, …) ≤ 0 decides exactly the same
 // predicate as the member-wise xᵢ ≤ bᵢ comparisons, because IEEE-754
@@ -81,13 +81,6 @@ func (c *Columns) At(i int) Vector {
 	return v
 }
 
-// Col returns the column for metric d, valid until the next mutation.
-// Callers must treat it as read-only; admission's binary search over
-// the sorted first metric reads it directly.
-//
-//rmq:hotpath
-func (c *Columns) Col(d int) []float64 { return c.col[d][:c.n] }
-
 // Move copies entry src over entry dst. Eviction sweeps use it to
 // compact surviving entries in place, in lockstep with the plan slice
 // the block mirrors.
@@ -139,18 +132,7 @@ func (c *Columns) Grow(dim int8, n int) {
 //
 //rmq:hotpath
 func (c *Columns) ApproxDominatedBy(v Vector, alpha float64) bool {
-	return c.PrefixApproxDominatedBy(c.n, v, alpha)
-}
-
-// PrefixApproxDominatedBy is ApproxDominatedBy restricted to the first
-// n entries. Sorted admission indexes use it to sweep only the prefix
-// whose first-metric values can still dominate the probe.
-//
-//rmq:hotpath
-func (c *Columns) PrefixApproxDominatedBy(n int, v Vector, alpha float64) bool {
-	if n > c.n {
-		n = c.n
-	}
+	n := c.n
 	if math.IsInf(alpha, 1) {
 		return n > 0
 	}
@@ -189,79 +171,6 @@ func (c *Columns) DominatesAny(v Vector) bool {
 			v.V[0], v.V[1], v.V[2], v.V[3])
 	}
 	return n > 0
-}
-
-// PrefixMinInto fills dst with the running component-wise minima of the
-// block: dst[j] = min(c[0..j]). dst is resized to match and its storage
-// reused. The sweep computes exactly the chained Vector.Min corners the
-// sorted admission index kept before the columnar layout.
-//
-//rmq:hotpath
-func (c *Columns) PrefixMinInto(dst *Columns) {
-	dst.dim = c.dim
-	dst.n = c.n
-	for d := 0; d < int(c.dim); d++ {
-		dst.col[d] = growCol(dst.col[d], c.n)
-		prefixMinCol(dst.col[d], c.col[d][:c.n])
-	}
-}
-
-// CellsInto writes the α-cell coordinates (Vector.Cells) of every entry
-// into dst, which must have length ≥ Len. Unused metric slots are
-// zeroed, matching the per-Vector result. Buckets batch-compute grid
-// coordinates with it at Prepare time instead of calling Cells once per
-// plan.
-//
-//rmq:hotpath
-func (c *Columns) CellsInto(invLnAlpha float64, dst [][MaxMetrics]int16) {
-	dst = dst[:c.n]
-	clear(dst)
-	for d := 0; d < int(c.dim); d++ {
-		cellsCol(c.col[d][:c.n], invLnAlpha, dst, d)
-	}
-}
-
-// growCol returns s resized to length n, reallocating only when the
-// capacity no longer suffices.
-//
-//rmq:hotpath
-func growCol(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n) //rmq:allow-alloc(amortized corner-column growth, reused across index rebuilds)
-	}
-	return s[:n]
-}
-
-//rmq:hotpath
-func prefixMinCol(dst, src []float64) {
-	if len(src) == 0 {
-		return
-	}
-	m := src[0]
-	dst[0] = m
-	for i, x := range src[1:] {
-		if x < m {
-			m = x
-		}
-		dst[i+1] = m
-	}
-}
-
-//rmq:hotpath
-func cellsCol(src []float64, invLnAlpha float64, dst [][MaxMetrics]int16, d int) {
-	for j, x := range src {
-		if x < CellFloor {
-			x = CellFloor
-		}
-		k := math.Floor(math.Log(x) * invLnAlpha)
-		switch {
-		case k > cellClamp:
-			k = cellClamp
-		case k < -cellClamp:
-			k = -cellClamp
-		}
-		dst[j][d] = int16(k)
-	}
 }
 
 // The fixed-dimension sweeps below are the actual kernels: one fused

@@ -48,17 +48,6 @@ func TestColumnsAppendAtRoundTrip(t *testing.T) {
 				t.Fatalf("dim %d: At(%d) = %v, want %v", dim, i, c.At(i), v)
 			}
 		}
-		for d := 0; d < dim; d++ {
-			col := c.Col(d)
-			if len(col) != len(ref) {
-				t.Fatalf("dim %d: Col(%d) has %d entries", dim, d, len(col))
-			}
-			for i, x := range col {
-				if x != ref[i].V[d] {
-					t.Fatalf("dim %d: Col(%d)[%d] = %g, want %g", dim, d, i, x, ref[i].V[d])
-				}
-			}
-		}
 	}
 }
 
@@ -137,31 +126,6 @@ func TestColumnsApproxDominatedByMatchesReference(t *testing.T) {
 	}
 }
 
-// TestColumnsPrefixApproxDominatedByMatchesReference checks the sorted
-// index's prefix-restricted sweep, including n past the block length.
-func TestColumnsPrefixApproxDominatedByMatchesReference(t *testing.T) {
-	for dim := 1; dim <= MaxMetrics; dim++ {
-		rng := rand.New(rand.NewPCG(uint64(dim), 9))
-		var c Columns
-		ref := fillColumns(rng, &c, 64, dim)
-		for probe := 0; probe < 300; probe++ {
-			v := colRandVec(rng, dim)
-			n := rng.IntN(len(ref) + 10) // deliberately overshoots
-			alpha := []float64{1, 2, 25}[rng.IntN(3)]
-			want := false
-			for _, e := range ref[:min(n, len(ref))] {
-				if e.ApproxDominates(v, alpha) {
-					want = true
-					break
-				}
-			}
-			if got := c.PrefixApproxDominatedBy(n, v, alpha); got != want {
-				t.Fatalf("dim %d n=%d α=%g: prefix sweep = %v, reference %v", dim, n, alpha, got, want)
-			}
-		}
-	}
-}
-
 // TestColumnsDominatesAnyMatchesReference pins the eviction pre-check to
 // the per-Vector weak-dominance loop.
 func TestColumnsDominatesAnyMatchesReference(t *testing.T) {
@@ -195,91 +159,6 @@ func TestColumnsEmptyBlock(t *testing.T) {
 	}
 	if c.DominatesAny(New(1)) {
 		t.Error("probe dominates an entry of an empty block")
-	}
-	var dst Columns
-	c.PrefixMinInto(&dst)
-	if dst.Len() != 0 {
-		t.Errorf("prefix-min of empty block has %d entries", dst.Len())
-	}
-}
-
-// TestColumnsPrefixMinIntoMatchesChainedMin pins the corner sweep to the
-// chained Vector.Min fold the sorted index used before the columnar
-// layout — the bit-identity the admission corners depend on.
-func TestColumnsPrefixMinIntoMatchesChainedMin(t *testing.T) {
-	for dim := 1; dim <= MaxMetrics; dim++ {
-		rng := rand.New(rand.NewPCG(uint64(dim), 13))
-		var c, dst Columns
-		ref := fillColumns(rng, &c, 150, dim)
-		c.PrefixMinInto(&dst)
-		if dst.Len() != len(ref) || dst.Dim() != dim {
-			t.Fatalf("dim %d: dst Len=%d Dim=%d", dim, dst.Len(), dst.Dim())
-		}
-		corner := ref[0]
-		for j, v := range ref {
-			if j > 0 {
-				corner = corner.Min(v)
-			}
-			if dst.At(j) != corner {
-				t.Fatalf("dim %d: prefix-min[%d] = %v, chained Min %v", dim, j, dst.At(j), corner)
-			}
-		}
-		// Reuse must overwrite stale state, not blend with it.
-		c.Reset()
-		ref = fillColumns(rng, &c, 40, dim)
-		c.PrefixMinInto(&dst)
-		if dst.Len() != 40 {
-			t.Fatalf("dim %d: reused dst Len=%d", dim, dst.Len())
-		}
-		corner = ref[0]
-		for j, v := range ref {
-			if j > 0 {
-				corner = corner.Min(v)
-			}
-			if dst.At(j) != corner {
-				t.Fatalf("dim %d: reused prefix-min[%d] = %v, want %v", dim, j, dst.At(j), corner)
-			}
-		}
-	}
-}
-
-// TestColumnsCellsIntoMatchesVectorCells pins the batch grid-coordinate
-// sweep to the per-Vector Cells call, including the CellFloor clamp and
-// the int16 cell clamp at both extremes.
-func TestColumnsCellsIntoMatchesVectorCells(t *testing.T) {
-	for dim := 1; dim <= MaxMetrics; dim++ {
-		for _, alpha := range []float64{1.01, 2, 25} {
-			rng := rand.New(rand.NewPCG(uint64(dim), 17))
-			invLnAlpha := 1 / math.Log(alpha)
-			var c Columns
-			ref := fillColumns(rng, &c, 100, dim)
-			// Edge vectors: zeros (CellFloor clamp) and saturation (clamp on
-			// the positive side).
-			edge := Zero(dim)
-			ref = append(ref, edge)
-			c.Append(edge)
-			for i := 0; i < dim; i++ {
-				edge.V[i] = Saturation
-			}
-			ref = append(ref, edge)
-			c.Append(edge)
-
-			dst := make([][MaxMetrics]int16, c.Len())
-			// Poison the buffer: CellsInto must fully overwrite live slots
-			// and zero the unused metric lanes.
-			for i := range dst {
-				for d := range dst[i] {
-					dst[i][d] = -1
-				}
-			}
-			c.CellsInto(invLnAlpha, dst)
-			for j, v := range ref {
-				if dst[j] != v.Cells(invLnAlpha) {
-					t.Fatalf("dim %d α=%g: cells[%d] = %v, want %v",
-						dim, alpha, j, dst[j], v.Cells(invLnAlpha))
-				}
-			}
-		}
 	}
 }
 

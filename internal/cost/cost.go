@@ -11,14 +11,13 @@
 //
 // Besides the scalar Vector relations the package provides Columns, a
 // struct-of-arrays block (one contiguous []float64 per metric, parallel
-// to append order) with batch forms of the same predicates:
-// ApproxDominatedBy and DominatesAny sweep a whole frontier per call,
-// PrefixMinInto produces the running corner minima of a sorted block,
-// and CellsInto batch-computes α-cell grid coordinates. The kernels
-// dispatch once per sweep on the block's fixed dimension (specialized
-// loops for 1–4 metrics with the α·vᵢ bounds hoisted) and decide
-// bit-identically to the per-Vector loops — the plan cache's admission
-// path is built on that equivalence.
+// to append order) with batch forms of two of them: ApproxDominatedBy
+// (the admission test of Algorithm 3) and DominatesAny (the eviction
+// pre-check) each sweep a whole frontier per call. The kernels dispatch
+// once per sweep on the block's fixed dimension (specialized loops for
+// 1–4 metrics with the α·vᵢ bounds hoisted) and decide bit-identically
+// to the per-Vector loops — the plan cache's admission path is that one
+// sweep, built on that equivalence.
 package cost
 
 import (
@@ -101,11 +100,9 @@ func (v Vector) Max(o Vector) Vector {
 	return v
 }
 
-// Min returns the component-wise minimum. Dominance indexes use it to
-// maintain prefix-min "corner" vectors: the corner of a plan set weakly
-// dominates every member, so a candidate the corner does not
-// approximately dominate cannot be approximately dominated by any
-// member — the early-accept test of the indexed admission path.
+// Min returns the component-wise minimum. Plan-cache buckets use it to
+// maintain a running "corner" vector that weakly dominates every member
+// — the lower bound recombination builds its admission floors on.
 //
 //rmq:hotpath
 func (v Vector) Min(o Vector) Vector {
@@ -116,41 +113,6 @@ func (v Vector) Min(o Vector) Vector {
 		}
 	}
 	return v
-}
-
-// CellFloor is the smallest component value distinguished by Cells;
-// smaller values (including exact zeros, e.g. the disc cost of a fully
-// pipelined plan) share the lowest cell coordinate.
-const CellFloor = 1e-9
-
-// cellClamp bounds cell coordinates to a comfortable int16 range.
-const cellClamp = 32000
-
-// Cells returns the α-cell coordinates ⌊log_α v_i⌋ of the vector, given
-// invLnAlpha = 1/ln α for the approximation factor α > 1. Two vectors
-// with equal coordinates lie in the same logarithmic cost cell of
-// Lemma 6 and therefore approximately dominate each other — up to the
-// CellFloor and cellClamp edge cases, which is why consumers must
-// verify a cell hit with ApproxDominates before acting on it.
-//
-//rmq:hotpath
-func (v Vector) Cells(invLnAlpha float64) [MaxMetrics]int16 {
-	var c [MaxMetrics]int16
-	for i := 0; i < int(v.N); i++ {
-		x := v.V[i]
-		if x < CellFloor {
-			x = CellFloor
-		}
-		k := math.Floor(math.Log(x) * invLnAlpha)
-		switch {
-		case k > cellClamp:
-			k = cellClamp
-		case k < -cellClamp:
-			k = -cellClamp
-		}
-		c[i] = int16(k)
-	}
-	return c
 }
 
 // Scale returns the vector scaled by f ≥ 0, saturated at Saturation.

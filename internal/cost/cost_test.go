@@ -325,30 +325,3 @@ func TestMin(t *testing.T) {
 	}()
 	a.Min(New(1))
 }
-
-func TestCellsSharedCellImpliesMutualApproxDominance(t *testing.T) {
-	// Vectors in the same α-cell approximately dominate each other
-	// (Lemma 6's property), away from the CellFloor clamp edge.
-	alpha := 2.0
-	inv := 1 / math.Log(alpha)
-	a := New(10, 1000, 3)
-	b := New(13, 900, 3.9) // same ⌊log₂⌋ cells as a
-	if a.Cells(inv) != b.Cells(inv) {
-		t.Fatalf("cells differ: %v vs %v", a.Cells(inv), b.Cells(inv))
-	}
-	if !a.ApproxDominates(b, alpha) || !b.ApproxDominates(a, alpha) {
-		t.Error("same-cell vectors not mutually α-dominating")
-	}
-	// Different magnitudes land in different cells.
-	c := New(100, 1000, 3)
-	if a.Cells(inv) == c.Cells(inv) {
-		t.Error("distinct magnitudes share a cell")
-	}
-	// Zeros and sub-floor values clamp to the lowest populated cell
-	// rather than overflowing.
-	z := New(0, 1e-300, 1)
-	cells := z.Cells(inv)
-	if cells[0] != cells[1] {
-		t.Errorf("clamped cells differ: %v", cells)
-	}
-}

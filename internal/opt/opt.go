@@ -86,7 +86,8 @@ type Optimizer interface {
 // result frontier carries admission marks can report just the plans
 // admitted since a previous mark, so a periodic merge into a shared
 // archive costs O(new plans) instead of O(frontier). Run uses it for
-// delta-based parallel merging (see MergeStrategy).
+// delta-based parallel merging and falls back to merging the whole
+// Frontier for optimizers without it.
 //
 // FrontierDelta(0) must return the full current frontier; the returned
 // mark is passed to the next call. The union of all deltas may include

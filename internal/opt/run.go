@@ -91,25 +91,6 @@ type Event struct {
 // callback returns.
 func (e Event) Snapshot() []*plan.Plan { return e.snapshot() }
 
-// MergeStrategy selects how workers publish newly found plans into the
-// shared archive of a parallel run.
-type MergeStrategy uint8
-
-const (
-	// MergeDelta, the default, merges only the plans admitted to a
-	// worker's frontier since its previous merge (via the optional
-	// DeltaFrontier extension), falling back to full-frontier merging
-	// for optimizers without admission marks. The merged result is the
-	// same non-dominated cost set either way; only the per-merge work
-	// differs — O(new plans) instead of O(frontier) dominance checks
-	// under the shared lock.
-	MergeDelta MergeStrategy = iota
-	// MergeFull re-merges each worker's complete current frontier on
-	// every merge: the pre-delta behavior, kept for comparison and as a
-	// belt-and-suspenders escape hatch.
-	MergeFull
-)
-
 // RunConfig parameterizes Run.
 type RunConfig struct {
 	// Workers are the optimizer instances to drive; one worker runs
@@ -120,8 +101,6 @@ type RunConfig struct {
 	// MergeEvery is the number of steps a worker performs between
 	// merges of its frontier into the shared archive; default 1.
 	MergeEvery int
-	// Merge selects the merge strategy; default MergeDelta.
-	Merge MergeStrategy
 	// Observe, when non-nil, is invoked after every merge. Calls are
 	// serialized across workers, so the callback needs no locking of
 	// its own; it must not block for long, since it stalls the merging
@@ -163,8 +142,9 @@ type mergeShard struct {
 // result and a nil error, not the context's error.
 //
 // Merging is two-phase to keep the shared lock cold: a worker deposits
-// its plans (just the delta since its last merge, under MergeDelta)
-// into a per-worker inbox shard under that shard's lock, then tries to
+// its plans (just the delta since its last merge when the optimizer
+// implements DeltaFrontier, its whole frontier otherwise) into a
+// per-worker inbox shard under that shard's lock, then tries to
 // fold all inboxes into the archive; if another worker is already
 // folding, it simply moves on and its deposit rides along with that
 // worker's fold. Every worker folds unconditionally once at the end,
@@ -254,9 +234,6 @@ func Run(ctx context.Context, cfg RunConfig) (RunResult, error) {
 		}()
 		w.Optimizer.Init(w.Problem, w.Seed)
 		df, _ := w.Optimizer.(DeltaFrontier)
-		if cfg.Merge == MergeFull {
-			df = nil
-		}
 		var mark uint64
 		sh := &shards[idx]
 		deposit := func() {

@@ -249,42 +249,44 @@ func TestArchiveSince(t *testing.T) {
 	}
 }
 
-// TestRunDeltaMergeMatchesFull: the same scripted workers merged under
-// MergeDelta and MergeFull must yield the same non-dominated result,
-// and the delta path must actually deliver deltas (not re-report the
-// whole frontier every merge).
+// fullOpt hides deltaOpt's FrontierDelta, so Run must take the
+// full-frontier fallback for it.
+type fullOpt struct{ Optimizer }
+
+// TestRunDeltaMergeMatchesFull: the same scripted worker merged through
+// FrontierDelta and through the full-frontier fallback must yield the
+// same non-dominated result, and the delta path must actually deliver
+// deltas (not re-report the whole frontier every merge).
 func TestRunDeltaMergeMatchesFull(t *testing.T) {
 	script := plans([]float64{4, 4, 4}, []float64{1, 9, 9}, []float64{9, 1, 9}, []float64{2, 2, 2})
-	results := make(map[MergeStrategy][]cost.Vector)
-	for _, strat := range []MergeStrategy{MergeDelta, MergeFull} {
-		o := &deltaOpt{scriptedOpt: scriptedOpt{script: script}}
+	run := func(o Optimizer) []cost.Vector {
 		res, err := Run(context.Background(), RunConfig{
 			Workers: []Worker{{Optimizer: o, Problem: testProblem(t)}},
-			Merge:   strat,
 			Observe: func(Event) {}, // force per-step merges
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		vecs := Costs(res.Plans)
-		results[strat] = vecs
-		total := 0
-		for _, n := range o.calls {
-			total += n
-		}
-		if strat == MergeDelta {
-			if len(o.calls) == 0 {
-				t.Fatal("delta strategy never called FrontierDelta")
-			}
-			// Every admitted plan is reported exactly once across deltas.
-			if total != o.archive.Len()+1 { // +1: {4,4,4} was admitted, then evicted
-				t.Errorf("delta calls delivered %d plans total, want %d", total, o.archive.Len()+1)
-			}
-		} else if len(o.calls) != 0 {
-			t.Error("MergeFull consulted FrontierDelta")
-		}
+		return Costs(res.Plans)
 	}
-	a, b := results[MergeDelta], results[MergeFull]
+	d := &deltaOpt{scriptedOpt: scriptedOpt{script: script}}
+	a := run(d)
+	if len(d.calls) == 0 {
+		t.Fatal("delta-capable worker never called FrontierDelta")
+	}
+	total := 0
+	for _, n := range d.calls {
+		total += n
+	}
+	// Every admitted plan is reported exactly once across deltas.
+	if total != d.archive.Len()+1 { // +1: {4,4,4} was admitted, then evicted
+		t.Errorf("delta calls delivered %d plans total, want %d", total, d.archive.Len()+1)
+	}
+	f := &deltaOpt{scriptedOpt: scriptedOpt{script: script}}
+	b := run(fullOpt{f})
+	if len(f.calls) != 0 {
+		t.Error("full-frontier fallback consulted FrontierDelta")
+	}
 	if len(a) != len(b) {
 		t.Fatalf("delta result %d plans, full %d", len(a), len(b))
 	}

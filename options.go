@@ -1,7 +1,6 @@
 package rmq
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -23,7 +22,6 @@ type config struct {
 	algorithm     Algorithm
 	dpAlpha       float64
 	parallelism   int
-	merge         MergeStrategy
 	sharedCache   bool
 	retention     float64
 	retentionSet  bool
@@ -222,37 +220,6 @@ func WithPoolLimit(n int) Option {
 	}
 }
 
-// MergeStrategy selects how parallel workers publish their results into
-// the shared archive; see the constants.
-type MergeStrategy = opt.MergeStrategy
-
-const (
-	// MergeDelta (the default) merges only the plans each worker
-	// admitted since its previous merge, and deposits them through
-	// per-worker inbox shards so workers never queue up on one archive
-	// lock. Falls back to full merging for algorithms without admission
-	// marks.
-	MergeDelta = opt.MergeDelta
-	// MergeFull re-merges each worker's complete frontier on every
-	// merge (the historical behavior). The resulting frontier is
-	// identical; only the synchronization work differs.
-	MergeFull = opt.MergeFull
-)
-
-// WithMergeStrategy overrides how parallel workers and streaming runs
-// merge into the shared result archive; default MergeDelta. The merged
-// frontier is the same under either strategy — this knob exists for
-// comparison and as an escape hatch.
-func WithMergeStrategy(s MergeStrategy) Option {
-	return func(c *config) {
-		if s != MergeDelta && s != MergeFull {
-			c.fail(fmt.Errorf("rmq: unknown merge strategy %d", s))
-			return
-		}
-		c.merge = s
-	}
-}
-
 // Progress is an anytime snapshot of a running optimization, as
 // delivered to WithProgress and OnImprovement callbacks.
 type Progress struct {
@@ -338,66 +305,4 @@ func (c *config) observer() func(opt.Event) {
 			progress(p)
 		}
 	}
-}
-
-// Options configures OptimizeWithOptions, the pre-context form of the
-// API. The zero value optimizes with RMQ for one second under all three
-// cost metrics.
-//
-// Deprecated: Use Optimize with a context and functional options.
-type Options struct {
-	// Metrics is the cost metric subset (the paper's l); default all
-	// three.
-	Metrics []Metric
-	// Timeout bounds optimization time; default one second.
-	Timeout time.Duration
-	// MaxIterations, when > 0, additionally bounds the number of
-	// optimizer steps per worker.
-	MaxIterations int
-	// Seed makes the run reproducible; runs with equal seeds and
-	// MaxIterations produce identical frontiers.
-	Seed uint64
-	// Algorithm selects the optimizer; default AlgoRMQ.
-	Algorithm Algorithm
-	// DPAlpha is the approximation factor for AlgoDP; default 2.
-	DPAlpha float64
-	// Parallelism is the number of concurrent multi-start workers;
-	// default 1.
-	Parallelism int
-}
-
-// OptimizeWithOptions is the pre-context form of Optimize, kept so
-// existing callers migrate at their own pace. It cannot be cancelled.
-//
-// Deprecated: Use Optimize with a context and functional options.
-func OptimizeWithOptions(cat *Catalog, opts Options) (*Frontier, error) {
-	return Optimize(context.Background(), cat, opts.asOptions()...)
-}
-
-// asOptions translates the legacy struct (and its zero-value defaults)
-// into functional options.
-func (o Options) asOptions() []Option {
-	var out []Option
-	if len(o.Metrics) > 0 {
-		out = append(out, WithMetrics(o.Metrics...))
-	}
-	timeout := o.Timeout
-	if timeout <= 0 {
-		timeout = time.Second
-	}
-	out = append(out, WithTimeout(timeout))
-	if o.MaxIterations > 0 {
-		out = append(out, WithMaxIterations(o.MaxIterations))
-	}
-	out = append(out, WithSeed(o.Seed))
-	if o.Algorithm != "" {
-		out = append(out, WithAlgorithm(o.Algorithm))
-	}
-	if o.DPAlpha != 0 {
-		out = append(out, WithDPAlpha(o.DPAlpha))
-	}
-	if o.Parallelism > 1 {
-		out = append(out, WithParallelism(o.Parallelism))
-	}
-	return out
 }

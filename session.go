@@ -289,7 +289,6 @@ func (s *Session) Optimize(ctx context.Context, opts ...Option) (*Frontier, erro
 		Workers:       workers,
 		MaxIterations: cfg.maxIterations,
 		MergeEvery:    cfg.mergeEvery(),
-		Merge:         cfg.merge,
 		Observe:       cfg.observer(),
 	})
 	if err != nil {

@@ -5,7 +5,7 @@
 GO ?= go
 
 # Benchmarks gated by CI (must match .github/workflows/ci.yml).
-GATE_BENCH = BenchmarkClimb50$$|BenchmarkAblationClimb|BenchmarkRMQIteration50|BenchmarkJoinCost|BenchmarkNewJoin|BenchmarkStrictlyDominates|BenchmarkStepSteadyState|BenchmarkApproxFrontiers|BenchmarkParallelScaling|BenchmarkWorkloadThroughput|BenchmarkServerThroughput|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore|BenchmarkDominatesColumns|BenchmarkAdmissionProbe
+GATE_BENCH = BenchmarkClimb50$$|BenchmarkAblationClimb|BenchmarkRMQIteration50|BenchmarkJoinCost|BenchmarkNewJoin|BenchmarkStrictlyDominates|BenchmarkStepSteadyState|BenchmarkApproxFrontiers|BenchmarkParallelScaling|BenchmarkWorkloadThroughput|BenchmarkServerThroughput|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore|BenchmarkWarmStartPull|BenchmarkDominatesColumns|BenchmarkAdmissionProbe
 GATE_PKGS  = . ./internal/core ./internal/costmodel ./internal/cost ./internal/cache ./internal/server
 BENCH_OUT ?= BENCH_$(shell date +%F).json
 THRESHOLD ?= 0.2
@@ -46,7 +46,7 @@ bench-full:
 		-benchtime 1x -timeout 30m -out $(BENCH_OUT)
 
 ## bench-diff: compare a fresh gated run against the checked-in
-## baseline, failing on >$(THRESHOLD) ns/op regression (the CI gate).
+## baseline, failing on >$(THRESHOLD) ns/op or allocs/op regression (the CI gate).
 bench-diff:
 	$(GO) run ./cmd/benchreport run -bench '$(GATE_BENCH)' \
 		-packages "$(GATE_PKGS)" -benchtime 1s -out /tmp/rmq-bench-head.json

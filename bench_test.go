@@ -27,10 +27,13 @@ import (
 
 	"rmq"
 	"rmq/internal/baselines/weighted"
+	"rmq/internal/cache"
 	"rmq/internal/catalog"
 	"rmq/internal/core"
 	"rmq/internal/harness"
 	"rmq/internal/opt"
+	"rmq/internal/snapshot"
+	"rmq/internal/tableset"
 )
 
 // runFigure executes every scenario of one figure and reports the final
@@ -391,6 +394,37 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			}
 			b.ReportMetric(float64(cs.Plans), "retained-plans")
 			b.ReportMetric(float64(len(snap)), "snapshot-bytes")
+		})
+	}
+}
+
+// BenchmarkWarmStartPull measures the warm start of a fresh problem
+// against a restored 16-table store: the first Pull of a new private
+// cache, which Init runs before the first iteration and which imports
+// the whole store. It is the first-query share of a restart, after
+// BenchmarkSnapshotEncode and BenchmarkSnapshotRestore.
+func BenchmarkWarmStartPull(b *testing.B) {
+	for _, retain := range []float64{1, 2} {
+		b.Run(fmt.Sprintf("retain=%g", retain), func(b *testing.B) {
+			_, snap := snapshotBenchSession(b, retain)
+			var sh *cache.Shared
+			if _, err := snapshot.Decode(snap, func(_ string, st cache.StoreState) (*cache.Shared, error) {
+				sh = cache.NewShared(tableset.NewSharedInterner(), st.Retention)
+				return sh, nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+			_, plans := sh.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := cache.New(sh.Interner())
+				c.TrackDirty()
+				if got := sh.NewSync().Pull(c); got != plans {
+					b.Fatalf("warm start imported %d of %d plans", got, plans)
+				}
+			}
+			b.ReportMetric(float64(plans), "retained-plans")
 		})
 	}
 }

@@ -12,8 +12,8 @@
 // report to -out (default BENCH_<yyyy-mm-dd>.json). import parses
 // already-captured `go test -bench` output (stdin or a file) into the
 // same schema. diff compares two reports and exits non-zero if any
-// benchmark present in both regressed by more than the threshold —
-// that exit code is the CI gate.
+// benchmark present in both regressed by more than the threshold in
+// ns/op or in allocs/op — that exit code is the CI gate.
 package main
 
 import (
@@ -157,7 +157,7 @@ func importCmd(args []string) error {
 
 func diffCmd(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 0.2, "ns/op regression threshold (0.2 = +20%)")
+	threshold := fs.Float64("threshold", 0.2, "ns/op and allocs/op regression threshold (0.2 = +20%)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		return fmt.Errorf("diff needs exactly two report files, got %d", fs.NArg())
@@ -176,7 +176,7 @@ func diffCmd(args []string) error {
 	}
 	fmt.Print(benchio.FormatDeltas(deltas, *threshold))
 	if regressed {
-		return fmt.Errorf("ns/op regression beyond +%.0f%%", *threshold*100)
+		return fmt.Errorf("ns/op or allocs/op regression beyond +%.0f%%", *threshold*100)
 	}
 	fmt.Println("no regressions")
 	return nil

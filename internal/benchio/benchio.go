@@ -4,7 +4,7 @@
 // serializing them as versioned JSON reports (the BENCH_<date>.json
 // files committed under bench/ and uploaded as CI artifacts), and
 // diffing two reports under a regression threshold so CI can gate merges
-// on ns/op regressions. cmd/benchreport is the command-line front end;
+// on ns/op and allocs/op regressions. cmd/benchreport is the command-line front end;
 // the Makefile and .github/workflows/ci.yml consume the same schema.
 package benchio
 
@@ -197,14 +197,19 @@ type Delta struct {
 	Old, New, Ratio float64
 	// AllocsOld and AllocsNew are allocs/op.
 	AllocsOld, AllocsNew float64
-	// Regressed marks deltas beyond the diff threshold.
-	Regressed bool
+	// NsRegressed and AllocsRegressed say which limit the benchmark
+	// tripped; Regressed is their disjunction.
+	NsRegressed, AllocsRegressed, Regressed bool
 }
 
 // Diff compares the benchmarks present in both reports (matched by
 // name). A benchmark regresses when its ns/op grows by more than
-// threshold (e.g. 0.2 = +20%). It returns the per-benchmark deltas in
-// old-report order and whether any regressed.
+// threshold (e.g. 0.2 = +20%), or when its allocs/op does: by more than
+// the same fraction and by at least one whole allocation, so a
+// benchmark that allocated nothing regresses on its first allocation
+// per op, while sub-allocation noise of averaged -count runs does not.
+// It returns the per-benchmark deltas sorted by ns/op ratio, worst
+// first, and whether any regressed.
 func Diff(old, new *Report, threshold float64) ([]Delta, bool) {
 	byName := map[string]Benchmark{}
 	for _, b := range new.Benchmarks {
@@ -225,7 +230,9 @@ func Diff(old, new *Report, threshold float64) ([]Delta, bool) {
 			AllocsOld: ob.AllocsPerOp,
 			AllocsNew: nb.AllocsPerOp,
 		}
-		d.Regressed = d.Ratio > 1+threshold
+		d.NsRegressed = d.Ratio > 1+threshold
+		d.AllocsRegressed = d.AllocsNew > d.AllocsOld*(1+threshold) && d.AllocsNew-d.AllocsOld >= 1
+		d.Regressed = d.NsRegressed || d.AllocsRegressed
 		regressed = regressed || d.Regressed
 		deltas = append(deltas, d)
 	}
@@ -252,21 +259,31 @@ func GeomeanRatio(deltas []Delta) float64 {
 }
 
 // FormatDeltas renders a fixed-width comparison table, closed by a
-// geomean summary line.
+// geomean summary line. A regressed row is marked with the limit it
+// tripped: "!! ns/op", "!! allocs/op" or both.
 func FormatDeltas(deltas []Delta, threshold float64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-52s %14s %14s %8s %9s\n", "benchmark", "old ns/op", "new ns/op", "ratio", "allocs")
+	fmt.Fprintf(&b, "%-52s %14s %14s %8s %15s\n", "benchmark", "old ns/op", "new ns/op", "ratio", "allocs/op")
 	for _, d := range deltas {
-		mark := "  "
-		if d.Regressed {
-			mark = "!!"
+		var tripped []string
+		if d.NsRegressed {
+			tripped = append(tripped, "ns/op")
 		}
-		fmt.Fprintf(&b, "%-52s %14.0f %14.0f %7.2fx %4.0f→%-4.0f %s\n",
+		if d.AllocsRegressed {
+			tripped = append(tripped, "allocs/op")
+		}
+		mark := ""
+		if len(tripped) > 0 {
+			mark = " !! " + strings.Join(tripped, " ")
+		}
+		line := fmt.Sprintf("%-52s %14.0f %14.0f %7.2fx %7.0f→%-7.0f%s",
 			d.Name, d.Old, d.New, d.Ratio, d.AllocsOld, d.AllocsNew, mark)
+		b.WriteString(strings.TrimRight(line, " "))
+		b.WriteByte('\n')
 	}
 	if gm := GeomeanRatio(deltas); gm > 0 {
 		fmt.Fprintf(&b, "geomean ns/op ratio: %.3fx over %d benchmarks\n", gm, len(deltas))
 	}
-	fmt.Fprintf(&b, "(regression threshold: ns/op ratio > %.2f)\n", 1+threshold)
+	fmt.Fprintf(&b, "(regression thresholds: ns/op ratio > %.2f; allocs/op ratio > %.2f and ≥ 1 more alloc)\n", 1+threshold, 1+threshold)
 	return b.String()
 }

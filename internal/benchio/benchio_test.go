@@ -134,3 +134,65 @@ func TestDiffNoRegression(t *testing.T) {
 		t.Fatalf("improvement misreported: %+v regressed=%v", deltas, regressed)
 	}
 }
+
+// TestDiffFlagsAllocRegressions pins the allocs/op limit of the gate: a
+// synthetic +25% allocation injection at unchanged speed fails it and
+// the table names the limit tripped, while growth inside the threshold,
+// and a fraction of one allocation on a benchmark that allocated
+// nothing, pass. A benchmark's first whole allocation per op fails.
+func TestDiffFlagsAllocRegressions(t *testing.T) {
+	old := &Report{Schema: Schema, Benchmarks: []Benchmark{
+		{Name: "BenchmarkInjected", NsPerOp: 1000, AllocsPerOp: 400},
+		{Name: "BenchmarkWithin", NsPerOp: 1000, AllocsPerOp: 400},
+		{Name: "BenchmarkNoise", NsPerOp: 1000},
+		{Name: "BenchmarkFirstAlloc", NsPerOp: 1000},
+		{Name: "BenchmarkSlow", NsPerOp: 1000, AllocsPerOp: 400},
+	}}
+	new := &Report{Schema: Schema, Benchmarks: []Benchmark{
+		{Name: "BenchmarkInjected", NsPerOp: 1000, AllocsPerOp: 500}, // +25% allocs
+		{Name: "BenchmarkWithin", NsPerOp: 1000, AllocsPerOp: 440},   // +10% allocs
+		{Name: "BenchmarkNoise", NsPerOp: 1000, AllocsPerOp: 0.67},   // averaged -count noise
+		{Name: "BenchmarkFirstAlloc", NsPerOp: 1000, AllocsPerOp: 1},
+		{Name: "BenchmarkSlow", NsPerOp: 1300, AllocsPerOp: 400}, // +30% ns/op only
+	}}
+	deltas, regressed := Diff(old, new, 0.2)
+	if !regressed {
+		t.Fatal("alloc regression not flagged")
+	}
+	want := map[string][2]bool{ // name → {ns tripped, allocs tripped}
+		"BenchmarkInjected":   {false, true},
+		"BenchmarkWithin":     {false, false},
+		"BenchmarkNoise":      {false, false},
+		"BenchmarkFirstAlloc": {false, true},
+		"BenchmarkSlow":       {true, false},
+	}
+	for _, d := range deltas {
+		w := want[d.Name]
+		if d.NsRegressed != w[0] || d.AllocsRegressed != w[1] || d.Regressed != (w[0] || w[1]) {
+			t.Errorf("%s: ns %v allocs %v regressed %v, want ns %v allocs %v", d.Name, d.NsRegressed, d.AllocsRegressed, d.Regressed, w[0], w[1])
+		}
+	}
+	out := FormatDeltas(deltas, 0.2)
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "BenchmarkInjected"), strings.HasPrefix(line, "BenchmarkFirstAlloc"):
+			if !strings.HasSuffix(line, "!! allocs/op") {
+				t.Errorf("alloc regression row not marked with its limit: %q", line)
+			}
+		case strings.HasPrefix(line, "BenchmarkSlow"):
+			if !strings.HasSuffix(line, "!! ns/op") {
+				t.Errorf("ns/op regression row not marked with its limit: %q", line)
+			}
+		case strings.HasPrefix(line, "BenchmarkWithin"), strings.HasPrefix(line, "BenchmarkNoise"):
+			if strings.Contains(line, "!!") {
+				t.Errorf("row within the thresholds marked: %q", line)
+			}
+		}
+	}
+
+	// The injection alone, at unchanged ns/op, fails the gate.
+	only := &Report{Schema: Schema, Benchmarks: new.Benchmarks[:1]}
+	if _, regressed := Diff(old, only, 0.2); !regressed {
+		t.Fatal("a +25% alloc injection alone passed the gate")
+	}
+}

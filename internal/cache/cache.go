@@ -30,9 +30,18 @@
 //
 // The columns are pure derived state, maintained incrementally under the
 // same lock discipline as the plan slice they shadow: admissions
-// append, evictions compact in lockstep with the surviving plans, and
-// wholesale rewrites (shed, snapshot import) rebuild them from the plan
-// slice (rebuildMirrors) — the wire formats serialize plans only.
+// append, evictions compact in lockstep with the surviving plans,
+// wholesale rewrites rebuild them from the plan slice (rebuildMirrors
+// after shed, importMirrors on snapshot import) — the wire formats
+// serialize plans only — and a warm start that adopts a whole shared
+// bucket copies them (SyncState.Pull).
+//
+// Every bucket is a per-output-class antichain: no plan weakly dominates
+// another plan of its class. Insert keeps that by construction (it
+// admits only plans no member α-dominates and evicts the members the
+// newcomer weakly dominates), shed keeps a subset, and ImportBucket
+// rejects frontiers that break it. The warm start's bucket adoption is
+// exact only because of it.
 //
 // # Generations and deltas
 //
@@ -511,6 +520,7 @@ type Cache struct {
 	dirty []*Bucket
 	sets  int
 	plans int
+	slab  []Bucket // buckets allocated but not yet handed out
 }
 
 // New returns an empty cache over the given interner, which must be the
@@ -527,9 +537,16 @@ func New(in *tableset.Interner) *Cache {
 	return c
 }
 
-// newBucket returns an empty bucket wired to the cache.
+// newBucket returns an empty bucket wired to the cache, carved from the
+// cache's current chunk of buckets (see bucketSlabBytes).
 func (c *Cache) newBucket() *Bucket {
-	return &Bucket{cache: c} //rmq:allow-alloc(one bucket per table set, created on first contact)
+	if len(c.slab) == 0 {
+		c.slab = make([]Bucket, bucketsPerSlab) //rmq:allow-alloc(a chunk of buckets, one per table set, created on first contact)
+	}
+	b := &c.slab[0]
+	c.slab = c.slab[1:]
+	b.cache = c
+	return b
 }
 
 // bucketAt returns the bucket with the given id, creating it if absent.

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"slices"
 
 	"rmq/internal/tableset"
 )
@@ -47,14 +46,19 @@ func (s *Shared) State() StoreState {
 // one at a time under their own locks, exactly like Export — no two
 // bucket locks are ever held together and publishes to other buckets
 // proceed concurrently.
+//
+// The copies alias one export arena exactly as Export's do: adjacent,
+// capacity-capped windows of two slabs that the visitor may keep. A
+// full pull (since == 0) sizes the slabs from the store's plan count; an
+// incremental one grows them by append from empty.
 func (s *Shared) ExportDelta(since uint64, visit func(BucketSnapshot) error) (cursor uint64, err error) {
 	cursor = s.repSeq.Load()
-	s.mu.RLock()
-	table := make([]*sharedBucket, len(s.buckets))
-	copy(table, s.buckets)
-	s.mu.RUnlock()
-	for id := 1; id < len(table); id++ {
-		sb := table[id]
+	hint := 0
+	if since == 0 {
+		hint = int(s.plans.Load())
+	}
+	arena := newExportArena(hint)
+	for id, sb := range s.table() {
 		if sb == nil {
 			continue
 		}
@@ -63,13 +67,10 @@ func (s *Shared) ExportDelta(since uint64, visit func(BucketSnapshot) error) (cu
 			sb.mu.Unlock()
 			continue
 		}
-		bs := BucketSnapshot{
-			Epoch:  sb.b.epoch,
-			Plans:  slices.Clone(sb.b.plans),
-			Epochs: slices.Clone(sb.b.epochs),
-		}
+		bs := arena.copyOut(&sb.b)
 		sb.mu.Unlock()
-		bs.Set = s.in.SetOf(tableset.ID(id))
+		bs.ID = tableset.ID(id)
+		bs.Set = s.in.SetOf(bs.ID)
 		if err := visit(bs); err != nil {
 			return 0, err
 		}
@@ -90,7 +91,7 @@ func (s *Shared) MergeBucket(bs BucketSnapshot) (admitted int, err error) {
 	if len(bs.Plans) == 0 {
 		return 0, nil
 	}
-	id := s.in.Intern(bs.Set)
+	id := s.bucketID(bs)
 	if id == tableset.NoID {
 		return 0, fmt.Errorf("cache: merge bucket for %v exceeds interner capacity", bs.Set)
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"rmq/internal/plan"
 	"rmq/internal/tableset"
@@ -78,11 +79,34 @@ type Shared struct {
 	sets  atomic.Int64
 	plans atomic.Int64
 
+	// pullPerPlan turns off the bulk adoption of SyncState.Pull, so every
+	// pull offers plans one by one. Only tests set it, before any pull,
+	// to run the optimizer over the reference warm start.
+	pullPerPlan bool
+
 	// mu guards the bucket table (growth and slot initialization), not
 	// the buckets themselves; each sharedBucket has its own lock.
 	mu      sync.RWMutex    //rmq:lock store 1
 	buckets []*sharedBucket // indexed by tableset.ID; slot 0 unused
+	// slab holds buckets allocated but not yet handed out (see
+	// bucketSlabBytes); guarded by mu like the table.
+	slab []sharedBucket
 }
+
+// bucketSlabBytes is the size of the chunks a store or cache allocates
+// its buckets in. Buckets live as long as their store or cache, so
+// carving them from shared chunks pins nothing extra, and a restore or
+// warm start that creates tens of thousands of buckets makes a few
+// hundred allocations instead. It is the Go runtime's largest small-
+// object size class, so a chunk loses less than one bucket to size-class
+// rounding — less than a bucket allocated on its own does.
+const bucketSlabBytes = 32 << 10
+
+// Buckets per chunk, for private caches and for shared stores.
+const (
+	bucketsPerSlab       = bucketSlabBytes / unsafe.Sizeof(Bucket{})
+	sharedBucketsPerSlab = bucketSlabBytes / unsafe.Sizeof(sharedBucket{})
+)
 
 // sharedBucket is one table set's slot in the store: the ordinary
 // Bucket (admitting through its per-class column sweep, exactly as in a
@@ -166,7 +190,10 @@ func (s *Shared) bucketAt(id tableset.ID) *sharedBucket {
 	}
 	sb = s.buckets[id]
 	if sb == nil {
-		sb = &sharedBucket{} //rmq:allow-alloc(one shared bucket per table set, created on first contact)
+		if len(s.slab) == 0 {
+			s.slab = make([]sharedBucket, sharedBucketsPerSlab) //rmq:allow-alloc(a chunk of shared buckets, one per table set, created on first contact)
+		}
+		sb, s.slab = &s.slab[0], s.slab[1:]
 		sb.b.id = id
 		s.buckets[id] = sb
 		s.sets.Add(1)
@@ -268,6 +295,10 @@ func (st *SyncState) Publish(c *Cache) (published int) {
 // published since the last Pull, it returns without scanning, locking
 // or allocating.
 //
+// A bucket the handle has never pulled (mark 0) into a private bucket
+// that has never admitted (epoch 0) is adopted in one step instead of
+// offered plan by plan (see adopt) — the warm start's common case.
+//
 //rmq:hotpath
 func (st *SyncState) Pull(c *Cache) (imported int) {
 	sh := st.shared
@@ -296,6 +327,12 @@ func (st *SyncState) Pull(c *Cache) (imported int) {
 	for _, sb := range st.changed {
 		id := sb.b.id // written once at creation, before the slot was published
 		sb.mu.Lock()
+		if st.pulled[id] == 0 && len(sb.b.plans) > 0 && c.unborn(id) && !sh.pullPerPlan {
+			imported += c.bucketAt(id).adopt(&sb.b)
+			st.pulled[id] = sb.b.epoch
+			sb.mu.Unlock()
+			continue
+		}
 		st.buf = append(st.buf[:0], sb.b.Since(st.pulled[id])...) //rmq:allow-alloc(reused scratch; grows to the delta high-water mark)
 		st.pulled[id] = sb.b.epoch
 		sb.mu.Unlock()
@@ -317,6 +354,61 @@ func (st *SyncState) Pull(c *Cache) (imported int) {
 		}
 	}
 	return imported
+}
+
+// unborn reports whether the cache's bucket for id is absent or has
+// never admitted a plan.
+//
+//rmq:hotpath
+func (c *Cache) unborn(id tableset.ID) bool {
+	return int(id) >= len(c.buckets) || c.buckets[id] == nil || c.buckets[id].epoch == 0
+}
+
+// adopt fills an unborn private bucket with the shared bucket src's
+// whole frontier — the state offering src's plans one by one through
+// Insert at α = 1 would reach, built directly. That shortcut is exact
+// because src is a per-output-class antichain (every write path of a
+// shared bucket keeps it one: Insert, MergeBucket and shed by
+// construction, ImportBucket by check). Into an empty bucket each
+// offer is then admitted, since no earlier plan weakly dominates it,
+// and evicts nothing, since it weakly dominates no earlier plan. So
+// the Insert loop would keep src's plans in src's order, stamp epochs
+// 1..n, append each class's costs in class order — src's columns — and
+// fold the corner over the plans in order; count the plans, enlist the
+// bucket as dirty, and leave it fully published (syncMark = epoch,
+// since the bucket had nothing unpublished). The caller holds src's
+// lock. It returns the number of plans adopted.
+//
+//rmq:hotpath
+func (b *Bucket) adopt(src *Bucket) int {
+	n := len(src.plans)
+	b.plans = append(make([]*plan.Plan, 0, max(n, 8)), src.plans...) //rmq:allow-alloc(one sized allocation per adopted bucket)
+	b.epochs = make([]uint64, n, max(n, 8))                          //rmq:allow-alloc(one sized allocation per adopted bucket)
+	for i := range b.epochs {
+		b.epochs[i] = uint64(i + 1)
+	}
+	b.epoch = uint64(n)
+	var counts [plan.NumOutputProps]int
+	for out := range counts {
+		counts[out] = src.cols[out].Len()
+	}
+	b.reserveCols(b.plans[0].Cost.N, counts)
+	for out := range b.cols {
+		b.cols[out].AppendColumns(&src.cols[out])
+	}
+	b.corner, b.hasCorner = b.plans[0].Cost, true
+	for _, p := range b.plans[1:] {
+		b.corner = b.corner.Min(p.Cost)
+	}
+	if c := b.cache; c != nil {
+		c.plans += n
+		if c.track && !b.dirty {
+			b.dirty = true
+			c.dirty = append(c.dirty, b) //rmq:allow-alloc(grows once per bucket per sync interval)
+		}
+	}
+	b.syncMark = b.epoch
+	return n
 }
 
 // Sync is one full exchange: publish this worker's new plans, then pull

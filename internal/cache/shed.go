@@ -137,23 +137,13 @@ func (b *Bucket) shed(alpha float64) (removed int) {
 }
 
 // rebuildMirrors reconstructs the per-output class cost columns from
-// the bucket's current frontier. Bulk mutations that do not go through
-// Insert — shed, snapshot import — use it; admissions and evictions
-// maintain the columns incrementally.
+// the bucket's current frontier after shed has thinned it; admissions
+// and evictions maintain the columns incrementally. The survivors are
+// fewer than the entries the columns held, so the rebuild reuses their
+// capacity.
 func (b *Bucket) rebuildMirrors() {
-	// Pre-size the columns to their exact final shape: one allocation per
-	// column instead of amortized growth — a restore materializes hundreds
-	// of thousands of plans through this path, so the growth
-	// reallocations (and the garbage they strand) are worth counting out.
-	var counts [plan.NumOutputProps]int
-	for _, p := range b.plans {
-		counts[p.Output]++
-	}
 	for out := range b.cols {
 		b.cols[out].Reset()
-		if n := counts[out]; n > 0 {
-			b.cols[out].Grow(b.plans[0].Cost.N, n)
-		}
 	}
 	for _, p := range b.plans {
 		b.cols[p.Output].Append(p.Cost)

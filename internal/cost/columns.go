@@ -102,25 +102,40 @@ func (c *Columns) Truncate(n int) {
 	c.n = n
 }
 
-// Grow reserves capacity for n entries of the given dimension without
-// changing the block's contents. Bulk rebuilds (snapshot import, shed)
-// size the block once up front so the per-entry appends that follow
-// never reallocate mid-sweep. On a non-empty block dim must match the
-// fixed dimension; on an empty one it fixes it, exactly as the first
-// Append would.
-func (c *Columns) Grow(dim int8, n int) {
+// Reserve empties the block and gives it exact capacity for n entries
+// of dimension dim, in one allocation cut into one column per metric.
+// Each column is capped at its own region, so an Append past n moves
+// every column out together and frees the allocation. Bulk builds
+// (snapshot import, a warm start's bucket adoption) reserve once so the
+// appends that follow never reallocate. It fixes the dimension, exactly
+// as the first Append would.
+//
+//rmq:hotpath
+func (c *Columns) Reserve(dim int8, n int) {
+	buf := make([]float64, int(dim)*n) //rmq:allow-alloc(one sized allocation per bulk-built block)
+	c.dim, c.n = dim, 0
+	for d := 0; d < int(dim); d++ {
+		c.col[d], buf = buf[:0:n], buf[n:]
+	}
+}
+
+// AppendColumns appends every entry of src, which must match the
+// block's dimension unless the block is empty.
+//
+//rmq:hotpath
+func (c *Columns) AppendColumns(src *Columns) {
+	if src.n == 0 {
+		return
+	}
 	if c.n == 0 {
-		c.dim = dim
-	} else if dim != c.dim {
-		panic(fmt.Sprintf("cost: Columns dimension mismatch %d vs %d", dim, c.dim))
+		c.dim = src.dim
+	} else if src.dim != c.dim {
+		panic(fmt.Sprintf("cost: Columns dimension mismatch %d vs %d", src.dim, c.dim)) //rmq:allow-alloc(allocates only while crashing on a dimension bug)
 	}
 	for d := 0; d < int(c.dim); d++ {
-		if cap(c.col[d]) < n {
-			grown := make([]float64, len(c.col[d]), n)
-			copy(grown, c.col[d])
-			c.col[d] = grown
-		}
+		c.col[d] = append(c.col[d], src.col[d][:src.n]...) //rmq:allow-alloc(callers reserve exact capacity first; otherwise amortized growth)
 	}
+	c.n += src.n
 }
 
 // ApproxDominatedBy reports whether any entry approximately dominates

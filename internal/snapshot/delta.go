@@ -59,12 +59,8 @@ type DeltaHeader struct {
 func EncodeDeltas(fingerprint, instance uint64, stores []TaggedDelta) ([]byte, map[string]uint64, error) {
 	sorted := slices.Clone(stores)
 	slices.SortFunc(sorted, func(a, b TaggedDelta) int { return strings.Compare(a.Tag, b.Tag) })
-	w := make([]byte, 0, 1024)
-	w = append(w, magicDelta...)
-	w = binary.AppendUvarint(w, Version)
-	w = binary.LittleEndian.AppendUint64(w, fingerprint)
-	w = binary.LittleEndian.AppendUint64(w, instance)
-	w = binary.AppendUvarint(w, uint64(len(sorted)))
+	secs := make([]*section, len(sorted))
+	size := len(magicDelta) + uvarintLen(Version) + 8 + 8 + uvarintLen(uint64(len(sorted))) + 4
 	cursors := make(map[string]uint64, len(sorted))
 	for i, td := range sorted {
 		if i > 0 && td.Tag == sorted[i-1].Tag {
@@ -80,10 +76,20 @@ func EncodeDeltas(fingerprint, instance uint64, stores []TaggedDelta) ([]byte, m
 		}
 		// State read after the export: monotone counters are ≥ anything
 		// the exported buckets reflect.
-		if w, err = appendSection(w, td.Tag, td.Store.State(), buckets, cursor, true); err != nil {
+		if secs[i], err = newSection(td.Tag, td.Store.Interner(), td.Store.State(), buckets, cursor, true); err != nil {
 			return nil, nil, err
 		}
+		size += secs[i].size()
 		cursors[td.Tag] = cursor
+	}
+	w := make([]byte, 0, size)
+	w = append(w, magicDelta...)
+	w = binary.AppendUvarint(w, Version)
+	w = binary.LittleEndian.AppendUint64(w, fingerprint)
+	w = binary.LittleEndian.AppendUint64(w, instance)
+	w = binary.AppendUvarint(w, uint64(len(sorted)))
+	for _, sec := range secs {
+		w = sec.appendTo(w)
 	}
 	return binary.LittleEndian.AppendUint32(w, crc32.ChecksumIEEE(w)), cursors, nil
 }

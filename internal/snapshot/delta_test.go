@@ -249,6 +249,10 @@ func FuzzDeltaDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-exporting a merged store failed: %v", err)
 			}
+			want, _, err := snapshot.OracleEncodeDeltas(h.Fingerprint, h.Instance, []snapshot.TaggedDelta{{Tag: tag, Store: sh}})
+			if err != nil || !bytes.Equal(again, want) {
+				t.Fatalf("re-exported delta differs from the oracle's (err %v)", err)
+			}
 			if _, _, err := snapshot.DecodeDeltas(again, openWarm(mirror)); err != nil {
 				t.Fatalf("re-merging a merged store failed: %v", err)
 			}

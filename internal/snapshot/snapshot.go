@@ -43,10 +43,26 @@
 // Encoding a store restored from a snapshot therefore reproduces the
 // snapshot byte for byte, which CI uses as the round-trip property.
 // Decode verifies the frame (magic, version, checksum) before parsing,
-// validates every structural invariant the engine relies on (operator
-// applicability, disjoint join children, ascending epochs, finite
-// non-negative costs), and returns errors — never panics — on
-// malformed, truncated or version-skewed input.
+// validates every structural invariant the engine relies on, and
+// returns errors — never panics — on malformed, truncated or
+// version-skewed input. The invariants are:
+//
+//   - operator applicability (a join needing a rescannable inner gets a
+//     materialized one; scans name their own table);
+//   - join children with disjoint table sets whose union is the node's;
+//   - distinct, non-empty table sets, and children before parents;
+//   - strictly ascending admission epochs, none past the bucket's
+//     counter;
+//   - finite, non-negative costs and cardinalities;
+//   - buckets that are per-output-class antichains: no plan weakly
+//     dominates another plan with the same output representation, so in
+//     particular no two of them have equal cost vectors. Every live
+//     store keeps this invariant, and the warm start that copies a
+//     restored bucket wholesale (cache.SyncState.Pull) depends on it.
+//
+// Encoding resolves each section before writing it — set and node
+// tables are arrays indexed by interned set id and bucket position, no
+// plan pointer is hashed — and sizes the output buffer once.
 package snapshot
 
 import (
@@ -109,143 +125,35 @@ type OpenStore func(tag string, state cache.StoreState) (*cache.Shared, error)
 func Encode(fingerprint uint64, stores []TaggedStore) ([]byte, error) {
 	sorted := slices.Clone(stores)
 	slices.SortFunc(sorted, func(a, b TaggedStore) int { return strings.Compare(a.Tag, b.Tag) })
-	w := make([]byte, 0, 4096)
-	w = append(w, magic...)
-	w = binary.AppendUvarint(w, Version)
-	w = binary.LittleEndian.AppendUint64(w, fingerprint)
-	w = binary.AppendUvarint(w, uint64(len(sorted)))
+	secs := make([]*section, len(sorted))
+	size := len(magic) + uvarintLen(Version) + 8 + uvarintLen(uint64(len(sorted))) + 4
 	for i, ts := range sorted {
 		if i > 0 && ts.Tag == sorted[i-1].Tag {
 			return nil, fmt.Errorf("snapshot: duplicate store tag %q", ts.Tag)
 		}
-		var err error
-		if w, err = encodeStore(w, ts); err != nil {
+		sets, _ := ts.Store.Stats()
+		buckets := make([]cache.BucketSnapshot, 0, sets)
+		state, err := ts.Store.Export(func(bs cache.BucketSnapshot) error {
+			buckets = append(buckets, bs)
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
+		if secs[i], err = newSection(ts.Tag, ts.Store.Interner(), state, buckets, 0, false); err != nil {
+			return nil, err
+		}
+		size += secs[i].size()
+	}
+	w := make([]byte, 0, size)
+	w = append(w, magic...)
+	w = binary.AppendUvarint(w, Version)
+	w = binary.LittleEndian.AppendUint64(w, fingerprint)
+	w = binary.AppendUvarint(w, uint64(len(sorted)))
+	for _, sec := range secs {
+		w = sec.appendTo(w)
 	}
 	return binary.LittleEndian.AppendUint32(w, crc32.ChecksumIEEE(w)), nil
-}
-
-// encodeStore appends one store section to w.
-func encodeStore(w []byte, ts TaggedStore) ([]byte, error) {
-	var buckets []cache.BucketSnapshot
-	state, err := ts.Store.Export(func(bs cache.BucketSnapshot) error {
-		buckets = append(buckets, bs)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return appendSection(w, ts.Tag, state, buckets, 0, false)
-}
-
-// appendSection appends one store section (shared by the snapshot and
-// delta streams; a delta section carries one extra uvarint, the
-// replication cursor, right after the iteration counter).
-func appendSection(w []byte, tag string, state cache.StoreState, buckets []cache.BucketSnapshot, cursor uint64, delta bool) ([]byte, error) {
-	// Compact set renumbering: bucket sets first (ids 1..B in export
-	// order, so bucket sections need no explicit set reference), then
-	// every other set reached by the node walk.
-	setID := make(map[tableset.Set]int, len(buckets)*2)
-	var sets []tableset.Set
-	internSet := func(s tableset.Set) int {
-		if id, ok := setID[s]; ok {
-			return id
-		}
-		sets = append(sets, s)
-		setID[s] = len(sets)
-		return len(sets)
-	}
-	for _, bs := range buckets {
-		if _, dup := setID[bs.Set]; dup {
-			return nil, fmt.Errorf("snapshot: store %q exported bucket set %v twice", tag, bs.Set)
-		}
-		internSet(bs.Set)
-	}
-	numBuckets := len(sets)
-
-	// Deduplicated node table, children strictly before parents. Plans
-	// are immutable and alias sub-plans freely, so pointer identity is
-	// the dedup key and shared subtrees serialize once.
-	nodeID := make(map[*plan.Plan]int, len(buckets)*4)
-	var nodes []*plan.Plan
-	dim := -1
-	var walk func(p *plan.Plan) error
-	walk = func(p *plan.Plan) error {
-		if _, ok := nodeID[p]; ok {
-			return nil
-		}
-		if p.IsJoin() {
-			if err := walk(p.Outer); err != nil {
-				return err
-			}
-			if err := walk(p.Inner); err != nil {
-				return err
-			}
-		}
-		if dim < 0 {
-			dim = p.Cost.Dim()
-		} else if p.Cost.Dim() != dim {
-			return fmt.Errorf("snapshot: store %q mixes cost dimensions %d and %d", tag, dim, p.Cost.Dim())
-		}
-		internSet(p.Rel)
-		nodes = append(nodes, p)
-		nodeID[p] = len(nodes)
-		return nil
-	}
-	for _, bs := range buckets {
-		for _, p := range bs.Plans {
-			if err := walk(p); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if dim < 0 {
-		dim = 0
-	}
-
-	w = binary.AppendUvarint(w, uint64(len(tag)))
-	w = append(w, tag...)
-	w = binary.LittleEndian.AppendUint64(w, math.Float64bits(state.Retention))
-	w = binary.AppendUvarint(w, state.Version)
-	w = binary.AppendUvarint(w, uint64(state.Iterations))
-	if delta {
-		w = binary.AppendUvarint(w, cursor)
-	}
-	w = append(w, byte(dim))
-	w = binary.AppendUvarint(w, uint64(len(sets)))
-	w = binary.AppendUvarint(w, uint64(numBuckets))
-	for _, s := range sets {
-		lo, hi := s.Words()
-		w = binary.AppendUvarint(w, lo)
-		w = binary.AppendUvarint(w, hi)
-	}
-	w = binary.AppendUvarint(w, uint64(len(nodes)))
-	for _, p := range nodes {
-		w = binary.AppendUvarint(w, uint64(setID[p.Rel]))
-		if !p.IsJoin() {
-			w = append(w, 0, byte(p.Table), byte(p.Scan))
-		} else {
-			w = append(w, 1, byte(p.Join))
-			w = binary.AppendUvarint(w, uint64(nodeID[p.Outer]))
-			w = binary.AppendUvarint(w, uint64(nodeID[p.Inner]))
-		}
-		for i := 0; i < dim; i++ {
-			w = binary.LittleEndian.AppendUint64(w, math.Float64bits(p.Cost.At(i)))
-		}
-		w = binary.LittleEndian.AppendUint64(w, math.Float64bits(p.Card))
-	}
-	for _, bs := range buckets {
-		w = binary.AppendUvarint(w, bs.Epoch)
-		w = binary.AppendUvarint(w, uint64(len(bs.Plans)))
-		prev := uint64(0)
-		for i, p := range bs.Plans {
-			w = binary.AppendUvarint(w, uint64(nodeID[p]))
-			w = binary.AppendUvarint(w, bs.Epochs[i]-prev)
-			prev = bs.Epochs[i]
-		}
-	}
-	return w, nil
 }
 
 // Peek verifies the frame (magic, length, checksum, version) and
@@ -469,7 +377,6 @@ func (r *reader) decodeStore(open OpenStore, delta bool) (string, uint64, error)
 	}
 
 	sets := make([]tableset.Set, numSets+1)
-	seen := make(map[tableset.Set]bool, numSets)
 	for k := 1; k <= numSets; k++ {
 		lo, err := r.uvarint("set")
 		if err != nil {
@@ -479,12 +386,9 @@ func (r *reader) decodeStore(open OpenStore, delta bool) (string, uint64, error)
 		if err != nil {
 			return "", 0, err
 		}
-		s := tableset.FromWords(lo, hi)
-		if s.IsEmpty() || seen[s] {
+		if sets[k] = tableset.FromWords(lo, hi); sets[k].IsEmpty() {
 			return "", 0, fmt.Errorf("snapshot: store %q set table entry %d empty or duplicate", tag, k)
 		}
-		seen[s] = true
-		sets[k] = s
 	}
 
 	state := cache.StoreState{Retention: retention, Version: version, Iterations: int64(iters)}
@@ -500,10 +404,15 @@ func (r *reader) decodeStore(open OpenStore, delta bool) (string, uint64, error)
 	// assignment of the export order, which is what makes re-encoding a
 	// restored store byte-identical.
 	ids := make([]tableset.ID, numSets+1)
+	var maxID tableset.ID
 	for k := 1; k <= numSets; k++ {
 		if ids[k] = sh.Interner().Intern(sets[k]); ids[k] == tableset.NoID {
 			return "", 0, fmt.Errorf("snapshot: store %q set %v exceeds interner capacity", tag, sets[k])
 		}
+		maxID = max(maxID, ids[k])
+	}
+	if k := duplicateID(ids[1:], maxID); k >= 0 {
+		return "", 0, fmt.Errorf("snapshot: store %q set table entry %d empty or duplicate", tag, k+1)
 	}
 
 	numNodes, err := r.count("node")
@@ -522,8 +431,15 @@ func (r *reader) decodeStore(open OpenStore, delta bool) (string, uint64, error)
 		nodes[k] = p
 	}
 
+	// Bucket frontiers are cut from two slabs, sized for the node count
+	// since every plan of a valid bucket is a distinct node: a restore
+	// allocates two slices per store instead of two per bucket.
+	// ImportBucket takes each window over for good; MergeBucket only
+	// reads its window, so a delta reuses one for every bucket.
+	var planSlab []*plan.Plan
+	var epochSlab []uint64
 	for i := 1; i <= numBuckets; i++ {
-		bs := cache.BucketSnapshot{Set: sets[i]}
+		bs := cache.BucketSnapshot{Set: sets[i], ID: ids[i]}
 		if bs.Epoch, err = r.uvarint("bucket epoch"); err != nil {
 			return "", 0, err
 		}
@@ -531,8 +447,17 @@ func (r *reader) decodeStore(open OpenStore, delta bool) (string, uint64, error)
 		if err != nil {
 			return "", 0, err
 		}
-		bs.Plans = make([]*plan.Plan, numPlans)
-		bs.Epochs = make([]uint64, numPlans)
+		if numPlans > len(planSlab) {
+			n := numPlans
+			if !delta && planSlab == nil {
+				n = max(n, numNodes)
+			}
+			planSlab, epochSlab = make([]*plan.Plan, n), make([]uint64, n)
+		}
+		bs.Plans, bs.Epochs = planSlab[:numPlans:numPlans], epochSlab[:numPlans:numPlans]
+		if !delta {
+			planSlab, epochSlab = planSlab[numPlans:], epochSlab[numPlans:]
+		}
 		prev := uint64(0)
 		for j := 0; j < numPlans; j++ {
 			ref, err := r.uvarint("plan node ref")
@@ -567,6 +492,34 @@ func (r *reader) decodeStore(open OpenStore, delta bool) (string, uint64, error)
 		sh.RestoreState(state)
 	}
 	return tag, cursor, nil
+}
+
+// duplicateID returns the index of an id that repeats an earlier one, or
+// -1. Interning maps distinct sets to distinct ids, so this is the set
+// table's duplicate check. A restore interns into a fresh interner, whose
+// ids come out dense (maxID is the number of sets), and marks them in a
+// table indexed by id; a delta into a warm store may see sparse ids, and
+// sorts a copy instead.
+func duplicateID(ids []tableset.ID, maxID tableset.ID) int {
+	if int(maxID) <= 4*len(ids) {
+		taken := make([]bool, maxID+1)
+		for k, id := range ids {
+			if taken[id] {
+				return k
+			}
+			taken[id] = true
+		}
+		return -1
+	}
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	for k := 1; k < len(sorted); k++ {
+		if dup := sorted[k]; dup == sorted[k-1] {
+			first := slices.Index(ids, dup)
+			return first + 1 + slices.Index(ids[first+1:], dup)
+		}
+	}
+	return -1
 }
 
 // decodeNode parses and validates one plan node. built holds the nodes

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"rmq/internal/cache"
@@ -337,6 +339,127 @@ func TestPeekMatchesDecodeHeader(t *testing.T) {
 	}
 }
 
+// craftSnapshot hand-assembles a CRC-valid rmq-snap/v1 stream holding
+// one store (tag "\x00", retention 1, two metrics) with one bucket over
+// table 0: one SeqScan plan per cost pair, admitted in order. Every
+// structural check of the format passes; whether the bucket is a valid
+// frontier is up to the costs.
+func craftSnapshot(fingerprint uint64, tag string, costs ...[2]float64) []byte {
+	w := []byte("rmq-snap")
+	w = binary.AppendUvarint(w, snapshot.Version)
+	w = binary.LittleEndian.AppendUint64(w, fingerprint)
+	w = binary.AppendUvarint(w, 1) // stores
+	w = binary.AppendUvarint(w, uint64(len(tag)))
+	w = append(w, tag...)
+	w = binary.LittleEndian.AppendUint64(w, math.Float64bits(1)) // retention
+	w = binary.AppendUvarint(w, 1)                               // store version
+	w = binary.AppendUvarint(w, 0)                               // iterations
+	w = append(w, 2)                                             // cost dimension
+	w = binary.AppendUvarint(w, 1)                               // sets
+	w = binary.AppendUvarint(w, 1)                               // buckets
+	w = binary.AppendUvarint(w, 1)                               // set {0}: lo word
+	w = binary.AppendUvarint(w, 0)                               // hi word
+	w = binary.AppendUvarint(w, uint64(len(costs)))              // nodes
+	for _, c := range costs {
+		w = binary.AppendUvarint(w, 1) // set ref
+		w = append(w, 0, 0, byte(plan.SeqScan))
+		w = binary.LittleEndian.AppendUint64(w, math.Float64bits(c[0]))
+		w = binary.LittleEndian.AppendUint64(w, math.Float64bits(c[1]))
+		w = binary.LittleEndian.AppendUint64(w, math.Float64bits(100)) // cardinality
+	}
+	w = binary.AppendUvarint(w, uint64(len(costs))) // bucket epoch
+	w = binary.AppendUvarint(w, uint64(len(costs))) // bucket plans
+	for i := range costs {
+		w = binary.AppendUvarint(w, uint64(i+1)) // node ref
+		w = binary.AppendUvarint(w, 1)           // epoch delta
+	}
+	return binary.LittleEndian.AppendUint32(w, crc32.ChecksumIEEE(w))
+}
+
+// nonAntichainSnapshots are the two ways a CRC-valid bucket can break
+// the per-class antichain invariant: a plan dominated by another plan
+// of its class, and two plans of one class with equal cost vectors.
+func nonAntichainSnapshots(fingerprint uint64, tag string) map[string][]byte {
+	return map[string][]byte{
+		"dominated plan":    craftSnapshot(fingerprint, tag, [2]float64{3, 1}, [2]float64{1, 3}, [2]float64{4, 3}),
+		"equal cost vector": craftSnapshot(fingerprint, tag, [2]float64{2, 5}, [2]float64{5, 2}, [2]float64{2, 5}),
+	}
+}
+
+// TestDecodeRejectsNonAntichainBucket pins the antichain check of
+// bucket import: both hand-crafted snapshots are well-formed in every
+// other respect (their antichain twin decodes), yet must be refused.
+func TestDecodeRejectsNonAntichainBucket(t *testing.T) {
+	ok := craftSnapshot(1, "\x00", [2]float64{3, 1}, [2]float64{1, 3}, [2]float64{2, 2})
+	if _, err := snapshot.Decode(ok, openFresh(make(map[string]*cache.Shared))); err != nil {
+		t.Fatalf("antichain control snapshot rejected: %v", err)
+	}
+	for name, data := range nonAntichainSnapshots(1, "\x00") {
+		_, err := snapshot.Decode(data, openFresh(make(map[string]*cache.Shared)))
+		if err == nil || !strings.Contains(err.Error(), "antichain") {
+			t.Errorf("%s: Decode error = %v, want an antichain violation", name, err)
+		}
+	}
+}
+
+// craftSetTable hand-assembles a CRC-valid snapshot (or delta) stream
+// with one store holding only a set table: no nodes, no buckets.
+func craftSetTable(delta bool, sets ...tableset.Set) []byte {
+	w := []byte("rmq-snap")
+	if delta {
+		w = []byte("rmq-delt")
+	}
+	w = binary.AppendUvarint(w, snapshot.Version)
+	w = binary.LittleEndian.AppendUint64(w, 1) // fingerprint
+	if delta {
+		w = binary.LittleEndian.AppendUint64(w, 2) // instance
+	}
+	w = binary.AppendUvarint(w, 1) // stores
+	w = append(w, 1, 0)            // tag "\x00"
+	w = binary.LittleEndian.AppendUint64(w, math.Float64bits(1))
+	w = append(w, 1, 0) // store version, iterations
+	if delta {
+		w = append(w, 0) // cursor
+	}
+	w = append(w, 2) // cost dimension
+	w = binary.AppendUvarint(w, uint64(len(sets)))
+	w = append(w, 0) // buckets
+	for _, s := range sets {
+		lo, hi := s.Words()
+		w = binary.AppendUvarint(w, lo)
+		w = binary.AppendUvarint(w, hi)
+	}
+	w = append(w, 0) // nodes
+	return binary.LittleEndian.AppendUint32(w, crc32.ChecksumIEEE(w))
+}
+
+// TestDecodeRejectsDuplicateSets pins the set table's duplicate check on
+// both of its paths: the dense ids a restore's fresh interner assigns,
+// and the sparse ids of a delta into a store that has interned many
+// sets already.
+func TestDecodeRejectsDuplicateSets(t *testing.T) {
+	a, b := tableset.FromWords(1000, 0), tableset.FromWords(1001, 0)
+	if _, err := snapshot.Decode(craftSetTable(false, a, b), openFresh(make(map[string]*cache.Shared))); err != nil {
+		t.Fatalf("distinct sets rejected: %v", err)
+	}
+	if _, err := snapshot.Decode(craftSetTable(false, a, b, a), openFresh(make(map[string]*cache.Shared))); err == nil ||
+		!strings.Contains(err.Error(), "entry 3 empty or duplicate") {
+		t.Fatalf("restore: err = %v, want a duplicate set at entry 3", err)
+	}
+	warm := cache.NewShared(tableset.NewSharedInterner(), 1)
+	for i := uint64(1); i <= 100; i++ {
+		warm.Interner().Intern(tableset.FromWords(i, 0))
+	}
+	stores := map[string]*cache.Shared{"\x00": warm}
+	if _, _, err := snapshot.DecodeDeltas(craftSetTable(true, a, b), openWarm(stores)); err != nil {
+		t.Fatalf("delta: distinct sets rejected: %v", err)
+	}
+	if _, _, err := snapshot.DecodeDeltas(craftSetTable(true, b, a, b), openWarm(stores)); err == nil ||
+		!strings.Contains(err.Error(), "entry 3 empty or duplicate") {
+		t.Fatalf("delta: err = %v, want a duplicate set at entry 3", err)
+	}
+}
+
 // FuzzSnapshotDecode drives arbitrary bytes through Decode and asserts
 // the no-panic contract: malformed input of any shape returns an error
 // (or, for inputs that happen to be valid, a well-formed result), never
@@ -351,6 +474,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	mut[len(mut)/2] ^= 0x40
 	f.Add(mut)
 	f.Add(reseal(append(bytes.Clone(valid[:len(valid)-4]), 0xff, 0xff, 0xff, 0xff)))
+	for _, data := range nonAntichainSnapshots(0xfeedface, "\x00") {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored := make(map[string]*cache.Shared)
@@ -367,8 +493,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		for tag, sh := range restored {
 			stores = append(stores, snapshot.TaggedStore{Tag: tag, Store: sh})
 		}
-		if _, err := snapshot.Encode(h.Fingerprint, stores); err != nil {
+		again, err := snapshot.Encode(h.Fingerprint, stores)
+		if err != nil {
 			t.Fatalf("re-encoding a decoded snapshot failed: %v", err)
+		}
+		// ...byte for byte as the oracle encoder would have.
+		want, err := snapshot.OracleEncode(h.Fingerprint, stores)
+		if err != nil || !bytes.Equal(again, want) {
+			t.Fatalf("re-encoding differs from the oracle's (err %v)", err)
 		}
 	})
 }

@@ -127,6 +127,20 @@ func (in *Interner) SetOf(id ID) Set {
 	return in.sets[id]
 }
 
+// Sets returns the interned sets indexed by ID, as of the call: Sets()[id]
+// is the set with that id for every id below len(Sets()), and index 0
+// (NoID) holds the empty set. The slice is a read-only view, not a copy;
+// callers must not modify it. Ids are permanent and assigned only at
+// the end, so the view stays valid however many sets are interned
+// after it was taken.
+func (in *Interner) Sets() []Set {
+	if in.mu != nil {
+		in.mu.RLock()
+		defer in.mu.RUnlock()
+	}
+	return in.sets[:len(in.sets):len(in.sets)]
+}
+
 // Len returns the number of interned sets.
 func (in *Interner) Len() int {
 	if in.mu != nil {

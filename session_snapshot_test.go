@@ -6,7 +6,10 @@ package rmq_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"testing"
 
 	"rmq"
@@ -125,6 +128,73 @@ func TestSessionRestoreRejectsGarbage(t *testing.T) {
 	}
 	if _, err := sess.Optimize(context.Background(), rmq.WithMaxIterations(50)); err != nil {
 		t.Fatalf("session unusable after failed restores: %v", err)
+	}
+}
+
+// craftedBucketSnapshot hand-assembles a CRC-valid snapshot for cat
+// holding one store for the {time, buffer} subset, with one bucket of
+// SeqScan plans over table 0 at the given costs, admitted in order.
+func craftedBucketSnapshot(cat *rmq.Catalog, costs ...[2]float64) []byte {
+	w := []byte("rmq-snap")
+	w = binary.AppendUvarint(w, 1) // codec version
+	w = binary.LittleEndian.AppendUint64(w, cat.Fingerprint())
+	w = binary.AppendUvarint(w, 1) // stores
+	w = append(w, 2, byte(rmq.MetricTime), byte(rmq.MetricBuffer))
+	w = binary.LittleEndian.AppendUint64(w, math.Float64bits(1)) // retention
+	w = append(w, 1, 0, 2, 1, 1)                                 // version, iterations, dim, #sets, #buckets
+	w = append(w, 1, 0)                                          // set {0}
+	w = binary.AppendUvarint(w, uint64(len(costs)))
+	for _, c := range costs {
+		w = append(w, 1, 0, 0, 0) // set 1, scan of table 0, SeqScan
+		for _, f := range []float64{c[0], c[1], 100} {
+			w = binary.LittleEndian.AppendUint64(w, math.Float64bits(f))
+		}
+	}
+	w = binary.AppendUvarint(w, uint64(len(costs))) // bucket epoch
+	w = binary.AppendUvarint(w, uint64(len(costs)))
+	for i := range costs {
+		w = binary.AppendUvarint(w, uint64(i+1))
+		w = append(w, 1)
+	}
+	return binary.LittleEndian.AppendUint32(w, crc32.ChecksumIEEE(w))
+}
+
+// TestSessionRestoreRejectsNonAntichainBucket pins that a CRC-valid
+// snapshot whose bucket is not a per-class antichain — a dominated plan,
+// or two equal cost vectors — fails Restore and leaves the session as it
+// was: empty, and still open to a valid restore.
+func TestSessionRestoreRejectsNonAntichainBucket(t *testing.T) {
+	cat := sharedTestCatalog(8)
+	metrics := rmq.WithMetrics(rmq.MetricTime, rmq.MetricBuffer)
+	sess, err := rmq.NewSession(cat, rmq.WithSharedCache(true), metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Restore(craftedBucketSnapshot(cat, [2]float64{3, 1}, [2]float64{1, 3})); err != nil {
+		t.Fatalf("antichain control snapshot rejected: %v", err)
+	}
+	for name, costs := range map[string][][2]float64{
+		"dominated plan":    {{3, 1}, {1, 3}, {4, 3}},
+		"equal cost vector": {{2, 5}, {5, 2}, {2, 5}},
+	} {
+		sess, err := rmq.NewSession(cat, rmq.WithSharedCache(true), metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Restore(craftedBucketSnapshot(cat, costs...)); err == nil {
+			t.Fatalf("%s: Restore accepted a non-antichain bucket", name)
+		}
+		if cs := sess.CacheStats(); cs != (rmq.CacheStats{}) {
+			t.Fatalf("%s: failed restore left cache contents %+v", name, cs)
+		}
+		warm, _ := warmedSession(t, cat, metrics)
+		data, err := warm.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Restore(data); err != nil {
+			t.Fatalf("%s: valid restore after the failed one: %v", name, err)
+		}
 	}
 }
 

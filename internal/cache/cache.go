@@ -355,11 +355,22 @@ func (b *Bucket) Insert(newPlan *plan.Plan, alpha float64) bool {
 				cj++
 			}
 		}
+		// The slots past the survivors still point at plans, evicted ones
+		// among them; clear them so evicted plans stay collectable.
+		clear(b.plans[len(keep):])
 		b.plans = keep
 		b.epochs = keepEp
 		cols.Truncate(ck)
 	}
+	old := b.plans
 	b.plans = append(b.plans, newPlan) //rmq:allow-alloc(admission retains the plan; growth is amortized and the hot rejecting case returns before this)
+	if cap(b.plans) != cap(old) {
+		// Growing abandoned the old array. Clear it: a restored bucket's
+		// array is a window of a slab shared with other buckets (see
+		// ImportBucket), which would otherwise keep every plan the bucket
+		// held at restore time reachable, evicted or not.
+		clear(old)
+	}
 	b.epoch++
 	b.epochs = append(b.epochs, b.epoch) //rmq:allow-alloc(admission retains the mark; growth is amortized)
 	if c := b.cache; c != nil {

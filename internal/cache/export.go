@@ -153,7 +153,9 @@ func (a *exportArena) copyOut(b *Bucket) BucketSnapshot {
 //
 // ImportBucket takes ownership of bs.Plans and bs.Epochs: on success
 // the bucket keeps them as its own, so the caller must not use them
-// afterwards.
+// afterwards. They may be windows of one array shared by many buckets,
+// as the decoder cuts them: Insert clears the slots a bucket abandons,
+// so no window keeps a plan the bucket dropped reachable.
 func (s *Shared) ImportBucket(bs BucketSnapshot) error {
 	if len(bs.Plans) == 0 || len(bs.Plans) != len(bs.Epochs) {
 		return fmt.Errorf("cache: import of %d plans with %d epochs", len(bs.Plans), len(bs.Epochs))

@@ -3,7 +3,6 @@ package cache_test
 import (
 	"fmt"
 	"math/rand/v2"
-	"reflect"
 	"testing"
 
 	"rmq/internal/cache"
@@ -205,33 +204,29 @@ func TestPullAdoptionMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWarmStartRunMatchesReference is the run-level check: a fresh
-// problem's first run against a restored store — Init's warm start,
-// then 40 steps — returns the same frontier and Stats whether the warm
-// start adopts buckets or offers every plan through Insert.
+// TestWarmStartRunMatchesReference is the run-level check: the private
+// cache a fresh problem's Init builds against a restored store —
+// through Pull, adopting buckets — equals the cache the per-plan
+// reference pull builds from the same store, field for field. The rest
+// of the run depends only on that cache, the store and the seed, so the
+// runs' frontiers and Stats cannot differ either; the run steps on to
+// show the adopted cache keeps working.
 func TestWarmStartRunMatchesReference(t *testing.T) {
 	w := newWorkload(16, catalog.Chain, []costmodel.Metric{costmodel.Time, costmodel.Buffer})
-	seed := w.warmStore(1, 1, 2, 3)
-	adopted, reference := restore(t, seed), restore(t, seed)
-	cache.DisablePullAdoption(reference)
-	a, b := w.run(adopted, 7, 0), w.run(reference, 7, 0)
-	if err := cache.DiffPrivate(a.Cache(), b.Cache()); err != nil {
+	sh := restore(t, w.warmStore(1, 1, 2, 3))
+	a := w.run(sh, 7, 0)
+	want := cache.New(sh.Interner())
+	want.TrackDirty()
+	if cache.ReferencePull(sh.NewSync(), want) == 0 {
+		t.Fatal("reference warm start imported nothing")
+	}
+	if err := cache.DiffPrivate(a.Cache(), want); err != nil {
 		t.Fatalf("after Init: %v", err)
 	}
 	for i := 0; i < 40; i++ {
 		a.Step()
-		b.Step()
 	}
-	if !reflect.DeepEqual(a.Stats(), b.Stats()) {
-		t.Fatalf("Stats differ: %+v vs %+v", a.Stats(), b.Stats())
-	}
-	fa, fb := a.Frontier(), b.Frontier()
-	if len(fa) == 0 || len(fa) != len(fb) {
-		t.Fatalf("frontiers of %d and %d plans", len(fa), len(fb))
-	}
-	for i := range fa {
-		if fa[i].Cost != fb[i].Cost || fmt.Sprint(fa[i]) != fmt.Sprint(fb[i]) {
-			t.Fatalf("frontier plan %d: %v %v vs %v %v", i, fa[i].Cost, fa[i], fb[i].Cost, fb[i])
-		}
+	if len(a.Frontier()) == 0 || a.Stats().Iterations != 40 {
+		t.Fatalf("run after the warm start: %d plans, %+v", len(a.Frontier()), a.Stats())
 	}
 }

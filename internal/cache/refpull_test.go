@@ -58,11 +58,6 @@ func (st *SyncState) referencePull(c *Cache) (imported int) {
 // ReferencePull runs the per-plan reference warm start.
 func ReferencePull(st *SyncState, c *Cache) int { return st.referencePull(c) }
 
-// DisablePullAdoption makes every later Pull on the store take the
-// per-plan path, so run-level tests can drive the optimizer over the
-// reference warm start.
-func DisablePullAdoption(s *Shared) { s.pullPerPlan = true }
-
 // DiffPrivate reports the first difference between two private caches:
 // counters, the dirty list, and every field a warm start writes in every
 // bucket — plans (see samePlan), epochs, the admission counter, the

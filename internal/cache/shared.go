@@ -79,11 +79,6 @@ type Shared struct {
 	sets  atomic.Int64
 	plans atomic.Int64
 
-	// pullPerPlan turns off the bulk adoption of SyncState.Pull, so every
-	// pull offers plans one by one. Only tests set it, before any pull,
-	// to run the optimizer over the reference warm start.
-	pullPerPlan bool
-
 	// mu guards the bucket table (growth and slot initialization), not
 	// the buckets themselves; each sharedBucket has its own lock.
 	mu      sync.RWMutex    //rmq:lock store 1
@@ -327,7 +322,7 @@ func (st *SyncState) Pull(c *Cache) (imported int) {
 	for _, sb := range st.changed {
 		id := sb.b.id // written once at creation, before the slot was published
 		sb.mu.Lock()
-		if st.pulled[id] == 0 && len(sb.b.plans) > 0 && c.unborn(id) && !sh.pullPerPlan {
+		if st.pulled[id] == 0 && len(sb.b.plans) > 0 && c.unborn(id) {
 			imported += c.bucketAt(id).adopt(&sb.b)
 			st.pulled[id] = sb.b.epoch
 			sb.mu.Unlock()

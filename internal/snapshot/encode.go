@@ -3,12 +3,10 @@ package snapshot
 // The section encoder shared by Encode and EncodeDeltas.
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"rmq/internal/cache"
 	"rmq/internal/plan"
@@ -34,22 +32,21 @@ type section struct {
 	refs     []int32 // node id of every bucket plan, buckets concatenated in export order
 }
 
-// linearScanMax is the bucket size up to which a plan's position in its
-// bucket is found by scanning the bucket; larger buckets are searched
-// through a position index sorted by the first cost component.
-const linearScanMax = 32
+// scanMax is the bucket size up to which a bucket plan's node id is
+// kept at its position in the bucket, found by scanning the bucket.
+// Plans of larger buckets are numbered through the fallback map.
+const scanMax = 32
 
 // sectionBuilder resolves a section. Node identity is plan-pointer
 // identity (plans are immutable and alias sub-plans freely, so shared
-// subtrees serialize once), but no pointer is ever hashed: almost every
-// node is a plan of some exported bucket, and its id is kept in refs at
-// the plan's position in its own bucket. Only interior sub-plans that
-// their bucket has since evicted — a few percent of nodes — live outside
-// the buckets; they hang off one chain per table set. Table sets are
-// keyed by the store's interned ids, so the set table is an array too.
-// Each node is encoded the moment it is numbered, while its plan is
-// still in the processor's cache, so no later pass touches the plans
-// again.
+// subtrees serialize once), but almost no pointer is hashed: nearly
+// every node is a plan of some exported bucket, and its id is kept in
+// refs at the plan's position in its own bucket. Only the other nodes —
+// interior sub-plans their bucket has since evicted, and the plans of
+// buckets past scanMax — go through one map. Table sets are keyed by
+// the store's interned ids, so the set table is an array too. Each node
+// is encoded the moment it is numbered, while its plan is still in the
+// processor's cache, so no later pass touches the plans again.
 type sectionBuilder struct {
 	*section
 	in   *tableset.Interner
@@ -58,17 +55,8 @@ type sectionBuilder struct {
 	// yet); byValue does the same for sets that have no store id.
 	byID    []int32
 	byValue map[tableset.Set]int32
-	starts  []int32 // bucket i's plans have refs[starts[i]:starts[i+1]]
-	sorted  []int32 // positions of large buckets by first cost component, windowed like refs
-	heads   []int32 // per compact set id: index+1 of the last chained node of that set
-	chained []chained
-}
-
-// chained is a node that is not a bucket plan, linked to the previous
-// such node of its table set.
-type chained struct {
-	p        *plan.Plan
-	id, next int32
+	starts  []int32              // bucket i's plans have refs[starts[i]:starts[i+1]]
+	others  map[*plan.Plan]int32 // node ids of nodes without a refs slot
 }
 
 // newSection resolves one store section from an export. The node walk
@@ -81,18 +69,15 @@ func newSection(tag string, in *tableset.Interner, state cache.StoreState, bucke
 		in:      in,
 		view:    in.Sets(),
 		starts:  make([]int32, len(buckets)+1),
-		heads:   make([]int32, 1, len(buckets)+1),
 	}
 	b.byID = make([]int32, len(b.view))
 	b.sets = make([]tableset.Set, 0, len(buckets))
-	large := false
 	for i, bs := range buckets {
 		if b.setOf(bs.Set, bs.ID) != 0 {
 			return nil, fmt.Errorf("snapshot: store %q exported bucket set %v twice", tag, bs.Set)
 		}
 		b.addSet(bs.Set, bs.ID)
 		b.starts[i+1] = b.starts[i] + int32(len(bs.Plans))
-		large = large || len(bs.Plans) > linearScanMax
 	}
 	b.refs = make([]int32, b.starts[len(buckets)])
 	for _, bs := range buckets {
@@ -104,15 +89,19 @@ func newSection(tag string, in *tableset.Interner, state cache.StoreState, bucke
 			break
 		}
 	}
-	if large {
-		b.indexLargeBuckets()
-	}
 	for i, bs := range buckets {
 		for j, p := range bs.Plans {
-			if slot := &b.refs[int(b.starts[i])+j]; *slot == 0 {
-				if _, err := b.add(p, int32(i+1), slot); err != nil {
-					return nil, err
-				}
+			slot := &b.refs[int(b.starts[i])+j]
+			var err error
+			switch {
+			case *slot != 0: // numbered earlier, as a sub-plan
+			case len(bs.Plans) <= scanMax:
+				_, err = b.add(p, int32(i+1), slot)
+			default:
+				*slot, err = b.visit(p)
+			}
+			if err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -148,7 +137,6 @@ func (b *sectionBuilder) setOf(rel tableset.Set, id tableset.ID) int32 {
 // addSet appends rel to the set table and returns its compact id.
 func (b *sectionBuilder) addSet(rel tableset.Set, id tableset.ID) int32 {
 	b.sets = append(b.sets, rel)
-	b.heads = append(b.heads, 0)
 	k := int32(len(b.sets))
 	if sid := b.storeID(rel, id); sid != tableset.NoID {
 		if int(sid) >= len(b.byID) {
@@ -164,48 +152,6 @@ func (b *sectionBuilder) addSet(rel tableset.Set, id tableset.ID) int32 {
 	return k
 }
 
-// indexLargeBuckets fills sorted with the positions of every bucket past
-// linearScanMax, ordered by first cost component.
-func (b *sectionBuilder) indexLargeBuckets() {
-	b.sorted = make([]int32, len(b.refs))
-	for i, bs := range b.buckets {
-		if len(bs.Plans) <= linearScanMax {
-			continue
-		}
-		win := b.sorted[b.starts[i]:b.starts[i+1]]
-		for j := range win {
-			win[j] = int32(j)
-		}
-		slices.SortFunc(win, func(x, y int32) int {
-			return cmp.Compare(bs.Plans[x].Cost.V[0], bs.Plans[y].Cost.V[0])
-		})
-	}
-}
-
-// position returns p's index in the plans of bucket i, or -1.
-func (b *sectionBuilder) position(i int, p *plan.Plan) int {
-	plans := b.buckets[i].Plans
-	if len(plans) <= linearScanMax {
-		for j, q := range plans {
-			if q == p {
-				return j
-			}
-		}
-		return -1
-	}
-	win := b.sorted[b.starts[i]:b.starts[i+1]]
-	key := p.Cost.V[0]
-	k, _ := slices.BinarySearchFunc(win, key, func(j int32, key float64) int {
-		return cmp.Compare(plans[j].Cost.V[0], key)
-	})
-	for ; k < len(win) && plans[win[k]].Cost.V[0] == key; k++ {
-		if plans[win[k]] == p {
-			return int(win[k])
-		}
-	}
-	return -1
-}
-
 // visit returns p's node id, adding p (after its children) on first
 // visit.
 func (b *sectionBuilder) visit(p *plan.Plan) (int32, error) {
@@ -213,19 +159,19 @@ func (b *sectionBuilder) visit(p *plan.Plan) (int32, error) {
 	if k == 0 {
 		return b.add(p, 0, nil) // a set not in the table has no node yet
 	}
-	if int(k) <= len(b.buckets) {
-		if j := b.position(int(k)-1, p); j >= 0 {
-			slot := &b.refs[int(b.starts[k-1])+j]
-			if *slot != 0 {
-				return *slot, nil
+	if int(k) <= len(b.buckets) && len(b.buckets[k-1].Plans) <= scanMax {
+		for j, q := range b.buckets[k-1].Plans {
+			if q == p {
+				slot := &b.refs[int(b.starts[k-1])+j]
+				if *slot != 0 {
+					return *slot, nil
+				}
+				return b.add(p, k, slot)
 			}
-			return b.add(p, k, slot)
 		}
 	}
-	for c := b.heads[k]; c != 0; c = b.chained[c-1].next {
-		if b.chained[c-1].p == p {
-			return b.chained[c-1].id, nil
-		}
+	if id, ok := b.others[p]; ok {
+		return id, nil
 	}
 	return b.add(p, k, nil)
 }
@@ -233,7 +179,7 @@ func (b *sectionBuilder) visit(p *plan.Plan) (int32, error) {
 // add numbers p's unvisited children and then p itself, encodes p's
 // node, and returns p's node id. k is p's compact set id (0 when its set
 // is not in the table yet); slot is where p's id is kept when p is a
-// bucket plan, nil to chain it under its set instead.
+// plan of a bucket up to scanMax, nil to map it in others instead.
 func (b *sectionBuilder) add(p *plan.Plan, k int32, slot *int32) (int32, error) {
 	var outer, inner int32
 	if p.IsJoin() {
@@ -260,8 +206,10 @@ func (b *sectionBuilder) add(p *plan.Plan, k int32, slot *int32) (int32, error) 
 	if slot != nil {
 		*slot = id
 	} else {
-		b.chained = append(b.chained, chained{p: p, id: id, next: b.heads[k]})
-		b.heads[k] = int32(len(b.chained))
+		if b.others == nil {
+			b.others = make(map[*plan.Plan]int32)
+		}
+		b.others[p] = id
 	}
 
 	w := binary.AppendUvarint(b.nodes, uint64(k))

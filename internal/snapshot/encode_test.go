@@ -40,7 +40,7 @@ func runStore(tb testing.TB, tables int, graph catalog.GraphKind, metrics []cost
 // storeShape reports the largest bucket and the number of plan nodes
 // reachable from the buckets that are not themselves bucket plans — the
 // interior sub-plans evicted since, which the encoder finds through its
-// per-set chains instead of a bucket position.
+// fallback map instead of a bucket position.
 func storeShape(tb testing.TB, sh *cache.Shared) (maxBucket, evicted int) {
 	tb.Helper()
 	inBucket := make(map[*plan.Plan]bool)
@@ -117,18 +117,20 @@ func foreignIDStore(tb testing.TB) *cache.Shared {
 	return sh
 }
 
-// largeBucketStore is a hand-built store with a bucket past
-// LinearScanMax whose plans tie pairwise on the first cost component,
-// joined with plans of another table — some of them bucket plans, one
-// never admitted — so the encoder's sorted position index sees hits,
-// ties and misses.
+// largeBucketStore is a hand-built store with a bucket past ScanMax
+// whose plans are joined with plans of two other tables, one join set
+// exported before the large bucket and one after, and one join over a
+// plan the bucket never admitted. The encoder's fallback map then
+// numbers large-bucket plans as sub-plans first, as bucket plans first,
+// and misses.
 func largeBucketStore(tb testing.TB) *cache.Shared {
 	tb.Helper()
 	sh := cache.NewShared(tableset.NewSharedInterner(), 1)
 	in := sh.Interner()
+	in.Intern(tableset.Single(0).Union(tableset.Single(1))) // exported first
 	c := cache.New(in)
 	c.TrackDirty()
-	n := 2*snapshot.LinearScanMax + 6
+	n := 2*snapshot.ScanMax + 6
 	var big []*plan.Plan
 	for i := 0; i < n; i++ {
 		// Second component ascending, third descending: an antichain
@@ -138,10 +140,15 @@ func largeBucketStore(tb testing.TB) *cache.Shared {
 		big = append(big, p)
 	}
 	other := scan(in, 1, plan.SeqScan, 1, 1, 1)
+	third := scan(in, 2, plan.SeqScan, 1, 1, 1)
 	stray := scan(in, 0, plan.SeqScan, 1, 1, 1) // never admitted to its bucket
 	c.Insert(other, 1)
+	c.Insert(third, 1)
 	for i, outer := range []*plan.Plan{big[n-1], big[0], stray, big[7], big[6]} {
 		c.Insert(join(in, plan.MakeJoinOp(plan.Hash, false), outer, other, float64(10+i), float64(10-i), 1), 1)
+	}
+	for i, outer := range []*plan.Plan{big[3], big[n-1]} {
+		c.Insert(join(in, plan.MakeJoinOp(plan.Hash, false), outer, third, float64(10+i), float64(10-i), 1), 1)
 	}
 	sh.NewSync().Publish(c)
 	return sh
@@ -151,9 +158,9 @@ func largeBucketStore(tb testing.TB) *cache.Shared {
 // replaced: identical snapshot and delta bytes on hand-built stores,
 // stores built by real runs (16-table chain at α = 1, 12-table star
 // over three metrics at α = 2, 24-table cycle at α = 1), and their
-// restored copies. Between them the stores exercise the bucket scan,
-// the sorted index of large buckets and the chains of evicted interior
-// nodes. The encoder must also size its output exactly.
+// restored copies. Between them the stores exercise the bucket scan and
+// the fallback map, which holds the plans of large buckets and the
+// evicted interior nodes. The encoder must also size its output exactly.
 func TestEncoderMatchesOracle(t *testing.T) {
 	two := []costmodel.Metric{costmodel.Time, costmodel.Buffer}
 	type storeCase struct {
@@ -184,7 +191,7 @@ func TestEncoderMatchesOracle(t *testing.T) {
 	sawLarge, sawEvicted := false, false
 	for _, sc := range cases {
 		maxBucket, evicted := storeShape(t, sc.sh)
-		sawLarge = sawLarge || maxBucket > snapshot.LinearScanMax
+		sawLarge = sawLarge || maxBucket > snapshot.ScanMax
 		sawEvicted = sawEvicted || evicted > 0
 		t.Logf("%s: largest bucket %d plans, %d evicted interior nodes", sc.name, maxBucket, evicted)
 

@@ -185,6 +185,6 @@ func oracleAppendSection(w []byte, tag string, state cache.StoreState, buckets [
 	return w, nil
 }
 
-// LinearScanMax exposes the bucket size past which the encoder searches
-// a sorted position index, so tests can check both paths ran.
-const LinearScanMax = linearScanMax
+// ScanMax exposes the bucket size past which the encoder numbers bucket
+// plans through its fallback map, so tests can check both paths ran.
+const ScanMax = scanMax

@@ -8,8 +8,10 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"rmq/internal/cache"
 	"rmq/internal/cost"
@@ -220,6 +222,91 @@ func TestRestoredStoreAnswersPullIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// restoredPlans returns weak pointers to the plans a store holds for
+// the table set rel, in admission order.
+func restoredPlans(tb testing.TB, sh *cache.Shared, rel tableset.Set) []weak.Pointer[plan.Plan] {
+	tb.Helper()
+	var out []weak.Pointer[plan.Plan]
+	if _, err := sh.Export(func(bs cache.BucketSnapshot) error {
+		if bs.Set == rel {
+			for _, p := range bs.Plans {
+				out = append(out, weak.Make(p))
+			}
+		}
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// TestRestoredBucketReleasesEvictedPlans pins that a restored store
+// frees the plans its buckets evict later. A restored bucket's plans
+// start in a window of a slab the decoder shares between buckets, so
+// the window a growing bucket leaves behind must not keep its old plans
+// reachable; nor may the slots an eviction compacts away.
+func TestRestoredBucketReleasesEvictedPlans(t *testing.T) {
+	sh := cache.NewShared(tableset.NewSharedInterner(), 1)
+	in := sh.Interner()
+	c := cache.New(in)
+	c.TrackDirty()
+	for _, p := range []*plan.Plan{
+		scan(in, 0, plan.SeqScan, 4, 4),
+		scan(in, 1, plan.SeqScan, 1, 9), scan(in, 1, plan.SeqScan, 5, 5), scan(in, 1, plan.SeqScan, 6, 4),
+		scan(in, 2, plan.SeqScan, 1, 1), // keeps the slab in use
+	} {
+		if !c.Insert(p, 1) {
+			t.Fatalf("setup plan %v refused", p.Cost)
+		}
+	}
+	sh.NewSync().Publish(c)
+	stores := make(map[string]*cache.Shared)
+	if _, err := snapshot.Decode(encode(t, snapshot.TaggedStore{Tag: "\x00", Store: sh}), openFresh(stores)); err != nil {
+		t.Fatal(err)
+	}
+	rs := stores["\x00"]
+	grown := restoredPlans(t, rs, tableset.Single(0))
+	compacted := restoredPlans(t, rs, tableset.Single(1))
+
+	// Bucket {0} first admits an incomparable plan, outgrowing its
+	// window, then one that evicts the restored plan. Bucket {1} admits
+	// one plan evicting two restored plans in place.
+	rin := rs.Interner()
+	pc := cache.New(rin)
+	pc.TrackDirty()
+	for _, p := range []*plan.Plan{
+		scan(rin, 0, plan.SeqScan, 8, 2), scan(rin, 0, plan.SeqScan, 3, 3),
+		scan(rin, 1, plan.SeqScan, 4, 4),
+	} {
+		if !pc.Insert(p, 1) {
+			t.Fatalf("plan %v refused", p.Cost)
+		}
+	}
+	rs.NewSync().Publish(pc)
+	if got := len(restoredPlans(t, rs, tableset.Single(0))); got != 2 {
+		t.Fatalf("bucket {0} holds %d plans, want 2", got)
+	}
+	if got := len(restoredPlans(t, rs, tableset.Single(1))); got != 2 {
+		t.Fatalf("bucket {1} holds %d plans, want 2", got)
+	}
+
+	runtime.GC()
+	runtime.GC()
+	for name, p := range map[string]weak.Pointer[plan.Plan]{
+		"outgrown window": grown[0],
+		"compacted slot":  compacted[1],
+		"compacted tail":  compacted[2],
+	} {
+		if p.Value() != nil {
+			t.Errorf("%s: evicted plan still reachable", name)
+		}
+	}
+	if compacted[0].Value() == nil {
+		t.Error("a surviving plan was collected")
+	}
+	runtime.KeepAlive(rs)
 }
 
 // TestEmptyAndNoStores pins the degenerate cases: no stores at all, and

@@ -560,23 +560,27 @@ func (c *Cache) newBucket() *Bucket {
 	return b
 }
 
-// bucketAt returns the bucket with the given id, creating it if absent.
-// The bucket table grows geometrically, seeded from the interner's
-// reserved capacity, so the early iterations of a run do not recopy the
-// table once per freshly interned set.
-func (c *Cache) bucketAt(id tableset.ID) *Bucket {
-	if int(id) >= len(c.buckets) {
-		size := 2 * len(c.buckets)
-		if hint := c.in.CapHint(); size < hint {
-			size = hint
-		}
-		if size < int(id)+1 {
-			size = int(id) + 1
-		}
-		grown := make([]*Bucket, size) //rmq:allow-alloc(geometric table growth, amortized)
-		copy(grown, c.buckets)
-		c.buckets = grown
+// minBucketTable is the smallest bucket table a cache allocates, the
+// initial id capacity of an interner.
+const minBucketTable = 256
+
+// growTable widens the bucket table to hold every id below n. The table
+// at least doubles, so a run meeting freshly interned sets one at a time
+// recopies it only logarithmically often. It never consults the
+// interner: a private interner belongs to the goroutine that climbs,
+// which may be interning while this cache approximates frontiers.
+func (c *Cache) growTable(n int) {
+	if n <= len(c.buckets) {
+		return
 	}
+	grown := make([]*Bucket, max(2*len(c.buckets), minBucketTable, n)) //rmq:allow-alloc(geometric table growth, amortized)
+	copy(grown, c.buckets)
+	c.buckets = grown
+}
+
+// bucketAt returns the bucket with the given id, creating it if absent.
+func (c *Cache) bucketAt(id tableset.ID) *Bucket {
+	c.growTable(int(id) + 1)
 	b := c.buckets[id]
 	if b == nil {
 		b = c.newBucket()

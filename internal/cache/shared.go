@@ -158,7 +158,7 @@ func (s *Shared) Iterations() int { return int(s.iters.Load()) }
 
 // bucketAt returns the shared bucket for id, creating it if absent. The
 // table grows geometrically, seeded from the interner's reserved
-// capacity, mirroring Cache.bucketAt.
+// capacity.
 func (s *Shared) bucketAt(id tableset.ID) *sharedBucket {
 	s.mu.RLock()
 	var sb *sharedBucket
@@ -311,14 +311,20 @@ func (st *SyncState) Pull(c *Cache) (imported int) {
 	// lock, so lock-free iteration would race — then import without
 	// holding it. The epoch mirrors keep unchanged buckets unlocked.
 	sh.mu.RLock()
-	st.grow(len(sh.buckets))
+	n := len(sh.buckets)
+	st.grow(n)
 	st.changed = st.changed[:0]
-	for id := 1; id < len(sh.buckets); id++ {
+	for id := 1; id < n; id++ {
 		if sb := sh.buckets[id]; sb != nil && sb.epoch.Load() != st.pulled[id] {
 			st.changed = append(st.changed, sb) //rmq:allow-alloc(reused scratch; grows to the changed-bucket high-water mark)
 		}
 	}
 	sh.mu.RUnlock()
+	if len(st.changed) > 0 {
+		// Size the private table once for the whole import rather than
+		// doubling it bucket by bucket through a warm start.
+		c.growTable(n)
+	}
 	for _, sb := range st.changed {
 		id := sb.b.id // written once at creation, before the slot was published
 		sb.mu.Lock()

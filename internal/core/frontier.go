@@ -116,7 +116,7 @@ func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alp
 			if !bucket.Admits(m.ScanCost(p.Table, op), op.Output(), alpha) {
 				continue
 			}
-			bucket.Insert(m.NewScan(p.Table, op), alpha)
+			bucket.Insert(m.NewScanForID(p.Table, op, p.RelID), alpha)
 		}
 	}
 }
@@ -125,8 +125,8 @@ func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alp
 // join operator to the bucket, pricing candidates before materializing
 // them. parent is the join node being recombined: every pair unions to
 // its table set, so its cardinality, set and interned id are hoisted
-// out of the loop (admitted candidates materialize via NewJoinForSet
-// without re-hashing the set).
+// out of the loop (admitted candidates materialize via NewJoinPriced
+// without re-hashing the set or re-pricing the candidate).
 //
 // Candidates are pre-filtered through hierarchical admission floors
 // before any pricing happens: operator costs are the children's
@@ -195,7 +195,7 @@ func recombinePairs(m *costmodel.Model, bucket *cache.Bucket, ob, ib *cache.Buck
 				if !bucket.Admits(vec, op.Output(), alpha) {
 					continue
 				}
-				bucket.Insert(m.NewJoinForSet(op, outer, inner, card, parent.Rel, parent.RelID), alpha)
+				bucket.Insert(m.NewJoinPriced(op, outer, inner, card, parent.Rel, parent.RelID, vec), alpha)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"runtime"
 
 	"rmq/internal/cache"
 	"rmq/internal/mutate"
@@ -71,11 +72,46 @@ type RMQ struct {
 	archive opt.Archive      // used only when DisableCache/DisableFrontier
 	iter    int
 	stats   Stats
+
+	// Pipelining state (see Step). pending is the climbed plan whose
+	// frontier approximation has not run yet; inflight is the one the
+	// helper goroutine approximates during the current Step.
+	pending, inflight climbed
+	async             bool     // run stage B on a helper goroutine
+	done              chan any // helper → Step: nil, or the panic it recovered
+	runInflight       func()   // r.approximateInflight, bound once so go allocates no closure
+	// pipe overrides the GOMAXPROCS-based choice of async; tests only.
+	pipe pipeMode
+	// stageHook, when non-nil, runs at the start of every stage B;
+	// tests only (panic injection).
+	stageHook func()
 }
+
+// climbed is one iteration's hand-off from stage A to stage B: the
+// locally Pareto-optimal plan and the precision its frontiers are
+// approximated with. A nil plan means nothing is handed off.
+type climbed struct {
+	plan  *plan.Plan
+	alpha float64
+	iter  int
+}
+
+// pipeMode selects how Step arranges its two stages.
+type pipeMode uint8
+
+const (
+	pipeAuto   pipeMode = iota // pipelined when GOMAXPROCS > 1
+	pipeInline                 // both stages back to back on the caller's goroutine
+	pipeAsync                  // pipelined regardless of GOMAXPROCS
+)
 
 // New returns an RMQ optimizer with the given configuration; call Init
 // before stepping.
-func New(cfg Config) *RMQ { return &RMQ{cfg: cfg} }
+func New(cfg Config) *RMQ {
+	r := &RMQ{cfg: cfg, done: make(chan any, 1)}
+	r.runInflight = r.approximateInflight
+	return r
+}
 
 // Factory returns the harness factory for RMQ with the paper's default
 // configuration.
@@ -125,6 +161,8 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 	r.archive.Reset()
 	r.iter = 0
 	r.stats = Stats{}
+	r.pending, r.inflight = climbed{}, climbed{}
+	r.async = r.pipe == pipeAsync || r.pipe == pipeAuto && runtime.GOMAXPROCS(0) > 1
 }
 
 // retainedCache is the state RMQ stashes in a pooled problem between
@@ -141,28 +179,60 @@ type retainedCache struct {
 // Step runs one iteration of the main loop (Algorithm 1) and always
 // reports that more work remains: RMQ is an anytime algorithm that
 // refines its approximation until stopped.
+//
+// An iteration has two stages. Stage A draws the random plan, climbs it
+// (Algorithm 2) and picks the iteration's α. Stage B approximates the
+// frontiers of the climbed plan's intermediate results against the plan
+// cache (Algorithm 3), syncs with the shared store and updates the cache
+// statistics. Climbing never reads the cache, so when more than one
+// processor is available (GOMAXPROCS > 1) Step pipelines the stages: it
+// runs the previous iteration's stage B on a helper goroutine while it
+// runs this iteration's stage A, joins both, and leaves this iteration's
+// stage B pending. Stage B sees the plans, α values and cache of a
+// sequential run, so cache decisions and frontiers are bit-identical to
+// it. Stage B never touches what stage A may be using: the estimator
+// memo and a private interner (it takes set ids from the plan nodes).
+//
+// No goroutine outlives a Step. The helper is joined before Step
+// returns, also when stage A panics, and a panic in stage B is re-raised
+// on the caller's goroutine after the join. Frontier, FrontierDelta,
+// Stats and Cache complete a pending stage B first, so they observe
+// every Step taken. With one processor both stages run inline, back to
+// back, and nothing is left pending.
 func (r *RMQ) Step() bool {
+	if r.pending.plan != nil {
+		r.inflight, r.pending = r.pending, climbed{}
+		go r.runInflight()
+		defer r.join()
+	}
+	next := r.climb()
+	if r.async {
+		r.pending = next
+	} else {
+		r.approximate(next)
+	}
+	return true
+}
+
+// climb is stage A of an iteration: a random plan in the configured
+// join order space, improved via fast multi-objective local search, and
+// the iteration's approximation precision.
+func (r *RMQ) climb() climbed {
 	r.iter++
 	m := r.problem.Model
-
-	// Generate a random plan in the configured join order space.
 	var p *plan.Plan
 	if r.cfg.Space == mutate.LeftDeep {
 		p = randplan.RandomLeftDeep(m, r.problem.Query, r.rng)
 	} else {
 		p = randplan.Random(m, r.problem.Query, r.rng)
 	}
-
-	// Improve the plan via fast multi-objective local search.
 	optPlan, steps := r.climber.Climb(p)
 	r.stats.PathLengths = append(r.stats.PathLengths, steps)
 
-	// Approximate the Pareto frontiers of the plan's intermediate
-	// results with the iteration-dependent precision. Attached to a
-	// shared store, the schedule runs on the store's cumulative counter:
-	// the cache is refined by everyone's work, so its precision reflects
-	// everyone's work (a solitary first run sees identical values, since
-	// only its own steps advance the counter).
+	// Attached to a shared store, the schedule runs on the store's
+	// cumulative counter: the cache is refined by everyone's work, so its
+	// precision reflects everyone's work (a solitary first run sees
+	// identical values, since only its own steps advance the counter).
 	schedIter := r.iter
 	if r.sync != nil {
 		schedIter = r.cfg.Shared.NextIteration()
@@ -171,9 +241,21 @@ func (r *RMQ) Step() bool {
 	if r.cfg.Alpha != nil {
 		alpha = r.cfg.Alpha(schedIter)
 	}
+	return climbed{plan: optPlan, alpha: alpha, iter: r.iter}
+}
+
+// approximate is stage B of an iteration: approximate the Pareto
+// frontiers of the climbed plan's intermediate results with the
+// iteration-dependent precision, exchange deltas with the shared store
+// and record the cache statistics.
+func (r *RMQ) approximate(c climbed) {
+	if r.stageHook != nil {
+		r.stageHook()
+	}
+	m := r.problem.Model
 	switch {
 	case r.cfg.DisableFrontier:
-		r.archive.Add(optPlan)
+		r.archive.Add(c.plan)
 	case r.cfg.DisableCache:
 		// Ablation: approximate frontiers in a private cache so no
 		// partial plans are shared across iterations, but keep the
@@ -182,12 +264,12 @@ func (r *RMQ) Step() bool {
 		// A per-iteration cache can never see a repeat visit, so the
 		// incremental memo would be pure bookkeeping here — skip it.
 		private := cache.New(m.Interner())
-		approximateFrontiers(m, optPlan, private, alpha, false)
-		for _, fp := range private.Get(r.problem.Query) {
-			r.cache.Insert(fp, alpha)
+		approximateFrontiers(m, c.plan, private, c.alpha, false)
+		for _, fp := range private.GetFor(c.plan) {
+			r.cache.Insert(fp, c.alpha)
 		}
 	default:
-		approximateFrontiers(m, optPlan, r.cache, alpha, true)
+		approximateFrontiers(m, c.plan, r.cache, c.alpha, true)
 	}
 
 	if r.sync != nil {
@@ -198,15 +280,40 @@ func (r *RMQ) Step() bool {
 		r.sync.Sync(r.cache)
 	}
 
-	r.stats.Iterations = r.iter
+	r.stats.Iterations = c.iter
 	r.stats.CachedSets = r.cache.NumSets()
 	r.stats.CachedPlans = r.cache.NumPlans()
-	return true
+}
+
+// approximateInflight is the helper goroutine's body: stage B of the
+// in-flight plan, reporting completion (and any panic) to join.
+func (r *RMQ) approximateInflight() {
+	defer func() { r.done <- recover() }()
+	r.approximate(r.inflight)
+}
+
+// join waits for the helper goroutine and re-raises its panic, if any,
+// on the caller's goroutine.
+func (r *RMQ) join() {
+	if v := <-r.done; v != nil {
+		panic(v)
+	}
+}
+
+// settle runs the pending stage B, if any, inline.
+func (r *RMQ) settle() {
+	if r.pending.plan != nil {
+		c := r.pending
+		r.pending = climbed{}
+		r.approximate(c)
+	}
 }
 
 // Frontier implements opt.Optimizer: the cached Pareto plans for the full
-// query table set (P[q] in Algorithm 1).
+// query table set (P[q] in Algorithm 1), after completing the last Step's
+// pending frontier approximation.
 func (r *RMQ) Frontier() []*plan.Plan {
+	r.settle()
 	if r.cfg.DisableFrontier {
 		return r.archive.Plans()
 	}
@@ -216,8 +323,10 @@ func (r *RMQ) Frontier() []*plan.Plan {
 // FrontierDelta implements opt.DeltaFrontier: the result plans admitted
 // since mark, straight from the root bucket's (or the ablation
 // archive's) admission epochs, so periodic merges into a shared archive
-// touch only what is new.
+// touch only what is new. Like Frontier, it first completes the pending
+// frontier approximation.
 func (r *RMQ) FrontierDelta(mark uint64) ([]*plan.Plan, uint64) {
+	r.settle()
 	if r.cfg.DisableFrontier {
 		return r.archive.Since(mark)
 	}
@@ -225,8 +334,16 @@ func (r *RMQ) FrontierDelta(mark uint64) ([]*plan.Plan, uint64) {
 	return b.Since(mark), b.Epoch()
 }
 
-// Stats returns the statistics accumulated since Init.
-func (r *RMQ) Stats() Stats { return r.stats }
+// Stats returns the statistics accumulated since Init, after completing
+// the pending frontier approximation.
+func (r *RMQ) Stats() Stats {
+	r.settle()
+	return r.stats
+}
 
-// Cache exposes the plan cache for inspection by tests and tools.
-func (r *RMQ) Cache() *cache.Cache { return r.cache }
+// Cache exposes the plan cache for inspection by tests and tools, after
+// completing the pending frontier approximation.
+func (r *RMQ) Cache() *cache.Cache {
+	r.settle()
+	return r.cache
+}

@@ -272,10 +272,24 @@ func (m *Model) NewScan(t int, op plan.ScanOp) *plan.Plan {
 // Generators that produce whole plan trees at once use it to build into
 // a single block allocation instead of one per node.
 func (m *Model) InitScan(n *plan.Plan, t int, op plan.ScanOp) {
-	rel := tableset.Single(t)
+	m.initScan(n, t, op, m.in.Intern(tableset.Single(t)))
+}
+
+// NewScanForID is NewScan for callers that already hold the interned id
+// of the scanned table's set: relID must be this model's id for
+// tableset.Single(t) (NoID when it has none). It never touches the
+// interner, so frontier approximation can materialize scans while
+// another goroutine interns through the same model (see core.RMQ.Step).
+func (m *Model) NewScanForID(t int, op plan.ScanOp, relID tableset.ID) *plan.Plan {
+	n := new(plan.Plan)
+	m.initScan(n, t, op, relID)
+	return n
+}
+
+func (m *Model) initScan(n *plan.Plan, t int, op plan.ScanOp, relID tableset.ID) {
 	*n = plan.Plan{
-		Rel:    rel,
-		RelID:  m.in.Intern(rel),
+		Rel:    tableset.Single(t),
+		RelID:  relID,
 		Cost:   m.project(m.scanRaw(t, op)),
 		Card:   m.Catalog().Table(t).Rows,
 		Output: op.Output(),
@@ -380,6 +394,24 @@ func (m *Model) InitJoinForSet(n *plan.Plan, op plan.JoinOp, outer, inner *plan.
 		Rel:    rel,
 		RelID:  relID,
 		Cost:   m.JoinCost(op, outer, inner, card),
+		Card:   card,
+		Output: op.Output(),
+		Join:   op,
+		Outer:  outer,
+		Inner:  inner,
+	}
+}
+
+// NewJoinPriced is NewJoinForSet for a candidate the caller has already
+// priced: c must equal JoinCost(op, outer, inner, card). Recombination
+// prices every candidate through the batch evaluator (JoinEval.OpCostAll,
+// bit-identical to JoinCostParts) before admission, so the node it
+// materializes keeps that vector instead of pricing it a second time.
+func (m *Model) NewJoinPriced(op plan.JoinOp, outer, inner *plan.Plan, card float64, rel tableset.Set, relID tableset.ID, c cost.Vector) *plan.Plan {
+	return &plan.Plan{
+		Rel:    rel,
+		RelID:  relID,
+		Cost:   c,
 		Card:   card,
 		Output: op.Output(),
 		Join:   op,

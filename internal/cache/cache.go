@@ -516,9 +516,12 @@ func (b *Bucket) BeginScans(alpha float64) bool {
 // (hand-built, or past the interner capacity) take a Set-keyed overflow
 // path.
 type Cache struct {
-	in       *tableset.Interner
-	buckets  []*Bucket // indexed by tableset.ID; index 0 unused
-	overflow map[tableset.Set]*Bucket
+	in      *tableset.Interner
+	buckets []*Bucket // indexed by tableset.ID; index 0 unused
+	// tableHint is the interner's reserved id capacity when the cache
+	// was created, the size of the bucket table's first allocation.
+	tableHint int
+	overflow  map[tableset.Set]*Bucket
 	// private marks a cache whose interner was created internally rather
 	// than shared by the plans' cost model. Plan RelIDs then belong to a
 	// foreign id namespace and must be ignored — every probe interns the
@@ -538,13 +541,18 @@ type Cache struct {
 // one of the cost model constructing the cached plans (see
 // costmodel.Model.Interner) so that plan RelIDs agree with bucket
 // indices. A nil interner gives the cache a private one; plan RelIDs
-// (assigned by some other interner) are then ignored entirely.
+// (assigned by some other interner) are then ignored entirely. New reads
+// the interner's reserved capacity to size the bucket table, so with a
+// single-owner interner it must run on the goroutine that interns; after
+// that, lookups by a plan's interned id (BucketFor, GetFor, Insert,
+// SyncState.Pull) never consult the interner.
 func New(in *tableset.Interner) *Cache {
 	c := &Cache{in: in}
 	if in == nil {
 		c.in = tableset.NewInterner()
 		c.private = true
 	}
+	c.tableHint = c.in.CapHint()
 	return c
 }
 
@@ -560,20 +568,19 @@ func (c *Cache) newBucket() *Bucket {
 	return b
 }
 
-// minBucketTable is the smallest bucket table a cache allocates, the
-// initial id capacity of an interner.
-const minBucketTable = 256
-
-// growTable widens the bucket table to hold every id below n. The table
-// at least doubles, so a run meeting freshly interned sets one at a time
-// recopies it only logarithmically often. It never consults the
-// interner: a private interner belongs to the goroutine that climbs,
-// which may be interning while this cache approximates frontiers.
+// growTable widens the bucket table to hold every id below n. The first
+// allocation takes the interner's capacity at New, so a pooled problem's
+// interner, which already holds every set earlier runs met, sizes the
+// table once; after that the table at least doubles, so a run meeting
+// freshly interned sets one at a time recopies it only logarithmically
+// often. It never consults the interner: a private interner belongs to
+// the goroutine that climbs, which may be interning while this cache
+// approximates frontiers (see core.RMQ.Step).
 func (c *Cache) growTable(n int) {
 	if n <= len(c.buckets) {
 		return
 	}
-	grown := make([]*Bucket, max(2*len(c.buckets), minBucketTable, n)) //rmq:allow-alloc(geometric table growth, amortized)
+	grown := make([]*Bucket, max(2*len(c.buckets), c.tableHint, n)) //rmq:allow-alloc(geometric table growth, amortized)
 	copy(grown, c.buckets)
 	c.buckets = grown
 }

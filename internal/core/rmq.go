@@ -94,6 +94,9 @@ type climbed struct {
 	plan  *plan.Plan
 	alpha float64
 	iter  int
+	// scratch is the DisableCache ablation's per-iteration cache, created
+	// in stage A because cache.New reads the interner.
+	scratch *cache.Cache
 }
 
 // pipeMode selects how Step arranges its two stages.
@@ -241,7 +244,11 @@ func (r *RMQ) climb() climbed {
 	if r.cfg.Alpha != nil {
 		alpha = r.cfg.Alpha(schedIter)
 	}
-	return climbed{plan: optPlan, alpha: alpha, iter: r.iter}
+	c := climbed{plan: optPlan, alpha: alpha, iter: r.iter}
+	if r.cfg.DisableCache && !r.cfg.DisableFrontier {
+		c.scratch = cache.New(m.Interner())
+	}
+	return c
 }
 
 // approximate is stage B of an iteration: approximate the Pareto
@@ -263,9 +270,8 @@ func (r *RMQ) approximate(c climbed) {
 		// root bucket) so only the sharing effect is isolated.
 		// A per-iteration cache can never see a repeat visit, so the
 		// incremental memo would be pure bookkeeping here — skip it.
-		private := cache.New(m.Interner())
-		approximateFrontiers(m, c.plan, private, c.alpha, false)
-		for _, fp := range private.GetFor(c.plan) {
+		approximateFrontiers(m, c.plan, c.scratch, c.alpha, false)
+		for _, fp := range c.scratch.GetFor(c.plan) {
 			r.cache.Insert(fp, c.alpha)
 		}
 	default:

@@ -4,13 +4,14 @@
 
 GO ?= go
 
-# Benchmarks gated by CI (must match .github/workflows/ci.yml).
+# Benchmarks gated by CI. The CI bench job reads both lists through
+# `make -s gate-bench` and `make -s gate-pkgs`, so they live only here.
 GATE_BENCH = BenchmarkClimb50$$|BenchmarkAblationClimb|BenchmarkRMQIteration50|BenchmarkJoinCost|BenchmarkNewJoin|BenchmarkStrictlyDominates|BenchmarkStepSteadyState|BenchmarkApproxFrontiers|BenchmarkParallelScaling|BenchmarkWorkloadThroughput|BenchmarkServerThroughput|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore|BenchmarkWarmStartPull|BenchmarkDominatesColumns|BenchmarkAdmissionProbe
 GATE_PKGS  = . ./internal/core ./internal/costmodel ./internal/cost ./internal/cache ./internal/server
 BENCH_OUT ?= BENCH_$(shell date +%F).json
 THRESHOLD ?= 0.2
 
-.PHONY: build test race vet fmt lint rmqlint bench bench-full bench-diff bench-baseline profile
+.PHONY: build test race vet fmt lint rmqlint gate-bench gate-pkgs bench bench-full bench-diff bench-baseline profile
 
 build:
 	$(GO) build ./...
@@ -34,6 +35,14 @@ lint: rmqlint
 
 rmqlint:
 	$(GO) run ./cmd/rmqlint ./...
+
+## gate-bench, gate-pkgs: print the gated benchmark pattern and package
+## list (run with make -s so only the value is printed).
+gate-bench:
+	@printf '%s\n' '$(GATE_BENCH)'
+
+gate-pkgs:
+	@printf '%s\n' '$(GATE_PKGS)'
 
 ## bench: run the CI-gated microbenchmarks, writing $(BENCH_OUT).
 bench:

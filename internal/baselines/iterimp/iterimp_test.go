@@ -39,6 +39,25 @@ func TestIIProducesValidFrontier(t *testing.T) {
 	}
 }
 
+// TestIIArchivesAtMostOnePlanPerIteration checks that II is RMQ without
+// frontier approximation: each iteration contributes only its local
+// optimum, so the frontier never holds more plans than iterations ran.
+func TestIIArchivesAtMostOnePlanPerIteration(t *testing.T) {
+	p := testProblem(t, 8, 49)
+	o := New()
+	o.Init(p, 5)
+	for i := 0; i < 20; i++ {
+		o.Step()
+	}
+	front := o.Frontier()
+	if len(front) == 0 {
+		t.Fatal("no frontier")
+	}
+	if len(front) > 20 {
+		t.Errorf("frontier larger than iteration count: %d", len(front))
+	}
+}
+
 func TestIIFrontierMutuallyNonDominated(t *testing.T) {
 	p := testProblem(t, 6, 2)
 	o := New()

@@ -1,9 +1,7 @@
 // Package cache implements the partial-plan Pareto cache of Algorithm 1
-// (the P variable) together with the two pruning functions of the paper:
-// Prune from Algorithm 2 (exact Pareto pruning per output format, used
-// during climbing) and PruneApprox from Algorithm 3 (α-approximate
-// pruning, which bounds the number of cached plans per table set
-// polynomially, Lemma 6).
+// (the P variable) together with PruneApprox, the pruning function of
+// Algorithm 3 (α-approximate pruning, which bounds the number of cached
+// plans per table set polynomially, Lemma 6).
 //
 // The cache maps every table set encountered so far (a potentially useful
 // intermediate result) to the non-dominated partial plans generating it.
@@ -78,37 +76,11 @@ import (
 	"rmq/internal/tableset"
 )
 
-// Better is the plan comparison of Algorithm 2: p1 is better than p2 if
-// it produces the same output data representation and its cost strictly
-// dominates.
-func Better(p1, p2 *plan.Plan) bool {
-	return plan.SameOutput(p1, p2) && p1.Cost.StrictlyDominates(p2.Cost)
-}
-
 // SigBetter is the coarsened comparison of Algorithm 3: p1 is
 // significantly better than p2 under factor α if it produces the same
 // output representation and approximately dominates it (p1 ⪯α p2).
 func SigBetter(p1, p2 *plan.Plan, alpha float64) bool {
 	return plan.SameOutput(p1, p2) && p1.Cost.ApproxDominates(p2.Cost, alpha)
-}
-
-// Prune is the pruning function of Algorithm 2: it inserts newPlan into
-// plans unless some existing plan with the same output format strictly
-// dominates it, removing existing plans that newPlan is Better than. The
-// input slice is modified in place and the updated slice returned.
-func Prune(plans []*plan.Plan, newPlan *plan.Plan) []*plan.Plan {
-	for _, p := range plans {
-		if Better(p, newPlan) {
-			return plans
-		}
-	}
-	keep := plans[:0]
-	for _, p := range plans {
-		if !Better(newPlan, p) {
-			keep = append(keep, p)
-		}
-	}
-	return append(keep, newPlan)
 }
 
 // WouldAdmit reports whether a plan with the given cost vector and output
@@ -254,17 +226,15 @@ func (b *Bucket) Epoch() uint64 { return b.epoch }
 //
 //rmq:hotpath
 func (b *Bucket) Since(mark uint64) []*plan.Plan {
-	return b.plans[EpochSuffix(b.epochs, mark):]
+	return b.plans[epochSuffix(b.epochs, mark):]
 }
 
-// EpochSuffix returns the index of the first entry of the ascending
+// epochSuffix returns the index of the first entry of the ascending
 // epochs slice strictly greater than mark — the start of the "admitted
-// since mark" suffix. Shared by every admission-mark consumer
-// (Bucket.Since, opt.Archive.Since) so the boundary convention lives in
-// one place.
+// since mark" suffix.
 //
 //rmq:hotpath
-func EpochSuffix(epochs []uint64, mark uint64) int {
+func epochSuffix(epochs []uint64, mark uint64) int {
 	lo, hi := 0, len(epochs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

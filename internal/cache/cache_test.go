@@ -19,17 +19,24 @@ func mkPlan(rel tableset.Set, out plan.OutputProp, costs ...float64) *plan.Plan 
 
 var rel = tableset.FromSlice([]int{0, 1})
 
+// better is the plan comparison of Algorithm 2: p1 is better than p2 if
+// it produces the same output data representation and its cost strictly
+// dominates. The tests use it to check that a frontier is an antichain.
+func better(p1, p2 *plan.Plan) bool {
+	return plan.SameOutput(p1, p2) && p1.Cost.StrictlyDominates(p2.Cost)
+}
+
 func TestBetterRequiresSameOutput(t *testing.T) {
 	a := mkPlan(rel, plan.Pipelined, 1, 1)
 	b := mkPlan(rel, plan.Materialized, 2, 2)
-	if Better(a, b) {
+	if better(a, b) {
 		t.Error("plans with different outputs compared")
 	}
 	c := mkPlan(rel, plan.Materialized, 1, 1)
-	if !Better(c, b) {
+	if !better(c, b) {
 		t.Error("same-output dominating plan not better")
 	}
-	if Better(b, c) {
+	if better(b, c) {
 		t.Error("dominated plan reported better")
 	}
 }
@@ -37,34 +44,8 @@ func TestBetterRequiresSameOutput(t *testing.T) {
 func TestBetterRequiresStrictDominance(t *testing.T) {
 	a := mkPlan(rel, plan.Pipelined, 1, 1)
 	b := mkPlan(rel, plan.Pipelined, 1, 1)
-	if Better(a, b) || Better(b, a) {
+	if better(a, b) || better(b, a) {
 		t.Error("equal plans reported better")
-	}
-}
-
-func TestPruneKeepsParetoSetPerFormat(t *testing.T) {
-	var set []*plan.Plan
-	set = Prune(set, mkPlan(rel, plan.Pipelined, 4, 1))
-	set = Prune(set, mkPlan(rel, plan.Pipelined, 1, 4)) // incomparable: kept
-	if len(set) != 2 {
-		t.Fatalf("len = %d, want 2", len(set))
-	}
-	set = Prune(set, mkPlan(rel, plan.Pipelined, 5, 5)) // dominated: rejected
-	if len(set) != 2 {
-		t.Fatalf("dominated plan admitted")
-	}
-	set = Prune(set, mkPlan(rel, plan.Pipelined, 1, 1)) // dominates both: evicts
-	if len(set) != 1 || set[0].Cost.At(0) != 1 || set[0].Cost.At(1) != 1 {
-		t.Fatalf("eviction failed: %v", set)
-	}
-}
-
-func TestPruneKeepsDominatedOtherFormat(t *testing.T) {
-	var set []*plan.Plan
-	set = Prune(set, mkPlan(rel, plan.Pipelined, 1, 1))
-	set = Prune(set, mkPlan(rel, plan.Materialized, 5, 5)) // dominated cost but other format
-	if len(set) != 2 {
-		t.Fatalf("other-format plan pruned: %v", set)
 	}
 }
 
@@ -224,39 +205,6 @@ func TestQuickPruneApproxInvariants(t *testing.T) {
 				if i != j && SigBetter(a, b, 1) {
 					return false
 				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickPruneParetoInvariant: Prune maintains, per output format, an
-// exact Pareto set of everything inserted.
-func TestQuickPruneParetoInvariant(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 56))
-		var set []*plan.Plan
-		var all []*plan.Plan
-		for i := 0; i < 40; i++ {
-			np := mkPlan(rel, plan.OutputProp(rng.IntN(2)), math.Exp(rng.Float64()*5), math.Exp(rng.Float64()*5))
-			all = append(all, np)
-			set = Prune(set, np)
-		}
-		// Every inserted plan must be Better-dominated by (or equal to)
-		// some survivor of the same format.
-		for _, p := range all {
-			ok := false
-			for _, s := range set {
-				if s == p || (plan.SameOutput(s, p) && s.Cost.Dominates(p.Cost)) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return false
 			}
 		}
 		return true

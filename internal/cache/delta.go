@@ -104,31 +104,9 @@ func (s *Shared) MergeBucket(bs BucketSnapshot) (admitted int, err error) {
 				i, p.Rel, p.RelID, bs.Set, id)
 		}
 	}
-	retain := s.EffectiveRetention()
-	sb := s.bucketAt(id)
-	sb.mu.Lock()
-	before := sb.b.epoch
-	n0 := len(sb.b.plans)
-	for _, p := range bs.Plans {
-		if sb.b.Insert(p, retain) {
-			admitted++
-		}
-	}
-	after := sb.b.epoch
-	grew := len(sb.b.plans) - n0
-	if after != before {
-		sb.lastVer = s.repSeq.Add(1)
-	}
-	sb.epoch.Store(after)
-	sb.mu.Unlock()
-	if after != before {
-		s.plans.Add(int64(grew))
-		// Same ordering contract as Publish: the version advances strictly
-		// after the epoch mirror, so a local puller observing the new
-		// version observes the merged bucket.
-		s.version.Add(1)
-	}
-	return admitted, nil
+	// Every admission advances the bucket epoch by one.
+	before, after, _ := s.admit(s.bucketAt(id), bs.Plans, s.EffectiveRetention())
+	return int(after - before), nil
 }
 
 // MergeState folds a peer's store-level counters into a live store. The

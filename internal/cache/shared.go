@@ -196,6 +196,39 @@ func (s *Shared) bucketAt(id tableset.ID) *sharedBucket {
 	return sb
 }
 
+// admit is the store's one admission block, shared by Publish and
+// MergeBucket. It offers plans to sb at precision retain and publishes
+// the change in the order readers rely on. Under the bucket lock it
+// inserts the plans, stamps lastVer from repSeq (ExportDelta's cursor)
+// and stores the epoch mirror. After the unlock it adds to the plan
+// count and only then advances version: atomic operations are totally
+// ordered, so a puller that observes the new version also observes the
+// bucket change. It returns the bucket's admission epochs before and
+// after, and the new version (0 when nothing was admitted, in which
+// case neither counter moves).
+//
+//rmq:hotpath
+func (s *Shared) admit(sb *sharedBucket, plans []*plan.Plan, retain float64) (before, after, version uint64) {
+	sb.mu.Lock()
+	before = sb.b.epoch
+	n0 := len(sb.b.plans)
+	for _, p := range plans {
+		sb.b.Insert(p, retain)
+	}
+	after = sb.b.epoch
+	grew := len(sb.b.plans) - n0
+	if after != before {
+		sb.lastVer = s.repSeq.Add(1)
+	}
+	sb.epoch.Store(after)
+	sb.mu.Unlock()
+	if after == before {
+		return before, after, 0
+	}
+	s.plans.Add(int64(grew))
+	return before, after, s.version.Add(1)
+}
+
 // SyncState is one worker's handle on a Shared store. It remembers, per
 // shared bucket, how far the worker has pulled and rides the private
 // cache's own admission epochs for publishing, so both directions of a
@@ -238,33 +271,17 @@ func (st *SyncState) Publish(c *Cache) (published int) {
 		if len(fresh) == 0 || b.id == tableset.NoID {
 			continue
 		}
-		sb := sh.bucketAt(b.id)
-		sb.mu.Lock()
-		before := sb.b.epoch
-		n0 := len(sb.b.plans)
-		for _, p := range fresh {
-			sb.b.Insert(p, retain)
-		}
-		after := sb.b.epoch
-		grew := len(sb.b.plans) - n0
-		if after != before {
-			sb.lastVer = sh.repSeq.Add(1)
-		}
-		sb.epoch.Store(after)
-		sb.mu.Unlock()
+		before, after, nv := sh.admit(sh.bucketAt(b.id), fresh, retain)
 		if after == before {
 			continue
 		}
 		published += int(after - before)
-		sh.plans.Add(int64(grew))
-		// Advancing the version strictly after the bucket's epoch mirror
-		// means a puller that observes the new version also observes the
-		// bucket change (atomic operations are totally ordered). When our
-		// own bump is the only one since this worker's last Pull, absorb
-		// it into the seen mark — otherwise every solitary publish would
-		// defeat Pull's single-atomic-load fast path and trigger a full
-		// no-op table scan (version is add-only, so the check is exact).
-		if nv := sh.version.Add(1); nv == st.seen+1 {
+		// When our own version bump is the only one since this worker's
+		// last Pull, absorb it into the seen mark — otherwise every
+		// solitary publish would defeat Pull's single-atomic-load fast
+		// path and trigger a full no-op table scan (version is add-only,
+		// so the check is exact).
+		if nv == st.seen+1 {
 			st.seen = nv
 		}
 		// What this worker just published it need not pull back; the

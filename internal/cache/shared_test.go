@@ -220,7 +220,7 @@ func TestSharedConcurrentStress(t *testing.T) {
 			plans := final.Get(rel)
 			for i, p := range plans {
 				for j, q := range plans {
-					if i != j && Better(p, q) {
+					if i != j && better(p, q) {
 						t.Fatalf("store frontier of %v holds dominated plan: %v", rel, costsOf(plans))
 					}
 				}

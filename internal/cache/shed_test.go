@@ -155,7 +155,7 @@ func TestShedKeepsSyncValid(t *testing.T) {
 	}
 	for i, p := range got {
 		for j, q := range got {
-			if i != j && Better(p, q) {
+			if i != j && better(p, q) {
 				t.Fatalf("pulled frontier holds dominated pair %v, %v", p.Cost, q.Cost)
 			}
 		}

@@ -72,10 +72,10 @@ func TestFrontierSteadyStateAllocsBounded(t *testing.T) {
 	c := NewClimber(m, ClimbConfig{})
 	p, _ := c.Climb(randplan.Random(m, m.Catalog().AllTables(), rng))
 	for i := 0; i < 3; i++ {
-		approximateFrontiers(m, p, pc, 2, false)
+		approximateFull(m, p, pc, 2)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		approximateFrontiers(m, p, pc, 2, false)
+		approximateFull(m, p, pc, 2)
 	})
 	if allocs != 0 {
 		t.Errorf("converged frontier update allocates: %v allocs/run, want 0", allocs)
@@ -84,10 +84,10 @@ func TestFrontierSteadyStateAllocsBounded(t *testing.T) {
 	// memo is warm, re-approximating an unchanged plan allocates nothing
 	// either.
 	for i := 0; i < 2; i++ {
-		approximateFrontiers(m, p, pc, 2, true)
+		approximateFrontiers(m, p, pc, 2)
 	}
 	allocs = testing.AllocsPerRun(50, func() {
-		approximateFrontiers(m, p, pc, 2, true)
+		approximateFrontiers(m, p, pc, 2)
 	})
 	if allocs != 0 {
 		t.Errorf("converged incremental frontier update allocates: %v allocs/run, want 0", allocs)

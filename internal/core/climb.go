@@ -21,59 +21,36 @@
 package core
 
 import (
-	"rmq/internal/cache"
 	"rmq/internal/cost"
 	"rmq/internal/costmodel"
 	"rmq/internal/mutate"
 	"rmq/internal/plan"
 )
 
-// ClimbConfig tunes the Pareto climbing behavior.
+// ClimbConfig configures Pareto climbing. The zero value is the paper's
+// climb over the bushy space: Algorithm 2's single-incumbent ParetoStep,
+// which returns one non-dominated plan per node pruned on cost alone
+// (the mode Lemma 2's complexity analysis assumes).
 type ClimbConfig struct {
 	// Space selects the join order space whose transformation rules the
 	// climb applies (Section 4.1: the algorithm adapts to e.g. left-deep
 	// spaces by exchanging the transformation set). Default Bushy.
 	Space mutate.Space
-	// PerFormat selects the faithful Algorithm 2 pruning that keeps a
-	// Pareto set per output data representation at every node. When
-	// false (the default and the assumption of the paper's complexity
-	// analysis, Lemma 2), every ParetoStep instance returns a single
-	// non-dominated plan pruned on cost alone.
-	PerFormat bool
-	// Keep caps the number of plans kept per output format in PerFormat
-	// mode; 0 means the default of 2.
-	Keep int
-	// Naive disables both Section 4.2 optimizations: each climbing step
-	// enumerates all complete single-mutation neighbor plans and moves to
-	// the first strict dominator. Used by the climbing ablation bench.
-	Naive bool
-	// MaxSteps bounds the number of climbing moves as a defensive limit;
-	// 0 means the default of 16·n+64 for an n-table plan (the expected
-	// path length is O(n), Theorem 2, so the bound is never hit in
-	// practice).
-	MaxSteps int
 }
 
-func (c ClimbConfig) keep() int {
-	if c.Keep <= 0 {
-		return 2
-	}
-	return c.Keep
-}
-
-func (c ClimbConfig) maxSteps(n int) int {
-	if c.MaxSteps > 0 {
-		return c.MaxSteps
-	}
-	return 16*n + 64
-}
+// maxClimbSteps bounds the number of climbing moves on an n-table plan
+// as a defensive limit. The expected path length is O(n) (Theorem 2), so
+// the bound is never hit in practice.
+func maxClimbSteps(n int) int { return 16*n + 64 }
 
 // Climber performs multi-objective hill climbing over plans of one cost
-// model. It reuses internal buffers (a candidate buffer and a scratch
-// plan arena) and is not safe for concurrent use.
+// model. Bushy plans climb in place on a scratch arena (climbinplace.go);
+// left-deep plans climb through genericParetoStep over the space's
+// transformation rules. It reuses internal buffers (a candidate buffer
+// and a scratch plan arena) and is not safe for concurrent use.
 type Climber struct {
 	model   *costmodel.Model
-	cfg     ClimbConfig
+	space   mutate.Space
 	buf     []*plan.Plan
 	scratch *plan.Scratch
 	// undoLog journals the in-place changes of the current speculative
@@ -94,14 +71,7 @@ type Climber struct {
 // NewClimber returns a climber over the model with the given
 // configuration.
 func NewClimber(m *costmodel.Model, cfg ClimbConfig) *Climber {
-	return &Climber{model: m, cfg: cfg, scratch: plan.NewScratch()}
-}
-
-// useInPlace reports whether the configuration is served by the
-// allocation-free in-place fast path (the default single-incumbent mode
-// over the bushy space; see climbinplace.go).
-func (c *Climber) useInPlace() bool {
-	return !c.cfg.Naive && !c.cfg.PerFormat && c.cfg.Space == mutate.Bushy
+	return &Climber{model: m, space: cfg.Space, scratch: plan.NewScratch()}
 }
 
 // Climb is the ParetoClimb function of Algorithm 2: it repeatedly applies
@@ -109,16 +79,16 @@ func (c *Climber) useInPlace() bool {
 // current one, returning the locally Pareto-optimal plan and the path
 // length (number of improving moves) — the statistic of Figure 3.
 //
-// In the default configuration the whole climb runs in place on a
-// scratch copy of p and only the final plan is materialized; the input
-// plan and the result are immutable as ever.
+// Over the bushy space the whole climb runs in place on a scratch copy
+// of p and only the final plan is materialized; the input plan and the
+// result are immutable as ever.
 func (c *Climber) Climb(p *plan.Plan) (*plan.Plan, int) {
-	if c.useInPlace() {
+	if c.space == mutate.Bushy {
 		return c.climbInPlace(p)
 	}
-	limit := c.cfg.maxSteps(p.Rel.Count())
+	limit := maxClimbSteps(p.Rel.Count())
 	steps := 0
-	//rmq:allow-loop(bounded by the maxSteps budget; steps increments every iteration)
+	//rmq:allow-loop(bounded by maxClimbSteps; steps increments every iteration)
 	for steps < limit {
 		next := c.Step(p)
 		if next == nil {
@@ -132,34 +102,21 @@ func (c *Climber) Climb(p *plan.Plan) (*plan.Plan, int) {
 
 // Step performs one climbing move, returning a plan that strictly
 // dominates p, or nil when p is a local Pareto optimum for the step
-// function. The returned plan is immutable; in the default configuration
-// the move search runs allocation-free on a scratch copy and only an
+// function. The returned plan is immutable; over the bushy space the
+// move search runs allocation-free on a scratch copy and only an
 // improved result is materialized.
 func (c *Climber) Step(p *plan.Plan) *plan.Plan {
-	if c.cfg.Naive {
-		return c.naiveStep(p)
-	}
-	if c.cfg.Space != mutate.Bushy {
-		// Restricted plan spaces use the generic single-incumbent step
-		// over the space's transformation rules.
-		if pm := c.genericParetoStep(p); pm.Cost.StrictlyDominates(p.Cost) {
-			return pm
-		}
-		return nil
-	}
-	if !c.cfg.PerFormat {
+	if c.space == mutate.Bushy {
 		return c.stepInPlace(p)
 	}
-	for _, pm := range c.paretoStep(p) {
-		if pm.Cost.StrictlyDominates(p.Cost) {
-			return pm
-		}
+	if pm := c.genericParetoStep(p); pm.Cost.StrictlyDominates(p.Cost) {
+		return pm
 	}
 	return nil
 }
 
 // genericParetoStep is the single-incumbent ParetoStep over an arbitrary
-// transformation set (used for restricted plan spaces): children are
+// transformation set (used for the left-deep space): children are
 // improved recursively, then every mutation of the rebuilt node is tried
 // and the incumbent replaced by strict dominators.
 func (c *Climber) genericParetoStep(p *plan.Plan) *plan.Plan {
@@ -182,88 +139,11 @@ func (c *Climber) genericParetoStep(p *plan.Plan) *plan.Plan {
 		rebuilt = c.model.NewJoinForSet(mutate.PickRootOp(p.Join, inner.Output), outer, inner, p.Card, p.Rel, p.RelID)
 	}
 	best := rebuilt
-	c.buf = mutate.AppendIn(c.cfg.Space, c.model, rebuilt, c.buf[:0])
+	c.buf = mutate.AppendIn(c.space, c.model, rebuilt, c.buf[:0])
 	for _, mu := range c.buf {
 		if mu.Cost.StrictlyDominates(best.Cost) {
 			best = mu
 		}
 	}
 	return best
-}
-
-// naiveStep is the baseline climbing step of the ablation: it generates
-// every complete neighbor plan (one mutation at one node each) and moves
-// to the first strict dominator, exactly like classic single-objective
-// iterative improvement generalized to Pareto dominance.
-func (c *Climber) naiveStep(p *plan.Plan) *plan.Plan {
-	for _, nb := range mutate.AllNeighbors(c.model, p) {
-		if nb.Cost.StrictlyDominates(p.Cost) {
-			return nb
-		}
-	}
-	return nil
-}
-
-// paretoStep is the ParetoStep function of Algorithm 2: it recursively
-// improves the outer and inner sub-plans, then tries every mutation of
-// the node over every improved sub-plan pair, pruning the results. In the
-// default single-plan mode the returned slice has exactly one element.
-func (c *Climber) paretoStep(p *plan.Plan) []*plan.Plan {
-	var result []*plan.Plan
-	if p.IsJoin() {
-		outerPareto := c.paretoStep(p.Outer)
-		innerPareto := c.paretoStep(p.Inner)
-		for _, outer := range outerPareto {
-			for _, inner := range innerPareto {
-				// Sub-plan mutations preserve table sets, so the node's
-				// output cardinality is unchanged.
-				rebuilt := c.model.NewJoinForSet(mutate.PickRootOp(p.Join, inner.Output), outer, inner, p.Card, p.Rel, p.RelID)
-				c.buf = mutate.Append(c.model, rebuilt, c.buf[:0])
-				for _, mutated := range c.buf {
-					result = c.prune(result, mutated)
-				}
-			}
-		}
-	} else {
-		c.buf = mutate.Append(c.model, p, c.buf[:0])
-		for _, mutated := range c.buf {
-			result = c.prune(result, mutated)
-		}
-	}
-	return result
-}
-
-// prune inserts a mutated plan into the candidate set of one ParetoStep
-// instance. In single-plan mode the incumbent is replaced only by strict
-// dominators ("arbitrarily select one neighbor that strictly dominates",
-// Section 4.2). In PerFormat mode the pruning is the Prune function of
-// Algorithm 2, additionally capped at Keep plans per output format to
-// avoid the combinatorial explosion the paper warns about.
-func (c *Climber) prune(set []*plan.Plan, np *plan.Plan) []*plan.Plan {
-	if !c.cfg.PerFormat {
-		if len(set) == 0 {
-			return append(set, np)
-		}
-		if np.Cost.StrictlyDominates(set[0].Cost) {
-			set[0] = np
-		}
-		return set
-	}
-	sameFormat := 0
-	evicts := false
-	for _, q := range set {
-		if plan.SameOutput(q, np) {
-			sameFormat++
-			if cache.Better(q, np) {
-				return set
-			}
-			if cache.Better(np, q) {
-				evicts = true
-			}
-		}
-	}
-	if sameFormat >= c.cfg.keep() && !evicts {
-		return set
-	}
-	return cache.Prune(set, np)
 }

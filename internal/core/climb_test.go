@@ -172,10 +172,42 @@ func TestClimbResultIsSingleMutationLocalOptimum(t *testing.T) {
 	}
 }
 
+// naiveClimber is the baseline of the climbing ablation: classic
+// single-objective iterative improvement generalized to Pareto
+// dominance, with neither of Section 4.2's optimizations. Each step
+// builds every complete neighbor plan (one mutation at one node) and
+// moves to the first strict dominator; the climb ends at a local
+// optimum or after the production climb's maxClimbSteps moves.
+type naiveClimber struct{ model *costmodel.Model }
+
+func (c naiveClimber) Climb(p *plan.Plan) (*plan.Plan, int) {
+	limit := maxClimbSteps(p.Rel.Count())
+	steps := 0
+	//rmq:allow-loop(bounded by maxClimbSteps; steps increments every iteration)
+	for steps < limit {
+		next := c.step(p)
+		if next == nil {
+			break
+		}
+		p = next
+		steps++
+	}
+	return p, steps
+}
+
+func (c naiveClimber) step(p *plan.Plan) *plan.Plan {
+	for _, nb := range mutate.AllNeighbors(c.model, p) {
+		if nb.Cost.StrictlyDominates(p.Cost) {
+			return nb
+		}
+	}
+	return nil
+}
+
 func TestNaiveClimbAgreesOnImprovementDirection(t *testing.T) {
 	m := testModel(t, 6, 11)
 	rng := rand.New(rand.NewPCG(12, 12))
-	naive := NewClimber(m, ClimbConfig{Naive: true})
+	naive := naiveClimber{m}
 	for i := 0; i < 10; i++ {
 		p := randplan.Random(m, m.Catalog().AllTables(), rng)
 		optPlan, _ := naive.Climb(p)
@@ -191,40 +223,6 @@ func TestNaiveClimbAgreesOnImprovementDirection(t *testing.T) {
 	}
 }
 
-func TestPerFormatClimb(t *testing.T) {
-	m := testModel(t, 8, 13)
-	rng := rand.New(rand.NewPCG(14, 14))
-	c := NewClimber(m, ClimbConfig{PerFormat: true, Keep: 2})
-	for i := 0; i < 10; i++ {
-		p := randplan.Random(m, m.Catalog().AllTables(), rng)
-		optPlan, _ := c.Climb(p)
-		if !optPlan.Cost.Dominates(p.Cost) {
-			t.Fatal("per-format climb worsened plan")
-		}
-		if err := optPlan.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestPerFormatParetoStepRespectsCap(t *testing.T) {
-	m := testModel(t, 8, 15)
-	rng := rand.New(rand.NewPCG(16, 16))
-	keep := 2
-	c := NewClimber(m, ClimbConfig{PerFormat: true, Keep: keep})
-	p := randplan.Random(m, m.Catalog().AllTables(), rng)
-	got := c.paretoStep(p)
-	perFormat := map[plan.OutputProp]int{}
-	for _, q := range got {
-		perFormat[q.Output]++
-	}
-	for out, n := range perFormat {
-		if n > keep {
-			t.Errorf("format %v kept %d plans, cap %d", out, n, keep)
-		}
-	}
-}
-
 func TestClimbSingleTable(t *testing.T) {
 	m := testModel(t, 1, 17)
 	c := NewClimber(m, ClimbConfig{})
@@ -235,17 +233,6 @@ func TestClimbSingleTable(t *testing.T) {
 	}
 	if steps > 1 {
 		t.Errorf("single-table climb took %d steps", steps)
-	}
-}
-
-func TestClimbRespectsMaxSteps(t *testing.T) {
-	m := testModel(t, 10, 19)
-	rng := rand.New(rand.NewPCG(20, 20))
-	c := NewClimber(m, ClimbConfig{MaxSteps: 1})
-	p := randplan.Random(m, m.Catalog().AllTables(), rng)
-	_, steps := c.Climb(p)
-	if steps > 1 {
-		t.Errorf("steps = %d, want ≤ 1", steps)
 	}
 }
 
@@ -282,14 +269,20 @@ func BenchmarkClimb50(b *testing.B) {
 // simultaneous-mutation climbing step beats naive single-mutation
 // climbing by a large factor (the paper reports >10x at 50 tables).
 func BenchmarkAblationClimb(b *testing.B) {
-	for _, cfg := range []struct {
-		name  string
-		naive bool
-	}{{"fast", false}, {"naive", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
+	type climber interface {
+		Climb(*plan.Plan) (*plan.Plan, int)
+	}
+	for _, arm := range []struct {
+		name string
+		new  func(m *costmodel.Model) climber
+	}{
+		{"fast", func(m *costmodel.Model) climber { return NewClimber(m, ClimbConfig{}) }},
+		{"naive", func(m *costmodel.Model) climber { return naiveClimber{m} }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			m := testModel(b, 50, 1)
 			rng := rand.New(rand.NewPCG(2, 2))
-			c := NewClimber(m, ClimbConfig{Naive: cfg.naive})
+			c := arm.new(m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := randplan.Random(m, m.Catalog().AllTables(), rng)

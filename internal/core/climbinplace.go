@@ -7,8 +7,8 @@ import (
 	"rmq/internal/plan"
 )
 
-// This file implements the allocation-free in-place fast path of the
-// default (single-incumbent, bushy) climbing mode.
+// This file implements the allocation-free in-place climb over the
+// bushy space.
 //
 // The climber imports the plan into a private scratch arena once per
 // climb (plan.Scratch), then every climbing step runs as one recursive
@@ -56,11 +56,11 @@ const (
 // when the pass fails the strict-improvement gate, after which the climb
 // is over.
 func (c *Climber) climbInPlace(p *plan.Plan) (*plan.Plan, int) {
-	limit := c.cfg.maxSteps(p.Rel.Count())
+	limit := maxClimbSteps(p.Rel.Count())
 	c.scratch.Reset()
 	root := c.scratch.Import(p)
 	steps := 0
-	//rmq:allow-loop(bounded by the maxSteps budget; steps increments every iteration)
+	//rmq:allow-loop(bounded by maxClimbSteps; steps increments every iteration)
 	for steps < limit {
 		prev := root.Cost
 		c.undoLog = c.undoLog[:0]

@@ -62,22 +62,22 @@ func DefaultAlpha(iteration int) float64 {
 // scan it tries every scan operator. New plans are pruned into the cache
 // with approximation factor alpha.
 //
-// With incremental set, join nodes consult the cache's per-partition
-// visit memo (cache.Bucket.BeginRecomb): a node whose children are
-// unchanged since its last visit at a same-or-coarser α is skipped, and
-// otherwise only the pairs involving a newly admitted child plan are
-// recombined — old×new first, then new×all, which is exactly the order
-// the full cross product offers the fresh pairs in. Because re-offering
+// Join nodes consult the cache's per-partition visit memo
+// (cache.Bucket.BeginRecomb): a node whose children are unchanged since
+// its last visit at a same-or-coarser α is skipped, and otherwise only
+// the pairs involving a newly admitted child plan are recombined —
+// old×new first, then new×all, which is exactly the order the full
+// cross product offers the fresh pairs in. Because re-offering
 // an already offered pair at a same-or-coarser α never changes the
 // bucket (rejections persist under eviction and admitted plans
 // re-reject), the resulting cache states are bit-identical to full
 // recombination for any non-increasing α schedule; a differential test
 // holds the trajectory against a test-only transcription of Algorithm 3
 // (full cross products, PruneApprox into plain slices, no floors).
-func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alpha float64, incremental bool) {
+func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alpha float64) {
 	if p.IsJoin() {
-		approximateFrontiers(m, p.Outer, pc, alpha, incremental)
-		approximateFrontiers(m, p.Inner, pc, alpha, incremental)
+		approximateFrontiers(m, p.Outer, pc, alpha)
+		approximateFrontiers(m, p.Inner, pc, alpha)
 		ob := pc.BucketFor(p.Outer)
 		ib := pc.BucketFor(p.Inner)
 		// Iterating the children's frontiers while inserting into the
@@ -85,13 +85,9 @@ func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alp
 		// distinct.
 		bucket := pc.BucketFor(p)
 		var v cache.Visit
-		if incremental {
-			bucket.BeginRecomb(ob, ib, alpha, &v)
-			if v.Skip {
-				return
-			}
-		} else {
-			v = cache.Visit{Outers: ob.Plans(), Inners: ib.Plans(), Full: true}
+		bucket.BeginRecomb(ob, ib, alpha, &v)
+		if v.Skip {
+			return
 		}
 		if v.Full {
 			recombinePairs(m, bucket, ob, ib, v.Outers, v.Inners, p, alpha)
@@ -106,9 +102,8 @@ func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alp
 		// costs never change, so the bucket memoizes the finest α offered
 		// (BeginScans) and later visits at same-or-coarser α skip the
 		// whole offer loop — the scan-leaf analogue of BeginRecomb's
-		// Skip, gated on the same incremental flag and equally
-		// trajectory-preserving.
-		if incremental && !bucket.BeginScans(alpha) {
+		// Skip, and equally trajectory-preserving.
+		if !bucket.BeginScans(alpha) {
 			return
 		}
 		for _, op := range plan.AllScanOps() {

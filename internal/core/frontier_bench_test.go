@@ -62,16 +62,16 @@ func BenchmarkApproxFrontiers(b *testing.B) {
 			return func(p *plan.Plan, alpha float64) { ref.approximate(m, p, alpha) }
 		})
 	})
-	production := func(incremental bool) func(m *costmodel.Model) approxFunc {
+	production := func(approximate func(*costmodel.Model, *plan.Plan, *cache.Cache, float64)) func(m *costmodel.Model) approxFunc {
 		return func(m *costmodel.Model) approxFunc {
 			pc := cache.New(m.Interner())
-			return func(p *plan.Plan, alpha float64) { approximateFrontiers(m, p, pc, alpha, incremental) }
+			return func(p *plan.Plan, alpha float64) { approximate(m, p, pc, alpha) }
 		}
 	}
 	b.Run("full", func(b *testing.B) {
-		benchApproxFrontiers(b, production(false))
+		benchApproxFrontiers(b, production(approximateFull))
 	})
 	b.Run("indexed-incremental", func(b *testing.B) {
-		benchApproxFrontiers(b, production(true))
+		benchApproxFrontiers(b, production(approximateFrontiers))
 	})
 }

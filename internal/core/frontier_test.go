@@ -81,6 +81,29 @@ func (r *refFrontiers) approximate(m *costmodel.Model, p *plan.Plan, alpha float
 	}
 }
 
+// approximateFull is approximateFrontiers without the visit memo: every
+// join node recombines the full cross product of its children's
+// frontiers and every scan leaf offers every operator, through the
+// production buckets, admission floors and recombinePairs. It is the
+// "full" arm of BenchmarkApproxFrontiers and the approximation of the
+// no-sharing ablation, whose per-iteration caches never see a repeat
+// visit.
+func approximateFull(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alpha float64) {
+	if !p.IsJoin() {
+		bucket := pc.BucketFor(p)
+		for _, op := range plan.AllScanOps() {
+			if bucket.Admits(m.ScanCost(p.Table, op), op.Output(), alpha) {
+				bucket.Insert(m.NewScanForID(p.Table, op, p.RelID), alpha)
+			}
+		}
+		return
+	}
+	approximateFull(m, p.Outer, pc, alpha)
+	approximateFull(m, p.Inner, pc, alpha)
+	ob, ib := pc.BucketFor(p.Outer), pc.BucketFor(p.Inner)
+	recombinePairs(m, pc.BucketFor(p), ob, ib, ob.Plans(), ib.Plans(), p, alpha)
+}
+
 // samePlan reports whether two plans are the same tree: same operators,
 // table sets, output representations and cost vectors at every node.
 func samePlan(a, b *plan.Plan) bool {
@@ -109,7 +132,7 @@ func checkAgainstReference(t *testing.T, tables int, seed uint64, steps int, alp
 	for i := 1; i <= steps; i++ {
 		optPlan, _ := climber.Climb(randplan.Random(m, p.Query, rng))
 		alpha := alphaAt(i)
-		approximateFrontiers(m, optPlan, pc, alpha, true)
+		approximateFrontiers(m, optPlan, pc, alpha)
 		ref.approximate(m, optPlan, alpha)
 		if pc.NumSets() != len(ref.order) || pc.NumPlans() != ref.plans {
 			t.Fatalf("step %d (α=%g): cache holds %d sets/%d plans, reference %d/%d",
@@ -186,27 +209,5 @@ func TestRMQFrontierDelta(t *testing.T) {
 	full, _ := r.FrontierDelta(0)
 	if len(full) != len(r.Frontier()) {
 		t.Fatalf("FrontierDelta(0) = %d plans, Frontier = %d", len(full), len(r.Frontier()))
-	}
-}
-
-// TestRMQFrontierDeltaDisableFrontier covers the archive-backed delta
-// path of the DisableFrontier ablation.
-func TestRMQFrontierDeltaDisableFrontier(t *testing.T) {
-	p := testProblem(t, 8, 92)
-	r := New(Config{DisableFrontier: true})
-	r.Init(p, 5)
-	var mark uint64
-	count := 0
-	for i := 0; i < 20; i++ {
-		r.Step()
-		var delta []*plan.Plan
-		delta, mark = r.FrontierDelta(mark)
-		count += len(delta)
-	}
-	if count == 0 {
-		t.Fatal("no plans reported via archive deltas")
-	}
-	if len(r.Frontier()) > count {
-		t.Fatalf("frontier %d larger than total delta count %d", len(r.Frontier()), count)
 	}
 }

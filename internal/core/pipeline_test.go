@@ -33,8 +33,6 @@ func TestPipelinedMatchesInline(t *testing.T) {
 		{name: "left-deep", cfg: Config{Space: mutate.LeftDeep}},
 		{name: "shared", shared: true},
 		{name: "left-deep-shared", cfg: Config{Space: mutate.LeftDeep}, shared: true},
-		{name: "disable-cache", cfg: Config{DisableCache: true}},
-		{name: "disable-frontier", cfg: Config{DisableFrontier: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,33 +71,40 @@ func sameRuns(t *testing.T, i int, a, b *RMQ) {
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("step %d: stats differ:\n inline    %+v\n pipelined %+v", i, sa, sb)
 	}
-	ca, cb := a.Cache(), b.Cache()
+	sameCaches(t, i, a.problem.Model.Interner(), a.Cache(), b.Cache())
+	sameFrontier(t, i, a.Frontier(), b.Frontier())
+}
+
+// sameCaches compares two caches over one interner after step i: the
+// same number of sets and plans, and every interned table set holding
+// the same plans in the same order.
+func sameCaches(t *testing.T, i int, in *tableset.Interner, ca, cb *cache.Cache) {
+	t.Helper()
 	if ca.NumSets() != cb.NumSets() || ca.NumPlans() != cb.NumPlans() {
-		t.Fatalf("step %d: caches hold %d sets/%d plans inline, %d/%d pipelined",
+		t.Fatalf("step %d: caches hold %d sets/%d plans and %d/%d",
 			i, ca.NumSets(), ca.NumPlans(), cb.NumSets(), cb.NumPlans())
 	}
-	for _, set := range a.problem.Model.Interner().Sets()[1:] {
+	for _, set := range in.Sets()[1:] {
 		got, want := cb.Get(set), ca.Get(set)
 		if len(got) != len(want) {
-			t.Fatalf("step %d: set %v holds %d plans pipelined, %d inline", i, set, len(got), len(want))
+			t.Fatalf("step %d: set %v holds %d plans and %d", i, set, len(want), len(got))
 		}
 		for j := range got {
 			if !samePlan(got[j], want[j]) {
-				t.Fatalf("step %d: set %v diverged at plan %d: %v vs %v", i, set, j, got[j], want[j])
+				t.Fatalf("step %d: set %v diverged at plan %d: %v vs %v", i, set, j, want[j], got[j])
 			}
 		}
 	}
-	sameFrontier(t, i, a.Frontier(), b.Frontier())
 }
 
 func sameFrontier(t *testing.T, i int, a, b []*plan.Plan) {
 	t.Helper()
 	if len(a) != len(b) {
-		t.Fatalf("step %d: frontier of %d plans inline, %d pipelined", i, len(a), len(b))
+		t.Fatalf("step %d: frontiers of %d and %d plans", i, len(a), len(b))
 	}
 	for j := range a {
 		if a[j].Cost != b[j].Cost {
-			t.Fatalf("step %d: frontier plan %d costs %v inline, %v pipelined", i, j, a[j].Cost, b[j].Cost)
+			t.Fatalf("step %d: frontier plan %d costs %v and %v", i, j, a[j].Cost, b[j].Cost)
 		}
 	}
 }

@@ -11,26 +11,18 @@ import (
 	"rmq/internal/randplan"
 )
 
-// Config tunes the RMQ optimizer. The zero value is the paper's
-// configuration.
+// Config configures the RMQ optimizer. The zero value is the paper's
+// configuration: random bushy plans, Algorithm 2's single-incumbent
+// climb, and Algorithm 3's frontier approximation against a plan cache
+// shared across iterations, with precision DefaultAlpha. The ablation
+// variants (naive climbing, no partial-plan sharing, fixed α) live in
+// this package's tests; iterative improvement without frontier
+// approximation is the II baseline (internal/baselines/iterimp).
 type Config struct {
 	// Space selects the join order space (Section 4.1): Bushy (the
 	// paper's default, unconstrained) or LeftDeep. It determines the
 	// random plan generator and the transformation rules.
 	Space mutate.Space
-	// Climb configures the Pareto climbing phase.
-	Climb ClimbConfig
-	// Alpha overrides the approximation-precision schedule; nil selects
-	// the paper's DefaultAlpha.
-	Alpha func(iteration int) float64
-	// DisableCache disables sharing of partial plans across iterations
-	// (the cache ablation): every iteration approximates frontiers in a
-	// private cache and only the resulting full-query plans are retained.
-	DisableCache bool
-	// DisableFrontier skips the frontier approximation phase entirely
-	// and archives only the locally optimal plans — this degenerates RMQ
-	// into plain iterative improvement and is used by ablation tests.
-	DisableFrontier bool
 	// Shared, when non-nil, attaches the run to a session-scoped
 	// concurrent plan cache: the worker warm-starts its private cache
 	// from the store at Init and exchanges newly admitted sub-plan
@@ -40,8 +32,7 @@ type Config struct {
 	// to be built over the store's interner (a mismatched store is
 	// ignored and the run proceeds privately). Sharing changes the
 	// iteration trajectory — the cache sees plans the private schedule
-	// alone would not have found — so it is off by default; the
-	// cache-ablation configurations disable it implicitly.
+	// alone would not have found — so it is off by default.
 	Shared *cache.Shared
 }
 
@@ -69,7 +60,6 @@ type RMQ struct {
 	climber *Climber
 	cache   *cache.Cache
 	sync    *cache.SyncState // non-nil only when attached to a shared store
-	archive opt.Archive      // used only when DisableCache/DisableFrontier
 	iter    int
 	stats   Stats
 
@@ -94,9 +84,6 @@ type climbed struct {
 	plan  *plan.Plan
 	alpha float64
 	iter  int
-	// scratch is the DisableCache ablation's per-iteration cache, created
-	// in stage A because cache.New reads the interner.
-	scratch *cache.Cache
 }
 
 // pipeMode selects how Step arranges its two stages.
@@ -135,13 +122,10 @@ func (r *RMQ) Name() string { return "RMQ" }
 func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 	r.problem = p
 	r.rng = rand.New(rand.NewPCG(seed, 0x524d51)) // "RMQ"
-	climbCfg := r.cfg.Climb
-	climbCfg.Space = r.cfg.Space
-	r.climber = NewClimber(p.Model, climbCfg)
+	r.climber = NewClimber(p.Model, ClimbConfig{Space: r.cfg.Space})
 	r.sync = nil
 	shared := r.cfg.Shared
-	if shared != nil && shared.Interner() == p.Model.Interner() &&
-		!r.cfg.DisableCache && !r.cfg.DisableFrontier {
+	if shared != nil && shared.Interner() == p.Model.Interner() {
 		// Warm start from the session store. A problem pooled by a
 		// session carries the previous run's private cache and sync
 		// marks (opt.Problem.Retained): reusing them turns the warm
@@ -161,7 +145,6 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 	} else {
 		r.cache = cache.New(p.Model.Interner())
 	}
-	r.archive.Reset()
 	r.iter = 0
 	r.stats = Stats{}
 	r.pending, r.inflight = climbed{}, climbed{}
@@ -240,15 +223,7 @@ func (r *RMQ) climb() climbed {
 	if r.sync != nil {
 		schedIter = r.cfg.Shared.NextIteration()
 	}
-	alpha := DefaultAlpha(schedIter)
-	if r.cfg.Alpha != nil {
-		alpha = r.cfg.Alpha(schedIter)
-	}
-	c := climbed{plan: optPlan, alpha: alpha, iter: r.iter}
-	if r.cfg.DisableCache && !r.cfg.DisableFrontier {
-		c.scratch = cache.New(m.Interner())
-	}
-	return c
+	return climbed{plan: optPlan, alpha: DefaultAlpha(schedIter), iter: r.iter}
 }
 
 // approximate is stage B of an iteration: approximate the Pareto
@@ -259,25 +234,7 @@ func (r *RMQ) approximate(c climbed) {
 	if r.stageHook != nil {
 		r.stageHook()
 	}
-	m := r.problem.Model
-	switch {
-	case r.cfg.DisableFrontier:
-		r.archive.Add(c.plan)
-	case r.cfg.DisableCache:
-		// Ablation: approximate frontiers in a private cache so no
-		// partial plans are shared across iterations, but keep the
-		// full-query admission identical (same α into the persistent
-		// root bucket) so only the sharing effect is isolated.
-		// A per-iteration cache can never see a repeat visit, so the
-		// incremental memo would be pure bookkeeping here — skip it.
-		approximateFrontiers(m, c.plan, c.scratch, c.alpha, false)
-		for _, fp := range c.scratch.GetFor(c.plan) {
-			r.cache.Insert(fp, c.alpha)
-		}
-	default:
-		approximateFrontiers(m, c.plan, r.cache, c.alpha, true)
-	}
-
+	approximateFrontiers(r.problem.Model, c.plan, r.cache, c.alpha)
 	if r.sync != nil {
 		// Publish this iteration's admissions to the session store and
 		// import what other workers found; both directions move only
@@ -320,22 +277,15 @@ func (r *RMQ) settle() {
 // pending frontier approximation.
 func (r *RMQ) Frontier() []*plan.Plan {
 	r.settle()
-	if r.cfg.DisableFrontier {
-		return r.archive.Plans()
-	}
 	return r.cache.Get(r.problem.Query)
 }
 
 // FrontierDelta implements opt.DeltaFrontier: the result plans admitted
-// since mark, straight from the root bucket's (or the ablation
-// archive's) admission epochs, so periodic merges into a shared archive
-// touch only what is new. Like Frontier, it first completes the pending
-// frontier approximation.
+// since mark, straight from the root bucket's admission epochs, so
+// periodic merges into a shared archive touch only what is new. Like
+// Frontier, it first completes the pending frontier approximation.
 func (r *RMQ) FrontierDelta(mark uint64) ([]*plan.Plan, uint64) {
 	r.settle()
-	if r.cfg.DisableFrontier {
-		return r.archive.Since(mark)
-	}
 	b := r.cache.Bucket(r.problem.Query)
 	return b.Since(mark), b.Epoch()
 }

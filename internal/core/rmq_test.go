@@ -12,7 +12,9 @@ import (
 	"rmq/internal/cost"
 	"rmq/internal/costmodel"
 	"rmq/internal/opt"
+	"rmq/internal/plan"
 	"rmq/internal/quality"
+	"rmq/internal/randplan"
 	"rmq/internal/tableset"
 )
 
@@ -174,49 +176,103 @@ func TestRMQCacheGrowsAcrossIterations(t *testing.T) {
 	}
 }
 
-func TestRMQDisableCacheStillProducesFrontier(t *testing.T) {
-	p := testProblem(t, 8, 48)
-	r := New(Config{DisableCache: true})
-	r.Init(p, 5)
-	for i := 0; i < 20; i++ {
-		r.Step()
+// ablationRMQ is a sequential, test-only twin of RMQ for the ablation
+// benchmarks of Section 4.3: the same random plans, climb and frontier
+// approximation, with two design choices switchable. alpha, when
+// non-nil, replaces the DefaultAlpha schedule. noSharing approximates
+// every iteration's frontiers in a fresh cache, so no partial plans are
+// shared across iterations, while the full-query plans still enter the
+// persistent root bucket at the same α, which isolates the sharing
+// effect. The zero value is the production configuration;
+// TestAblationRMQMatchesRMQ holds it to RMQ plan for plan.
+type ablationRMQ struct {
+	alpha     func(iteration int) float64
+	noSharing bool
+
+	problem *opt.Problem
+	rng     *rand.Rand
+	climber *Climber
+	cache   *cache.Cache
+	iter    int
+}
+
+func (a *ablationRMQ) Init(p *opt.Problem, seed uint64) {
+	a.problem = p
+	a.rng = rand.New(rand.NewPCG(seed, 0x524d51)) // RMQ's seeding
+	a.climber = NewClimber(p.Model, ClimbConfig{})
+	a.cache = cache.New(p.Model.Interner())
+	a.iter = 0
+}
+
+func (a *ablationRMQ) Step() {
+	a.iter++
+	m := a.problem.Model
+	optPlan, _ := a.climber.Climb(randplan.Random(m, a.problem.Query, a.rng))
+	alpha := DefaultAlpha(a.iter)
+	if a.alpha != nil {
+		alpha = a.alpha(a.iter)
 	}
-	if len(r.Frontier()) == 0 {
-		t.Fatal("no frontier without cache sharing")
+	if !a.noSharing {
+		approximateFrontiers(m, optPlan, a.cache, alpha)
+		return
 	}
-	// Only the full-query bucket may persist: no partial-plan sharing.
-	if r.Cache().NumSets() > 1 {
-		t.Errorf("partial plans cached despite DisableCache: %d sets", r.Cache().NumSets())
+	scratch := cache.New(m.Interner())
+	approximateFull(m, optPlan, scratch, alpha)
+	for _, fp := range scratch.GetFor(optPlan) {
+		a.cache.Insert(fp, alpha)
 	}
 }
 
-func TestRMQDisableFrontierDegeneratesToII(t *testing.T) {
-	p := testProblem(t, 8, 49)
-	r := New(Config{DisableFrontier: true})
-	r.Init(p, 5)
-	for i := 0; i < 20; i++ {
+func (a *ablationRMQ) Frontier() []*plan.Plan { return a.cache.Get(a.problem.Query) }
+
+// TestAblationRMQMatchesRMQ pins the ablation benchmarks' baseline arm
+// to the production engine: with neither switch set, ablationRMQ must
+// hold the same cache as a pipelined RMQ, table set by table set and
+// plan for plan. Comparing completes RMQ's pending stage, so only every
+// third step is compared, leaving the helper goroutine the others.
+func TestAblationRMQMatchesRMQ(t *testing.T) {
+	p := testProblem(t, 14, 42)
+	r := New(Config{})
+	r.pipe = pipeAsync
+	r.Init(p, 9)
+	var a ablationRMQ
+	a.Init(testProblem(t, 14, 42), 9)
+	for i := 1; i <= 81; i++ {
 		r.Step()
+		a.Step()
+		if i%3 == 0 {
+			sameCaches(t, i, p.Model.Interner(), r.Cache(), a.cache)
+			sameFrontier(t, i, r.Frontier(), a.Frontier())
+		}
 	}
-	front := r.Frontier()
-	if len(front) == 0 {
-		t.Fatal("no frontier")
+}
+
+func TestRMQDisableCacheStillProducesFrontier(t *testing.T) {
+	p := testProblem(t, 8, 48)
+	a := ablationRMQ{noSharing: true}
+	a.Init(p, 5)
+	for i := 0; i < 20; i++ {
+		a.Step()
 	}
-	// Without frontier approximation at most one plan per iteration.
-	if len(front) > 20 {
-		t.Errorf("frontier larger than iteration count: %d", len(front))
+	if len(a.Frontier()) == 0 {
+		t.Fatal("no frontier without cache sharing")
+	}
+	// Only the full-query bucket may persist: no partial-plan sharing.
+	if a.cache.NumSets() > 1 {
+		t.Errorf("partial plans cached without sharing: %d sets", a.cache.NumSets())
 	}
 }
 
 func TestRMQCustomAlphaSchedule(t *testing.T) {
 	p := testProblem(t, 6, 50)
 	var seen []int
-	r := New(Config{Alpha: func(i int) float64 {
+	a := ablationRMQ{alpha: func(i int) float64 {
 		seen = append(seen, i)
 		return 2
-	}})
-	r.Init(p, 5)
-	r.Step()
-	r.Step()
+	}}
+	a.Init(p, 5)
+	a.Step()
+	a.Step()
 	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
 		t.Errorf("alpha schedule saw iterations %v", seen)
 	}
@@ -312,20 +368,20 @@ func BenchmarkRMQIteration50(b *testing.B) {
 // variants' results — the honest quality comparison for ablations (the
 // paper's design arguments are about quality per unit of optimization
 // time).
-func ablationAlpha(p *opt.Problem, budget time.Duration, cfgs []Config) []float64 {
-	fronts := make([][]cost.Vector, len(cfgs))
-	for i, cfg := range cfgs {
-		r := New(cfg)
-		r.Init(p, 7)
+func ablationAlpha(p *opt.Problem, budget time.Duration, variants []ablationRMQ) []float64 {
+	fronts := make([][]cost.Vector, len(variants))
+	for i := range variants {
+		a := &variants[i]
+		a.Init(p, 7)
 		start := time.Now()
 		for time.Since(start) < budget {
-			r.Step()
+			a.Step()
 		}
-		fronts[i] = opt.Costs(r.Frontier())
+		fronts[i] = opt.Costs(a.Frontier())
 	}
 	ref := quality.Union(fronts...)
-	alphas := make([]float64, len(cfgs))
-	for i := range cfgs {
+	alphas := make([]float64, len(variants))
+	for i := range variants {
 		alphas[i] = quality.Epsilon(fronts[i], ref)
 	}
 	return alphas
@@ -337,10 +393,9 @@ func ablationAlpha(p *opt.Problem, budget time.Duration, cfgs []Config) []float6
 // the union of both results (lower is better).
 func BenchmarkAblationCache(b *testing.B) {
 	p := testProblem(b, 20, 5)
-	cfgs := []Config{{}, {DisableCache: true}}
 	var alphas []float64
 	for i := 0; i < b.N; i++ {
-		alphas = ablationAlpha(p, 250*time.Millisecond, cfgs)
+		alphas = ablationAlpha(p, 250*time.Millisecond, []ablationRMQ{{}, {noSharing: true}})
 	}
 	b.ReportMetric(alphas[0], "alpha-shared-cache")
 	b.ReportMetric(alphas[1], "alpha-no-cache")
@@ -354,14 +409,13 @@ func BenchmarkAblationCache(b *testing.B) {
 // both — the Section 4.3 rationale.
 func BenchmarkAblationAlpha(b *testing.B) {
 	p := testProblem(b, 20, 6)
-	cfgs := []Config{
-		{},
-		{Alpha: func(int) float64 { return 25 }},
-		{Alpha: func(int) float64 { return 1.05 }},
-	}
 	var alphas []float64
 	for i := 0; i < b.N; i++ {
-		alphas = ablationAlpha(p, 250*time.Millisecond, cfgs)
+		alphas = ablationAlpha(p, 250*time.Millisecond, []ablationRMQ{
+			{},
+			{alpha: func(int) float64 { return 25 }},
+			{alpha: func(int) float64 { return 1.05 }},
+		})
 	}
 	b.ReportMetric(alphas[0], "alpha-paper-schedule")
 	b.ReportMetric(alphas[1], "alpha-fixed-coarse-25")

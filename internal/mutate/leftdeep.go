@@ -29,7 +29,9 @@ func (s Space) String() string {
 }
 
 // AppendIn is Append for a selectable plan space: mutations of p that
-// stay inside the space (assuming p itself is inside it).
+// stay inside the space (assuming p itself is inside it). The climber
+// calls it for the left-deep space only; bushy climbs run in place and
+// price Append's candidates in its order without materializing them.
 func AppendIn(space Space, m *costmodel.Model, p *plan.Plan, dst []*plan.Plan) []*plan.Plan {
 	if space == LeftDeep {
 		return appendLeftDeep(m, p, dst)

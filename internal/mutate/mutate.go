@@ -164,8 +164,9 @@ func replaceAt(m *costmodel.Model, p *plan.Plan, loc locator, sub *plan.Plan) *p
 // AllNeighbors returns every complete plan reachable from p by applying a
 // single local mutation at a single node (excluding plans identical to p
 // in structure and operators only when the mutation was the identity).
-// It is used by tests to verify local Pareto optimality and by the naive
-// climbing ablation.
+// No optimizer climbs with it. Tests use it to verify local Pareto
+// optimality, and the naive climbing ablation in internal/core's tests
+// (naiveClimber) scans it for the first strictly dominating neighbor.
 func AllNeighbors(m *costmodel.Model, p *plan.Plan) []*plan.Plan {
 	var out []*plan.Plan
 	locs := collectLocators(p, nil, nil)

@@ -9,7 +9,6 @@
 package opt
 
 import (
-	"rmq/internal/cache"
 	"rmq/internal/catalog"
 	"rmq/internal/cost"
 	"rmq/internal/costmodel"
@@ -114,13 +113,9 @@ type Factory struct {
 // vectors are not weakly dominated by another archived plan. Output data
 // representations are ignored: archive entries are final results for the
 // full query, compared on cost alone (the paper's result plan sets).
-// Plans are kept in admission order and admissions are stamped with a
-// monotone epoch, so the plans admitted since a mark form a suffix
-// (Since) — the building block of delta-based merging.
+// Plans are kept in admission order.
 type Archive struct {
-	plans  []*plan.Plan
-	epochs []uint64 // admission epoch per plan; ascending
-	epoch  uint64   // admissions ever
+	plans []*plan.Plan
 }
 
 // Add inserts p unless an archived plan weakly dominates it (which also
@@ -133,30 +128,17 @@ func (a *Archive) Add(p *plan.Plan) bool {
 		}
 	}
 	keep := a.plans[:0]
-	keepEp := a.epochs[:0]
-	for i, q := range a.plans {
+	for _, q := range a.plans {
 		if !p.Cost.Dominates(q.Cost) {
 			keep = append(keep, q)
-			keepEp = append(keepEp, a.epochs[i])
 		}
 	}
 	a.plans = append(keep, p)
-	a.epoch++
-	a.epochs = append(keepEp, a.epoch)
 	return true
 }
 
 // Plans returns the archived plans. Callers must not modify the slice.
 func (a *Archive) Plans() []*plan.Plan { return a.plans }
-
-// Since returns the archived plans admitted after mark (0 = everything)
-// together with the current mark for the next call. Plans evicted again
-// since their admission do not appear; see DeltaFrontier for why
-// dominance-based consumers lose nothing. Callers must not modify the
-// returned slice.
-func (a *Archive) Since(mark uint64) ([]*plan.Plan, uint64) {
-	return a.plans[cache.EpochSuffix(a.epochs, mark):], a.epoch
-}
 
 // Len returns the number of archived plans.
 func (a *Archive) Len() int { return len(a.plans) }
@@ -164,8 +146,6 @@ func (a *Archive) Len() int { return len(a.plans) }
 // Reset empties the archive.
 func (a *Archive) Reset() {
 	a.plans = a.plans[:0]
-	a.epochs = a.epochs[:0]
-	a.epoch = 0
 }
 
 // Costs extracts the cost vectors of a plan slice; the harness snapshots

@@ -195,9 +195,11 @@ func TestRunMergeEveryBatchesNotifications(t *testing.T) {
 	}
 }
 
-// deltaOpt wraps scriptedOpt with admission marks over an Archive, so
-// Run's delta merging path is exercised: FrontierDelta reports only the
-// plans admitted since the given mark.
+// deltaOpt wraps scriptedOpt with a non-dominated Archive as its
+// frontier and admission marks over the script, so Run's delta merging
+// path is exercised. The revealed script prefix is append-only, so a
+// mark is a prefix length and FrontierDelta reports the plans revealed
+// since it, including ones the archive has since evicted.
 type deltaOpt struct {
 	scriptedOpt
 	archive Archive
@@ -220,33 +222,9 @@ func (d *deltaOpt) Step() bool {
 func (d *deltaOpt) Frontier() []*plan.Plan { return d.archive.Plans() }
 
 func (d *deltaOpt) FrontierDelta(mark uint64) ([]*plan.Plan, uint64) {
-	plans, next := d.archive.Since(mark)
+	plans := d.script[mark:d.shown]
 	d.calls = append(d.calls, len(plans))
-	return plans, next
-}
-
-func TestArchiveSince(t *testing.T) {
-	var a Archive
-	a.Add(mk(5, 5))
-	plans, mark := a.Since(0)
-	if len(plans) != 1 || mark != 1 {
-		t.Fatalf("Since(0) = %d plans, mark %d", len(plans), mark)
-	}
-	a.Add(mk(1, 9))
-	a.Add(mk(9, 1))
-	plans, next := a.Since(mark)
-	if len(plans) != 2 || next != 3 {
-		t.Fatalf("Since(%d) = %d plans, mark %d", mark, len(plans), next)
-	}
-	// A dominating plan evicts but the epoch stays monotone.
-	a.Add(mk(0, 0))
-	plans, next = a.Since(next)
-	if len(plans) != 1 || !plans[0].Cost.Equal(cost.New(0, 0)) || next != 4 {
-		t.Fatalf("Since after eviction = %v (mark %d)", Costs(plans), next)
-	}
-	if plans, _ = a.Since(next); len(plans) != 0 {
-		t.Fatal("Since(current) not empty")
-	}
+	return plans, uint64(d.shown)
 }
 
 // fullOpt hides deltaOpt's FrontierDelta, so Run must take the

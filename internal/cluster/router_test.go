@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -216,7 +217,7 @@ func TestRouterClusterFailoverAndRepair(t *testing.T) {
 // optimize behavior is switchable at runtime.
 type stubNode struct {
 	ts         *httptest.Server
-	mode       atomic.Int32 // 0 = 200 ok, 1 = 404 catalog gone, 2 = 429 backpressure
+	mode       atomic.Int32 // 0 = 200 ok, 1 = 404 catalog gone, 2 = 429 backpressure, 3 = 500 failure
 	registered atomic.Int32
 	optimized  atomic.Int32
 }
@@ -245,6 +246,9 @@ func newStubNode(t *testing.T) *stubNode {
 			w.Header().Set("Retry-After", "3")
 			w.WriteHeader(http.StatusTooManyRequests)
 			fmt.Fprint(w, `{"error":"at capacity"}`)
+		case 3:
+			w.WriteHeader(http.StatusInternalServerError)
+			fmt.Fprint(w, `{"error":"worker panic"}`)
 		default:
 			fmt.Fprint(w, `{"plans":[{"costs":[1,2]}],"iterations":1}`)
 		}
@@ -340,6 +344,104 @@ func TestRouterDropsReplicaThatLostCatalog(t *testing.T) {
 	}
 	if rt.routeErrors.Load() == 0 {
 		t.Fatal("route error not counted")
+	}
+}
+
+// A 5xx is a failed node: the request fails over to the next replica,
+// the failover is counted, and the replica stays in the placement (the
+// node may recover; only a 404 proves the catalog gone).
+func TestRouter5xxFailsOverWithoutDropping(t *testing.T) {
+	a, b := newStubNode(t), newStubNode(t)
+	rt, rts := stubRouter(t, 2, a, b)
+	var info api.CatalogInfo
+	if code := postJSON(t, rts.URL, "/catalogs", genCatalog, &info); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	p := rt.placement(info.ID)
+	primaryStub, otherStub := a, b
+	if p.replicas[0].node == b.ts.URL {
+		primaryStub, otherStub = b, a
+	}
+	primaryStub.mode.Store(3)
+
+	if code := postJSON(t, rts.URL, "/optimize", fmt.Sprintf(`{"catalog":%q}`, info.ID), nil); code != http.StatusOK {
+		t.Fatalf("optimize: status %d, want the other replica's answer", code)
+	}
+	if otherStub.optimized.Load() != 1 {
+		t.Fatalf("other replica served %d requests, want 1", otherStub.optimized.Load())
+	}
+	if rt.failovers.Load() == 0 {
+		t.Fatal("failover not counted")
+	}
+	p.mu.Lock()
+	left := len(p.replicas)
+	p.mu.Unlock()
+	if left != 2 {
+		t.Fatalf("%d replicas left, want both kept: a 5xx is not a lost catalog", left)
+	}
+}
+
+// Streamed optimization passes through the router unbuffered: the
+// first progress event reaches the caller while the node is still
+// running the optimization, and the stream ends with the result. One
+// metric and three progress events keep the whole stream under the
+// 512 bytes net/http buffers before its first write, so a router that
+// did not flush per chunk would deliver nothing until the run ended.
+func TestRouterStreamsProgress(t *testing.T) {
+	tc := newTestCluster(t, 2, Config{Replication: 2})
+	var info api.CatalogInfo
+	if code := postJSON(t, tc.rts.URL, "/catalogs", genCatalog, &info); code != http.StatusCreated {
+		t.Fatalf("register via router: status %d", code)
+	}
+	resp, err := http.Post(tc.rts.URL+"/optimize", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"catalog":%q,"stream":true,"max_iterations":3000,"progress_every":1000,"metrics":["time"],"seed":3}`, info.ID)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("Content-Type %q, want text/event-stream", ct)
+	}
+	inFlight := func() int {
+		n := 0
+		for _, node := range tc.urls {
+			r, err := http.Get(node + "/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stats api.StatsResponse
+			err = json.NewDecoder(r.Body).Decode(&stats)
+			r.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += stats.InFlight
+		}
+		return n
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var events []string
+	for sc.Scan() {
+		ev, ok := strings.CutPrefix(sc.Text(), "event: ")
+		if !ok {
+			continue
+		}
+		if len(events) == 0 {
+			if ev != "progress" {
+				t.Fatalf("first event %q, want progress", ev)
+			}
+			if n := inFlight(); n != 1 {
+				t.Fatalf("first progress event arrived with %d optimizations in flight, want 1: the stream was buffered", n)
+			}
+		}
+		events = append(events, ev)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) < 2 || events[len(events)-1] != "result" {
+		t.Fatalf("events %v, want progress events then a final result", events)
 	}
 }
 

@@ -386,7 +386,7 @@ func (c *Client) attempt(ctx context.Context, httpc *http.Client, method, url st
 		}
 		return data, 0, nil
 	}
-	serr := &StatusError{Status: resp.StatusCode, Message: errorMessage(data)}
+	serr := &StatusError{Status: resp.StatusCode, Message: api.ErrorMessage(data)}
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		// Rejected at admission — nothing executed, always retryable.
@@ -442,16 +442,6 @@ func retryAfter(resp *http.Response) time.Duration {
 		}
 	}
 	return 0
-}
-
-// errorMessage extracts the server's JSON error body, falling back to
-// the raw text.
-func errorMessage(data []byte) string {
-	var er api.ErrorResponse
-	if err := json.Unmarshal(data, &er); err == nil && er.Error != "" {
-		return er.Error
-	}
-	return string(data)
 }
 
 // isDialError reports whether the transport failure happened before the

@@ -69,11 +69,7 @@ func main() {
 	logger := log.New(os.Stderr, "rmqd: ", log.LstdFlags)
 	// Arm fault injection before anything else runs: -faults wins over
 	// the RMQ_FAULTS environment variable when both are given.
-	faultSpec := *faults
-	if faultSpec == "" {
-		faultSpec = os.Getenv("RMQ_FAULTS")
-	}
-	if spec, err := faultinject.FromEnv(faultSpec); err != nil {
+	if spec, err := faultinject.Arm(*faults); err != nil {
 		logger.Fatalf("bad fault profile: %v", err)
 	} else if spec != "" {
 		logger.Printf("FAULT INJECTION ACTIVE: %s", spec)

@@ -54,11 +54,7 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "rmqrouter: ", log.LstdFlags)
-	faultSpec := *faults
-	if faultSpec == "" {
-		faultSpec = os.Getenv("RMQ_FAULTS")
-	}
-	if spec, err := faultinject.FromEnv(faultSpec); err != nil {
+	if spec, err := faultinject.Arm(*faults); err != nil {
 		logger.Fatalf("bad fault profile: %v", err)
 	} else if spec != "" {
 		logger.Printf("FAULT INJECTION ACTIVE: %s", spec)

@@ -1,11 +1,14 @@
-// Package api holds the wire types of rmqd's HTTP/JSON protocol.
+// Package api is the HTTP edge shared by rmqd, rmqrouter and the
+// client: the JSON wire types of the protocol and the helpers that
+// read and write them (bounded request decoding, JSON and error
+// responses, readiness answers, error-body parsing).
 //
-// The types live in their own package so both sides of the wire can
-// share them: internal/server marshals them, the client package (and
-// cmd/rmqload on top of it) unmarshals them, and an rmqd peer-fetching
-// another rmqd's snapshot uses both at once. Keeping them out of
-// internal/server breaks the import cycle server → client → server
-// that a server-side peer fetch would otherwise create.
+// The edge lives in its own package so every side of the wire shares
+// one copy: internal/server and internal/cluster serve it, the client
+// package (and cmd/rmqload on top of it) calls it, and an rmqd
+// peer-fetching another rmqd's snapshot does both at once. Keeping it
+// out of internal/server breaks the import cycle server → client →
+// server that a server-side peer fetch would otherwise create.
 package api
 
 // TableSpec is one base table of an explicit catalog registration.
@@ -68,6 +71,19 @@ type CatalogRequest struct {
 	// upgrade, not a registration dependency. Requires the server to
 	// allow outbound snapshot fetches.
 	ReplicateFrom []string `json:"replicate_from,omitempty"`
+}
+
+// Spec returns the registration without its one-shot warm-start
+// fields (Snapshot, SnapshotPath, SnapshotURL): the part worth keeping
+// once the catalog exists. Re-registering a spec — from a checkpoint
+// manifest, or as a router's replica — rebuilds the same catalog and
+// session settings, with warmth from the checkpoint's own snapshot or
+// from replication instead of a stale copy or a repeated fetch.
+// ReplicateFrom stays: a replica restored from a checkpoint must
+// resume pulling.
+func (req CatalogRequest) Spec() CatalogRequest {
+	req.Snapshot, req.SnapshotPath, req.SnapshotURL = nil, "", ""
+	return req
 }
 
 // CatalogInfo describes a registered catalog.

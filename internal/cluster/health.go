@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -30,8 +31,6 @@ type HealthConfig struct {
 	// UpAfter consecutive probe successes re-admit a demoted node.
 	// Default 3.
 	UpAfter int
-	// Timeout bounds one probe. Default half the interval.
-	Timeout time.Duration
 }
 
 // NodeStatus is one node's health row in the router's /stats.
@@ -78,9 +77,6 @@ func NewProber(nodes []string, cfg HealthConfig, logf func(string, ...any)) *Pro
 	if cfg.UpAfter <= 0 {
 		cfg.UpAfter = 3
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = cfg.Interval / 2
-	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -89,7 +85,8 @@ func NewProber(nodes []string, cfg HealthConfig, logf func(string, ...any)) *Pro
 		nodes: append([]string(nil), nodes...),
 		httpc: &http.Client{
 			Transport: faultinject.Transport("router.probe", nil),
-			Timeout:   cfg.Timeout,
+			// A probe slower than half the interval counts as failed.
+			Timeout: cfg.Interval / 2,
 		},
 		logf:  logf,
 		state: make(map[string]*nodeHealth, len(nodes)),
@@ -144,15 +141,9 @@ func (p *Prober) probe(ctx context.Context, node string) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return &probeStatusError{status: resp.StatusCode}
+		return errors.New(http.StatusText(resp.StatusCode) + " from /readyz")
 	}
 	return nil
-}
-
-type probeStatusError struct{ status int }
-
-func (e *probeStatusError) Error() string {
-	return http.StatusText(e.status) + " from /readyz"
 }
 
 // observe folds one probe result into the node's hysteresis state.

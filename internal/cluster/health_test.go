@@ -89,7 +89,7 @@ func TestProberHysteresis(t *testing.T) {
 func TestProberFirstResultAdoptsDown(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close()
-	p := NewProber([]string{dead.URL}, HealthConfig{Timeout: 200 * time.Millisecond}, t.Logf)
+	p := NewProber([]string{dead.URL}, HealthConfig{Interval: 400 * time.Millisecond}, t.Logf)
 	p.ProbeOnce(context.Background())
 	if p.Ready(dead.URL) {
 		t.Fatal("dead node reported ready after first probe")

@@ -4,10 +4,12 @@ package cluster
 // namespace: a registration hashes onto the ring, lands on a replica
 // set of Replication nodes (primary first), and the replicas register
 // with replicate_from pointing at the primary so cache deltas flow
-// continuously. Queries forward to the first ready replica and fail
-// over on transport errors and 5xx; 429 passes through untouched,
-// Retry-After included, because backpressure from a live node is an
-// answer, not a failure. A repair loop re-grows placements whose
+// continuously. Queries and snapshot fetches go through one forwarding
+// loop with one rule: a live node's reply is an answer and passes
+// through untouched (a frontier, a 429 with its Retry-After, a refused
+// request); only a failed node moves the request on — a transport
+// error or a 5xx fails over, and a 404 (the node lost the catalog)
+// drops the replica, then fails over. A repair loop re-grows placements whose
 // ready-replica count fell below the replication factor — the node
 // that died stays listed (it may come back warm), but a spare ready
 // node is seeded from the survivors so the catalog is N-way replicated
@@ -23,9 +25,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -47,8 +52,6 @@ type Config struct {
 	// RepairInterval is how often degraded placements are re-grown.
 	// Default 2s.
 	RepairInterval time.Duration
-	// Vnodes per node on the hash ring; 0 selects the default.
-	Vnodes int
 	// Logf, when non-nil, receives one line per notable event.
 	Logf func(format string, args ...any)
 }
@@ -78,8 +81,8 @@ type Router struct {
 	nextID     uint64
 }
 
-// placement is one cluster-level catalog: its sanitized spec and the
-// replicas holding it.
+// placement is one cluster-level catalog: its spec (the registration
+// without one-shot warm-start fields) and the replicas holding it.
 type placement struct {
 	id   string
 	name string
@@ -98,7 +101,8 @@ type replicaRef struct {
 type RouterStats struct {
 	Nodes      []NodeStatus      `json:"nodes"`
 	Placements []PlacementStatus `json:"placements"`
-	// Forwards counts routed requests; Failovers how many replica
+	// Forwards counts routed requests (optimizations and snapshot
+	// fetches); Failovers how many replica
 	// attempts failed and moved on; RouteErrors requests that exhausted
 	// every replica; Repairs replicas re-grown by the repair loop.
 	Forwards    uint64 `json:"forwards"`
@@ -144,7 +148,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:    cfg,
 		rf:     rf,
-		ring:   NewRing(cfg.Nodes, cfg.Vnodes),
+		ring:   NewRing(cfg.Nodes, 0),
 		prober: NewProber(cfg.Nodes, cfg.Health, cfg.Logf),
 		mux:    http.NewServeMux(),
 		httpc: &http.Client{
@@ -187,14 +191,11 @@ func (rt *Router) ProbeNow(ctx context.Context) {
 
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req api.CatalogRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad catalog request: %v", err)
+	if !api.DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.ReplicateFrom) > 0 {
-		writeError(w, http.StatusBadRequest, "replicate_from is owned by the router; register plain catalogs")
+		api.WriteError(w, http.StatusBadRequest, "replicate_from is owned by the router; register plain catalogs")
 		return
 	}
 	rt.mu.Lock()
@@ -203,19 +204,25 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Unlock()
 
 	want := rt.ring.PickN(id, rt.rf)
-	candidates := rt.readyFirst(want)
 
 	// Primary: the first candidate that accepts the registration. The
 	// primary may carry the caller's one-shot snapshot warm start;
-	// replicas get their warmth from replication instead.
+	// replicas get their warmth from replication instead. A 4xx is the
+	// caller's error — every node would refuse the same spec — so it
+	// passes through; only a failed node moves on to the next candidate.
 	var primary replicaRef
 	var primaryInfo api.CatalogInfo
 	var lastErr error
-	for _, node := range candidates {
+	for _, node := range readyFirst(rt.prober, want, func(n string) string { return n }) {
 		info, err := rt.registerOn(r.Context(), node, req)
+		var refused *nodeStatusError
+		if errors.As(err, &refused) && refused.status < 500 {
+			api.WriteError(w, refused.status, "%s", refused.msg)
+			return
+		}
 		if err != nil {
 			lastErr = err
-			rt.cfg.Logf("register %s: primary candidate %s refused: %v", id, node, err)
+			rt.cfg.Logf("register %s: primary candidate %s failed: %v", id, node, err)
 			continue
 		}
 		primary = replicaRef{node: node, localID: info.ID}
@@ -224,11 +231,11 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	if primary.node == "" {
 		rt.routeErrors.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "no node accepted the registration: %v", lastErr)
+		api.WriteError(w, http.StatusServiceUnavailable, "no node accepted the registration: %v", lastErr)
 		return
 	}
 
-	p := &placement{id: id, name: req.Name, spec: sanitizeSpec(req), replicas: []replicaRef{primary}}
+	p := &placement{id: id, name: req.Name, spec: req.Spec(), replicas: []replicaRef{primary}}
 	// Replicas: same spec, cold, continuously pulling from the primary.
 	// A refused or unreachable replica degrades the placement instead
 	// of failing the registration; the repair loop re-grows it.
@@ -260,18 +267,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 	info := primaryInfo
 	info.ID = id
-	writeJSON(w, http.StatusCreated, info)
-}
-
-// sanitizeSpec strips one-shot warm-start fields from the spec kept
-// for replica and repair registrations: replicas warm through
-// replication, and a stale snapshot would race it for nothing.
-func sanitizeSpec(req api.CatalogRequest) api.CatalogRequest {
-	req.Snapshot = nil
-	req.SnapshotPath = ""
-	req.SnapshotURL = ""
-	req.ReplicateFrom = nil
-	return req
+	api.WriteJSON(w, http.StatusCreated, info)
 }
 
 // catalogURL is the peer-visible URL of a replica's catalog.
@@ -279,56 +275,70 @@ func catalogURL(ref replicaRef) string {
 	return ref.node + "/catalogs/" + ref.localID
 }
 
+// nodeStatusError is a node's non-success answer to a registration.
+type nodeStatusError struct {
+	node   string
+	status int
+	msg    string
+}
+
+func (e *nodeStatusError) Error() string {
+	return fmt.Sprintf("%s answered %d: %s", e.node, e.status, e.msg)
+}
+
 // registerOn registers a catalog on one node.
 func (rt *Router) registerOn(ctx context.Context, node string, req api.CatalogRequest) (api.CatalogInfo, error) {
-	body, err := json.Marshal(req)
+	var info api.CatalogInfo
+	hreq, err := jsonRequest(ctx, node+"/catalogs", req)
 	if err != nil {
-		return api.CatalogInfo{}, err
+		return info, err
 	}
-	resp, err := rt.post(ctx, node+"/catalogs", body)
+	resp, err := rt.httpc.Do(hreq)
 	if err != nil {
-		return api.CatalogInfo{}, err
+		return info, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return api.CatalogInfo{}, err
+		return info, err
 	}
 	if resp.StatusCode != http.StatusCreated {
-		return api.CatalogInfo{}, fmt.Errorf("%s answered %d: %s", node, resp.StatusCode, errorMessage(data))
+		return info, &nodeStatusError{node: node, status: resp.StatusCode, msg: api.ErrorMessage(data)}
 	}
-	var info api.CatalogInfo
-	if err := json.Unmarshal(data, &info); err != nil {
-		return api.CatalogInfo{}, err
-	}
-	return info, nil
+	return info, json.Unmarshal(data, &info)
 }
 
-func (rt *Router) post(ctx context.Context, url string, body []byte) (*http.Response, error) {
+// jsonRequest builds a POST request carrying v as its JSON body.
+func jsonRequest(ctx context.Context, url string, v any) (*http.Request, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return rt.httpc.Do(req)
+	return req, nil
 }
 
-// readyFirst orders nodes with the ready ones in front, preserving
-// relative (ring) order within each group, so the primary lands on a
-// node that can serve now whenever one exists.
-func (rt *Router) readyFirst(nodes []string) []string {
-	out := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		if rt.prober.Ready(n) {
-			out = append(out, n)
+// readyFirst orders items with those on ready nodes in front,
+// preserving relative order within each group: a registration's
+// primary lands on a node that can serve now whenever one exists, and
+// a request tries ready replicas (primary first among them) before the
+// rest. The rest stay as a last resort — hysteresis can lag a
+// recovery, and a request with no better option should try rather
+// than fail.
+func readyFirst[T any](prober *Prober, items []T, node func(T) string) []T {
+	var ready, rest []T
+	for _, it := range items {
+		if prober.Ready(node(it)) {
+			ready = append(ready, it)
+		} else {
+			rest = append(rest, it)
 		}
 	}
-	for _, n := range nodes {
-		if !rt.prober.Ready(n) {
-			out = append(out, n)
-		}
-	}
-	return out
+	return append(ready, rest...)
 }
 
 // --- forwarding ---
@@ -339,26 +349,11 @@ func (rt *Router) placement(id string) *placement {
 	return rt.placements[id]
 }
 
-// candidates orders a placement's replicas for a request: ready nodes
-// first (primary first among them), then the rest as a last resort —
-// hysteresis can lag a recovery, and a request with no better option
-// should try rather than fail.
-func (p *placement) candidates(prober *Prober) []replicaRef {
+// refs snapshots the placement's replicas, primary first.
+func (p *placement) refs() []replicaRef {
 	p.mu.Lock()
-	refs := append([]replicaRef(nil), p.replicas...)
-	p.mu.Unlock()
-	out := make([]replicaRef, 0, len(refs))
-	for _, ref := range refs {
-		if prober.Ready(ref.node) {
-			out = append(out, ref)
-		}
-	}
-	for _, ref := range refs {
-		if !prober.Ready(ref.node) {
-			out = append(out, ref)
-		}
-	}
-	return out
+	defer p.mu.Unlock()
+	return append([]replicaRef(nil), p.replicas...)
 }
 
 // dropReplica removes a replica that provably no longer holds the
@@ -378,58 +373,18 @@ func (rt *Router) dropReplica(p *placement, ref replicaRef) {
 
 func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req api.OptimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad optimize request: %v", err)
+	if !api.DecodeBody(w, r, &req) {
 		return
 	}
 	p := rt.placement(req.Catalog)
 	if p == nil {
-		writeError(w, http.StatusNotFound, "unknown catalog %q", req.Catalog)
+		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", req.Catalog)
 		return
 	}
-	rt.forwards.Add(1)
-	var lastErr error
-	for _, ref := range p.candidates(rt.prober) {
+	rt.forward(w, r, p, func(ref replicaRef) (*http.Request, error) {
 		req.Catalog = ref.localID
-		body, err := json.Marshal(&req)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		resp, err := rt.post(r.Context(), ref.node+"/optimize", body)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return // caller gone; nothing to answer
-			}
-			lastErr = err
-			rt.failovers.Add(1)
-			continue
-		}
-		switch {
-		case resp.StatusCode == http.StatusNotFound:
-			// The node is alive but no longer holds the catalog: a
-			// restart without persistence. Not a client error — drop the
-			// replica and fail over.
-			drainClose(resp)
-			rt.dropReplica(p, ref)
-			lastErr = fmt.Errorf("%s lost the catalog", ref.node)
-			rt.failovers.Add(1)
-			continue
-		case resp.StatusCode >= 500:
-			data, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-			resp.Body.Close()
-			lastErr = fmt.Errorf("%s answered %d: %s", ref.node, resp.StatusCode, errorMessage(data))
-			rt.failovers.Add(1)
-			continue
-		}
-		// 2xx, 429 (Retry-After intact) and client errors pass through.
-		copyResponse(w, resp)
-		return
-	}
-	rt.routeErrors.Add(1)
-	writeError(w, http.StatusServiceUnavailable, "no replica of %q reachable: %v", p.id, lastErr)
+		return jsonRequest(r.Context(), ref.node+"/optimize", &req)
+	})
 }
 
 // handleSnapshot forwards a snapshot fetch to the first replica that
@@ -438,30 +393,53 @@ func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	p := rt.placement(id)
 	if p == nil {
-		writeError(w, http.StatusNotFound, "unknown catalog %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", id)
 		return
 	}
-	for _, ref := range p.candidates(rt.prober) {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, catalogURL(ref)+"/snapshot", nil)
+	rt.forward(w, r, p, func(ref replicaRef) (*http.Request, error) {
+		return http.NewRequestWithContext(r.Context(), http.MethodGet, catalogURL(ref)+"/snapshot", nil)
+	})
+}
+
+// forward sends a request to the placement's replicas, ready ones
+// first, and passes the first live answer through: 2xx, 429 with its
+// Retry-After, and other 4xx are a node's reply, not a node's failure.
+// A transport error or a 5xx fails over to the next replica; a 404
+// means the node restarted without persistence and lost the catalog,
+// so the replica is dropped (the repair loop re-grows the placement)
+// and the request fails over. build makes the request for one replica.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, p *placement, build func(replicaRef) (*http.Request, error)) {
+	rt.forwards.Add(1)
+	lastErr := errors.New("no replicas left")
+	for _, ref := range readyFirst(rt.prober, p.refs(), func(ref replicaRef) string { return ref.node }) {
+		req, err := build(ref)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			api.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		resp, err := rt.httpc.Do(req)
-		if err != nil {
-			rt.failovers.Add(1)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
+		switch {
+		case err != nil:
+			if r.Context().Err() != nil {
+				return // caller gone; nothing to answer
+			}
+			lastErr = err
+		case resp.StatusCode == http.StatusNotFound:
 			drainClose(resp)
-			rt.failovers.Add(1)
-			continue
+			rt.dropReplica(p, ref)
+			lastErr = fmt.Errorf("%s lost the catalog", ref.node)
+		case resp.StatusCode >= 500:
+			data, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10)) // best effort: the status already fails over
+			resp.Body.Close()
+			lastErr = fmt.Errorf("%s answered %d: %s", ref.node, resp.StatusCode, api.ErrorMessage(data))
+		default:
+			copyResponse(w, resp)
+			return
 		}
-		copyResponse(w, resp)
-		return
+		rt.failovers.Add(1)
 	}
 	rt.routeErrors.Add(1)
-	writeError(w, http.StatusServiceUnavailable, "no replica of %q reachable", id)
+	api.WriteError(w, http.StatusServiceUnavailable, "no replica of %q reachable: %v", p.id, lastErr)
 }
 
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -471,16 +449,13 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	delete(rt.placements, id)
 	rt.mu.Unlock()
 	if p == nil {
-		writeError(w, http.StatusNotFound, "unknown catalog %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", id)
 		return
 	}
 	// Best effort on every replica: a down node cannot resurrect the
 	// catalog later (nodes do not gossip), so a failed delete only
 	// leaks a local session until that node restarts.
-	p.mu.Lock()
-	refs := append([]replicaRef(nil), p.replicas...)
-	p.mu.Unlock()
-	for _, ref := range refs {
+	for _, ref := range p.refs() {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodDelete, catalogURL(ref), nil)
 		if err != nil {
 			continue
@@ -493,17 +468,19 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	rt.mu.Lock()
-	ps := make([]*placement, 0, len(rt.placements))
-	for _, p := range rt.placements {
-		ps = append(ps, p)
-	}
-	rt.mu.Unlock()
+	ps := rt.allPlacements()
 	out := make([]api.CatalogInfo, 0, len(ps))
 	for _, p := range ps {
 		out = append(out, api.CatalogInfo{ID: p.id, Name: p.name})
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
+}
+
+// allPlacements snapshots the registered placements.
+func (rt *Router) allPlacements() []*placement {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return slices.Collect(maps.Values(rt.placements))
 }
 
 // --- repair ---
@@ -526,13 +503,7 @@ func (rt *Router) repairLoop(ctx context.Context) {
 // surviving ones. Exported for deterministic tests; the repair loop
 // calls it on a timer.
 func (rt *Router) RepairOnce(ctx context.Context) {
-	rt.mu.Lock()
-	ps := make([]*placement, 0, len(rt.placements))
-	for _, p := range rt.placements {
-		ps = append(ps, p)
-	}
-	rt.mu.Unlock()
-	for _, p := range ps {
+	for _, p := range rt.allPlacements() {
 		if ctx.Err() != nil {
 			return
 		}
@@ -585,36 +556,24 @@ func (rt *Router) repairPlacement(ctx context.Context, p *placement) {
 // --- health and stats ---
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
 // handleReadyz: the router can do useful work once it has probed the
 // cluster at least once and some node is ready to take traffic.
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if rt.prober.Rounds() == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "unready", "reasons": []string{"no probe round completed"},
-		})
-		return
+	var reasons []string
+	switch {
+	case rt.prober.Rounds() == 0:
+		reasons = []string{"no probe round completed"}
+	case !slices.ContainsFunc(rt.cfg.Nodes, rt.prober.Ready):
+		reasons = []string{"no backend node is ready"}
 	}
-	for _, node := range rt.cfg.Nodes {
-		if rt.prober.Ready(node) {
-			writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
-			return
-		}
-	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"status": "unready", "reasons": []string{"no backend node is ready"},
-	})
+	api.WriteReady(w, reasons)
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	rt.mu.Lock()
-	ps := make([]*placement, 0, len(rt.placements))
-	for _, p := range rt.placements {
-		ps = append(ps, p)
-	}
-	rt.mu.Unlock()
+	ps := rt.allPlacements()
 	stats := RouterStats{
 		Nodes:       rt.prober.Status(),
 		Placements:  make([]PlacementStatus, 0, len(ps)),
@@ -641,7 +600,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		stats.Placements = append(stats.Placements, row)
 	}
-	writeJSON(w, http.StatusOK, stats)
+	api.WriteJSON(w, http.StatusOK, stats)
 }
 
 // --- small helpers ---
@@ -679,22 +638,4 @@ func (f flushWriter) Write(p []byte) (int, error) {
 func drainClose(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
 	resp.Body.Close()
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-func errorMessage(data []byte) string {
-	var er api.ErrorResponse
-	if err := json.Unmarshal(data, &er); err == nil && er.Error != "" {
-		return er.Error
-	}
-	return string(data)
 }

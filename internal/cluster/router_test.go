@@ -236,6 +236,14 @@ func newStubNode(t *testing.T) *stubNode {
 	mux.HandleFunc("DELETE /catalogs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})
+	mux.HandleFunc("GET /catalogs/{id}/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		if s.mode.Load() == 1 {
+			w.WriteHeader(http.StatusNotFound)
+			fmt.Fprint(w, `{"error":"unknown catalog"}`)
+			return
+		}
+		fmt.Fprint(w, "snapshot of "+r.PathValue("id"))
+	})
 	mux.HandleFunc("POST /optimize", func(w http.ResponseWriter, r *http.Request) {
 		s.optimized.Add(1)
 		switch s.mode.Load() {
@@ -442,6 +450,101 @@ func TestRouterStreamsProgress(t *testing.T) {
 	}
 	if len(events) < 2 || events[len(events)-1] != "result" {
 		t.Fatalf("events %v, want progress events then a final result", events)
+	}
+}
+
+// A 404 on a forwarded snapshot fetch means the node lost the catalog,
+// exactly as on /optimize: the replica is dropped and the fetch fails
+// over, and once no replica is left the 503 names the cause.
+func TestRouterSnapshot404DropsReplica(t *testing.T) {
+	a, b := newStubNode(t), newStubNode(t)
+	rt, rts := stubRouter(t, 2, a, b)
+	var info api.CatalogInfo
+	if code := postJSON(t, rts.URL, "/catalogs", genCatalog, &info); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	p := rt.placement(info.ID)
+	primaryStub, otherStub := a, b
+	if p.replicas[0].node == b.ts.URL {
+		primaryStub, otherStub = b, a
+	}
+	fetch := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get(rts.URL + "/catalogs/" + info.ID + "/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(data)
+	}
+	replicas := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.replicas)
+	}
+
+	primaryStub.mode.Store(1)
+	if code, body := fetch(); code != http.StatusOK || !strings.HasPrefix(body, "snapshot of ") {
+		t.Fatalf("snapshot: status %d body %q, want the other replica's snapshot", code, body)
+	}
+	if n := replicas(); n != 1 {
+		t.Fatalf("%d replicas left, want the amnesiac one dropped", n)
+	}
+
+	otherStub.mode.Store(1)
+	code, body := fetch()
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, "lost the catalog") {
+		t.Fatalf("snapshot with every replica gone: status %d body %q, want 503 naming the lost catalog", code, body)
+	}
+	if n := replicas(); n != 0 {
+		t.Fatalf("%d replicas left, want none", n)
+	}
+	if got := rt.failovers.Load(); got != 2 {
+		t.Fatalf("failovers %d, want 2", got)
+	}
+}
+
+// A registration the spec itself makes invalid is the caller's error:
+// the first node's 400 passes through with its message, and no further
+// node is tried.
+func TestRouterRegisterPassesThroughClientErrors(t *testing.T) {
+	var registrations atomic.Int32
+	var nodes []string
+	for i := 0; i < 2; i++ {
+		node := server.New(server.Config{AllowSnapshotFetch: true})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/catalogs" {
+				registrations.Add(1)
+			}
+			node.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		nodes = append(nodes, ts.URL)
+	}
+	rt, err := NewRouter(Config{Nodes: nodes, Replication: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.ProbeNow(context.Background())
+	rts := httptest.NewServer(rt)
+	t.Cleanup(rts.Close)
+
+	var er api.ErrorResponse
+	if code := postJSON(t, rts.URL, "/catalogs", `{"generate":{"tables":0}}`, &er); code != http.StatusBadRequest {
+		t.Fatalf("invalid registration: status %d (%q), want the node's 400", code, er.Error)
+	}
+	if !strings.Contains(er.Error, "generate.tables must be in [1, 128]") {
+		t.Fatalf("error %q, want the node's message", er.Error)
+	}
+	if n := registrations.Load(); n != 1 {
+		t.Fatalf("%d nodes tried, want 1: every node refuses the same spec", n)
+	}
+	if rt.routeErrors.Load() != 0 || len(rt.allPlacements()) != 0 {
+		t.Fatal("a refused registration counted as a route error or left a placement")
 	}
 }
 

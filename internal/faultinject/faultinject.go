@@ -30,9 +30,10 @@
 //	replica.pull=slow-peer:100ms@0.5        congest half the pulls
 //	seed=7                                  seed of the firing pattern
 //
-// Profiles activate via the RMQ_FAULTS environment variable (read by
-// FromEnv, which cmd/rmqd calls at startup), the rmqd -faults flag, or
-// programmatically via Enable in tests.
+// Profiles activate via the -faults flag of rmqd and rmqrouter, the
+// RMQ_FAULTS environment variable when the flag is empty (both read by
+// Arm, which the two commands call at startup), or programmatically via
+// Enable in tests.
 //
 // # Determinism
 //
@@ -55,6 +56,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -427,12 +429,17 @@ func parseSite(entry string, seed uint64) (*site, error) {
 	return s, nil
 }
 
-// FromEnv activates the profile named by the RMQ_FAULTS environment
-// variable, if any, and returns its spec ("" when unset). cmd/rmqd
-// calls it at startup so chaos jobs can arm a daemon without touching
-// its command line.
-func FromEnv(env string) (string, error) {
-	p, err := Parse(env)
+// Arm activates the fault profile spec, or the one in the RMQ_FAULTS
+// environment variable when spec is empty, and returns the active
+// profile's spec ("" when neither names one). cmd/rmqd and
+// cmd/rmqrouter call it at startup with their -faults flag, so chaos
+// jobs can arm a process through either its command line or its
+// environment.
+func Arm(spec string) (string, error) {
+	if spec == "" {
+		spec = os.Getenv("RMQ_FAULTS")
+	}
+	p, err := Parse(spec)
 	if err != nil {
 		return "", err
 	}

@@ -279,17 +279,28 @@ func TestFSWrappers(t *testing.T) {
 
 func TestFromEnv(t *testing.T) {
 	t.Cleanup(Disable)
-	spec, err := FromEnv("x=error;seed=2")
+	t.Setenv("RMQ_FAULTS", "")
+	spec, err := Arm("x=error;seed=2")
 	if err != nil || spec == "" || !Enabled() {
-		t.Fatalf("FromEnv: spec %q err %v enabled %v", spec, err, Enabled())
+		t.Fatalf("Arm: spec %q err %v enabled %v", spec, err, Enabled())
 	}
 	Disable()
-	spec, err = FromEnv("")
+	spec, err = Arm("")
 	if err != nil || spec != "" || Enabled() {
-		t.Fatalf("empty FromEnv: spec %q err %v enabled %v", spec, err, Enabled())
+		t.Fatalf("empty Arm, empty env: spec %q err %v enabled %v", spec, err, Enabled())
 	}
-	if _, err := FromEnv("garbage"); err == nil {
-		t.Fatal("bad env spec accepted")
+	t.Setenv("RMQ_FAULTS", "y=error;seed=3")
+	spec, err = Arm("")
+	if err != nil || spec != "y=error;seed=3" || !Enabled() {
+		t.Fatalf("empty Arm reads RMQ_FAULTS: spec %q err %v enabled %v", spec, err, Enabled())
+	}
+	Disable()
+	if spec, err = Arm("x=error"); err != nil || spec != "x=error" {
+		t.Fatalf("a given spec wins over RMQ_FAULTS: spec %q err %v", spec, err)
+	}
+	Disable()
+	if _, err := Arm("garbage"); err == nil {
+		t.Fatal("bad spec accepted")
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"rmq/internal/api"
 )
 
 // benchPost issues one /optimize request and fails the benchmark on any
@@ -18,7 +20,7 @@ func benchPost(b *testing.B, ts *httptest.Server, body string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var or OptimizeResponse
+	var or api.OptimizeResponse
 	err = json.NewDecoder(resp.Body).Decode(&or)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -65,7 +67,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var info CatalogInfo
+		var info api.CatalogInfo
 		err = json.NewDecoder(resp.Body).Decode(&info)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusCreated {

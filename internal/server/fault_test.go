@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rmq/internal/api"
 	"rmq/internal/faultinject"
 )
 
@@ -37,7 +38,7 @@ func TestServerRecoversHandlerPanic(t *testing.T) {
 	arm(t, "server.optimize=panic#1")
 
 	body := fmt.Sprintf(`{"catalog":%q,"max_iterations":50,"seed":1}`, id)
-	var er errorResponse
+	var er api.ErrorResponse
 	if code := post(t, ts, "/optimize", body, &er); code != http.StatusInternalServerError {
 		t.Fatalf("panicking handler answered %d, want 500", code)
 	}
@@ -46,13 +47,13 @@ func TestServerRecoversHandlerPanic(t *testing.T) {
 	}
 
 	// The panic was contained: the same server serves the next request.
-	var resp OptimizeResponse
+	var resp api.OptimizeResponse
 	if code := post(t, ts, "/optimize", body, &resp); code != http.StatusOK {
 		t.Fatalf("request after contained panic: status %d", code)
 	}
 	checkFrontier(t, &resp)
 
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts, "/stats", &stats)
 	if stats.Panics != 1 {
 		t.Errorf("stats.Panics = %d, want 1", stats.Panics)
@@ -236,7 +237,7 @@ func TestServerCrashConsistentRecovery(t *testing.T) {
 			if got := cachePlans(t, ts2, id); got != goodPlans {
 				t.Errorf("restored %d plans, want the last-good generation's %d", got, goodPlans)
 			}
-			var stats StatsResponse
+			var stats api.StatsResponse
 			getJSON(t, ts2, "/stats", &stats)
 			if tc.wantQuarantine {
 				if len(stats.Quarantined) == 0 {
@@ -255,7 +256,7 @@ func TestServerCrashConsistentRecovery(t *testing.T) {
 
 			// The restored catalog serves, and a repeat checkpoint heals
 			// the directory (no error once faults are gone).
-			var resp OptimizeResponse
+			var resp api.OptimizeResponse
 			if code := post(t, ts2, "/optimize",
 				fmt.Sprintf(`{"catalog":%q,"max_iterations":50,"seed":3}`, id), &resp); code != http.StatusOK {
 				t.Fatalf("optimize after recovery: status %d", code)
@@ -278,7 +279,7 @@ func TestServerCacheBudgetSheds(t *testing.T) {
 
 	// Budget enforcement runs after the handler; poll /stats for it.
 	deadline := time.Now().Add(5 * time.Second)
-	var stats StatsResponse
+	var stats api.StatsResponse
 	for {
 		getJSON(t, ts, "/stats", &stats)
 		if stats.ShedEvents > 0 || time.Now().After(deadline) {
@@ -292,7 +293,7 @@ func TestServerCacheBudgetSheds(t *testing.T) {
 	if stats.MaxCacheBytes != 1 {
 		t.Errorf("stats.MaxCacheBytes = %d", stats.MaxCacheBytes)
 	}
-	var cat *CatalogStats
+	var cat *api.CatalogStats
 	for i := range stats.Catalogs {
 		if stats.Catalogs[i].ID == id {
 			cat = &stats.Catalogs[i]
@@ -309,7 +310,7 @@ func TestServerCacheBudgetSheds(t *testing.T) {
 	}
 
 	// Shedding degraded detail, not correctness.
-	var resp OptimizeResponse
+	var resp api.OptimizeResponse
 	if code := post(t, ts, "/optimize",
 		fmt.Sprintf(`{"catalog":%q,"max_iterations":100,"seed":4}`, id), &resp); code != http.StatusOK {
 		t.Fatalf("optimize after shed: status %d", code)
@@ -327,7 +328,8 @@ func TestServerSnapshotURLRegistration(t *testing.T) {
 	donorPlans := cachePlans(t, donor, id)
 	snapURL := donor.URL + "/catalogs/" + id + "/snapshot"
 
-	_, replica := testServer(t, Config{AllowSnapshotFetch: true})
+	dir := t.TempDir()
+	replicaSrv, replica := testServer(t, Config{AllowSnapshotFetch: true, SnapshotDir: dir})
 	body, err := json.Marshal(map[string]any{
 		"generate":     map[string]any{"tables": 14, "graph": "chain", "seed": 21},
 		"snapshot_url": snapURL,
@@ -338,6 +340,18 @@ func TestServerSnapshotURLRegistration(t *testing.T) {
 	rid := register(t, replica, string(body))
 	if got := cachePlans(t, replica, rid); got != donorPlans {
 		t.Fatalf("URL-registered catalog starts with %d plans, donor had %d", got, donorPlans)
+	}
+	// The fetch is one-shot: the checkpoint manifest keeps the catalog,
+	// not the URL it was warmed from.
+	if err := replicaSrv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(dir, rid+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(manifest), "snapshot_url") {
+		t.Fatalf("checkpoint manifest keeps the one-shot snapshot_url: %s", manifest)
 	}
 
 	// Off by default: the fetch is an outbound request to a

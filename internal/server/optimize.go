@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rmq"
+	"rmq/internal/api"
 	"rmq/internal/faultinject"
 )
 
@@ -19,14 +20,13 @@ import (
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// Decode and validate before admission: a slow or malformed upload
 	// must not hold an in-flight slot while no optimization runs.
-	var req OptimizeRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad optimize request: %v", err)
+	var req api.OptimizeRequest
+	if !api.DecodeBody(w, r, &req) {
 		return
 	}
 	entry := s.catalog(req.Catalog)
 	if entry == nil {
-		writeError(w, http.StatusNotFound, "unknown catalog %q", req.Catalog)
+		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", req.Catalog)
 		return
 	}
 	// Retention is an assertion against the catalog's registered value,
@@ -35,7 +35,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// retention on the creation path would silently override the
 	// registration instead of being validated against it.
 	if req.Retention > 0 && req.Retention != entry.retention {
-		writeError(w, http.StatusConflict,
+		api.WriteError(w, http.StatusConflict,
 			"%v: request asserts α = %v, catalog %s was registered with α = %v",
 			rmq.ErrRetentionMismatch, req.Retention, entry.id, entry.retention)
 		return
@@ -43,7 +43,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	opts, err := s.requestOptions(&req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -58,7 +58,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterHint()))
-		writeError(w, http.StatusTooManyRequests,
+		api.WriteError(w, http.StatusTooManyRequests,
 			"server at capacity (%d requests in flight)", cap(s.sem))
 		return
 	}
@@ -68,7 +68,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// exercises the recovery boundary. Compiled to one atomic load when
 	// no profile is active.
 	if err := faultinject.Check("server.optimize"); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		api.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	// Feed the observed service time into the Retry-After EWMA and, when
@@ -103,15 +103,15 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	f, err := entry.sess.Optimize(ctx, opts...)
 	if err != nil {
-		writeError(w, errStatus(err), "%v", err)
+		api.WriteError(w, errStatus(err), "%v", err)
 		return
 	}
 	s.served.Add(1)
-	writeJSON(w, http.StatusOK, s.response(ctx, entry, &req, f))
+	api.WriteJSON(w, http.StatusOK, s.response(ctx, entry, &req, f))
 }
 
 // requestOptions maps the wire request to functional options.
-func (s *Server) requestOptions(req *OptimizeRequest) ([]rmq.Option, error) {
+func (s *Server) requestOptions(req *api.OptimizeRequest) ([]rmq.Option, error) {
 	var opts []rmq.Option
 	if len(req.Metrics) > 0 {
 		metrics, err := parseMetrics(req.Metrics)
@@ -145,24 +145,24 @@ func (s *Server) requestOptions(req *OptimizeRequest) ([]rmq.Option, error) {
 }
 
 // response converts a frontier to the wire form.
-func (s *Server) response(ctx context.Context, entry *catalogEntry, req *OptimizeRequest, f *rmq.Frontier) OptimizeResponse {
-	plans := make([]PlanJSON, len(f.Plans))
+func (s *Server) response(ctx context.Context, entry *catalogEntry, req *api.OptimizeRequest, f *rmq.Frontier) api.OptimizeResponse {
+	plans := make([]api.PlanJSON, len(f.Plans))
 	for i, p := range f.Plans {
-		pj := PlanJSON{Cost: costSlice(p)}
+		pj := api.PlanJSON{Cost: costSlice(p)}
 		if req.IncludePlans {
 			pj.Tree = p.String()
 		}
 		plans[i] = pj
 	}
 	cs := entry.sess.CacheStats()
-	return OptimizeResponse{
+	return api.OptimizeResponse{
 		Catalog:         entry.id,
 		Metrics:         metricNames(f.Metrics),
 		Plans:           plans,
 		Iterations:      f.Iterations,
 		ElapsedMS:       float64(f.Elapsed) / float64(time.Millisecond),
 		DeadlineExpired: ctx.Err() != nil,
-		Cache:           CacheStatsJSON{Sets: cs.Sets, Plans: cs.Plans},
+		Cache:           api.CacheStatsJSON{Sets: cs.Sets, Plans: cs.Plans},
 	}
 }
 
@@ -203,10 +203,10 @@ func (sw *sseWriter) event(name string, v any) {
 // streamOptimize runs the request with a progress observer writing SSE
 // events. Progress callbacks are serialized by the optimizer and happen
 // strictly before Optimize returns, so the writes need no extra lock.
-func (s *Server) streamOptimize(ctx context.Context, w http.ResponseWriter, entry *catalogEntry, req *OptimizeRequest, opts []rmq.Option) {
+func (s *Server) streamOptimize(ctx context.Context, w http.ResponseWriter, entry *catalogEntry, req *api.OptimizeRequest, opts []rmq.Option) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusBadRequest, "streaming unsupported by this connection")
+		api.WriteError(w, http.StatusBadRequest, "streaming unsupported by this connection")
 		return
 	}
 	sw := &sseWriter{w: w, fl: fl}
@@ -215,7 +215,7 @@ func (s *Server) streamOptimize(ctx context.Context, w http.ResponseWriter, entr
 		every = 64
 	}
 	opts = append(opts, rmq.WithProgress(every, func(p rmq.Progress) {
-		ev := ProgressEvent{
+		ev := api.ProgressEvent{
 			Iterations: p.Iterations,
 			ElapsedMS:  float64(p.Elapsed) / float64(time.Millisecond),
 			Plans:      len(p.Plans),
@@ -229,9 +229,9 @@ func (s *Server) streamOptimize(ctx context.Context, w http.ResponseWriter, entr
 	f, err := entry.sess.Optimize(ctx, opts...)
 	if err != nil {
 		if sw.started {
-			sw.event("error", errorResponse{Error: err.Error()})
+			sw.event("error", api.ErrorResponse{Error: err.Error()})
 		} else {
-			writeError(w, errStatus(err), "%v", err)
+			api.WriteError(w, errStatus(err), "%v", err)
 		}
 		return
 	}

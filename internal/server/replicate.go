@@ -137,24 +137,24 @@ func (s *Server) handleGetDeltas(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e := s.catalog(id)
 	if e == nil {
-		writeError(w, http.StatusNotFound, "unknown catalog %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", id)
 		return
 	}
 	var since map[string]uint64
 	if q := r.URL.Query().Get("since"); q != "" {
 		inst, cursors, err := parseSince(q)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			api.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if inst != e.instance {
-			writeError(w, http.StatusGone, "cursors are for instance %016x, this is %016x: pull from zero", inst, e.instance)
+			api.WriteError(w, http.StatusGone, "cursors are for instance %016x, this is %016x: pull from zero", inst, e.instance)
 			return
 		}
 		watermarks := e.sess.DeltaCursors()
 		for tag, seq := range cursors {
 			if seq > watermarks[tag] {
-				writeError(w, http.StatusGone, "cursor %d is beyond this instance's history (%d): pull from zero", seq, watermarks[tag])
+				api.WriteError(w, http.StatusGone, "cursor %d is beyond this instance's history (%d): pull from zero", seq, watermarks[tag])
 				return
 			}
 		}
@@ -162,7 +162,7 @@ func (s *Server) handleGetDeltas(w http.ResponseWriter, r *http.Request) {
 	}
 	data, _, err := e.sess.EncodeDeltas(e.instance, since)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding deltas: %v", err)
+		api.WriteError(w, http.StatusInternalServerError, "encoding deltas: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -400,11 +400,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			reasons = append(reasons, fmt.Sprintf("catalog %s awaiting first replication pull", e.id))
 		}
 	}
-	if len(reasons) > 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "unready", "reasons": reasons,
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+	api.WriteReady(w, reasons)
 }

@@ -20,9 +20,9 @@ import (
 const genCatalog = `"generate":{"tables":10,"graph":"chain","seed":4}`
 
 // optimize runs one request so the catalog's shared cache has content.
-func optimize(t *testing.T, ts *httptest.Server, id string, iters int) OptimizeResponse {
+func optimize(t *testing.T, ts *httptest.Server, id string, iters int) api.OptimizeResponse {
 	t.Helper()
-	var resp OptimizeResponse
+	var resp api.OptimizeResponse
 	code := post(t, ts, "/optimize",
 		fmt.Sprintf(`{"catalog":%q,"max_iterations":%d,"seed":7,"metrics":["time","buffer"]}`, id, iters), &resp)
 	if code != http.StatusOK {
@@ -32,9 +32,9 @@ func optimize(t *testing.T, ts *httptest.Server, id string, iters int) OptimizeR
 }
 
 // catalogStats fetches one catalog's /stats row.
-func catalogStats(t *testing.T, ts *httptest.Server, id string) CatalogStats {
+func catalogStats(t *testing.T, ts *httptest.Server, id string) api.CatalogStats {
 	t.Helper()
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts, "/stats", &stats)
 	for _, c := range stats.Catalogs {
 		if c.ID == id {
@@ -42,7 +42,7 @@ func catalogStats(t *testing.T, ts *httptest.Server, id string) CatalogStats {
 		}
 	}
 	t.Fatalf("catalog %s not in /stats", id)
-	return CatalogStats{}
+	return api.CatalogStats{}
 }
 
 func TestSinceCursorRoundTrip(t *testing.T) {
@@ -209,7 +209,7 @@ func TestReplicationResyncsAfterPrimaryRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	entry, err := psrv.register(&CatalogRequest{Generate: &api.GenerateSpec{Tables: 10, Graph: "chain", Seed: 4}}, pid, nil)
+	entry, err := psrv.register(&api.CatalogRequest{Generate: &api.GenerateSpec{Tables: 10, Graph: "chain", Seed: 4}}, pid, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -129,7 +128,7 @@ type Server struct {
 	evMu sync.Mutex
 	// quarantined records checkpoint files set aside as damaged during
 	// LoadCheckpoint, surfaced in /stats.
-	quarantined []QuarantineEvent
+	quarantined []api.QuarantineEvent
 
 	// shedMu serializes cache-budget enforcement; concurrent requests
 	// finding the store over budget must not all replay the prune.
@@ -163,10 +162,10 @@ type catalogEntry struct {
 	// repl is the background delta puller for catalogs registered with
 	// replicate_from; nil otherwise.
 	repl *replicator
-	// spec is the sanitized registration request (snapshot fields
-	// stripped): everything needed to rebuild the catalog and session
-	// after a restart. Checkpoint persists it as the catalog's manifest.
-	spec CatalogRequest
+	// spec is the registration's api.CatalogRequest.Spec: everything
+	// needed to rebuild the catalog and session after a restart.
+	// Checkpoint persists it as the catalog's manifest.
+	spec api.CatalogRequest
 }
 
 // New builds a Server from the config, applying defaults for unset
@@ -224,7 +223,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.panics.Add(1)
 		s.logf("panic serving %s %s: %v", r.Method, r.URL.Path, rec)
 		if !rw.wrote {
-			writeError(w, http.StatusInternalServerError, "internal error: %v", rec)
+			api.WriteError(w, http.StatusInternalServerError, "internal error: %v", rec)
 		}
 		// Headers already sent (e.g. mid-stream): the response ends
 		// truncated; recovering here still keeps the process alive.
@@ -351,7 +350,7 @@ func (s *Server) enforceCacheBudget() {
 // recordQuarantine notes a damaged checkpoint file for /stats.
 func (s *Server) recordQuarantine(file, reason string) {
 	s.evMu.Lock()
-	s.quarantined = append(s.quarantined, QuarantineEvent{File: file, Reason: reason})
+	s.quarantined = append(s.quarantined, api.QuarantineEvent{File: file, Reason: reason})
 	s.evMu.Unlock()
 	s.logf("quarantined checkpoint file %s: %s", file, reason)
 }
@@ -362,54 +361,7 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// --- wire types ---
-//
-// The protocol's JSON types live in internal/api (shared with the
-// client package); the aliases keep this package's vocabulary — and its
-// tests — unchanged.
-
-type (
-	TableSpec        = api.TableSpec
-	EdgeSpec         = api.EdgeSpec
-	GenerateSpec     = api.GenerateSpec
-	CatalogRequest   = api.CatalogRequest
-	CatalogInfo      = api.CatalogInfo
-	OptimizeRequest  = api.OptimizeRequest
-	PlanJSON         = api.PlanJSON
-	CacheStatsJSON   = api.CacheStatsJSON
-	PoolStatsJSON    = api.PoolStatsJSON
-	OptimizeResponse = api.OptimizeResponse
-	ProgressEvent    = api.ProgressEvent
-	QuarantineEvent  = api.QuarantineEvent
-	StatsResponse    = api.StatsResponse
-	CatalogStats     = api.CatalogStats
-	errorResponse    = api.ErrorResponse
-)
-
 // --- helpers ---
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// decodeBody decodes a bounded JSON request body, rejecting unknown
-// fields so schema typos fail loudly instead of silently optimizing
-// with defaults.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	return nil
-}
 
 func parseMetrics(names []string) ([]rmq.Metric, error) {
 	out := make([]rmq.Metric, 0, len(names))
@@ -439,24 +391,23 @@ func metricNames(metrics []rmq.Metric) []string {
 // --- catalog handlers ---
 
 func (s *Server) handleRegisterCatalog(w http.ResponseWriter, r *http.Request) {
-	var req CatalogRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad catalog request: %v", err)
+	var req api.CatalogRequest
+	if !api.DecodeBody(w, r, &req) {
 		return
 	}
 	snap, err := s.registrationSnapshot(r.Context(), &req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	entry, err := s.register(&req, "", snap)
 	if err != nil {
-		writeError(w, registerStatus(err), "%v", err)
+		api.WriteError(w, registerStatus(err), "%v", err)
 		return
 	}
 	s.logf("registered catalog %s (%q, %d tables, shared cache %v, warm %v)",
 		entry.id, entry.name, entry.tables, entry.sharedCache, snap != nil)
-	writeJSON(w, http.StatusCreated, entry.info())
+	api.WriteJSON(w, http.StatusCreated, entry.info())
 }
 
 // registrationSnapshot resolves a register request's warm-start
@@ -465,7 +416,7 @@ func (s *Server) handleRegisterCatalog(w http.ResponseWriter, r *http.Request) {
 // in — the stream fetched from another rmqd's snapshot endpoint with
 // the client package's retry policy (the warm fleet-rollout hand-off).
 // nil means a cold start.
-func (s *Server) registrationSnapshot(ctx context.Context, req *CatalogRequest) ([]byte, error) {
+func (s *Server) registrationSnapshot(ctx context.Context, req *api.CatalogRequest) ([]byte, error) {
 	given := 0
 	for _, set := range []bool{len(req.Snapshot) > 0, req.SnapshotPath != "", req.SnapshotURL != ""} {
 		if set {
@@ -503,7 +454,7 @@ func (s *Server) registrationSnapshot(ctx context.Context, req *CatalogRequest) 
 // buildCatalog materializes the catalog a registration request
 // describes (explicit tables or the workload generator). All errors are
 // client errors.
-func buildCatalog(req *CatalogRequest) (*rmq.Catalog, error) {
+func buildCatalog(req *api.CatalogRequest) (*rmq.Catalog, error) {
 	switch {
 	case req.Generate != nil && len(req.Tables) > 0:
 		return nil, fmt.Errorf("give either tables or generate, not both")
@@ -542,7 +493,7 @@ func buildCatalog(req *CatalogRequest) (*rmq.Catalog, error) {
 // id pins the catalog id (checkpoint reloads reuse the persisted ids);
 // empty allocates the next one. It is the single registration path for
 // live requests and LoadCheckpoint.
-func (s *Server) register(req *CatalogRequest, id string, snap []byte) (*catalogEntry, error) {
+func (s *Server) register(req *api.CatalogRequest, id string, snap []byte) (*catalogEntry, error) {
 	cat, err := buildCatalog(req)
 	if err != nil {
 		return nil, err
@@ -586,7 +537,7 @@ func (s *Server) register(req *CatalogRequest, id string, snap []byte) (*catalog
 		retention:   retention,
 		sess:        sess,
 		instance:    newInstance(),
-		spec:        sanitizeSpec(req),
+		spec:        req.Spec(),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -607,18 +558,6 @@ func (s *Server) register(req *CatalogRequest, id string, snap []byte) (*catalog
 	return entry, nil
 }
 
-// sanitizeSpec strips the one-shot warm-start fields from a
-// registration request, leaving the part worth persisting in a
-// checkpoint manifest: re-registering the manifest must rebuild the
-// same catalog and session settings, with the warm start supplied by
-// the checkpoint's own snapshot file, not a stale inline copy.
-func sanitizeSpec(req *CatalogRequest) CatalogRequest {
-	spec := *req
-	spec.Snapshot = nil
-	spec.SnapshotPath = ""
-	return spec
-}
-
 // registerStatus maps a registration failure to an HTTP status:
 // fingerprint mismatches are 409 (the request contradicts the snapshot
 // it carries), everything else is a request problem.
@@ -629,18 +568,17 @@ func registerStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-func (e *catalogEntry) info() CatalogInfo {
-	return CatalogInfo{ID: e.id, Name: e.name, Tables: e.tables, SharedCache: e.sharedCache}
+func (e *catalogEntry) info() api.CatalogInfo {
+	return api.CatalogInfo{ID: e.id, Name: e.name, Tables: e.tables, SharedCache: e.sharedCache}
 }
 
 func (s *Server) handleListCatalogs(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	out := make([]CatalogInfo, 0, len(s.catalogs))
-	for _, e := range s.catalogs {
+	entries := s.entries()
+	out := make([]api.CatalogInfo, 0, len(entries))
+	for _, e := range entries {
 		out = append(out, e.info())
 	}
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleDeleteCatalog(w http.ResponseWriter, r *http.Request) {
@@ -650,7 +588,7 @@ func (s *Server) handleDeleteCatalog(w http.ResponseWriter, r *http.Request) {
 	delete(s.catalogs, id)
 	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown catalog %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", id)
 		return
 	}
 	if e.repl != nil {
@@ -670,7 +608,7 @@ func (s *Server) catalog(id string) *catalogEntry {
 // --- health and stats ---
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"uptime_ms": float64(time.Since(s.start)) / float64(time.Millisecond),
 	})
@@ -678,7 +616,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	entries := s.entries()
-	resp := StatsResponse{
+	resp := api.StatsResponse{
 		UptimeMS:      float64(time.Since(s.start)) / float64(time.Millisecond),
 		InFlight:      s.InFlight(),
 		Capacity:      cap(s.sem),
@@ -687,11 +625,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Panics:        s.panics.Load(),
 		MaxCacheBytes: s.cfg.MaxCacheBytes,
 		ShedEvents:    s.shedEvents.Load(),
-		Catalogs:      make([]CatalogStats, 0, len(entries)),
+		Catalogs:      make([]api.CatalogStats, 0, len(entries)),
 	}
 	s.evMu.Lock()
 	if len(s.quarantined) > 0 {
-		resp.Quarantined = append([]QuarantineEvent(nil), s.quarantined...)
+		resp.Quarantined = append([]api.QuarantineEvent(nil), s.quarantined...)
 	}
 	s.evMu.Unlock()
 	if faultinject.Enabled() {
@@ -701,12 +639,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		cs := e.sess.CacheStats()
 		ps := e.sess.PoolStats()
 		resp.CacheBytes += cs.Bytes
-		st := CatalogStats{
+		st := api.CatalogStats{
 			CatalogInfo:        e.info(),
 			Requests:           e.requests.Load(),
-			Cache:              CacheStatsJSON{Sets: cs.Sets, Plans: cs.Plans, Bytes: cs.Bytes},
+			Cache:              api.CacheStatsJSON{Sets: cs.Sets, Plans: cs.Plans, Bytes: cs.Bytes},
 			EffectiveRetention: e.sess.EffectiveRetention(),
-			Pool: PoolStatsJSON{
+			Pool: api.PoolStatsJSON{
 				Pooled: ps.Pooled, HighWater: ps.HighWater,
 				Dropped: ps.Dropped, Limit: ps.Limit,
 			},
@@ -716,7 +654,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Catalogs = append(resp.Catalogs, st)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // errStatus maps an rmq.Optimize error to an HTTP status: retention

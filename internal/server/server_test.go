@@ -19,6 +19,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rmq/internal/api"
 )
 
 // testServer starts an httptest server over a fresh service.
@@ -54,7 +56,7 @@ func post(t *testing.T, ts *httptest.Server, path string, body string, out any) 
 // register registers a generated catalog and returns its id.
 func register(t *testing.T, ts *httptest.Server, body string) string {
 	t.Helper()
-	var info CatalogInfo
+	var info api.CatalogInfo
 	if code := post(t, ts, "/catalogs", body, &info); code != http.StatusCreated {
 		t.Fatalf("register: status %d", code)
 	}
@@ -66,7 +68,7 @@ func register(t *testing.T, ts *httptest.Server, body string) string {
 
 // checkFrontier asserts a well-formed, mutually non-dominated response
 // frontier.
-func checkFrontier(t *testing.T, resp *OptimizeResponse) {
+func checkFrontier(t *testing.T, resp *api.OptimizeResponse) {
 	t.Helper()
 	if len(resp.Plans) == 0 {
 		t.Fatal("empty frontier")
@@ -107,7 +109,7 @@ func TestServerCatalogLifecycleAndOptimize(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	id := register(t, ts, `{"name":"demo","generate":{"tables":8,"graph":"chain","seed":1}}`)
 
-	var resp OptimizeResponse
+	var resp api.OptimizeResponse
 	code := post(t, ts, "/optimize",
 		fmt.Sprintf(`{"catalog":%q,"max_iterations":60,"seed":7,"metrics":["time","buffer"],"include_plans":true}`, id),
 		&resp)
@@ -138,7 +140,7 @@ func TestServerCatalogLifecycleAndOptimize(t *testing.T) {
 	// Explicit table registration.
 	id2 := register(t, ts, `{"tables":[{"name":"a","rows":1000},{"name":"b","rows":500},{"name":"c","rows":20000}],
 		"edges":[{"a":0,"b":1,"selectivity":0.01},{"a":1,"b":2,"selectivity":0.1}]}`)
-	var resp2 OptimizeResponse
+	var resp2 api.OptimizeResponse
 	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":30}`, id2), &resp2); code != http.StatusOK {
 		t.Fatalf("optimize explicit catalog: status %d", code)
 	}
@@ -149,7 +151,7 @@ func TestServerCatalogLifecycleAndOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var list []CatalogInfo
+	var list []api.CatalogInfo
 	if err := json.NewDecoder(resp3.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestServerRequestValidation(t *testing.T) {
 		"unknown field":      fmt.Sprintf(`{"catalog":%q,"budget":12}`, id),
 		"negative iters":     fmt.Sprintf(`{"catalog":%q,"max_iterations":-1}`, id),
 	} {
-		var e errorResponse
+		var e api.ErrorResponse
 		code := post(t, ts, "/optimize", body, &e)
 		if code != http.StatusBadRequest && code != http.StatusNotFound {
 			t.Errorf("%s: status %d, want 4xx", name, code)
@@ -213,7 +215,7 @@ func TestServerDeadlineExpiryReturnsFrontier(t *testing.T) {
 	// Large enough that 150ms is nowhere near convergence.
 	id := register(t, ts, `{"generate":{"tables":30,"graph":"star","seed":8}}`)
 	start := time.Now()
-	var resp OptimizeResponse
+	var resp api.OptimizeResponse
 	code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"timeout_ms":150,"seed":4}`, id), &resp)
 	elapsed := time.Since(start)
 	if code != http.StatusOK {
@@ -324,12 +326,12 @@ func TestServerAdmissionControl(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return srv.InFlight() == 0 })
 
 	// Capacity freed: the next request is admitted again.
-	var ok OptimizeResponse
+	var ok api.OptimizeResponse
 	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":10}`, id), &ok); code != http.StatusOK {
 		t.Fatalf("post-burst request: status %d", code)
 	}
 
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts, "/stats", &stats)
 	if stats.Rejected == 0 {
 		t.Error("stats do not count the rejection")
@@ -405,13 +407,13 @@ func TestServerStreamingEmitsProgressAndResult(t *testing.T) {
 	}
 	events := parseSSE(t, resp.Body)
 	var progress, results int
-	var last OptimizeResponse
+	var last api.OptimizeResponse
 	prevIters := 0
 	for _, ev := range events {
 		switch ev.name {
 		case "progress":
 			progress++
-			var p ProgressEvent
+			var p api.ProgressEvent
 			if err := json.Unmarshal(ev.data, &p); err != nil {
 				t.Fatalf("bad progress payload %s: %v", ev.data, err)
 			}
@@ -466,14 +468,14 @@ func TestServerRetentionMismatchConflict(t *testing.T) {
 	id := register(t, ts, `{"generate":{"tables":6,"seed":1},"retention":2}`)
 	// First-touch conflict: no store exists yet for this subset, the
 	// registered retention still wins.
-	var e errorResponse
+	var e api.ErrorResponse
 	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5,"retention":4,"metrics":["time"]}`, id), &e); code != http.StatusConflict {
 		t.Fatalf("first-touch conflicting retention: status %d, want 409 (%s)", code, e.Error)
 	}
 	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5}`, id), nil); code != http.StatusOK {
 		t.Fatalf("creating run: status %d", code)
 	}
-	e = errorResponse{}
+	e = api.ErrorResponse{}
 	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5,"retention":4}`, id), &e); code != http.StatusConflict {
 		t.Fatalf("conflicting retention: status %d, want 409 (%s)", code, e.Error)
 	}
@@ -506,7 +508,7 @@ func TestServerHealthzAndStats(t *testing.T) {
 	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":40}`, id), nil); code != http.StatusOK {
 		t.Fatalf("optimize: %d", code)
 	}
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts, "/stats", &stats)
 	if stats.InFlight != 0 || stats.Served != 1 {
 		t.Errorf("in_flight %d served %d, want 0/1", stats.InFlight, stats.Served)
@@ -573,7 +575,7 @@ func TestServerConcurrentMixedCatalogStress(t *testing.T) {
 						t.Errorf("client %d call %d: stream without final result", c, call)
 					}
 				} else {
-					var or OptimizeResponse
+					var or api.OptimizeResponse
 					if err := json.NewDecoder(resp.Body).Decode(&or); err != nil {
 						t.Errorf("client %d call %d: %v", c, call, err)
 					} else if len(or.Plans) == 0 {
@@ -588,7 +590,7 @@ func TestServerConcurrentMixedCatalogStress(t *testing.T) {
 	if got := srv.InFlight(); got != 0 {
 		t.Errorf("in-flight gauge stuck at %d", got)
 	}
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts, "/stats", &stats)
 	if stats.Served != clients*2 {
 		t.Errorf("served %d, want %d", stats.Served, clients*2)

@@ -42,6 +42,7 @@ import (
 	"strconv"
 	"strings"
 
+	"rmq/internal/api"
 	"rmq/internal/faultinject"
 )
 
@@ -61,8 +62,8 @@ type CheckpointInfo struct {
 
 // checkpointManifest is the persisted registration of one catalog.
 type checkpointManifest struct {
-	ID      string         `json:"id"`
-	Request CatalogRequest `json:"request"`
+	ID      string             `json:"id"`
+	Request api.CatalogRequest `json:"request"`
 }
 
 // handleGetSnapshot serves the catalog's current plan caches as one
@@ -73,12 +74,12 @@ func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e := s.catalog(id)
 	if e == nil {
-		writeError(w, http.StatusNotFound, "unknown catalog %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", id)
 		return
 	}
 	data, err := e.sess.Snapshot()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
+		api.WriteError(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -94,19 +95,19 @@ func (s *Server) handleCheckpointCatalog(w http.ResponseWriter, r *http.Request)
 	id := r.PathValue("id")
 	e := s.catalog(id)
 	if e == nil {
-		writeError(w, http.StatusNotFound, "unknown catalog %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", id)
 		return
 	}
 	if s.cfg.SnapshotDir == "" {
-		writeError(w, http.StatusConflict, "server runs without a snapshot directory")
+		api.WriteError(w, http.StatusConflict, "server runs without a snapshot directory")
 		return
 	}
 	n, err := s.checkpointEntry(e)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "checkpoint: %v", err)
+		api.WriteError(w, http.StatusInternalServerError, "checkpoint: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckpointInfo{
+	api.WriteJSON(w, http.StatusOK, CheckpointInfo{
 		Catalog: e.id,
 		Path:    filepath.Join(s.cfg.SnapshotDir, e.id+".snap"),
 		Bytes:   n,
@@ -122,12 +123,7 @@ func (s *Server) Checkpoint() error {
 	if s.cfg.SnapshotDir == "" {
 		return nil
 	}
-	s.mu.RLock()
-	entries := make([]*catalogEntry, 0, len(s.catalogs))
-	for _, e := range s.catalogs {
-		entries = append(entries, e)
-	}
-	s.mu.RUnlock()
+	entries := s.entries()
 	var errs []error
 	for _, e := range entries {
 		if _, err := s.checkpointEntry(e); err != nil {

@@ -14,6 +14,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rmq/internal/api"
 )
 
 // fetchSnapshot GETs a catalog's snapshot bytes.
@@ -42,7 +44,7 @@ func fetchSnapshot(t *testing.T, ts *httptest.Server, id string) []byte {
 func warmCatalog(t *testing.T, ts *httptest.Server, genBody string) string {
 	t.Helper()
 	id := register(t, ts, genBody)
-	var resp OptimizeResponse
+	var resp api.OptimizeResponse
 	if code := post(t, ts, "/optimize",
 		fmt.Sprintf(`{"catalog":%q,"max_iterations":300,"seed":1}`, id), &resp); code != http.StatusOK {
 		t.Fatalf("optimize: status %d", code)
@@ -54,7 +56,7 @@ func warmCatalog(t *testing.T, ts *httptest.Server, genBody string) string {
 // cachePlans reads a catalog's retained-plan count from /stats.
 func cachePlans(t *testing.T, ts *httptest.Server, id string) int {
 	t.Helper()
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts, "/stats", &stats)
 	for _, c := range stats.Catalogs {
 		if c.ID == id {
@@ -109,7 +111,7 @@ func TestServerSnapshotMismatchConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var er errorResponse
+	var er api.ErrorResponse
 	if code := post(t, ts, "/catalogs", string(body), &er); code != http.StatusConflict {
 		t.Fatalf("mismatched snapshot registered with status %d (%s)", code, er.Error)
 	}
@@ -182,7 +184,7 @@ func TestServerCheckpointRestartCycle(t *testing.T) {
 	// Restored catalogs keep their registration settings and serve
 	// requests (the retention assertion passes only if the restored
 	// store kept α = 1.5).
-	var resp OptimizeResponse
+	var resp api.OptimizeResponse
 	if code := post(t, ts2, "/optimize",
 		fmt.Sprintf(`{"catalog":%q,"max_iterations":40,"seed":9,"retention":1.5}`, idB), &resp); code != http.StatusOK {
 		t.Fatalf("optimize restored catalog: status %d", code)
@@ -254,7 +256,7 @@ func TestServerLoadCheckpointColdFallback(t *testing.T) {
 	if got := cachePlans(t, ts2, id); got != 0 {
 		t.Fatalf("corrupt snapshot restored %d plans", got)
 	}
-	var resp OptimizeResponse
+	var resp api.OptimizeResponse
 	if code := post(t, ts2, "/optimize",
 		fmt.Sprintf(`{"catalog":%q,"max_iterations":100,"seed":3}`, id), &resp); code != http.StatusOK {
 		t.Fatalf("optimize cold-fallback catalog: status %d", code)

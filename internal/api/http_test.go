@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -27,7 +28,8 @@ func TestDecodeBody(t *testing.T) {
 		"over 8 MiB":    oversized,
 	} {
 		rec, ok, _ := decode(body)
-		if ok || rec.Code != http.StatusBadRequest || ErrorMessage(rec.Body.Bytes()) == rec.Body.String() {
+		var er ErrorResponse
+		if ok || rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Error == "" {
 			t.Errorf("%s: ok %v status %d body %.100q, want a 400 error response", name, ok, rec.Code, rec.Body)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"rmq/internal/cost"
 	"rmq/internal/plan"
+	"rmq/internal/tableset"
 )
 
 // benchBucket populates an exact-retention bucket with a dense frontier
@@ -71,6 +72,39 @@ func BenchmarkAdmissionProbeReference(b *testing.B) {
 				}
 			}
 			benchSink = hits
+		})
+	}
+}
+
+// BenchmarkBucketFill fills the 256 buckets of a fresh cache with
+// Lemma-6-sized frontiers (1–8 plans over two output classes, 4.5 on
+// average, near serve-warm's 4.6 plans per set) and reports what one
+// whole fill allocates: bucket chunks, plan and epoch arrays, and each
+// class's cost-column block.
+func BenchmarkBucketFill(b *testing.B) {
+	const sets = 256
+	for _, bc := range []struct {
+		name string
+		dim  int
+	}{{"2d", 2}, {"3d", 3}} {
+		b.Run(bc.name, func(b *testing.B) {
+			in := tableset.NewInterner()
+			frontiers := make([][]*plan.Plan, sets)
+			for i := range frontiers {
+				set := tableset.FromWords(uint64(i+1), 0)
+				frontiers[i] = antichainPlans(set, in.Intern(set), 1+i%8, bc.dim, 2)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := New(in)
+				for _, f := range frontiers {
+					for _, p := range f {
+						c.Insert(p, 1)
+					}
+				}
+				benchSink = c.NumPlans()
+			}
 		})
 	}
 }

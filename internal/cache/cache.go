@@ -15,8 +15,9 @@
 // The frontier-approximation inner loop is admission-test bound: almost
 // every recombined candidate is rejected. The frontier data layout is
 // therefore columnar: every bucket mirrors, per output representation,
-// its plans' cost vectors in a cost.Columns block (one contiguous column
-// per metric, parallel to admission order), and the admission test of
+// its plans' cost vectors in one cost.Columns block (a single
+// column-major allocation holding one column per metric, parallel to
+// admission order, that grows as a whole), and the admission test of
 // Algorithm 3 — does any same-output plan α-dominate the candidate? — is
 // one batch sweep over that block (Bucket.Admits). Lemma 6 keeps each
 // table set's frontier small, so the plain sweep is the whole admission
@@ -152,6 +153,16 @@ type recombState struct {
 	covered float64
 }
 
+// recombMemo is a bucket's partition memo: one recombState per
+// partition in first-visit order, indexed by a map once it outgrows
+// recombLinearCutoff. first backs the states of a bucket that has met
+// a single partition, so creating the memo is its only allocation.
+type recombMemo struct {
+	states []recombState
+	idx    map[bucketPair]int
+	first  [1]recombState
+}
+
 // Visit describes the pair ranges one join-node recombination must
 // offer, as computed by BeginRecomb.
 type Visit struct {
@@ -190,20 +201,23 @@ type Bucket struct {
 	dirty    bool
 	syncMark uint64
 
-	// cols holds the frontier's cost vectors per output class, column-
-	// wise in the class's admission order. Every dominance predicate of
-	// Algorithm 3 compares only same-output plans, so per-class columns
-	// cover all of admission and eviction (see the package doc).
+	// cols holds the frontier's cost vectors per output class, one
+	// column-major block per class in the class's admission order. Every
+	// dominance predicate of Algorithm 3 compares only same-output plans,
+	// so per-class blocks cover all of admission and eviction (see the
+	// package doc).
 	cols [plan.NumOutputProps]cost.Columns
-	// corner is the running component-wise minimum over every admission.
-	// Evictions may leave it lower than the current frontier's true
-	// minimum, which only loosens (never unsounds) the floors built on
-	// it: a lower bound of a superset bounds the subset.
-	corner    cost.Vector
-	hasCorner bool
+	// corner is the running component-wise minimum over every admission
+	// (N == 0 until the first). Evictions may leave it lower than the
+	// current frontier's true minimum, which only loosens (never
+	// unsounds) the floors built on it: a lower bound of a superset
+	// bounds the subset.
+	corner cost.Vector
 
-	recombs   []recombState
-	recombIdx map[bucketPair]int
+	// recomb is the partition memo of incremental recombination, created
+	// by the bucket's first BeginRecomb: shared-store buckets and leaf
+	// sets never recombine, so they carry only the pointer.
+	recomb *recombMemo
 
 	// scanCovered is the finest α at which the bucket's full scan-
 	// operator set has been offered (0 = never); see BeginScans.
@@ -351,11 +365,10 @@ func (b *Bucket) Insert(newPlan *plan.Plan, alpha float64) bool {
 		}
 	}
 	cols.Append(newPlan.Cost)
-	if b.hasCorner {
-		b.corner = b.corner.Min(newPlan.Cost)
-	} else {
+	if b.corner.N == 0 {
 		b.corner = newPlan.Cost
-		b.hasCorner = true
+	} else {
+		b.corner = b.corner.Min(newPlan.Cost)
 	}
 	return true
 }
@@ -374,16 +387,17 @@ func (b *Bucket) Insert(newPlan *plan.Plan, alpha float64) bool {
 //rmq:hotpath
 func (b *Bucket) BeginRecomb(outer, inner *Bucket, alpha float64, v *Visit) {
 	*v = Visit{Outers: outer.plans, Inners: inner.plans}
-	i := b.findRecomb(bucketPair{outer, inner})
+	key := bucketPair{outer, inner}
+	i := b.recomb.find(key)
 	if i < 0 {
 		v.Full = true
-		b.addRecomb(bucketPair{outer, inner}, recombState{
-			key:       bucketPair{outer, inner},
+		b.addRecomb(recombState{
+			key:       key,
 			outerMark: outer.epoch, innerMark: inner.epoch, covered: alpha,
 		})
 		return
 	}
-	st := &b.recombs[i]
+	st := &b.recomb.states[i]
 	if alpha < st.covered {
 		// Finer precision than some earlier offer: previously rejected
 		// candidates may now be admissible — redo the full product.
@@ -412,44 +426,55 @@ func (b *Bucket) BeginRecomb(outer, inner *Bucket, alpha float64, v *Visit) {
 	st.outerMark, st.innerMark = outer.epoch, inner.epoch
 }
 
-// findRecomb returns the index of the partition's memo entry, or -1.
-// Small memos — almost all of them — are scanned linearly; only past
-// recombLinearCutoff does the bucket build and consult the map. The
-// linear scan replaces the aeshash-per-lookup that dominated the
-// steady-state profile.
+// find returns the index of the partition's memo entry, or -1 (also
+// for a bucket with no memo yet). Small memos — almost all of them —
+// are scanned linearly; only past recombLinearCutoff does the bucket
+// build and consult the map. The linear scan replaces the
+// aeshash-per-lookup that dominated the steady-state profile.
 //
 //rmq:hotpath
-func (b *Bucket) findRecomb(key bucketPair) int {
-	if b.recombIdx != nil {
-		if i, ok := b.recombIdx[key]; ok {
+func (m *recombMemo) find(key bucketPair) int {
+	if m == nil {
+		return -1
+	}
+	if m.idx != nil {
+		if i, ok := m.idx[key]; ok {
 			return i
 		}
 		return -1
 	}
-	for i := range b.recombs {
-		if b.recombs[i].key == key {
+	for i := range m.states {
+		if m.states[i].key == key {
 			return i
 		}
 	}
 	return -1
 }
 
-// addRecomb records a new partition's memo entry, upgrading the lookup
-// structure to a map once the memo outgrows the linear-scan cutoff.
-func (b *Bucket) addRecomb(key bucketPair, st recombState) {
-	if len(b.recombs) >= maxRecombStates {
+// addRecomb records a new partition's memo entry, creating the memo on
+// the bucket's first partition and upgrading its lookup structure to a
+// map once it outgrows the linear-scan cutoff.
+func (b *Bucket) addRecomb(st recombState) {
+	m := b.recomb
+	if m == nil {
+		m = &recombMemo{} //rmq:allow-alloc(one memo per recombining bucket, created on its first partition)
+		m.states = m.first[:0]
+		b.recomb = m
+	}
+	if len(m.states) >= maxRecombStates {
 		return
 	}
-	if b.recombIdx != nil {
-		b.recombIdx[key] = len(b.recombs) //rmq:allow-alloc(per-partition memo, filled once per partition)
-	} else if len(b.recombs) == recombLinearCutoff {
-		b.recombIdx = make(map[bucketPair]int, 4*recombLinearCutoff) //rmq:allow-alloc(per-partition memo map, built once per bucket on outgrowing the linear scan)
-		for j := range b.recombs {
-			b.recombIdx[b.recombs[j].key] = j //rmq:allow-alloc(one-time map upgrade, amortized over the bucket's lifetime)
+	key := st.key
+	if m.idx != nil {
+		m.idx[key] = len(m.states) //rmq:allow-alloc(per-partition memo, filled once per partition)
+	} else if len(m.states) == recombLinearCutoff {
+		m.idx = make(map[bucketPair]int, 4*recombLinearCutoff) //rmq:allow-alloc(per-partition memo map, built once per bucket on outgrowing the linear scan)
+		for j := range m.states {
+			m.idx[m.states[j].key] = j //rmq:allow-alloc(one-time map upgrade, amortized over the bucket's lifetime)
 		}
-		b.recombIdx[key] = len(b.recombs) //rmq:allow-alloc(one-time map upgrade, amortized over the bucket's lifetime)
+		m.idx[key] = len(m.states) //rmq:allow-alloc(one-time map upgrade, amortized over the bucket's lifetime)
 	}
-	b.recombs = append(b.recombs, st) //rmq:allow-alloc(per-partition memo, filled once per partition)
+	m.states = append(m.states, st) //rmq:allow-alloc(per-partition memo, filled once per partition)
 }
 
 // BeginScans reports whether a scan-leaf visit at precision α must

@@ -203,7 +203,7 @@ func (s *Shared) ImportBucket(bs BucketSnapshot) error {
 	sb.b.epochs = bs.Epochs
 	sb.b.epoch = bs.Epoch
 	sb.b.cols = b.cols
-	sb.b.corner, sb.b.hasCorner = bs.Plans[0].Cost, true
+	sb.b.corner = bs.Plans[0].Cost
 	for _, p := range bs.Plans[1:] {
 		sb.b.corner = sb.b.corner.Min(p.Cost)
 	}
@@ -215,8 +215,8 @@ func (s *Shared) ImportBucket(bs BucketSnapshot) error {
 }
 
 // importMirrors builds the per-output class cost columns of a bucket
-// whose frontier was installed wholesale (snapshot import), sized
-// exactly (see reserveCols).
+// whose frontier was installed wholesale (snapshot import), one block
+// per class sized up front (see reserveCols).
 //
 // The same sweep checks the frontier is a per-class antichain: before a
 // plan's cost joins its class columns, the columns are probed for an
@@ -239,13 +239,12 @@ func (b *Bucket) importMirrors() (firstComparable int) {
 	return -1
 }
 
-// reserveCols empties the bucket's class columns and reserves exact
-// capacity for counts[out] entries of dimension dim in each non-empty
-// class: a restore or warm start builds tens of thousands of buckets
-// this way, and per-metric amortized growth would be most of its
-// allocations. Classes get separate allocations, so a class that
-// outgrows its block frees it instead of leaving it pinned by the
-// other class.
+// reserveCols empties the bucket's class columns and reserves capacity
+// for counts[out] entries of dimension dim in each non-empty class: a
+// restore or warm start builds tens of thousands of buckets this way,
+// and growing each class's block by doubling would be most of its
+// allocations. Classes get separate blocks, so a class that outgrows
+// its block frees it instead of leaving it pinned by the other class.
 //
 //rmq:hotpath
 func (b *Bucket) reserveCols(dim int8, counts [plan.NumOutputProps]int) {

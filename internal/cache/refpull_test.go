@@ -107,7 +107,7 @@ func diffBucket(x, y *Bucket) error {
 	case x.epoch != y.epoch || x.syncMark != y.syncMark || x.dirty != y.dirty || x.id != y.id:
 		return fmt.Errorf("epoch/syncMark/dirty/id differ: %d/%d/%v/%d vs %d/%d/%v/%d",
 			x.epoch, x.syncMark, x.dirty, x.id, y.epoch, y.syncMark, y.dirty, y.id)
-	case x.hasCorner != y.hasCorner || !sameBits(x.corner.V[:x.corner.N], y.corner.V[:y.corner.N]) || x.corner.N != y.corner.N:
+	case !sameBits(x.corner.V[:x.corner.N], y.corner.V[:y.corner.N]) || x.corner.N != y.corner.N:
 		return fmt.Errorf("corners differ: %v vs %v", x.corner, y.corner)
 	}
 	for out := range x.cols {

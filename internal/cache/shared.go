@@ -414,7 +414,7 @@ func (b *Bucket) adopt(src *Bucket) int {
 	for out := range b.cols {
 		b.cols[out].AppendColumns(&src.cols[out])
 	}
-	b.corner, b.hasCorner = b.plans[0].Cost, true
+	b.corner = b.plans[0].Cost
 	for _, p := range b.plans[1:] {
 		b.corner = b.corner.Min(p.Cost)
 	}

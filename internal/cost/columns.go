@@ -6,11 +6,18 @@ import (
 )
 
 // Columns is a struct-of-arrays mirror of a sequence of cost Vectors:
-// one contiguous []float64 per metric, parallel to append order. Batch
-// dominance kernels sweep these columns instead of chasing a pointer
-// per plan, so an admission probe against an n-plan frontier touches n
-// consecutive doubles per metric — the layout the compiler can keep in
-// cache lines and vector registers.
+// one column-major []float64 block holding one column per metric,
+// parallel to append order. Column d occupies buf[d·stride : d·stride+n],
+// so every column has the same capacity (stride) and the whole block is
+// one allocation. Batch dominance kernels sweep these columns instead of
+// chasing a pointer per plan, so an admission probe against an n-plan
+// frontier touches n consecutive doubles per metric — the layout the
+// compiler can keep in cache lines and vector registers.
+//
+// The block grows by doubling its stride. A growth step allocates
+// dim·stride doubles and hands the allocator's size-class slack to the
+// columns (stride = cap/dim), so a block costs one allocation per growth
+// step whatever its dimension, not one per metric.
 //
 // The dimension is fixed by the first Append into an empty block; every
 // later Append must match it (buckets hold plans of one dimension, so
@@ -28,29 +35,67 @@ import (
 // are equal. Callers that admit α = +Inf must handle it before the
 // sweep, exactly as Vector.ApproxDominates does.
 type Columns struct {
-	col [MaxMetrics][]float64
-	n   int
-	dim int8
+	buf    []float64 // len(buf) == cap(buf) ≥ dim·stride
+	n      int32
+	stride int32
+	dim    int8
 }
+
+// firstStride is the per-column capacity a block's first growth step
+// asks for (the size class may round it up). Most buckets hold one to
+// three plans per output class, so a larger first block would cost more
+// heap than the growth steps it saves.
+const firstStride = 1
 
 // Len returns the number of entries in the block.
 //
 //rmq:hotpath
-func (c *Columns) Len() int { return c.n }
+func (c *Columns) Len() int { return int(c.n) }
 
 // Dim returns the block's metric dimension (0 when never appended to).
 //
 //rmq:hotpath
 func (c *Columns) Dim() int { return int(c.dim) }
 
-// Reset empties the block, keeping capacity for reuse.
+// from returns the block from column d on. The kernels cut every column
+// after the first to the first one's length, so the sweeps slice column
+// 0 to n entries and pass the others as from(d): one bounds check each.
 //
 //rmq:hotpath
-func (c *Columns) Reset() {
-	for d := 0; d < int(c.dim); d++ {
-		c.col[d] = c.col[d][:0]
+func (c *Columns) from(d int) []float64 { return c.buf[d*int(c.stride):] }
+
+// Reset empties the block, keeping its allocation for reuse.
+//
+//rmq:hotpath
+func (c *Columns) Reset() { c.n = 0 }
+
+// setDim fixes the dimension of an empty block and re-cuts its
+// allocation into columns of that dimension: a block emptied by Reset
+// keeps its allocation, but the stride it had was sized for the old
+// dimension.
+//
+//rmq:hotpath
+func (c *Columns) setDim(dim int8) {
+	c.dim, c.stride = dim, 0
+	if dim > 0 {
+		c.stride = int32(len(c.buf) / int(dim))
 	}
-	c.n = 0
+}
+
+// grow moves the block's entries into a fresh allocation with room for
+// at least want entries per column. The allocator rounds the request up
+// to its size class, and the slack goes to every column.
+//
+//rmq:hotpath
+func (c *Columns) grow(want int) {
+	dim, n := int(c.dim), int(c.n)
+	buf := append([]float64(nil), make([]float64, dim*want)...) //rmq:allow-alloc(one allocation per growth step of a class's block; the stride doubles, so growth is amortized)
+	buf = buf[:cap(buf)]
+	stride := len(buf) / dim
+	for d := 0; d < dim; d++ {
+		copy(buf[d*stride:], c.from(d)[:n])
+	}
+	c.buf, c.stride = buf, int32(stride)
 }
 
 // Append adds one vector at the end of the block. The first append into
@@ -59,12 +104,16 @@ func (c *Columns) Reset() {
 //rmq:hotpath
 func (c *Columns) Append(v Vector) {
 	if c.n == 0 {
-		c.dim = v.N
+		c.setDim(v.N)
 	} else if v.N != c.dim {
 		panic(fmt.Sprintf("cost: Columns dimension mismatch %d vs %d", v.N, c.dim)) //rmq:allow-alloc(allocates only while crashing on a dimension bug)
 	}
+	if c.n == c.stride && c.dim > 0 {
+		c.grow(max(2*int(c.n), firstStride))
+	}
+	n, s := int(c.n), int(c.stride)
 	for d := 0; d < int(c.dim); d++ {
-		c.col[d] = append(c.col[d], v.V[d]) //rmq:allow-alloc(amortized column growth, same policy as the plan slice it mirrors)
+		c.buf[d*s+n] = v.V[d]
 	}
 	c.n++
 }
@@ -75,8 +124,9 @@ func (c *Columns) Append(v Vector) {
 func (c *Columns) At(i int) Vector {
 	var v Vector
 	v.N = c.dim
+	s := int(c.stride)
 	for d := 0; d < int(c.dim); d++ {
-		v.V[d] = c.col[d][i]
+		v.V[d] = c.buf[d*s+i]
 	}
 	return v
 }
@@ -87,35 +137,30 @@ func (c *Columns) At(i int) Vector {
 //
 //rmq:hotpath
 func (c *Columns) Move(dst, src int) {
+	s := int(c.stride)
 	for d := 0; d < int(c.dim); d++ {
-		c.col[d][dst] = c.col[d][src]
+		c.buf[d*s+dst] = c.buf[d*s+src]
 	}
 }
 
 // Truncate shortens the block to n entries, keeping capacity.
 //
 //rmq:hotpath
-func (c *Columns) Truncate(n int) {
-	for d := 0; d < int(c.dim); d++ {
-		c.col[d] = c.col[d][:n]
-	}
-	c.n = n
-}
+func (c *Columns) Truncate(n int) { c.n = int32(n) }
 
-// Reserve empties the block and gives it exact capacity for n entries
-// of dimension dim, in one allocation cut into one column per metric.
-// Each column is capped at its own region, so an Append past n moves
-// every column out together and frees the allocation. Bulk builds
-// (snapshot import, a warm start's bucket adoption) reserve once so the
-// appends that follow never reallocate. It fixes the dimension, exactly
-// as the first Append would.
+// Reserve empties the block and gives it capacity for at least n
+// entries of dimension dim, allocating only when its current
+// allocation is too small. Bulk builds (snapshot import, a warm start's
+// bucket adoption) reserve once so the appends that follow never
+// reallocate. It fixes the dimension, exactly as the first Append
+// would.
 //
 //rmq:hotpath
 func (c *Columns) Reserve(dim int8, n int) {
-	buf := make([]float64, int(dim)*n) //rmq:allow-alloc(one sized allocation per bulk-built block)
-	c.dim, c.n = dim, 0
-	for d := 0; d < int(dim); d++ {
-		c.col[d], buf = buf[:0:n], buf[n:]
+	c.n = 0
+	c.setDim(dim)
+	if dim > 0 && int(c.stride) < n {
+		c.grow(n)
 	}
 }
 
@@ -128,12 +173,17 @@ func (c *Columns) AppendColumns(src *Columns) {
 		return
 	}
 	if c.n == 0 {
-		c.dim = src.dim
+		c.setDim(src.dim)
 	} else if src.dim != c.dim {
 		panic(fmt.Sprintf("cost: Columns dimension mismatch %d vs %d", src.dim, c.dim)) //rmq:allow-alloc(allocates only while crashing on a dimension bug)
 	}
+	n, m := int(c.n), int(src.n)
+	if c.dim > 0 && n+m > int(c.stride) {
+		c.grow(max(n+m, 2*n))
+	}
+	s := int(c.stride)
 	for d := 0; d < int(c.dim); d++ {
-		c.col[d] = append(c.col[d], src.col[d][:src.n]...) //rmq:allow-alloc(callers reserve exact capacity first; otherwise amortized growth)
+		copy(c.buf[d*s+n:], src.from(d)[:m])
 	}
 	c.n += src.n
 }
@@ -147,20 +197,20 @@ func (c *Columns) AppendColumns(src *Columns) {
 //
 //rmq:hotpath
 func (c *Columns) ApproxDominatedBy(v Vector, alpha float64) bool {
-	n := c.n
+	n := int(c.n)
 	if math.IsInf(alpha, 1) {
 		return n > 0
 	}
 	switch c.dim {
 	case 1:
-		return anyLE1(c.col[0][:n], alpha*v.V[0])
+		return anyLE1(c.buf[:n], alpha*v.V[0])
 	case 2:
-		return anyLE2(c.col[0][:n], c.col[1][:n], alpha*v.V[0], alpha*v.V[1])
+		return anyLE2(c.buf[:n], c.from(1), alpha*v.V[0], alpha*v.V[1])
 	case 3:
-		return anyLE3(c.col[0][:n], c.col[1][:n], c.col[2][:n],
+		return anyLE3(c.buf[:n], c.from(1), c.from(2),
 			alpha*v.V[0], alpha*v.V[1], alpha*v.V[2])
 	case 4:
-		return anyLE4(c.col[0][:n], c.col[1][:n], c.col[2][:n], c.col[3][:n],
+		return anyLE4(c.buf[:n], c.from(1), c.from(2), c.from(3),
 			alpha*v.V[0], alpha*v.V[1], alpha*v.V[2], alpha*v.V[3])
 	}
 	return n > 0 // dimension 0: every entry vacuously dominates
@@ -173,16 +223,16 @@ func (c *Columns) ApproxDominatedBy(v Vector, alpha float64) bool {
 //
 //rmq:hotpath
 func (c *Columns) DominatesAny(v Vector) bool {
-	n := c.n
+	n := int(c.n)
 	switch c.dim {
 	case 1:
-		return anyGE1(c.col[0][:n], v.V[0])
+		return anyGE1(c.buf[:n], v.V[0])
 	case 2:
-		return anyGE2(c.col[0][:n], c.col[1][:n], v.V[0], v.V[1])
+		return anyGE2(c.buf[:n], c.from(1), v.V[0], v.V[1])
 	case 3:
-		return anyGE3(c.col[0][:n], c.col[1][:n], c.col[2][:n], v.V[0], v.V[1], v.V[2])
+		return anyGE3(c.buf[:n], c.from(1), c.from(2), v.V[0], v.V[1], v.V[2])
 	case 4:
-		return anyGE4(c.col[0][:n], c.col[1][:n], c.col[2][:n], c.col[3][:n],
+		return anyGE4(c.buf[:n], c.from(1), c.from(2), c.from(3),
 			v.V[0], v.V[1], v.V[2], v.V[3])
 	}
 	return n > 0

@@ -10,8 +10,9 @@
 // relations (see internal/quality).
 //
 // Besides the scalar Vector relations the package provides Columns, a
-// struct-of-arrays block (one contiguous []float64 per metric, parallel
-// to append order) with batch forms of two of them: ApproxDominatedBy
+// struct-of-arrays block (one column-major []float64 allocation holding
+// a column per metric, parallel to append order) with batch forms of
+// two of them: ApproxDominatedBy
 // (the admission test of Algorithm 3) and DominatesAny (the eviction
 // pre-check) each sweep a whole frontier per call. The kernels dispatch
 // once per sweep on the block's fixed dimension (specialized loops for

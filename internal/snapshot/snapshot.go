@@ -290,12 +290,15 @@ func (r *reader) uvarint(what string) (uint64, error) {
 // element of every table occupies at least one byte, so any larger
 // count is provably corrupt. The bound is what keeps hostile counts
 // from turning into multi-gigabyte allocations before the first
-// element read fails.
+// element read fails. It reads the varint itself rather than through
+// uvarint, so the "<what> count" label is built only on the error path:
+// a restore reads a count per bucket.
 func (r *reader) count(what string) (int, error) {
-	v, err := r.uvarint(what + " count")
-	if err != nil {
-		return 0, err
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("%w: reading %s count varint", ErrTruncated, what)
 	}
+	r.off += n
 	if v > uint64(r.rem()) {
 		return 0, fmt.Errorf("snapshot: %s count %d exceeds remaining input (%d bytes)", what, v, r.rem())
 	}

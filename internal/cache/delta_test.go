@@ -9,24 +9,24 @@ import (
 	"rmq/internal/tableset"
 )
 
-// collectDelta drains ExportDelta into a slice.
+// collectDelta drains an Export since a cursor into a slice.
 func collectDelta(t *testing.T, sh *Shared, since uint64) (uint64, []BucketSnapshot) {
 	t.Helper()
 	var out []BucketSnapshot
-	cursor, err := sh.ExportDelta(since, func(bs BucketSnapshot) error {
+	_, cursor, err := sh.Export(since, func(bs BucketSnapshot) error {
 		out = append(out, bs)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("ExportDelta: %v", err)
+		t.Fatalf("Export: %v", err)
 	}
 	return cursor, out
 }
 
-// TestExportDeltaIncremental pins the cursor contract: a pull at the
+// TestExportSinceCursorIncremental pins the cursor contract: a pull at the
 // returned cursor ships only buckets changed afterwards, and an
 // unchanged store ships nothing.
-func TestExportDeltaIncremental(t *testing.T) {
+func TestExportSinceCursorIncremental(t *testing.T) {
 	sh, caches, syncs := sharedFixture(t, 1, 1)
 	c, st := caches[0], syncs[0]
 	relA := tableset.FromSlice([]int{0, 1})
@@ -131,11 +131,11 @@ func TestMergeStateAdoptsAheadIterations(t *testing.T) {
 	}
 }
 
-// TestExportDeltaConcurrentNoLostChanges races publishers against a
+// TestExportSinceCursorConcurrentNoLostChanges races publishers against a
 // delta puller and checks the cursor contract under contention: chasing
 // deltas from cursor to cursor until the publishers stop must leave the
 // puller's mirror holding every plan the store holds (run under -race).
-func TestExportDeltaConcurrentNoLostChanges(t *testing.T) {
+func TestExportSinceCursorConcurrentNoLostChanges(t *testing.T) {
 	const workers = 4
 	const steps = 300
 	sh, caches, syncs := sharedFixture(t, workers, 1)
@@ -175,7 +175,7 @@ func TestExportDeltaConcurrentNoLostChanges(t *testing.T) {
 			pull() // and one at the final cursor: must be steady
 			// Every frontier plan in the store must be in the mirror: the
 			// source frontier plan, offered to the mirror, is a duplicate.
-			_, err := sh.ExportDelta(0, func(bs BucketSnapshot) error {
+			_, _, err := sh.Export(0, func(bs BucketSnapshot) error {
 				admitted, err := mirror.MergeBucket(remap(mirror, bs))
 				if err == nil && admitted != 0 {
 					t.Errorf("mirror missed %d plans of %v", admitted, bs.Set)

@@ -8,11 +8,12 @@ import (
 	"rmq/internal/tableset"
 )
 
-// This file is the serialization-neutral view of the Shared store: a
-// snapshot codec (internal/snapshot) reads buckets out through Export
-// and writes them back through ImportBucket/RestoreState without ever
-// touching bucket internals. The view deliberately exposes admission
-// order and admission epochs verbatim — restoring them exactly is what
+// This file is the serialization-neutral view of the Shared store: the
+// store-stream codec (internal/snapshot) reads buckets out through
+// Export and writes them back through ImportBucket/RestoreState (a
+// restore) or MergeBucket/MergeState (a replication delta, delta.go)
+// without ever touching bucket internals. The view deliberately exposes
+// admission order and admission epochs verbatim — restoring them exactly is what
 // keeps delta consumers (SyncState marks, the incremental-recombination
 // memo keyed on child epochs) valid against a restored store, and what
 // makes re-encoding a restored store byte-identical to the snapshot it
@@ -25,10 +26,10 @@ import (
 type BucketSnapshot struct {
 	Set tableset.Set
 	// ID is the interned id of Set in the store the snapshot came from
-	// or goes to. Export and ExportDelta fill it in. ImportBucket and
-	// MergeBucket use it when it names Set in the receiving store's
-	// interner — the decoder interns every set before it builds the
-	// buckets — and intern Set otherwise.
+	// or goes to. Export fills it in. ImportBucket and MergeBucket use
+	// it when it names Set in the receiving store's interner — the
+	// decoder interns every set before it builds the buckets — and
+	// intern Set otherwise.
 	ID     tableset.ID
 	Epoch  uint64
 	Plans  []*plan.Plan
@@ -49,48 +50,61 @@ type StoreState struct {
 	Iterations int64
 }
 
-// Export returns the store-level counters and calls visit once per
-// non-empty bucket, in ascending interned-id order. Each bucket is
-// copied out under its own lock — the declared lock order (store rank
-// 1, bucket rank 2) is respected and no two bucket locks are ever held
-// together, so concurrent publishes to other buckets proceed while one
-// bucket is being copied. The result is a consistent cut: every bucket
-// is internally consistent, and the state returned afterwards is at
-// least as new as every exported bucket. Export never sits on a hot
-// path; checkpointers own it.
+// Export calls visit once for every non-empty bucket changed since the
+// replication watermark since, in ascending interned-id order, and
+// returns the store-level counters and the cursor to present as since
+// next time. since == 0 exports every non-empty bucket: a snapshot is
+// the delta since zero.
 //
-// The copies share one arena (see exportArena), sized once from the
-// store's plan count: the Plans and Epochs of successive buckets are
-// adjacent, capacity-capped windows of two slabs, never the live
-// buckets' own slices. A visitor may keep them after it returns — an
-// append to one reallocates instead of overwriting its neighbour — but
-// every window it keeps pins its slab.
-func (s *Shared) Export(visit func(BucketSnapshot) error) (StoreState, error) {
-	arena := newExportArena(int(s.plans.Load()))
-	for id, sb := range s.table() {
+// The cursor is read before the bucket walk and the counters after it.
+// Every change stamps its bucket's lastVer inside the bucket's critical
+// section, so a change whose sequence is ≤ the cursor is always visited
+// and one that raced past it is picked up by the next pull; monotone
+// counters read last are ≥ every value the walk observed, so a restored
+// store never reports a version older than its contents. When nothing
+// changed since the watermark (since ≥ cursor) the walk is skipped, so
+// a quiescent pull costs nothing per bucket. Each bucket is copied out
+// under its own lock — the declared lock order (store rank 1, bucket
+// rank 2) is respected and no two bucket locks are ever held together,
+// so concurrent publishes to other buckets proceed. Export never sits
+// on a hot path; checkpointers and replication pulls own it.
+//
+// The copies share one arena (see exportArena): the Plans and Epochs of
+// successive buckets are adjacent, capacity-capped windows of two slabs,
+// never the live buckets' own slices. A visitor may keep them after it
+// returns — an append to one reallocates instead of overwriting its
+// neighbour — but every window it keeps pins its slab. A full export
+// sizes the slabs from the store's plan count; an incremental one grows
+// them by append from empty, so its copies cost what changed.
+func (s *Shared) Export(since uint64, visit func(BucketSnapshot) error) (state StoreState, cursor uint64, err error) {
+	cursor = s.repSeq.Load()
+	var table []*sharedBucket
+	if since < cursor {
+		table = s.table()
+	}
+	hint := 0
+	if since == 0 {
+		hint = int(s.plans.Load())
+	}
+	arena := newExportArena(hint)
+	for id, sb := range table {
 		if sb == nil {
 			continue
 		}
 		sb.mu.Lock()
-		bs := arena.copyOut(&sb.b)
-		sb.mu.Unlock()
-		if len(bs.Plans) == 0 {
+		if sb.lastVer <= since || len(sb.b.plans) == 0 {
+			sb.mu.Unlock()
 			continue
 		}
+		bs := arena.copyOut(&sb.b)
+		sb.mu.Unlock()
 		bs.ID = tableset.ID(id)
 		bs.Set = s.in.SetOf(bs.ID)
 		if err := visit(bs); err != nil {
-			return StoreState{}, err
+			return StoreState{}, 0, err
 		}
 	}
-	// Read the counters after the bucket walk: monotone counters read
-	// last are ≥ every counter value observed inside the walk, so a
-	// restored store can never report a version older than its contents.
-	return StoreState{
-		Retention:  s.retain,
-		Version:    s.version.Load(),
-		Iterations: s.iters.Load(),
-	}, nil
+	return StoreState{Retention: s.retain, Version: s.version.Load(), Iterations: s.iters.Load()}, cursor, nil
 }
 
 // table returns a copy of the bucket table, taken under the table read

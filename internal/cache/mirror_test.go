@@ -97,7 +97,7 @@ func TestImportBucketRebuildsMirrors(t *testing.T) {
 
 	dst := NewShared(tableset.NewSharedInterner(), 0)
 	var snaps []BucketSnapshot
-	if _, err := src.Export(func(bs BucketSnapshot) error {
+	if _, _, err := src.Export(0, func(bs BucketSnapshot) error {
 		snaps = append(snaps, bs)
 		return nil
 	}); err != nil {

@@ -68,7 +68,7 @@ func restore(tb testing.TB, sh *cache.Shared) *cache.Shared {
 func bucketSets(tb testing.TB, sh *cache.Shared) []tableset.Set {
 	tb.Helper()
 	var sets []tableset.Set
-	if _, err := sh.Export(func(bs cache.BucketSnapshot) error {
+	if _, _, err := sh.Export(0, func(bs cache.BucketSnapshot) error {
 		sets = append(sets, bs.Set)
 		return nil
 	}); err != nil {
@@ -109,7 +109,7 @@ func TestPullAdoptionMatchesReference(t *testing.T) {
 		{"merged", chain, func(t *testing.T) *cache.Shared {
 			primary := chain.warmStore(1, 1, 2)
 			replica := chain.warmStore(1, 5) // warm on its own first
-			data, _, err := snapshot.EncodeDeltas(1, 1, []snapshot.TaggedDelta{{Tag: "\x00", Store: primary}})
+			data, _, err := snapshot.EncodeDeltas(1, 1, []snapshot.TaggedStore{{Tag: "\x00", Store: primary}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func TestPullAdoptionMatchesReference(t *testing.T) {
 				known[s] = true
 			}
 			fresh := 0
-			if _, err := sh.Export(func(bs cache.BucketSnapshot) error {
+			if _, _, err := sh.Export(0, func(bs cache.BucketSnapshot) error {
 				if known[bs.Set] {
 					return nil
 				}

@@ -63,7 +63,7 @@ type Shared struct {
 	version atomic.Uint64
 	// repSeq is the replication watermark: every bucket change takes the
 	// next value and records it in the bucket's lastVer (under the bucket
-	// lock), so ExportDelta can ship only buckets changed since a remote
+	// lock), so Export can ship only buckets changed since a remote
 	// puller's cursor. It is distinct from version — version's ordering
 	// contract (advanced strictly after the epoch mirror) belongs to
 	// SyncState.Pull and must not be reused as an export cursor.
@@ -112,7 +112,7 @@ type sharedBucket struct {
 	mu    sync.Mutex //rmq:lock bucket 2
 	epoch atomic.Uint64
 	// lastVer is the store's repSeq value at this bucket's most recent
-	// change, guarded by mu rather than atomic: ExportDelta must never
+	// change, guarded by mu rather than atomic: Export must never
 	// observe a cursor ≥ some change's sequence while missing the change
 	// itself, and the bucket critical section gives that for free where a
 	// lock-free mirror would need seq_cst fences.
@@ -199,7 +199,7 @@ func (s *Shared) bucketAt(id tableset.ID) *sharedBucket {
 // admit is the store's one admission block, shared by Publish and
 // MergeBucket. It offers plans to sb at precision retain and publishes
 // the change in the order readers rely on. Under the bucket lock it
-// inserts the plans, stamps lastVer from repSeq (ExportDelta's cursor)
+// inserts the plans, stamps lastVer from repSeq (Export's cursor)
 // and stores the epoch mirror. After the unlock it adds to the plan
 // count and only then advances version: atomic operations are totally
 // ordered, so a puller that observes the new version also observes the

@@ -28,7 +28,7 @@ func decodeShape(tb testing.TB, sh *cache.Shared) (buckets, nodes, blocks int) {
 			walk(p.Inner)
 		}
 	}
-	if _, err := sh.Export(func(bs cache.BucketSnapshot) error {
+	if _, _, err := sh.Export(0, func(bs cache.BucketSnapshot) error {
 		buckets++
 		var classes [plan.NumOutputProps]bool
 		for _, p := range bs.Plans {

@@ -3,9 +3,12 @@ package snapshot_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rmq/internal/cache"
+	"rmq/internal/catalog"
+	"rmq/internal/costmodel"
 	"rmq/internal/plan"
 	"rmq/internal/snapshot"
 	"rmq/internal/tableset"
@@ -36,7 +39,7 @@ func sameFrontiers(t *testing.T, want, got *cache.Shared) {
 	gc := cache.New(got.Interner())
 	gc.TrackDirty()
 	got.NewSync().Pull(gc)
-	_, err := want.Export(func(bs cache.BucketSnapshot) error {
+	_, _, err := want.Export(0, func(bs cache.BucketSnapshot) error {
 		w, g := wc.Get(bs.Set), gc.Get(bs.Set)
 		if len(w) != len(g) {
 			return fmt.Errorf("set %v: %d plans replicated, %d original", bs.Set, len(g), len(w))
@@ -95,7 +98,7 @@ func TestDeltaRoundTripConverges(t *testing.T) {
 	}
 
 	stores := make(map[string]*cache.Shared)
-	data, sent, err := snapshot.EncodeDeltas(0xfeedface, 42, []snapshot.TaggedDelta{{Tag: "\x00", Store: fx.sh}})
+	data, sent, err := snapshot.EncodeDeltas(0xfeedface, 42, []snapshot.TaggedStore{{Tag: "\x00", Store: fx.sh}})
 	if err != nil {
 		t.Fatalf("EncodeDeltas: %v", err)
 	}
@@ -127,7 +130,7 @@ func TestDeltaRoundTripConverges(t *testing.T) {
 	// Incremental: publish more, pull since the cursor, converge again.
 	fx.publish(t)
 	fx.publish(t)
-	data2, _, err := snapshot.EncodeDeltas(0xfeedface, 42, []snapshot.TaggedDelta{{Tag: "\x00", Store: fx.sh, Since: cursors["\x00"]}})
+	data2, _, err := snapshot.EncodeDeltas(0xfeedface, 42, []snapshot.TaggedStore{{Tag: "\x00", Store: fx.sh, Since: cursors["\x00"]}})
 	if err != nil {
 		t.Fatalf("incremental EncodeDeltas: %v", err)
 	}
@@ -147,7 +150,7 @@ func TestDeltaQuiescentStoreShipsCursorOnly(t *testing.T) {
 	fx := newDeltaFixture(1)
 	fx.publish(t)
 	cursor := fx.sh.DeltaCursor()
-	data, sent, err := snapshot.EncodeDeltas(1, 2, []snapshot.TaggedDelta{{Tag: "\x00", Store: fx.sh, Since: cursor}})
+	data, sent, err := snapshot.EncodeDeltas(1, 2, []snapshot.TaggedStore{{Tag: "\x00", Store: fx.sh, Since: cursor}})
 	if err != nil {
 		t.Fatalf("EncodeDeltas: %v", err)
 	}
@@ -161,6 +164,48 @@ func TestDeltaQuiescentStoreShipsCursorOnly(t *testing.T) {
 	if _, plans := stores["\x00"].Stats(); plans != 0 {
 		t.Fatalf("quiescent delta shipped %d plans", plans)
 	}
+
+	// An incremental pull costs O(changed buckets): at the current
+	// cursor of a store with over a thousand buckets it allocates no more
+	// than at the cursor of a one-bucket store, so nothing is copied or
+	// sized from the store.
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	big, _ := runStore(t, 16, catalog.Chain, []costmodel.Metric{costmodel.Time, costmodel.Buffer}, 1, 1, 250)
+	bigSets, _ := big.Stats()
+	if bigSets < 1000 {
+		t.Fatalf("large store has %d buckets, want ≥ 1000", bigSets)
+	}
+	smallAllocs, smallBytes := quiescentPullCost(t, fx.sh)
+	bigAllocs, bigBytes := quiescentPullCost(t, big)
+	t.Logf("quiescent pull: %.0f allocations, %d bytes (1 bucket); %.0f allocations, %d bytes (%d buckets)",
+		smallAllocs, smallBytes, bigAllocs, bigBytes, bigSets)
+	if bigAllocs > smallAllocs || bigBytes > smallBytes+128 {
+		t.Errorf("quiescent pull of %d buckets allocates %.0f times, %d bytes; of 1 bucket %.0f times, %d bytes",
+			bigSets, bigAllocs, bigBytes, smallAllocs, smallBytes)
+	}
+}
+
+// quiescentPullCost measures EncodeDeltas at sh's current cursor: its
+// allocations and allocated bytes per call.
+func quiescentPullCost(t *testing.T, sh *cache.Shared) (allocs float64, bytes uint64) {
+	t.Helper()
+	stores := []snapshot.TaggedStore{{Tag: "\x00", Store: sh, Since: sh.DeltaCursor()}}
+	pull := func() {
+		if _, _, err := snapshot.EncodeDeltas(1, 2, stores); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(100, pull)
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		pull()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 // TestDeltaRejectsMalformedInput mirrors the snapshot decoder's safety
@@ -168,7 +213,7 @@ func TestDeltaQuiescentStoreShipsCursorOnly(t *testing.T) {
 func TestDeltaRejectsMalformedInput(t *testing.T) {
 	fx := newDeltaFixture(1)
 	fx.publish(t)
-	valid, _, err := snapshot.EncodeDeltas(1, 2, []snapshot.TaggedDelta{{Tag: "\x00", Store: fx.sh}})
+	valid, _, err := snapshot.EncodeDeltas(1, 2, []snapshot.TaggedStore{{Tag: "\x00", Store: fx.sh}})
 	if err != nil {
 		t.Fatalf("EncodeDeltas: %v", err)
 	}
@@ -220,7 +265,7 @@ func FuzzDeltaDecode(f *testing.F) {
 	for i := 0; i < 4; i++ {
 		fx.publish(f)
 	}
-	valid, _, err := snapshot.EncodeDeltas(0xfeedface, 7, []snapshot.TaggedDelta{{Tag: "\x00", Store: fx.sh}})
+	valid, _, err := snapshot.EncodeDeltas(0xfeedface, 7, []snapshot.TaggedStore{{Tag: "\x00", Store: fx.sh}})
 	if err != nil {
 		f.Fatalf("EncodeDeltas: %v", err)
 	}
@@ -245,11 +290,11 @@ func FuzzDeltaDecode(f *testing.F) {
 		// delta from it and merging into a fresh store must succeed.
 		for tag, sh := range stores {
 			mirror := make(map[string]*cache.Shared)
-			again, _, err := snapshot.EncodeDeltas(h.Fingerprint, h.Instance, []snapshot.TaggedDelta{{Tag: tag, Store: sh}})
+			again, _, err := snapshot.EncodeDeltas(h.Fingerprint, h.Instance, []snapshot.TaggedStore{{Tag: tag, Store: sh}})
 			if err != nil {
 				t.Fatalf("re-exporting a merged store failed: %v", err)
 			}
-			want, _, err := snapshot.OracleEncodeDeltas(h.Fingerprint, h.Instance, []snapshot.TaggedDelta{{Tag: tag, Store: sh}})
+			want, _, err := snapshot.OracleEncodeDeltas(h.Fingerprint, h.Instance, []snapshot.TaggedStore{{Tag: tag, Store: sh}})
 			if err != nil || !bytes.Equal(again, want) {
 				t.Fatalf("re-exported delta differs from the oracle's (err %v)", err)
 			}

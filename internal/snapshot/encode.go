@@ -70,8 +70,10 @@ func newSection(tag string, in *tableset.Interner, state cache.StoreState, bucke
 		view:    in.Sets(),
 		starts:  make([]int32, len(buckets)+1),
 	}
-	b.byID = make([]int32, len(b.view))
-	b.sets = make([]tableset.Set, 0, len(buckets))
+	if len(buckets) > 0 { // a quiescent delta section needs no set table
+		b.byID = make([]int32, len(b.view))
+		b.sets = make([]tableset.Set, 0, len(buckets))
+	}
 	for i, bs := range buckets {
 		if b.setOf(bs.Set, bs.ID) != 0 {
 			return nil, fmt.Errorf("snapshot: store %q exported bucket set %v twice", tag, bs.Set)

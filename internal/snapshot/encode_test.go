@@ -45,7 +45,7 @@ func storeShape(tb testing.TB, sh *cache.Shared) (maxBucket, evicted int) {
 	tb.Helper()
 	inBucket := make(map[*plan.Plan]bool)
 	var roots []*plan.Plan
-	if _, err := sh.Export(func(bs cache.BucketSnapshot) error {
+	if _, _, err := sh.Export(0, func(bs cache.BucketSnapshot) error {
 		maxBucket = max(maxBucket, len(bs.Plans))
 		for _, p := range bs.Plans {
 			inBucket[p] = true
@@ -212,7 +212,7 @@ func TestEncoderMatchesOracle(t *testing.T) {
 		}
 
 		for _, since := range []uint64{0, sc.mid} {
-			deltas := []snapshot.TaggedDelta{{Tag: "\x00", Store: sc.sh, Since: since}}
+			deltas := []snapshot.TaggedStore{{Tag: "\x00", Store: sc.sh, Since: since}}
 			got, gotCur, err := snapshot.EncodeDeltas(1, 2, deltas)
 			if err != nil {
 				t.Fatalf("%s: EncodeDeltas: %v", sc.name, err)
@@ -284,7 +284,7 @@ func TestEncodeConcurrentWithRuns(t *testing.T) {
 		if _, err := snapshot.Decode(data, openFresh(make(map[string]*cache.Shared))); err != nil {
 			t.Fatalf("snapshot taken under load does not decode: %v", err)
 		}
-		delta, cursors, err := snapshot.EncodeDeltas(1, 2, []snapshot.TaggedDelta{{Tag: "\x00", Store: sh, Since: cursor}})
+		delta, cursors, err := snapshot.EncodeDeltas(1, 2, []snapshot.TaggedStore{{Tag: "\x00", Store: sh, Since: cursor}})
 		if err != nil {
 			t.Fatalf("EncodeDeltas under load: %v", err)
 		}

@@ -34,7 +34,7 @@ func OracleEncode(fingerprint uint64, stores []TaggedStore) ([]byte, error) {
 			return nil, fmt.Errorf("snapshot: duplicate store tag %q", ts.Tag)
 		}
 		var buckets []cache.BucketSnapshot
-		state, err := ts.Store.Export(func(bs cache.BucketSnapshot) error {
+		state, _, err := ts.Store.Export(0, func(bs cache.BucketSnapshot) error {
 			buckets = append(buckets, bs)
 			return nil
 		})
@@ -49,9 +49,9 @@ func OracleEncode(fingerprint uint64, stores []TaggedStore) ([]byte, error) {
 }
 
 // OracleEncodeDeltas is EncodeDeltas over the oracle section encoder.
-func OracleEncodeDeltas(fingerprint, instance uint64, stores []TaggedDelta) ([]byte, map[string]uint64, error) {
+func OracleEncodeDeltas(fingerprint, instance uint64, stores []TaggedStore) ([]byte, map[string]uint64, error) {
 	sorted := slices.Clone(stores)
-	slices.SortFunc(sorted, func(a, b TaggedDelta) int { return strings.Compare(a.Tag, b.Tag) })
+	slices.SortFunc(sorted, func(a, b TaggedStore) int { return strings.Compare(a.Tag, b.Tag) })
 	w := make([]byte, 0, 1024)
 	w = append(w, magicDelta...)
 	w = binary.AppendUvarint(w, Version)
@@ -64,14 +64,14 @@ func OracleEncodeDeltas(fingerprint, instance uint64, stores []TaggedDelta) ([]b
 			return nil, nil, fmt.Errorf("snapshot: duplicate delta tag %q", td.Tag)
 		}
 		var buckets []cache.BucketSnapshot
-		cursor, err := td.Store.ExportDelta(td.Since, func(bs cache.BucketSnapshot) error {
+		state, cursor, err := td.Store.Export(td.Since, func(bs cache.BucketSnapshot) error {
 			buckets = append(buckets, bs)
 			return nil
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		if w, err = oracleAppendSection(w, td.Tag, td.Store.State(), buckets, cursor, true); err != nil {
+		if w, err = oracleAppendSection(w, td.Tag, state, buckets, cursor, true); err != nil {
 			return nil, nil, err
 		}
 		cursors[td.Tag] = cursor

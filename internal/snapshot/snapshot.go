@@ -10,6 +10,16 @@
 // counter (so the α schedule resumes at the precision the store was
 // refined to instead of redoing the coarse passes).
 //
+// The package has one encoder and one decoder for two streams. A delta
+// (rmq-delt/v1, see delta.go) ships every bucket changed since a
+// replication cursor; a snapshot is the delta since zero, framed under
+// its own magic without the instance id and per-store cursor. A delta
+// store section is a snapshot section plus that cursor. The streams
+// differ in what a decoded section does to its store: a snapshot
+// installs buckets verbatim into a fresh store (cache.Shared.
+// ImportBucket, epochs kept), a delta merges them into a live one
+// (MergeBucket, through ordinary admission).
+//
 // # Wire format
 //
 // A snapshot is one framed byte stream:
@@ -99,72 +109,47 @@ var (
 	ErrVersion   = errors.New("snapshot: unsupported codec version")
 )
 
-// TaggedStore pairs one shared store with the session tag identifying
-// its metric subset. The codec treats tags as opaque ordered bytes.
+// TaggedStore names one store to encode: the session tag identifying
+// its metric subset (the codec treats tags as opaque ordered bytes), the
+// store, and the replication cursor the puller presented (0 pulls
+// everything). A snapshot ignores Since.
 type TaggedStore struct {
 	Tag   string
 	Store *cache.Shared
+	Since uint64
 }
 
-// Header is the snapshot preamble: codec version and the catalog
-// fingerprint the frontiers belong to.
+// Header is the stream preamble: codec version, the catalog fingerprint
+// the frontiers belong to and, in a delta stream, the sender's instance.
 type Header struct {
 	Version     uint64
 	Fingerprint uint64
+	// Instance identifies the sender's incarnation of the catalog;
+	// cursors from one instance must not be presented to another. A
+	// snapshot carries none (0).
+	Instance uint64
 }
 
-// OpenStore returns the destination store for one snapshot section
-// during Decode. The callback owns store construction (a fresh store
-// over a fresh shared interner, with the snapshot's retention) so the
-// codec stays ignorant of session policy; the returned store must
-// report exactly state.Retention and its buckets for the section's
-// table sets must be empty.
+// OpenStore returns the destination store for one store section during
+// Decode or DecodeDeltas. The callback owns store construction so the
+// codec stays ignorant of session policy. The returned store must report
+// exactly state.Retention. For Decode it is a fresh store over a fresh
+// shared interner, whose buckets for the section's table sets are
+// empty; for DecodeDeltas it may be a live, populated one.
 type OpenStore func(tag string, state cache.StoreState) (*cache.Shared, error)
 
 // Encode serializes the stores into one rmq-snap/v1 snapshot.
 func Encode(fingerprint uint64, stores []TaggedStore) ([]byte, error) {
-	sorted := slices.Clone(stores)
-	slices.SortFunc(sorted, func(a, b TaggedStore) int { return strings.Compare(a.Tag, b.Tag) })
-	secs := make([]*section, len(sorted))
-	size := len(magic) + uvarintLen(Version) + 8 + uvarintLen(uint64(len(sorted))) + 4
-	for i, ts := range sorted {
-		if i > 0 && ts.Tag == sorted[i-1].Tag {
-			return nil, fmt.Errorf("snapshot: duplicate store tag %q", ts.Tag)
-		}
-		sets, _ := ts.Store.Stats()
-		buckets := make([]cache.BucketSnapshot, 0, sets)
-		state, err := ts.Store.Export(func(bs cache.BucketSnapshot) error {
-			buckets = append(buckets, bs)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if secs[i], err = newSection(ts.Tag, ts.Store.Interner(), state, buckets, 0, false); err != nil {
-			return nil, err
-		}
-		size += secs[i].size()
-	}
-	w := make([]byte, 0, size)
-	w = append(w, magic...)
-	w = binary.AppendUvarint(w, Version)
-	w = binary.LittleEndian.AppendUint64(w, fingerprint)
-	w = binary.AppendUvarint(w, uint64(len(sorted)))
-	for _, sec := range secs {
-		w = sec.appendTo(w)
-	}
-	return binary.LittleEndian.AppendUint32(w, crc32.ChecksumIEEE(w)), nil
+	data, _, err := encode(false, fingerprint, 0, stores)
+	return data, err
 }
 
 // Peek verifies the frame (magic, length, checksum, version) and
 // returns the header without materializing anything. Callers use it to
 // check the catalog fingerprint before committing to a restore.
 func Peek(data []byte) (Header, error) {
-	r, err := openFrame(data)
-	if err != nil {
-		return Header{}, err
-	}
-	return r.header()
+	h, _, err := decode(false, data, nil)
+	return h, err
 }
 
 // Decode verifies the frame and materializes every store section
@@ -173,33 +158,104 @@ func Peek(data []byte) (Header, error) {
 // (restores target fresh sessions, so discarding is dropping the
 // session).
 func Decode(data []byte, open OpenStore) (Header, error) {
-	r, err := openFrame(data)
-	if err != nil {
-		return Header{}, err
+	h, _, err := decode(false, data, open)
+	return h, err
+}
+
+// encode serializes the stores into one stream: a snapshot of every
+// store, or with delta set, a delta stream of every store's changes
+// since its Since. It returns, for a delta, each tag's cursor after it.
+func encode(delta bool, fingerprint, instance uint64, stores []TaggedStore) ([]byte, map[string]uint64, error) {
+	sorted := slices.Clone(stores)
+	slices.SortFunc(sorted, func(a, b TaggedStore) int { return strings.Compare(a.Tag, b.Tag) })
+	head, instanceLen := magic, 0
+	var cursors map[string]uint64
+	if delta {
+		head, instanceLen = magicDelta, 8
+		cursors = make(map[string]uint64, len(sorted))
 	}
-	h, err := r.header()
+	secs := make([]*section, len(sorted))
+	size := len(head) + uvarintLen(Version) + 8 + instanceLen + uvarintLen(uint64(len(sorted))) + 4
+	for i, ts := range sorted {
+		if i > 0 && ts.Tag == sorted[i-1].Tag {
+			return nil, nil, fmt.Errorf("snapshot: duplicate store tag %q", ts.Tag)
+		}
+		since := uint64(0)
+		if delta {
+			since = ts.Since
+		}
+		var buckets []cache.BucketSnapshot
+		if since == 0 {
+			sets, _ := ts.Store.Stats()
+			buckets = make([]cache.BucketSnapshot, 0, sets)
+		}
+		state, cursor, err := ts.Store.Export(since, func(bs cache.BucketSnapshot) error {
+			buckets = append(buckets, bs)
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		if secs[i], err = newSection(ts.Tag, ts.Store.Interner(), state, buckets, cursor, delta); err != nil {
+			return nil, nil, err
+		}
+		size += secs[i].size()
+		if delta {
+			cursors[ts.Tag] = cursor
+		}
+	}
+	w := make([]byte, 0, size)
+	w = append(w, head...)
+	w = binary.AppendUvarint(w, Version)
+	w = binary.LittleEndian.AppendUint64(w, fingerprint)
+	if delta {
+		w = binary.LittleEndian.AppendUint64(w, instance)
+	}
+	w = binary.AppendUvarint(w, uint64(len(sorted)))
+	for _, sec := range secs {
+		w = sec.appendTo(w)
+	}
+	return binary.LittleEndian.AppendUint32(w, crc32.ChecksumIEEE(w)), cursors, nil
+}
+
+// decode verifies the frame of a snapshot, or with delta set a delta
+// stream, and loads every store section through open, returning the
+// header and each tag's cursor (0 in a snapshot). With a nil open it
+// stops after the header.
+func decode(delta bool, data []byte, open OpenStore) (Header, map[string]uint64, error) {
+	want := magic
+	if delta {
+		want = magicDelta
+	}
+	r, err := openFrame(data, want)
 	if err != nil {
-		return Header{}, err
+		return Header{}, nil, err
+	}
+	h, err := r.header(delta)
+	if err != nil || open == nil {
+		return h, nil, err
 	}
 	nStores, err := r.count("store")
 	if err != nil {
-		return Header{}, err
+		return Header{}, nil, err
 	}
+	cursors := make(map[string]uint64, nStores)
 	prevTag := ""
 	for i := 0; i < nStores; i++ {
-		tag, _, err := r.decodeStore(open, false)
+		tag, cursor, err := r.decodeStore(open, delta)
 		if err != nil {
-			return Header{}, err
+			return Header{}, nil, err
 		}
 		if i > 0 && tag <= prevTag {
-			return Header{}, fmt.Errorf("snapshot: store tags out of order (%q after %q)", tag, prevTag)
+			return Header{}, nil, fmt.Errorf("snapshot: store tags out of order (%q after %q)", tag, prevTag)
 		}
 		prevTag = tag
+		cursors[tag] = cursor
 	}
 	if r.rem() != 0 {
-		return Header{}, fmt.Errorf("snapshot: %d trailing bytes after last store", r.rem())
+		return Header{}, nil, fmt.Errorf("snapshot: %d trailing bytes after last store", r.rem())
 	}
-	return h, nil
+	return h, cursors, nil
 }
 
 // reader is a bounds-checked cursor over the CRC-verified snapshot
@@ -211,15 +267,11 @@ type reader struct {
 	off int
 }
 
-// openFrame validates magic, minimum length and the CRC trailer, and
-// returns a reader positioned after the magic. Checking the CRC over
-// the entire body first makes corruption deterministic: a bit flip
-// anywhere fails here, before any structural parsing can run.
-func openFrame(data []byte) (*reader, error) { return openFrameMagic(data, magic) }
-
-// openFrameMagic is openFrame for any of the package's stream magics
-// (the snapshot and delta streams share the frame layout).
-func openFrameMagic(data []byte, want string) (*reader, error) {
+// openFrame validates the magic (want), minimum length and the CRC
+// trailer, and returns a reader positioned after the magic. Checking the
+// CRC over the entire body first makes corruption deterministic: a bit
+// flip anywhere fails here, before any structural parsing can run.
+func openFrame(data []byte, want string) (*reader, error) {
 	if len(data) < len(want)+4 {
 		return nil, ErrTruncated
 	}
@@ -233,9 +285,9 @@ func openFrameMagic(data []byte, want string) (*reader, error) {
 	return &reader{buf: body, off: len(want)}, nil
 }
 
-// header reads the version (rejecting anything but Version) and the
-// catalog fingerprint.
-func (r *reader) header() (Header, error) {
+// header reads the version (rejecting anything but Version), the
+// catalog fingerprint and, in a delta stream, the instance id.
+func (r *reader) header(delta bool) (Header, error) {
 	v, err := r.uvarint("version")
 	if err != nil {
 		return Header{}, err
@@ -243,11 +295,16 @@ func (r *reader) header() (Header, error) {
 	if v != Version {
 		return Header{}, fmt.Errorf("%w: stream has v%d, this build reads v%d", ErrVersion, v, Version)
 	}
-	fp, err := r.u64("fingerprint")
-	if err != nil {
+	h := Header{Version: v}
+	if h.Fingerprint, err = r.u64("fingerprint"); err != nil {
 		return Header{}, err
 	}
-	return Header{Version: v, Fingerprint: fp}, nil
+	if delta {
+		if h.Instance, err = r.u64("instance"); err != nil {
+			return Header{}, err
+		}
+	}
+	return h, nil
 }
 
 func (r *reader) rem() int { return len(r.buf) - r.off }

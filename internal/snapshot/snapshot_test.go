@@ -108,7 +108,7 @@ func openFresh(stores map[string]*cache.Shared) snapshot.OpenStore {
 func frontierDump(tb testing.TB, sh *cache.Shared) string {
 	tb.Helper()
 	var buf bytes.Buffer
-	state, err := sh.Export(func(bs cache.BucketSnapshot) error {
+	state, _, err := sh.Export(0, func(bs cache.BucketSnapshot) error {
 		fmt.Fprintf(&buf, "bucket %v epoch %d\n", bs.Set, bs.Epoch)
 		for i, p := range bs.Plans {
 			fmt.Fprintf(&buf, "  @%d %v %v card %v %s\n", bs.Epochs[i], p.Cost, p.Output, p.Card, p)
@@ -206,7 +206,7 @@ func TestRestoredStoreAnswersPullIdentically(t *testing.T) {
 		t.Fatalf("Iterations diverged: restored %d, original %d", ri, oi)
 	}
 	// Frontier-by-frontier equality, keyed by table set.
-	_, err := orig.Export(func(bs cache.BucketSnapshot) error {
+	_, _, err := orig.Export(0, func(bs cache.BucketSnapshot) error {
 		got, want := rc.Get(bs.Set), oc.Get(bs.Set)
 		if len(got) != len(want) {
 			return fmt.Errorf("set %v: %d plans restored, %d original", bs.Set, len(got), len(want))
@@ -229,7 +229,7 @@ func TestRestoredStoreAnswersPullIdentically(t *testing.T) {
 func restoredPlans(tb testing.TB, sh *cache.Shared, rel tableset.Set) []weak.Pointer[plan.Plan] {
 	tb.Helper()
 	var out []weak.Pointer[plan.Plan]
-	if _, err := sh.Export(func(bs cache.BucketSnapshot) error {
+	if _, _, err := sh.Export(0, func(bs cache.BucketSnapshot) error {
 		if bs.Set == rel {
 			for _, p := range bs.Plans {
 				out = append(out, weak.Make(p))

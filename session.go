@@ -211,28 +211,35 @@ func (s *Session) PoolStats() PoolStats {
 }
 
 // sharedCache returns the session's shared plan cache for the metric
-// subset, creating it (and its shared-mode interner) on first use. The
-// retention precision is fixed by the creating run's configuration;
-// later runs reuse the store as-is when they leave retention unset, and
-// get ErrRetentionMismatch when they explicitly ask for a different one.
+// subset, creating it on first use. The retention precision is fixed by
+// the creating run's configuration; later runs reuse the store as-is
+// when they leave retention unset, and get ErrRetentionMismatch when
+// they explicitly ask for a different one.
 func (s *Session) sharedCache(cfg config) (*cache.Shared, error) {
-	key := metricsKey(cfg.metrics)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sh := s.shared[key]
-	if sh == nil {
-		sh = cache.NewShared(tableset.NewSharedInterner(), cfg.retention)
-		if s.shared == nil {
-			s.shared = make(map[string]*cache.Shared)
-		}
-		s.shared[key] = sh
-		return sh, nil
-	}
-	if cfg.retentionSet && cfg.retention != sh.Retention() {
+	sh, created := s.store(metricsKey(cfg.metrics), cfg.retention)
+	if !created && cfg.retentionSet && cfg.retention != sh.Retention() {
 		return nil, fmt.Errorf("rmq: %w: run wants α = %v, the store was created with α = %v (retention is fixed per metric subset by the creating run; match it, omit WithCacheRetention, or use a separate session)",
 			ErrRetentionMismatch, cfg.retention, sh.Retention())
 	}
 	return sh, nil
+}
+
+// store returns the session's shared plan cache for a metric-subset tag
+// (a metricsKey, which is also the tag on the wire), creating it and its
+// shared-mode interner at the given retention when absent. It reports
+// whether it created the store.
+func (s *Session) store(tag string, retention float64) (sh *cache.Shared, created bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sh = s.shared[tag]; sh != nil {
+		return sh, false
+	}
+	sh = cache.NewShared(tableset.NewSharedInterner(), retention)
+	if s.shared == nil {
+		s.shared = make(map[string]*cache.Shared)
+	}
+	s.shared[tag] = sh
+	return sh, true
 }
 
 // Optimize computes an approximation of the Pareto plan set for joining

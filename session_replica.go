@@ -5,7 +5,6 @@ import (
 
 	"rmq/internal/cache"
 	"rmq/internal/snapshot"
-	"rmq/internal/tableset"
 )
 
 // Session-level replication: the rmq-delt/v1 exchange that keeps a warm
@@ -41,13 +40,7 @@ type DeltaApply struct {
 // running Optimize calls and returns a valid (empty) stream for a
 // session that never enabled WithSharedCache.
 func (s *Session) EncodeDeltas(instance uint64, since map[string]uint64) ([]byte, map[string]uint64, error) {
-	s.mu.Lock()
-	stores := make([]snapshot.TaggedDelta, 0, len(s.shared))
-	for tag, sh := range s.shared {
-		stores = append(stores, snapshot.TaggedDelta{Tag: tag, Store: sh, Since: since[tag]})
-	}
-	s.mu.Unlock()
-	return snapshot.EncodeDeltas(s.cat.Fingerprint(), instance, stores)
+	return snapshot.EncodeDeltas(s.cat.Fingerprint(), instance, s.stores(since))
 }
 
 // DeltaCursors returns the current replication watermark of every
@@ -87,28 +80,12 @@ func (s *Session) ApplyDeltas(data []byte) (DeltaApply, error) {
 		if err := validMetricsTag(tag); err != nil {
 			return nil, err
 		}
-		return s.sharedCacheForTag(tag, st.Retention), nil
+		sh, _ := s.store(tag, st.Retention)
+		return sh, nil
 	})
 	if err != nil {
 		return DeltaApply{}, fmt.Errorf("rmq: %w", err)
 	}
 	after := s.CacheStats().Plans
 	return DeltaApply{Instance: h.Instance, Cursors: cursors, Admitted: after - before}, nil
-}
-
-// sharedCacheForTag returns the live store for a metric-subset tag,
-// creating one at the given retention when absent. Unlike sharedCache
-// it is keyed by raw tag (the wire form), not by run configuration.
-func (s *Session) sharedCacheForTag(tag string, retention float64) *cache.Shared {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sh := s.shared[tag]; sh != nil {
-		return sh
-	}
-	sh := cache.NewShared(tableset.NewSharedInterner(), retention)
-	if s.shared == nil {
-		s.shared = make(map[string]*cache.Shared)
-	}
-	s.shared[tag] = sh
-	return sh
 }

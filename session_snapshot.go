@@ -3,6 +3,7 @@ package rmq
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"rmq/internal/cache"
 	"rmq/internal/costmodel"
@@ -39,13 +40,19 @@ var ErrSnapshotIntoWarmSession = errors.New("session already has a shared cache 
 // racing with the export. A session that never enabled WithSharedCache
 // snapshots to a valid, empty stream.
 func (s *Session) Snapshot() ([]byte, error) {
+	return snapshot.Encode(s.cat.Fingerprint(), s.stores(nil))
+}
+
+// stores lists the session's shared stores for the codec, each with its
+// cursor in since (missing entries, and a nil since, pull from zero).
+func (s *Session) stores(since map[string]uint64) []snapshot.TaggedStore {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	stores := make([]snapshot.TaggedStore, 0, len(s.shared))
 	for tag, sh := range s.shared {
-		stores = append(stores, snapshot.TaggedStore{Tag: tag, Store: sh})
+		stores = append(stores, snapshot.TaggedStore{Tag: tag, Store: sh, Since: since[tag]})
 	}
-	s.mu.Unlock()
-	return snapshot.Encode(s.cat.Fingerprint(), stores)
+	return stores
 }
 
 // Restore loads a Snapshot into the session. The snapshot must have
@@ -71,26 +78,21 @@ func (s *Session) Restore(data []byte) error {
 	}
 	// Decode into session-free stores first: a decode error must leave
 	// the session exactly as it was, so nothing is committed until the
-	// whole stream has parsed and validated.
+	// whole stream has parsed and validated. The decoder rejects repeated
+	// tags, so each tag opens one store.
 	restored := make(map[string]*cache.Shared)
-	var tags []string
 	if _, err := snapshot.Decode(data, func(tag string, st cache.StoreState) (*cache.Shared, error) {
 		if err := validMetricsTag(tag); err != nil {
 			return nil, err
 		}
-		if restored[tag] != nil {
-			return nil, fmt.Errorf("duplicate metric subset %q", tag)
-		}
-		sh := cache.NewShared(tableset.NewSharedInterner(), st.Retention)
-		restored[tag] = sh
-		tags = append(tags, tag)
-		return sh, nil
+		restored[tag] = cache.NewShared(tableset.NewSharedInterner(), st.Retention)
+		return restored[tag], nil
 	}); err != nil {
 		return fmt.Errorf("rmq: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, tag := range tags {
+	for tag := range restored {
 		if s.shared[tag] != nil {
 			return fmt.Errorf("rmq: %w (subset %s)", ErrSnapshotIntoWarmSession, metricsTagName(tag))
 		}
@@ -98,9 +100,7 @@ func (s *Session) Restore(data []byte) error {
 	if s.shared == nil {
 		s.shared = make(map[string]*cache.Shared, len(restored))
 	}
-	for tag, sh := range restored {
-		s.shared[tag] = sh
-	}
+	maps.Copy(s.shared, restored)
 	return nil
 }
 

@@ -24,11 +24,6 @@ import (
 type Estimator struct {
 	cat  *Catalog
 	memo map[tableset.Set]cardEntry
-	// byID memoizes cardinalities under interned table-set ids (see
-	// tableset.Interner): callers that already hold an id trade the hash
-	// probe of the Set-keyed memo for an array load. A zero lin marks an
-	// empty slot (real entries have lin ≥ 1).
-	byID []cardEntry
 }
 
 // cardEntry memoizes both representations so the hot path (Card inside
@@ -108,39 +103,9 @@ func linearize(lc float64) float64 {
 	return c
 }
 
-// entryByID is entry keyed by the interned id of s (which callers must
-// have obtained from their interner for exactly this set). Ids beyond
-// tableset.MaxInterned never occur because interners stop assigning
-// there, so the dense table stays bounded.
-func (e *Estimator) entryByID(id tableset.ID, s tableset.Set) cardEntry {
-	if id <= 0 {
-		return e.entry(s)
-	}
-	if int(id) < len(e.byID) {
-		if ce := e.byID[id]; ce.lin != 0 {
-			return ce
-		}
-	} else {
-		e.byID = append(e.byID, make([]cardEntry, int(id)+1-len(e.byID))...)
-	}
-	lc := e.computeLog(s)
-	ce := cardEntry{log: lc, lin: linearize(lc)}
-	e.byID[id] = ce
-	return ce
-}
-
-// CardID returns Card(s) memoized under the interned id of s. id may be
-// tableset.NoID, in which case the Set-keyed memo is used.
-func (e *Estimator) CardID(id tableset.ID, s tableset.Set) float64 {
-	if s.IsEmpty() {
-		return 1
-	}
-	return e.entryByID(id, s).lin
-}
-
 // CardDirect computes Card(s) without touching any memo: the same
 // canonical-order evaluation (and therefore bit-identical values) as the
-// memoized paths, but with no probe, no insert and no growth. Callers
+// memoized Card, but with no probe, no insert and no growth. Callers
 // that price an unbounded stream of transient table sets — the climbing
 // move search — use it behind their own small bounded cache.
 //

@@ -307,12 +307,6 @@ func (m *Model) ScanCost(t int, op plan.ScanOp) cost.Vector {
 	return m.project(m.scanRaw(t, op))
 }
 
-// Card returns the estimated cardinality of joining the table set,
-// memoized under its interned id.
-func (m *Model) Card(rel tableset.Set) float64 {
-	return m.est.CardID(m.in.Intern(rel), rel)
-}
-
 // JoinCard returns the estimated output cardinality of joining the two
 // plans' table sets.
 func (m *Model) JoinCard(outer, inner *plan.Plan) float64 {
@@ -320,7 +314,7 @@ func (m *Model) JoinCard(outer, inner *plan.Plan) float64 {
 }
 
 // CardDirect computes the cardinality of joining the table set without
-// touching any memo (same values as Card); see catalog.CardDirect.
+// touching any memo (same values as JoinCard); see catalog.CardDirect.
 //
 //rmq:hotpath
 func (m *Model) CardDirect(rel tableset.Set) float64 {

@@ -112,6 +112,23 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 // requestOptions maps the wire request to functional options.
 func (s *Server) requestOptions(req *api.OptimizeRequest) ([]rmq.Option, error) {
+	// Zero means "unset" for every numeric field; a negative value means
+	// nothing and is refused rather than read as unset.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"timeout_ms", req.TimeoutMS},
+		{"max_iterations", float64(req.MaxIterations)},
+		{"dp_alpha", req.DPAlpha},
+		{"parallelism", float64(req.Parallelism)},
+		{"retention", req.Retention},
+		{"progress_every", float64(req.ProgressEvery)},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("negative %s %v", f.name, f.v)
+		}
+	}
 	var opts []rmq.Option
 	if len(req.Metrics) > 0 {
 		metrics, err := parseMetrics(req.Metrics)
@@ -131,9 +148,6 @@ func (s *Server) requestOptions(req *api.OptimizeRequest) ([]rmq.Option, error) 
 	}
 	if req.Parallelism > 0 {
 		opts = append(opts, rmq.WithParallelism(req.Parallelism))
-	}
-	if req.MaxIterations < 0 {
-		return nil, fmt.Errorf("negative max_iterations %d", req.MaxIterations)
 	}
 	if req.MaxIterations > 0 {
 		opts = append(opts, rmq.WithMaxIterations(req.MaxIterations))

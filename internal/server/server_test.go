@@ -184,11 +184,20 @@ func TestServerRequestValidation(t *testing.T) {
 		"excess parallelism": fmt.Sprintf(`{"catalog":%q,"parallelism":64}`, id),
 		"unknown field":      fmt.Sprintf(`{"catalog":%q,"budget":12}`, id),
 		"negative iters":     fmt.Sprintf(`{"catalog":%q,"max_iterations":-1}`, id),
+		"negative timeout":   fmt.Sprintf(`{"catalog":%q,"timeout_ms":-5}`, id),
+		"negative workers":   fmt.Sprintf(`{"catalog":%q,"parallelism":-3}`, id),
+		"negative progress":  fmt.Sprintf(`{"catalog":%q,"stream":true,"progress_every":-1}`, id),
+		"negative dp alpha":  fmt.Sprintf(`{"catalog":%q,"dp_alpha":-2}`, id),
+		"negative retention": fmt.Sprintf(`{"catalog":%q,"retention":-1}`, id),
 	} {
 		var e api.ErrorResponse
 		code := post(t, ts, "/optimize", body, &e)
-		if code != http.StatusBadRequest && code != http.StatusNotFound {
-			t.Errorf("%s: status %d, want 4xx", name, code)
+		want := http.StatusBadRequest
+		if name == "unknown catalog" {
+			want = http.StatusNotFound
+		}
+		if code != want {
+			t.Errorf("%s: status %d, want %d", name, code, want)
 		}
 		if e.Error == "" {
 			t.Errorf("%s: error response without message", name)

@@ -283,10 +283,20 @@ func BenchmarkAblationClimb(b *testing.B) {
 			m := testModel(b, 50, 1)
 			rng := rand.New(rand.NewPCG(2, 2))
 			c := arm.new(m)
+			// One op climbs a fixed pool of random plans, drawn and climbed
+			// once (warming the model's memos) before the timer starts, so
+			// every op does the same work and allocs/op does not depend on
+			// b.N.
+			pool := make([]*plan.Plan, 4)
+			for i := range pool {
+				pool[i] = randplan.Random(m, m.Catalog().AllTables(), rng)
+				c.Climb(pool[i])
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := randplan.Random(m, m.Catalog().AllTables(), rng)
-				c.Climb(p)
+				for _, p := range pool {
+					c.Climb(p)
+				}
 			}
 		})
 	}

@@ -40,7 +40,7 @@ type DeltaApply struct {
 // running Optimize calls and returns a valid (empty) stream for a
 // session that never enabled WithSharedCache.
 func (s *Session) EncodeDeltas(instance uint64, since map[string]uint64) ([]byte, map[string]uint64, error) {
-	return snapshot.EncodeDeltas(s.cat.Fingerprint(), instance, s.stores(since))
+	return snapshot.EncodeDeltas(s.cat.Fingerprint(), instance, s.taggedStores(since))
 }
 
 // DeltaCursors returns the current replication watermark of every

@@ -40,12 +40,13 @@ var ErrSnapshotIntoWarmSession = errors.New("session already has a shared cache 
 // racing with the export. A session that never enabled WithSharedCache
 // snapshots to a valid, empty stream.
 func (s *Session) Snapshot() ([]byte, error) {
-	return snapshot.Encode(s.cat.Fingerprint(), s.stores(nil))
+	return snapshot.Encode(s.cat.Fingerprint(), s.taggedStores(nil))
 }
 
-// stores lists the session's shared stores for the codec, each with its
-// cursor in since (missing entries, and a nil since, pull from zero).
-func (s *Session) stores(since map[string]uint64) []snapshot.TaggedStore {
+// taggedStores lists the session's shared stores for the codec, each
+// with its cursor in since (missing entries, and a nil since, pull from
+// zero).
+func (s *Session) taggedStores(since map[string]uint64) []snapshot.TaggedStore {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	stores := make([]snapshot.TaggedStore, 0, len(s.shared))

@@ -109,4 +109,40 @@ func BenchmarkBucketFill(b *testing.B) {
 	}
 }
 
+// BenchmarkSyncPull measures one round of a parallel run's sync on a
+// warm store of 20k buckets: one handle publishes a plan into one
+// bucket, and the other handle's Pull finds and imports it. The pull
+// scans every bucket's epoch mirror to find the changed one, so the op
+// is dominated by what that scan touches per unchanged bucket.
+func BenchmarkSyncPull(b *testing.B) {
+	const sets = 20000
+	sh, caches, syncs := sharedFixture(b, 2, 1)
+	pub, sub := caches[0], caches[1]
+	for i := 0; i < sets; i++ {
+		insert(pub, tableset.FromWords(uint64(i+1), 0), plan.Pipelined, 1, 1e9, 1e9)
+	}
+	syncs[0].Publish(pub)
+	if got := syncs[1].Pull(sub); got != sets {
+		b.Fatalf("warm start imported %d plans, want %d", got, sets)
+	}
+	// Each op's plan strictly dominates the one before it, so every
+	// publish and every pull admits one plan and evicts one.
+	rel := tableset.FromWords(sets/2, 0)
+	id := sh.Interner().Intern(rel)
+	plans := make([]*plan.Plan, b.N)
+	for i := range plans {
+		plans[i] = &plan.Plan{Rel: rel, RelID: id, Cost: cost.New(float64(b.N-i), 1), Output: plan.Pipelined}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, p := range plans {
+		pub.Insert(p, 1)
+		syncs[0].Publish(pub)
+		if syncs[1].Pull(sub) != 1 {
+			b.Fatal("the pull missed the published plan")
+		}
+	}
+	b.ReportMetric(sets, "buckets")
+}
+
 var benchSink int

@@ -33,7 +33,10 @@
 // wholesale rewrites rebuild them from the plan slice (rebuildMirrors
 // after shed, importMirrors on snapshot import) — the wire formats
 // serialize plans only — and a warm start that adopts a whole shared
-// bucket copies them (SyncState.Pull).
+// bucket copies them (SyncState.Pull). Those two bulk builds carve each
+// bucket's blocks, and an adopted bucket's plan and epoch arrays, from
+// shared 32 KiB chunks (see carve and reserveCols), so they do not
+// allocate per bucket.
 //
 // Every bucket is a per-output-class antichain: no plan weakly dominates
 // another plan of its class. Insert keeps that by construction (it
@@ -65,8 +68,10 @@
 // everything on first contact). The store is the only concurrent
 // structure — per-bucket mutexes over ordinary Buckets, with lock-free
 // epoch mirrors and a store-wide version counter so steady-state syncs
-// are a single atomic load. See shared.go for the full model and the
-// retention bound.
+// are a single atomic load. The mirrors sit in dense arrays beside the
+// store's bucket chunks, so a pull's changed-bucket scan reads 8 bytes
+// per unchanged bucket and locks only the changed ones. See shared.go
+// for the full model and the retention bound.
 //
 //rmq:deterministic
 package cache
@@ -306,12 +311,6 @@ func (b *Bucket) Insert(newPlan *plan.Plan, alpha float64) bool {
 	if !b.Admits(newPlan.Cost, newPlan.Output, alpha) {
 		return false
 	}
-	if b.plans == nil {
-		// Batch the first allocations: most buckets stay this small, so
-		// one sized allocation replaces a doubling ladder.
-		b.plans = make([]*plan.Plan, 0, 8) //rmq:allow-alloc(one sized allocation on a bucket's first admission)
-		b.epochs = make([]uint64, 0, 8)    //rmq:allow-alloc(one sized allocation on a bucket's first admission)
-	}
 	evicted := 0
 	out := newPlan.Output
 	cols := &b.cols[out]
@@ -346,17 +345,12 @@ func (b *Bucket) Insert(newPlan *plan.Plan, alpha float64) bool {
 		b.epochs = keepEp
 		cols.Truncate(ck)
 	}
-	old := b.plans
-	b.plans = append(b.plans, newPlan) //rmq:allow-alloc(admission retains the plan; growth is amortized and the hot rejecting case returns before this)
-	if cap(b.plans) != cap(old) {
-		// Growing abandoned the old array. Clear it: a restored bucket's
-		// array is a window of a slab shared with other buckets (see
-		// ImportBucket), which would otherwise keep every plan the bucket
-		// held at restore time reachable, evicted or not.
-		clear(old)
+	if len(b.plans) == cap(b.plans) {
+		b.growArrays()
 	}
+	b.plans = append(b.plans, newPlan) //rmq:allow-alloc(growArrays made room)
 	b.epoch++
-	b.epochs = append(b.epochs, b.epoch) //rmq:allow-alloc(admission retains the mark; growth is amortized)
+	b.epochs = append(b.epochs, b.epoch) //rmq:allow-alloc(growArrays made room)
 	if c := b.cache; c != nil {
 		c.plans += 1 - evicted
 		if c.track && !b.dirty {
@@ -371,6 +365,26 @@ func (b *Bucket) Insert(newPlan *plan.Plan, alpha float64) bool {
 		b.corner = b.corner.Min(newPlan.Cost)
 	}
 	return true
+}
+
+// growArrays moves the bucket's plans and epochs, which are full, into
+// arrays of twice their length and at least 8: most buckets stay that
+// small, so a bucket's first admission makes one sized allocation each
+// instead of a doubling ladder. It clears the abandoned plan array. A
+// restored or adopted bucket's arrays are windows of chunks shared with
+// other buckets (see ImportBucket and adopt), which would otherwise
+// keep every plan the bucket held then reachable, evicted or not.
+//
+//rmq:hotpath
+func (b *Bucket) growArrays() {
+	n := len(b.plans)
+	size := max(2*n, 8)
+	plans := make([]*plan.Plan, n, size) //rmq:allow-alloc(admission retains the plan; growth is amortized and the hot rejecting case returns before this)
+	copy(plans, b.plans)
+	clear(b.plans)
+	epochs := make([]uint64, n, size) //rmq:allow-alloc(admission retains the mark; growth is amortized)
+	copy(epochs, b.epochs)
+	b.plans, b.epochs = plans, epochs
 }
 
 // BeginRecomb plans an incremental recombination of this bucket from the

@@ -51,7 +51,8 @@ func (s *Shared) MergeBucket(bs BucketSnapshot) (admitted int, err error) {
 		}
 	}
 	// Every admission advances the bucket epoch by one.
-	before, after, _ := s.admit(s.bucketAt(id), bs.Plans, s.EffectiveRetention())
+	sb, mirror, _ := s.bucketAt(id)
+	before, after, _ := s.admit(sb, mirror, bs.Plans, s.EffectiveRetention())
 	return int(after - before), nil
 }
 

@@ -78,19 +78,21 @@ type StoreState struct {
 // them by append from empty, so its copies cost what changed.
 func (s *Shared) Export(since uint64, visit func(BucketSnapshot) error) (state StoreState, cursor uint64, err error) {
 	cursor = s.repSeq.Load()
-	var table []*sharedBucket
+	var slots []int32
+	var chunks []bucketChunk
 	if since < cursor {
-		table = s.table()
+		slots, chunks = s.table()
 	}
 	hint := 0
 	if since == 0 {
 		hint = int(s.plans.Load())
 	}
 	arena := newExportArena(hint)
-	for id, sb := range table {
-		if sb == nil {
+	for id, slot := range slots {
+		if slot == 0 {
 			continue
 		}
+		sb, _ := slotAt(chunks, int(slot)-1)
 		sb.mu.Lock()
 		if sb.lastVer <= since || len(sb.b.plans) == 0 {
 			sb.mu.Unlock()
@@ -107,12 +109,12 @@ func (s *Shared) Export(since uint64, visit func(BucketSnapshot) error) (state S
 	return StoreState{Retention: s.retain, Version: s.version.Load(), Iterations: s.iters.Load()}, cursor, nil
 }
 
-// table returns a copy of the bucket table, taken under the table read
-// lock so the caller can walk it without holding the lock.
-func (s *Shared) table() []*sharedBucket {
+// table returns a copy of the id table and the chunk list, taken under
+// the table read lock so the caller can walk them without holding it.
+func (s *Shared) table() ([]int32, []bucketChunk) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return slices.Clone(s.buckets)
+	return slices.Clone(s.slots), s.chunks
 }
 
 // exportArena holds the plan and epoch copies of one export in two
@@ -169,7 +171,9 @@ func (a *exportArena) copyOut(b *Bucket) BucketSnapshot {
 // the bucket keeps them as its own, so the caller must not use them
 // afterwards. They may be windows of one array shared by many buckets,
 // as the decoder cuts them: Insert clears the slots a bucket abandons,
-// so no window keeps a plan the bucket dropped reachable.
+// so no window keeps a plan the bucket dropped reachable. The rebuilt
+// class cost blocks are windows too, carved from the store's chunks
+// (see reserveCols).
 func (s *Shared) ImportBucket(bs BucketSnapshot) error {
 	if len(bs.Plans) == 0 || len(bs.Plans) != len(bs.Epochs) {
 		return fmt.Errorf("cache: import of %d plans with %d epochs", len(bs.Plans), len(bs.Epochs))
@@ -203,11 +207,18 @@ func (s *Shared) ImportBucket(bs BucketSnapshot) error {
 	// store as it was.
 	var b Bucket
 	b.plans = bs.Plans
+	var counts [plan.NumOutputProps]int
+	for _, p := range b.plans {
+		counts[p.Output]++
+	}
+	s.mu.Lock()
+	b.reserveCols(b.plans[0].Cost.N, counts, &s.costs)
+	s.mu.Unlock()
 	if i := b.importMirrors(); i >= 0 {
 		return fmt.Errorf("cache: import plan %d for %v is comparable with an earlier %v plan (cost %v); a bucket must be an antichain per output class",
 			i, bs.Set, bs.Plans[i].Output, bs.Plans[i].Cost)
 	}
-	sb := s.bucketAt(id)
+	sb, mirror, _ := s.bucketAt(id)
 	sb.mu.Lock()
 	if sb.b.epoch != 0 || len(sb.b.plans) != 0 {
 		sb.mu.Unlock()
@@ -222,15 +233,15 @@ func (s *Shared) ImportBucket(bs BucketSnapshot) error {
 		sb.b.corner = sb.b.corner.Min(p.Cost)
 	}
 	sb.lastVer = s.repSeq.Add(1)
-	sb.epoch.Store(bs.Epoch)
+	mirror.Store(bs.Epoch)
 	sb.mu.Unlock()
 	s.plans.Add(int64(len(bs.Plans)))
 	return nil
 }
 
 // importMirrors builds the per-output class cost columns of a bucket
-// whose frontier was installed wholesale (snapshot import), one block
-// per class sized up front (see reserveCols).
+// whose frontier was installed wholesale (snapshot import), into blocks
+// the caller reserved for each class (see reserveCols).
 //
 // The same sweep checks the frontier is a per-class antichain: before a
 // plan's cost joins its class columns, the columns are probed for an
@@ -238,11 +249,6 @@ func (s *Shared) ImportBucket(bs BucketSnapshot) error {
 // returns the index of the first plan failing that check, with the
 // columns left partly built, or -1 when the whole frontier passes.
 func (b *Bucket) importMirrors() (firstComparable int) {
-	var counts [plan.NumOutputProps]int
-	for _, p := range b.plans {
-		counts[p.Output]++
-	}
-	b.reserveCols(b.plans[0].Cost.N, counts)
 	for i, p := range b.plans {
 		cols := &b.cols[p.Output]
 		if cols.ApproxDominatedBy(p.Cost, 1) || cols.DominatesAny(p.Cost) {
@@ -253,19 +259,23 @@ func (b *Bucket) importMirrors() (firstComparable int) {
 	return -1
 }
 
-// reserveCols empties the bucket's class columns and reserves capacity
-// for counts[out] entries of dimension dim in each non-empty class: a
-// restore or warm start builds tens of thousands of buckets this way,
-// and growing each class's block by doubling would be most of its
-// allocations. Classes get separate blocks, so a class that outgrows
-// its block frees it instead of leaving it pinned by the other class.
+// reserveCols empties the bucket's class columns and gives each
+// non-empty class a block of exactly counts[out] entries of dimension
+// dim, carved from the chunk *costs (see carve): a restore or warm
+// start builds tens of thousands of buckets this way, and a block per
+// class per bucket would be most of its allocations. A class that
+// outgrows its window moves to a block of its own, and the window stays
+// behind in its chunk. A chunk is freed only when none of its windows
+// is in use, so it can pin up to bucketSlabBytes for one live window;
+// cost windows hold no pointers, so what a chunk pins is memory, never
+// plans.
 //
 //rmq:hotpath
-func (b *Bucket) reserveCols(dim int8, counts [plan.NumOutputProps]int) {
+func (b *Bucket) reserveCols(dim int8, counts [plan.NumOutputProps]int, costs *[]float64) {
 	for out, n := range counts {
 		b.cols[out].Reset()
 		if n > 0 {
-			b.cols[out].Reserve(dim, n)
+			b.cols[out].ReserveIn(dim, carve(costs, int(dim)*n))
 		}
 	}
 }

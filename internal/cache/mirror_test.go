@@ -115,11 +115,8 @@ func TestImportBucketRebuildsMirrors(t *testing.T) {
 		}
 	}
 	restored := 0
-	dst.mu.RLock()
-	buckets := append([]*sharedBucket(nil), dst.buckets...)
-	dst.mu.RUnlock()
-	for _, sb := range buckets {
-		if sb == nil || len(sb.b.plans) == 0 {
+	for _, sb := range storeBuckets(dst) {
+		if len(sb.b.plans) == 0 {
 			continue
 		}
 		restored++

@@ -24,19 +24,21 @@ func (st *SyncState) referencePull(c *Cache) (imported int) {
 	}
 	st.seen = v
 	sh.mu.RLock()
-	st.grow(len(sh.buckets))
+	n, chunks := sh.n, sh.chunks
+	sh.mu.RUnlock()
+	st.grow(n)
 	st.changed = st.changed[:0]
-	for id := 1; id < len(sh.buckets); id++ {
-		if sb := sh.buckets[id]; sb != nil && sb.epoch.Load() != st.pulled[id] {
-			st.changed = append(st.changed, sb)
+	for slot := 0; slot < n; slot++ {
+		if _, mirror := slotAt(chunks, slot); mirror.Load() != st.pulled[slot] {
+			st.changed = append(st.changed, int32(slot))
 		}
 	}
-	sh.mu.RUnlock()
-	for _, sb := range st.changed {
+	for _, slot := range st.changed {
+		sb, _ := slotAt(chunks, int(slot))
 		id := sb.b.id
 		sb.mu.Lock()
-		st.buf = append(st.buf[:0], sb.b.Since(st.pulled[id])...)
-		st.pulled[id] = sb.b.epoch
+		st.buf = append(st.buf[:0], sb.b.Since(st.pulled[slot])...)
+		st.pulled[slot] = sb.b.epoch
 		sb.mu.Unlock()
 		if len(st.buf) == 0 {
 			continue
@@ -150,7 +152,7 @@ func DiffSync(a, b *SyncState) error {
 			y = b.pulled[id]
 		}
 		if x != y {
-			return fmt.Errorf("pull marks of bucket %d differ: %d vs %d", id, x, y)
+			return fmt.Errorf("pull marks of bucket slot %d differ: %d vs %d", id, x, y)
 		}
 	}
 	return nil

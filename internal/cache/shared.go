@@ -31,6 +31,12 @@ import (
 // when nothing was published anywhere — the 0-alloc read probe of a
 // warmed-up session.
 //
+// Buckets live in chunks, numbered by slot in creation order, and each
+// chunk's epoch mirrors sit beside it in a dense array of 8-byte words.
+// A puller's changed-bucket scan streams those words against its own
+// per-slot marks and touches a bucket only when the two differ, so
+// scanning a warm store costs 8 bytes per bucket, not a bucket header.
+//
 // Bucket ids come from one shared-mode interner (tableset.
 // NewSharedInterner) that every participating cost model must be built
 // over, so plan.RelID values agree across workers and runs; table sets
@@ -79,17 +85,42 @@ type Shared struct {
 	sets  atomic.Int64
 	plans atomic.Int64
 
-	// mu guards the bucket table (growth and slot initialization), not
-	// the buckets themselves; each sharedBucket has its own lock.
-	mu      sync.RWMutex    //rmq:lock store 1
-	buckets []*sharedBucket // indexed by tableset.ID; slot 0 unused
-	// slab holds buckets allocated but not yet handed out (see
-	// bucketSlabBytes); guarded by mu like the table.
-	slab []sharedBucket
+	// mu guards the bucket tables (growth and slot creation) and the
+	// cost chunk, not the buckets themselves; each sharedBucket has its
+	// own lock.
+	mu sync.RWMutex //rmq:lock store 1
+	// slots maps a tableset.ID to 1 + the slot of its bucket (0: none).
+	slots []int32
+	// chunks holds the buckets by slot: slot i is entry
+	// i%sharedBucketsPerSlab of chunks[i/sharedBucketsPerSlab]. Chunks
+	// never move; the list only grows, and n slots are in use.
+	chunks []bucketChunk
+	n      int
+	// costs is the chunk ImportBucket carves restored class cost blocks
+	// from (see reserveCols).
+	costs []float64
+}
+
+// bucketChunk is one chunk of a store's buckets and, beside it, their
+// admission-epoch mirrors: mirrors[i] is buckets[i]'s epoch, stored
+// under the bucket's lock before the store's version advances, and
+// loaded by pullers without it.
+type bucketChunk struct {
+	buckets []sharedBucket  // len sharedBucketsPerSlab
+	mirrors []atomic.Uint64 // len sharedBucketsPerSlab
+}
+
+// slotAt returns the bucket in slot i and its epoch mirror. chunks is
+// the store's chunk list, read under mu or copied under it: the entries
+// below a length observed under mu never change.
+func slotAt(chunks []bucketChunk, i int) (*sharedBucket, *atomic.Uint64) {
+	ch := chunks[i/sharedBucketsPerSlab]
+	return &ch.buckets[i%sharedBucketsPerSlab], &ch.mirrors[i%sharedBucketsPerSlab]
 }
 
 // bucketSlabBytes is the size of the chunks a store or cache allocates
-// its buckets in. Buckets live as long as their store or cache, so
+// its buckets in, and of the chunks bulk builds carve bucket arrays from
+// (see carve). Buckets live as long as their store or cache, so
 // carving them from shared chunks pins nothing extra, and a restore or
 // warm start that creates tens of thousands of buckets makes a few
 // hundred allocations instead. It is the Go runtime's largest small-
@@ -99,18 +130,50 @@ const bucketSlabBytes = 32 << 10
 
 // Buckets per chunk, for private caches and for shared stores.
 const (
-	bucketsPerSlab       = bucketSlabBytes / unsafe.Sizeof(Bucket{})
-	sharedBucketsPerSlab = bucketSlabBytes / unsafe.Sizeof(sharedBucket{})
+	bucketsPerSlab       = int(bucketSlabBytes / unsafe.Sizeof(Bucket{}))
+	sharedBucketsPerSlab = int(bucketSlabBytes / unsafe.Sizeof(sharedBucket{}))
 )
+
+// bucketSlab holds the chunks a bulk build carves bucket arrays from:
+// plans and epochs for a warm start's adopted buckets, class cost
+// blocks for those and for a restore's imported ones.
+type bucketSlab struct {
+	plans  []*plan.Plan
+	epochs []uint64
+	costs  []float64
+}
+
+// carve cuts an n-element window with cap n from the front of *chunk,
+// starting a fresh bucketSlabBytes chunk when the current one is too
+// short; a request over a sixteenth of a chunk gets an allocation of its
+// own, so a chunk loses at most that much at its end. Windows never
+// overlap, and a slice cut with cap equal to len reallocates instead of
+// growing into its neighbour.
+//
+//rmq:hotpath
+func carve[T any](chunk *[]T, n int) []T {
+	if n > len(*chunk) {
+		var elem T
+		per := bucketSlabBytes / int(unsafe.Sizeof(elem))
+		if n > per/16 {
+			return make([]T, n) //rmq:allow-alloc(one sized allocation for a bucket too large to share a chunk)
+		}
+		*chunk = make([]T, per) //rmq:allow-alloc(a chunk of bucket arrays, shared by the buckets of one bulk build)
+	}
+	w := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return w
+}
 
 // sharedBucket is one table set's slot in the store: the ordinary
 // Bucket (admitting through its per-class column sweep, exactly as in a
-// private Cache) behind a per-bucket mutex, plus a lock-free
-// mirror of its admission epoch so pullers can skip unchanged buckets
-// without taking the lock.
+// private Cache) behind a per-bucket mutex. The lock-free mirror of its
+// admission epoch, which lets pullers skip unchanged buckets without
+// taking the lock, lives outside it in its chunk's dense mirror array
+// (see bucketChunk), so a scan never loads the header of an unchanged
+// bucket.
 type sharedBucket struct {
-	mu    sync.Mutex //rmq:lock bucket 2
-	epoch atomic.Uint64
+	mu sync.Mutex //rmq:lock bucket 2
 	// lastVer is the store's repSeq value at this bucket's most recent
 	// change, guarded by mu rather than atomic: Export must never
 	// observe a cursor ≥ some change's sequence while missing the change
@@ -156,59 +219,64 @@ func (s *Shared) NextIteration() int { return int(s.iters.Add(1)) }
 // Iterations returns the cumulative iteration count.
 func (s *Shared) Iterations() int { return int(s.iters.Load()) }
 
-// bucketAt returns the shared bucket for id, creating it if absent. The
-// table grows geometrically, seeded from the interner's reserved
-// capacity.
-func (s *Shared) bucketAt(id tableset.ID) *sharedBucket {
+// bucketAt returns the shared bucket for id, its epoch mirror and its
+// slot, creating the bucket if absent. The id table grows
+// geometrically, seeded from the interner's reserved capacity; buckets
+// and mirrors come from the current chunk.
+func (s *Shared) bucketAt(id tableset.ID) (sb *sharedBucket, mirror *atomic.Uint64, slot int) {
 	s.mu.RLock()
-	var sb *sharedBucket
-	if int(id) < len(s.buckets) {
-		sb = s.buckets[id]
+	if int(id) < len(s.slots) && s.slots[id] != 0 {
+		slot = int(s.slots[id]) - 1
+		sb, mirror = slotAt(s.chunks, slot)
+		s.mu.RUnlock()
+		return sb, mirror, slot
 	}
 	s.mu.RUnlock()
-	if sb != nil {
-		return sb
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if int(id) >= len(s.buckets) {
-		size := 2 * len(s.buckets)
+	if int(id) >= len(s.slots) {
+		size := 2 * len(s.slots)
 		if hint := s.in.CapHint(); size < hint {
 			size = hint
 		}
 		if size < int(id)+1 {
 			size = int(id) + 1
 		}
-		grown := make([]*sharedBucket, size) //rmq:allow-alloc(geometric table growth, amortized)
-		copy(grown, s.buckets)
-		s.buckets = grown
+		grown := make([]int32, size) //rmq:allow-alloc(geometric table growth, amortized)
+		copy(grown, s.slots)
+		s.slots = grown
 	}
-	sb = s.buckets[id]
-	if sb == nil {
-		if len(s.slab) == 0 {
-			s.slab = make([]sharedBucket, sharedBucketsPerSlab) //rmq:allow-alloc(a chunk of shared buckets, one per table set, created on first contact)
+	if s.slots[id] == 0 {
+		if s.n == len(s.chunks)*sharedBucketsPerSlab {
+			s.chunks = append(s.chunks, bucketChunk{ //rmq:allow-alloc(the chunk list grows once per chunk)
+				buckets: make([]sharedBucket, sharedBucketsPerSlab),  //rmq:allow-alloc(a chunk of shared buckets, one per table set, created on first contact)
+				mirrors: make([]atomic.Uint64, sharedBucketsPerSlab), //rmq:allow-alloc(the chunk's epoch mirrors, 8 bytes per bucket)
+			})
 		}
-		sb, s.slab = &s.slab[0], s.slab[1:]
+		sb, _ = slotAt(s.chunks, s.n)
 		sb.b.id = id
-		s.buckets[id] = sb
+		s.n++
+		s.slots[id] = int32(s.n)
 		s.sets.Add(1)
 	}
-	return sb
+	slot = int(s.slots[id]) - 1
+	sb, mirror = slotAt(s.chunks, slot)
+	return sb, mirror, slot
 }
 
 // admit is the store's one admission block, shared by Publish and
 // MergeBucket. It offers plans to sb at precision retain and publishes
 // the change in the order readers rely on. Under the bucket lock it
-// inserts the plans, stamps lastVer from repSeq (Export's cursor)
-// and stores the epoch mirror. After the unlock it adds to the plan
-// count and only then advances version: atomic operations are totally
-// ordered, so a puller that observes the new version also observes the
-// bucket change. It returns the bucket's admission epochs before and
+// inserts the plans, stamps lastVer from repSeq (Export's cursor) and
+// stores the bucket's epoch mirror. After the unlock it adds to the
+// plan count and only then advances version: atomic operations are
+// totally ordered, so a puller that observes the new version also
+// observes the bucket change. It returns the bucket's admission epochs before and
 // after, and the new version (0 when nothing was admitted, in which
 // case neither counter moves).
 //
 //rmq:hotpath
-func (s *Shared) admit(sb *sharedBucket, plans []*plan.Plan, retain float64) (before, after, version uint64) {
+func (s *Shared) admit(sb *sharedBucket, mirror *atomic.Uint64, plans []*plan.Plan, retain float64) (before, after, version uint64) {
 	sb.mu.Lock()
 	before = sb.b.epoch
 	n0 := len(sb.b.plans)
@@ -219,8 +287,8 @@ func (s *Shared) admit(sb *sharedBucket, plans []*plan.Plan, retain float64) (be
 	grew := len(sb.b.plans) - n0
 	if after != before {
 		sb.lastVer = s.repSeq.Add(1)
+		mirror.Store(after)
 	}
-	sb.epoch.Store(after)
 	sb.mu.Unlock()
 	if after == before {
 		return before, after, 0
@@ -237,10 +305,11 @@ func (s *Shared) admit(sb *sharedBucket, plans []*plan.Plan, retain float64) (be
 // the concurrency-safe rendezvous.
 type SyncState struct {
 	shared  *Shared
-	seen    uint64          // Shared.version at the end of the last Pull
-	pulled  []uint64        // per shared-bucket id: admission mark already imported
-	changed []*sharedBucket // scratch for the changed-bucket scan
-	buf     []*plan.Plan    // scratch for copying deltas out of locked buckets
+	seen    uint64       // Shared.version at the end of the last Pull
+	pulled  []uint64     // per shared-bucket slot: admission mark already imported
+	changed []int32      // scratch for the changed-bucket scan: slots
+	buf     []*plan.Plan // scratch for copying deltas out of locked buckets
+	slab    bucketSlab   // chunks adopted buckets' arrays are carved from
 }
 
 // NewSync returns a fresh sync handle on the store. A handle whose
@@ -271,7 +340,8 @@ func (st *SyncState) Publish(c *Cache) (published int) {
 		if len(fresh) == 0 || b.id == tableset.NoID {
 			continue
 		}
-		before, after, nv := sh.admit(sh.bucketAt(b.id), fresh, retain)
+		sb, mirror, slot := sh.bucketAt(b.id)
+		before, after, nv := sh.admit(sb, mirror, fresh, retain)
 		if after == before {
 			continue
 		}
@@ -287,9 +357,9 @@ func (st *SyncState) Publish(c *Cache) (published int) {
 		// What this worker just published it need not pull back; the
 		// mark advance is exact only when its pull mark sat at the
 		// pre-publish epoch (no other worker interleaved unseen plans).
-		st.grow(int(b.id) + 1)
-		if st.pulled[b.id] == before {
-			st.pulled[b.id] = after
+		st.grow(slot + 1)
+		if st.pulled[slot] == before {
+			st.pulled[slot] = after
 		}
 	}
 	c.dirty = c.dirty[:0]
@@ -323,36 +393,43 @@ func (st *SyncState) Pull(c *Cache) (imported int) {
 	// that could have been missed, and the per-bucket marks make rescans
 	// exact.
 	st.seen = v
-	// Collect the changed buckets under the table read lock — slot
-	// initialization writes into the live backing array under the write
-	// lock, so lock-free iteration would race — then import without
-	// holding it. The epoch mirrors keep unchanged buckets unlocked.
+	// Take the chunk list and the slot count under the table read lock,
+	// then scan without it: the chunks below n never move and their
+	// buckets were initialized before n covered them, and new buckets
+	// land in slots past n, which the next Pull scans. The scan compares
+	// the dense epoch mirrors against the handle's marks, so an
+	// unchanged bucket costs one 8-byte load and is never locked.
 	sh.mu.RLock()
-	n := len(sh.buckets)
+	n, ids, chunks := sh.n, len(sh.slots), sh.chunks
+	sh.mu.RUnlock()
 	st.grow(n)
 	st.changed = st.changed[:0]
-	for id := 1; id < n; id++ {
-		if sb := sh.buckets[id]; sb != nil && sb.epoch.Load() != st.pulled[id] {
-			st.changed = append(st.changed, sb) //rmq:allow-alloc(reused scratch; grows to the changed-bucket high-water mark)
+	for base := 0; base < n; base += sharedBucketsPerSlab {
+		mirrors := chunks[base/sharedBucketsPerSlab].mirrors[:min(sharedBucketsPerSlab, n-base)]
+		marks := st.pulled[base : base+len(mirrors)]
+		for i := range mirrors {
+			if mirrors[i].Load() != marks[i] {
+				st.changed = append(st.changed, int32(base+i)) //rmq:allow-alloc(reused scratch; grows to the changed-bucket high-water mark)
+			}
 		}
 	}
-	sh.mu.RUnlock()
 	if len(st.changed) > 0 {
 		// Size the private table once for the whole import rather than
 		// doubling it bucket by bucket through a warm start.
-		c.growTable(n)
+		c.growTable(ids)
 	}
-	for _, sb := range st.changed {
+	for _, slot := range st.changed {
+		sb, _ := slotAt(chunks, int(slot))
 		id := sb.b.id // written once at creation, before the slot was published
 		sb.mu.Lock()
-		if st.pulled[id] == 0 && len(sb.b.plans) > 0 && c.unborn(id) {
-			imported += c.bucketAt(id).adopt(&sb.b)
-			st.pulled[id] = sb.b.epoch
+		if st.pulled[slot] == 0 && len(sb.b.plans) > 0 && c.unborn(id) {
+			imported += c.bucketAt(id).adopt(&sb.b, &st.slab)
+			st.pulled[slot] = sb.b.epoch
 			sb.mu.Unlock()
 			continue
 		}
-		st.buf = append(st.buf[:0], sb.b.Since(st.pulled[id])...) //rmq:allow-alloc(reused scratch; grows to the delta high-water mark)
-		st.pulled[id] = sb.b.epoch
+		st.buf = append(st.buf[:0], sb.b.Since(st.pulled[slot])...) //rmq:allow-alloc(reused scratch; grows to the delta high-water mark)
+		st.pulled[slot] = sb.b.epoch
 		sb.mu.Unlock()
 		if len(st.buf) == 0 {
 			continue
@@ -397,11 +474,18 @@ func (c *Cache) unborn(id tableset.ID) bool {
 // since the bucket had nothing unpublished). The caller holds src's
 // lock. It returns the number of plans adopted.
 //
+// The bucket's plans, epochs and class cost blocks are windows carved
+// from slab's chunks, each with cap equal to len: a warm start adopts
+// tens of thousands of buckets at a few allocations per chunk rather
+// than several per bucket. Insert clears the windows a growing or
+// evicting bucket abandons, so none keeps an evicted plan reachable.
+//
 //rmq:hotpath
-func (b *Bucket) adopt(src *Bucket) int {
+func (b *Bucket) adopt(src *Bucket, slab *bucketSlab) int {
 	n := len(src.plans)
-	b.plans = append(make([]*plan.Plan, 0, max(n, 8)), src.plans...) //rmq:allow-alloc(one sized allocation per adopted bucket)
-	b.epochs = make([]uint64, n, max(n, 8))                          //rmq:allow-alloc(one sized allocation per adopted bucket)
+	b.plans = carve(&slab.plans, n)
+	copy(b.plans, src.plans)
+	b.epochs = carve(&slab.epochs, n)
 	for i := range b.epochs {
 		b.epochs[i] = uint64(i + 1)
 	}
@@ -410,7 +494,7 @@ func (b *Bucket) adopt(src *Bucket) int {
 	for out := range counts {
 		counts[out] = src.cols[out].Len()
 	}
-	b.reserveCols(b.plans[0].Cost.N, counts)
+	b.reserveCols(b.plans[0].Cost.N, counts, &slab.costs)
 	for out := range b.cols {
 		b.cols[out].AppendColumns(&src.cols[out])
 	}

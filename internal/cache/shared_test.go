@@ -33,6 +33,17 @@ func insert(c *Cache, rel tableset.Set, out plan.OutputProp, alpha float64, cost
 	return c.Insert(p, alpha)
 }
 
+// storeBuckets returns the store's buckets in slot order.
+func storeBuckets(sh *Shared) []*sharedBucket {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	out := make([]*sharedBucket, sh.n)
+	for slot := range out {
+		out[slot], _ = slotAt(sh.chunks, slot)
+	}
+	return out
+}
+
 func costsOf(plans []*plan.Plan) [][]float64 {
 	out := make([][]float64, len(plans))
 	for i, p := range plans {
@@ -230,5 +241,133 @@ func TestSharedConcurrentStress(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("stress run published nothing")
+	}
+}
+
+// TestPullConvergesWhileBucketsAreCreated runs publishers that create
+// buckets across several mirror chunks while pullers scan the store.
+// After the publishers stop, one more Pull must bring every puller, and
+// a fresh handle, to the store's frontier: every store bucket's plans
+// in the private cache, nothing else, and every mark at the bucket's
+// epoch — no change lost to a scan that raced a chunk's creation.
+func TestPullConvergesWhileBucketsAreCreated(t *testing.T) {
+	const publishers, pullers, rounds = 3, 3, 3
+	sets := 4*sharedBucketsPerSlab + 17
+	sh := NewShared(tableset.NewSharedInterner(), 1)
+	rels := make([]tableset.Set, sets)
+	for i := range rels {
+		rels[i] = tableset.FromWords(uint64(i+1), 0)
+	}
+
+	var pubs, pulls sync.WaitGroup
+	done := make(chan struct{})
+	caches := make([]*Cache, pullers)
+	syncs := make([]*SyncState, pullers)
+	for k := range caches {
+		caches[k], syncs[k] = New(sh.Interner()), sh.NewSync()
+		caches[k].TrackDirty()
+		pulls.Add(1)
+		go func(c *Cache, st *SyncState) {
+			defer pulls.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					st.Pull(c)
+				}
+			}
+		}(caches[k], syncs[k])
+	}
+	for w := 0; w < publishers; w++ {
+		pubs.Add(1)
+		go func(w int) {
+			defer pubs.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 17))
+			c, st := New(sh.Interner()), sh.NewSync()
+			c.TrackDirty()
+			for r := 0; r < rounds; r++ {
+				// Each publisher walks every set from its own offset, so
+				// the workers create buckets in different orders and
+				// contend on the ones they share.
+				for k := range rels {
+					rel := rels[(k+w*sets/publishers)%sets]
+					insert(c, rel, plan.OutputProp(rng.IntN(2)), 1, float64(1+rng.IntN(50)), float64(1+rng.IntN(50)))
+					if k%7 == 0 {
+						st.Publish(c)
+					}
+				}
+				st.Publish(c)
+			}
+		}(w)
+	}
+	pubs.Wait()
+	close(done)
+	pulls.Wait()
+
+	fresh := New(sh.Interner())
+	fresh.TrackDirty()
+	caches = append(caches, fresh)
+	syncs = append(syncs, sh.NewSync())
+	buckets := storeBuckets(sh)
+	if len(buckets) != sets {
+		t.Fatalf("store holds %d buckets, want %d", len(buckets), sets)
+	}
+	for k, c := range caches {
+		syncs[k].Pull(c)
+		for slot, sb := range buckets {
+			want := make(map[*plan.Plan]bool, len(sb.b.plans))
+			for _, p := range sb.b.plans {
+				want[p] = true
+			}
+			got := c.GetID(sb.b.id)
+			same := len(got) == len(want)
+			for _, p := range got {
+				same = same && want[p]
+			}
+			if !same {
+				t.Fatalf("handle %d, bucket %v: private frontier %v, store frontier %v",
+					k, sh.in.SetOf(sb.b.id), costsOf(got), costsOf(sb.b.plans))
+			}
+			if mark := syncs[k].pulled[slot]; mark != sb.b.epoch {
+				t.Fatalf("handle %d, bucket %v: mark %d, store epoch %d", k, sh.in.SetOf(sb.b.id), mark, sb.b.epoch)
+			}
+		}
+	}
+}
+
+// TestAdoptedWindowsDropEvictedPlans checks the rule that makes carving
+// adopted buckets' arrays from shared chunks safe: a bucket that
+// outgrows its window, or compacts it on eviction, leaves no plan
+// behind in the chunk, so no window keeps an evicted plan reachable
+// while its neighbours keep the chunk alive.
+func TestAdoptedWindowsDropEvictedPlans(t *testing.T) {
+	sh, caches, syncs := sharedFixture(t, 1, 1)
+	r0, r1, r2 := tableset.Single(0), tableset.Single(1), tableset.Single(2)
+	insert(caches[0], r0, plan.Pipelined, 1, 4, 4)
+	insert(caches[0], r1, plan.Pipelined, 1, 1, 9)
+	insert(caches[0], r1, plan.Pipelined, 1, 5, 5)
+	insert(caches[0], r1, plan.Pipelined, 1, 6, 4)
+	insert(caches[0], r2, plan.Pipelined, 1, 1, 1)
+	syncs[0].Publish(caches[0])
+	c := New(sh.Interner())
+	c.TrackDirty()
+	if got := sh.NewSync().Pull(c); got != 5 {
+		t.Fatalf("warm start imported %d plans, want 5", got)
+	}
+	b0, b1 := c.Bucket(r0), c.Bucket(r1)
+	grown, compacted := b0.plans, b1.plans
+	if cap(grown) != 1 || cap(compacted) != 3 {
+		t.Fatalf("adopted windows have cap %d and %d, want 1 and 3", cap(grown), cap(compacted))
+	}
+	// {0} admits an incomparable plan, outgrowing its window; {1} admits
+	// one that evicts its last two plans in place.
+	insert(c, r0, plan.Pipelined, 1, 8, 2)
+	insert(c, r1, plan.Pipelined, 1, 4, 4)
+	if grown[0] != nil {
+		t.Errorf("the outgrown window still holds %v", grown[0].Cost)
+	}
+	if got := costsOf(b1.plans); len(got) != 2 || compacted[1] != b1.plans[1] || compacted[2] != nil {
+		t.Errorf("compacted window holds %v, bucket %v", costsOf(compacted[:2]), got)
 	}
 }

@@ -15,6 +15,7 @@ package cache
 
 import (
 	"math"
+	"sync/atomic"
 	"unsafe"
 
 	"rmq/internal/plan"
@@ -24,8 +25,11 @@ import (
 // plan struct itself plus its pointer and admission epoch in the bucket.
 const bytesPerPlan = int64(unsafe.Sizeof(plan.Plan{})) + int64(unsafe.Sizeof((*plan.Plan)(nil))) + 8
 
-// bytesPerSet estimates the fixed footprint of one table set's bucket.
-const bytesPerSet = int64(unsafe.Sizeof(sharedBucket{})) + int64(unsafe.Sizeof((*sharedBucket)(nil)))
+// bytesPerSet estimates the fixed footprint of one table set's bucket:
+// its header, its epoch mirror, and 8 bytes for its share of the id
+// table, whose 4-byte entries cover every interned id — not only the
+// store's sets — and grow by doubling.
+const bytesPerSet = int64(unsafe.Sizeof(sharedBucket{})) + int64(unsafe.Sizeof(atomic.Uint64{})) + 8
 
 // Bytes estimates the store's retained memory from its set and plan
 // counts. An estimate, not an accounting: the per-class cost-column
@@ -63,6 +67,11 @@ func (s *Shared) EffectiveRetention() float64 {
 // time under their own locks, and a shed bucket keeps its admission
 // order and ascending epochs, so every outstanding sync mark stays
 // valid.
+//
+// A shed only removes plans: it never admits one, so no bucket's
+// admission epoch moves. Pullers have nothing to import from it, and
+// Shed leaves the epoch mirrors and the version counter alone, so a
+// caught-up puller stays on Pull's fast path.
 func (s *Shared) Shed(alpha float64) (removed int) {
 	if alpha <= 1 || math.IsNaN(alpha) {
 		return 0
@@ -82,29 +91,15 @@ func (s *Shared) Shed(alpha float64) (removed int) {
 		}
 	}
 	s.mu.RLock()
-	buckets := make([]*sharedBucket, 0, len(s.buckets))
-	for _, sb := range s.buckets {
-		if sb != nil {
-			buckets = append(buckets, sb)
-		}
-	}
+	n, chunks := s.n, s.chunks
 	s.mu.RUnlock()
-	for _, sb := range buckets {
+	for slot := 0; slot < n; slot++ {
+		sb, _ := slotAt(chunks, slot)
 		sb.mu.Lock()
-		n := sb.b.shed(alpha)
-		if n > 0 {
-			// The frontier changed; bump the epoch mirror and version so
-			// pullers rescan (they re-import survivors they already hold,
-			// which their private caches reject as duplicates).
-			sb.epoch.Store(sb.b.epoch)
-		}
+		removed += sb.b.shed(alpha)
 		sb.mu.Unlock()
-		removed += n
 	}
-	if removed > 0 {
-		s.plans.Add(int64(-removed))
-		s.version.Add(1)
-	}
+	s.plans.Add(int64(-removed))
 	return removed
 }
 

@@ -23,7 +23,8 @@ func shedFixture(t *testing.T, n int) (*Shared, *sharedBucket) {
 	if got := syncs[0].Publish(caches[0]); got != n {
 		t.Fatalf("Publish = %d, want %d", got, n)
 	}
-	return sh, sh.bucketAt(sh.in.Intern(rel))
+	sb, _, _ := sh.bucketAt(sh.in.Intern(rel))
+	return sh, sb
 }
 
 func TestShedReprunesAndCoversRemoved(t *testing.T) {
@@ -158,6 +159,39 @@ func TestShedKeepsSyncValid(t *testing.T) {
 			if i != j && better(p, q) {
 				t.Fatalf("pulled frontier holds dominated pair %v, %v", p.Cost, q.Cost)
 			}
+		}
+	}
+}
+
+// TestShedLeavesCaughtUpPullersOnFastPath checks that a shed, which
+// only removes plans, gives caught-up handles nothing to pull: the
+// store's version does not move, so the next Pull of a handle that had
+// pulled everything takes the single-load fast path and imports 0
+// plans.
+func TestShedLeavesCaughtUpPullersOnFastPath(t *testing.T) {
+	sh, caches, syncs := sharedFixture(t, 2, 1)
+	a, b := caches[0], caches[1]
+	rel := tableset.FromSlice([]int{0, 1})
+	for i := 0; i < 20; i++ {
+		insert(a, rel, plan.Pipelined, 1, 100+float64(i), 1000/(1+float64(i)/10))
+	}
+	syncs[0].Publish(a)
+	if got := syncs[1].Pull(b); got != 20 {
+		t.Fatalf("Pull = %d, want 20", got)
+	}
+	v := sh.version.Load()
+	if sh.Shed(2) == 0 {
+		t.Fatal("Shed removed nothing")
+	}
+	if got := sh.version.Load(); got != v {
+		t.Errorf("Shed advanced the store version %d -> %d", v, got)
+	}
+	for i, st := range syncs {
+		if st.seen != sh.version.Load() {
+			t.Errorf("handle %d is off the fast path after Shed: seen %d, version %d", i, st.seen, sh.version.Load())
+		}
+		if got := st.Pull(caches[i]); got != 0 {
+			t.Errorf("handle %d imported %d plans after Shed, want 0", i, got)
 		}
 	}
 }

@@ -148,20 +148,20 @@ func (c *Columns) Move(dst, src int) {
 //rmq:hotpath
 func (c *Columns) Truncate(n int) { c.n = int32(n) }
 
-// Reserve empties the block and gives it capacity for at least n
-// entries of dimension dim, allocating only when its current
-// allocation is too small. Bulk builds (snapshot import, a warm start's
-// bucket adoption) reserve once so the appends that follow never
-// reallocate. It fixes the dimension, exactly as the first Append
-// would.
+// ReserveIn empties the block and makes window its allocation: room
+// for len(window)/dim entries of dimension dim. Bulk builds (snapshot
+// import, a warm start's bucket adoption) size each block once this
+// way, so the appends that follow never reallocate. The block writes
+// only inside the window's length and moves to an allocation of its own
+// when it outgrows it, so the windows of many blocks can be carved from
+// one chunk; cut each with cap equal to len. It fixes the dimension,
+// exactly as the first Append would.
 //
 //rmq:hotpath
-func (c *Columns) Reserve(dim int8, n int) {
+func (c *Columns) ReserveIn(dim int8, window []float64) {
+	c.buf = window[:len(window):len(window)]
 	c.n = 0
 	c.setDim(dim)
-	if dim > 0 && int(c.stride) < n {
-		c.grow(n)
-	}
 }
 
 // AppendColumns appends every entry of src, which must match the

@@ -74,7 +74,12 @@ func TestColumnsMatchVectorReference(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 97))
 		var c Columns
 		ref := refBlock{dim: int8(1 + rng.IntN(MaxMetrics))}
-		reserved := -1 // capacity the last Reserve asked for, -1 when none
+		reserved := -1 // capacity the last ReserveIn gave, -1 when none
+		// chunk holds the last ReserveIn window between two guard runs of
+		// sentinels the block must never overwrite.
+		var chunk []float64
+		const guard = 3
+		sentinel := math.Float64frombits(0x7ff8dead0000beef)
 		for step := 0; step < 400; step++ {
 			n := len(ref.vecs)
 			var op string
@@ -85,7 +90,7 @@ func TestColumnsMatchVectorReference(t *testing.T) {
 				c.Append(v)
 				ref.vecs = append(ref.vecs, v)
 				if reserved >= 0 && len(ref.vecs) > reserved {
-					covered["append past a reservation"] = true
+					covered["append past a window"] = true
 					reserved = -1
 				}
 				if len(ref.vecs) > 64 {
@@ -117,11 +122,16 @@ func TestColumnsMatchVectorReference(t *testing.T) {
 				}
 				reserved = -1
 			case r < 90:
-				op = "Reserve"
+				op = "ReserveIn"
 				ref.dim = int8(1 + rng.IntN(MaxMetrics))
 				reserved = rng.IntN(20)
-				c.Reserve(ref.dim, reserved)
 				ref.vecs = ref.vecs[:0]
+				w := int(ref.dim) * reserved
+				chunk = make([]float64, guard+w+guard)
+				for i := range chunk {
+					chunk[i] = sentinel
+				}
+				c.ReserveIn(ref.dim, chunk[guard:guard+w:guard+w])
 			default:
 				op = "AppendColumns"
 				var src Columns
@@ -137,11 +147,16 @@ func TestColumnsMatchVectorReference(t *testing.T) {
 				ref.vecs = append(ref.vecs, add...)
 			}
 			checkAgainstRef(t, rng, &c, &ref, step, op)
+			for i := range chunk {
+				if (i < guard || i >= len(chunk)-guard) && math.Float64bits(chunk[i]) != math.Float64bits(sentinel) {
+					t.Fatalf("step %d (%s): the block wrote %v outside its window, at chunk slot %d", step, op, chunk[i], i)
+				}
+			}
 		}
 	}
 	for _, want := range []string{
 		"growth past 64 entries",
-		"append past a reservation",
+		"append past a window",
 		"AppendColumns into an empty block",
 		"AppendColumns into a non-empty block",
 		"reset then a larger dimension",

@@ -10,11 +10,10 @@ import (
 	"rmq/internal/snapshot"
 )
 
-// decodeShape counts what a restore of sh must allocate one of each:
-// plan nodes (every distinct node reachable from a bucket) and cost-
-// column blocks (one per non-empty output class of each bucket). It
-// also returns the number of buckets.
-func decodeShape(tb testing.TB, sh *cache.Shared) (buckets, nodes, blocks int) {
+// decodeShape counts what a restore of sh must allocate one of each,
+// plan nodes (every distinct node reachable from a bucket), and the
+// buckets.
+func decodeShape(tb testing.TB, sh *cache.Shared) (buckets, nodes int) {
 	tb.Helper()
 	seen := make(map[*plan.Plan]bool)
 	var walk func(p *plan.Plan)
@@ -30,28 +29,22 @@ func decodeShape(tb testing.TB, sh *cache.Shared) (buckets, nodes, blocks int) {
 	}
 	if _, _, err := sh.Export(0, func(bs cache.BucketSnapshot) error {
 		buckets++
-		var classes [plan.NumOutputProps]bool
 		for _, p := range bs.Plans {
-			classes[p.Output] = true
 			walk(p)
-		}
-		for _, c := range classes {
-			if c {
-				blocks++
-			}
 		}
 		return nil
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	return buckets, len(seen), blocks
+	return buckets, len(seen)
 }
 
 // TestDecodeAllocsPerBucket restores a small and a large store and
-// checks that, beyond one allocation per plan node and per cost-column
-// block, Decode's allocations do not grow with the number of buckets:
-// the bucket slabs, tables and interner grow geometrically, so the
-// remainder may rise by a few allocations, never by one per bucket.
+// checks that, beyond one allocation per plan node, Decode's
+// allocations do not grow with the number of buckets: the bucket
+// chunks, the class cost-block chunks, tables and interner grow
+// geometrically, so the remainder may rise by a few allocations, never
+// by one per bucket.
 func TestDecodeAllocsPerBucket(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations per bucket")
@@ -59,15 +52,15 @@ func TestDecodeAllocsPerBucket(t *testing.T) {
 	two := []costmodel.Metric{costmodel.Time, costmodel.Buffer}
 	residual := func(tables, iters int) (buckets int, rest float64) {
 		sh, _ := runStore(t, tables, catalog.Chain, two, 1, 1, iters)
-		buckets, nodes, blocks := decodeShape(t, sh)
+		buckets, nodes := decodeShape(t, sh)
 		data := encode(t, snapshot.TaggedStore{Tag: "s", Store: sh})
 		allocs := testing.AllocsPerRun(3, func() {
 			if _, err := snapshot.Decode(data, openFresh(map[string]*cache.Shared{})); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%d tables: %d buckets, %d nodes, %d column blocks, %.0f allocations", tables, buckets, nodes, blocks, allocs)
-		return buckets, allocs - float64(nodes+blocks)
+		t.Logf("%d tables: %d buckets, %d nodes, %.0f allocations", tables, buckets, nodes, allocs)
+		return buckets, allocs - float64(nodes)
 	}
 	smallB, smallRest := residual(8, 40)
 	largeB, largeRest := residual(16, 250)
@@ -75,7 +68,47 @@ func TestDecodeAllocsPerBucket(t *testing.T) {
 		t.Fatalf("stores too close in size to tell: %d vs %d buckets", smallB, largeB)
 	}
 	if grew := largeRest - smallRest; grew > float64(largeB-smallB)/16 {
-		t.Errorf("Decode allocates %.0f more beyond nodes and column blocks for %d more buckets; want no per-bucket allocation",
+		t.Errorf("Decode allocates %.0f more beyond plan nodes for %d more buckets; want no per-bucket allocation",
+			grew, largeB-smallB)
+	}
+}
+
+// TestWarmStartAllocsPerBucket restores a small and a large store and
+// checks that a fresh handle's first Pull, the warm start that adopts
+// every bucket of the store into a new private cache, does not allocate
+// per bucket: the private buckets, their plan and epoch arrays and
+// their class cost blocks are all carved from chunks.
+func TestWarmStartAllocsPerBucket(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations per bucket")
+	}
+	two := []costmodel.Metric{costmodel.Time, costmodel.Buffer}
+	warmStart := func(tables, iters int) (buckets int, allocs float64) {
+		src, _ := runStore(t, tables, catalog.Chain, two, 1, 1, iters)
+		stores := map[string]*cache.Shared{}
+		if _, err := snapshot.Decode(encode(t, snapshot.TaggedStore{Tag: "s", Store: src}), openFresh(stores)); err != nil {
+			t.Fatal(err)
+		}
+		sh := stores["s"]
+		buckets, _ = decodeShape(t, sh)
+		_, plans := sh.Stats()
+		allocs = testing.AllocsPerRun(3, func() {
+			c := cache.New(sh.Interner())
+			c.TrackDirty()
+			if got := sh.NewSync().Pull(c); got != plans {
+				t.Fatalf("warm start imported %d of %d plans", got, plans)
+			}
+		})
+		t.Logf("%d tables: %d buckets, %d plans, %.0f allocations", tables, buckets, plans, allocs)
+		return buckets, allocs
+	}
+	smallB, smallA := warmStart(8, 40)
+	largeB, largeA := warmStart(16, 250)
+	if largeB < smallB+500 {
+		t.Fatalf("stores too close in size to tell: %d vs %d buckets", smallB, largeB)
+	}
+	if grew := largeA - smallA; grew > float64(largeB-smallB)/16 {
+		t.Errorf("the warm start allocates %.0f more for %d more buckets; want no per-bucket allocation",
 			grew, largeB-smallB)
 	}
 }

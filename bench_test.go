@@ -133,9 +133,10 @@ func BenchmarkFigure9(b *testing.B) {
 // complete session run of a fixed total iteration budget split evenly
 // across the workers, so with perfect scaling the wall time per op (and
 // ns/op) drops linearly in the worker count and the reported iters/sec
-// throughput rises linearly. Workers merge through the delta strategy's
-// per-worker inbox shards, so the shared archive lock stays out of the
-// scaling path. On a single-CPU machine the variants coincide; the gate
+// throughput rises linearly. Without an observer workers merge once, at
+// the end, so the shared archive lock stays out of the scaling path
+// (BenchmarkObservedMerge measures the merge-every-step case). On a
+// single-CPU machine the variants coincide; the gate
 // only fails on regressions, so extra cores can only improve the
 // numbers.
 func BenchmarkParallelScaling(b *testing.B) {
@@ -170,6 +171,38 @@ func BenchmarkParallelScaling(b *testing.B) {
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(iters)/secs, "iters/sec")
 			}
+		})
+	}
+}
+
+// BenchmarkObservedMerge measures opt.Run's merge path under an
+// observer: OnImprovement makes every worker merge its frontier delta
+// into the shared archive after every step, under the archive's one
+// lock. One op is a complete Optimize call on a 20-table chain with a
+// fixed total iteration budget split across the workers, so the 1- and
+// 4-worker variants do the same search work and differ in how many
+// workers contend for the lock.
+func BenchmarkObservedMerge(b *testing.B) {
+	cat := rmq.GenerateCatalog(rmq.WorkloadSpec{Tables: 20, Graph: rmq.Chain}, 1)
+	const totalIters = 120
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprint(workers), func(b *testing.B) {
+			improvements := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, err := rmq.Optimize(context.Background(), cat,
+					rmq.WithMetrics(rmq.MetricTime, rmq.MetricBuffer),
+					rmq.WithParallelism(workers),
+					rmq.WithMaxIterations(totalIters/workers),
+					rmq.WithSeed(uint64(i)),
+					rmq.OnImprovement(func(rmq.Progress) { improvements++ }))
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(improvements)/float64(b.N), "improvements/op")
 		})
 	}
 }

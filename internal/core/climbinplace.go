@@ -46,7 +46,12 @@ const (
 	auxEnumerated = 1 << 1
 )
 
-// climbInPlace is Climb specialized for the in-place fast path.
+// Climb is the ParetoClimb function of Algorithm 2: it repeatedly applies
+// climbing steps until no step yields a plan strictly dominating the
+// current one, returning the locally Pareto-optimal plan and the path
+// length (number of improving moves) — the statistic of Figure 3. The
+// whole climb runs in place on a scratch copy of p and only the final
+// plan is materialized; the input plan and the result are immutable.
 //
 // A pass may change the tree without strictly improving the root: a
 // locally dominating child mutation can alter the child's output
@@ -55,7 +60,7 @@ const (
 // pass here is speculative — in-place changes are journaled and reverted
 // when the pass fails the strict-improvement gate, after which the climb
 // is over.
-func (c *Climber) climbInPlace(p *plan.Plan) (*plan.Plan, int) {
+func (c *Climber) Climb(p *plan.Plan) (*plan.Plan, int) {
 	limit := maxClimbSteps(p.Rel.Count())
 	c.scratch.Reset()
 	root := c.scratch.Import(p)
@@ -81,12 +86,13 @@ func (c *Climber) climbInPlace(p *plan.Plan) (*plan.Plan, int) {
 	return c.scratch.Freeze(root), steps
 }
 
-// stepInPlace is Step for the fast path: one pass over a fresh scratch
-// copy; nil when p admits no strictly improving move. A failed pass needs
-// no revert — the scratch copy is simply discarded.
+// Step performs one climbing move: one pass over a fresh scratch copy of
+// p, returning the materialized plan that strictly dominates p, or nil
+// when p is a local Pareto optimum for the step function. A failed pass
+// needs no revert — the scratch copy is simply discarded.
 //
 //rmq:hotpath
-func (c *Climber) stepInPlace(p *plan.Plan) *plan.Plan {
+func (c *Climber) Step(p *plan.Plan) *plan.Plan {
 	c.scratch.Reset()
 	root := c.scratch.Import(p)
 	c.undoLog = c.undoLog[:0]

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rmq/internal/cache"
-	"rmq/internal/mutate"
 	"rmq/internal/opt"
 	"rmq/internal/plan"
 	"rmq/internal/tableset"
@@ -30,9 +29,7 @@ func TestPipelinedMatchesInline(t *testing.T) {
 		shared bool
 	}{
 		{name: "bushy", cfg: Config{}},
-		{name: "left-deep", cfg: Config{Space: mutate.LeftDeep}},
 		{name: "shared", shared: true},
-		{name: "left-deep-shared", cfg: Config{Space: mutate.LeftDeep}, shared: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

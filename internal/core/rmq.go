@@ -5,24 +5,21 @@ import (
 	"runtime"
 
 	"rmq/internal/cache"
-	"rmq/internal/mutate"
 	"rmq/internal/opt"
 	"rmq/internal/plan"
 	"rmq/internal/randplan"
 )
 
-// Config configures the RMQ optimizer. The zero value is the paper's
-// configuration: random bushy plans, Algorithm 2's single-incumbent
-// climb, and Algorithm 3's frontier approximation against a plan cache
-// shared across iterations, with precision DefaultAlpha. The ablation
+// Config configures the RMQ optimizer. Its one field attaches a shared
+// plan store; the search itself is fixed to the bushy join order space
+// the paper evaluates. The zero value is the paper's configuration:
+// random bushy plans, Algorithm 2's single-incumbent climb, and
+// Algorithm 3's frontier approximation against a plan cache shared
+// across iterations, with precision DefaultAlpha. The ablation
 // variants (naive climbing, no partial-plan sharing, fixed α) live in
 // this package's tests; iterative improvement without frontier
 // approximation is the II baseline (internal/baselines/iterimp).
 type Config struct {
-	// Space selects the join order space (Section 4.1): Bushy (the
-	// paper's default, unconstrained) or LeftDeep. It determines the
-	// random plan generator and the transformation rules.
-	Space mutate.Space
 	// Shared, when non-nil, attaches the run to a session-scoped
 	// concurrent plan cache: the worker warm-starts its private cache
 	// from the store at Init and exchanges newly admitted sub-plan
@@ -122,7 +119,7 @@ func (r *RMQ) Name() string { return "RMQ" }
 func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 	r.problem = p
 	r.rng = rand.New(rand.NewPCG(seed, 0x524d51)) // "RMQ"
-	r.climber = NewClimber(p.Model, ClimbConfig{Space: r.cfg.Space})
+	r.climber = NewClimber(p.Model, ClimbConfig{})
 	r.sync = nil
 	shared := r.cfg.Shared
 	if shared != nil && shared.Interner() == p.Model.Interner() {
@@ -200,18 +197,12 @@ func (r *RMQ) Step() bool {
 	return true
 }
 
-// climb is stage A of an iteration: a random plan in the configured
-// join order space, improved via fast multi-objective local search, and
-// the iteration's approximation precision.
+// climb is stage A of an iteration: a random bushy plan, improved via
+// fast multi-objective local search, and the iteration's approximation
+// precision.
 func (r *RMQ) climb() climbed {
 	r.iter++
-	m := r.problem.Model
-	var p *plan.Plan
-	if r.cfg.Space == mutate.LeftDeep {
-		p = randplan.RandomLeftDeep(m, r.problem.Query, r.rng)
-	} else {
-		p = randplan.Random(m, r.problem.Query, r.rng)
-	}
+	p := randplan.Random(r.problem.Model, r.problem.Query, r.rng)
 	optPlan, steps := r.climber.Climb(p)
 	r.stats.PathLengths = append(r.stats.PathLengths, steps)
 

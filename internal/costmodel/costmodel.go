@@ -363,30 +363,9 @@ func (m *Model) NewJoinWithCard(op plan.JoinOp, outer, inner *plan.Plan, card fl
 // JoinPlan(outer, inner, op); see InitScan.
 func (m *Model) InitJoinWithCard(n *plan.Plan, op plan.JoinOp, outer, inner *plan.Plan, card float64) {
 	rel := outer.Rel.Union(inner.Rel)
-	m.InitJoinForSet(n, op, outer, inner, card, rel, m.in.Intern(rel))
-}
-
-// NewJoinForSet is NewJoinWithCard for callers that already know the
-// join's table set and interned id: rel must equal
-// outer.Rel.Union(inner.Rel) and relID must be this model's interner id
-// for it (NoID when the set was never assigned one — ids are permanent,
-// so a plan carrying the set already carries the right answer).
-// Recombination materializes every admitted candidate into one parent
-// bucket whose set is fixed, so the per-candidate set union and intern
-// hash hoist out of the loop entirely.
-func (m *Model) NewJoinForSet(op plan.JoinOp, outer, inner *plan.Plan, card float64, rel tableset.Set, relID tableset.ID) *plan.Plan {
-	n := new(plan.Plan)
-	m.InitJoinForSet(n, op, outer, inner, card, rel, relID)
-	return n
-}
-
-// InitJoinForSet fills the caller-allocated node n with
-// JoinPlan(outer, inner, op) under a caller-supplied table set and
-// interned id; see NewJoinForSet for the contract.
-func (m *Model) InitJoinForSet(n *plan.Plan, op plan.JoinOp, outer, inner *plan.Plan, card float64, rel tableset.Set, relID tableset.ID) {
 	*n = plan.Plan{
 		Rel:    rel,
-		RelID:  relID,
+		RelID:  m.in.Intern(rel),
 		Cost:   m.JoinCost(op, outer, inner, card),
 		Card:   card,
 		Output: op.Output(),
@@ -396,11 +375,18 @@ func (m *Model) InitJoinForSet(n *plan.Plan, op plan.JoinOp, outer, inner *plan.
 	}
 }
 
-// NewJoinPriced is NewJoinForSet for a candidate the caller has already
-// priced: c must equal JoinCost(op, outer, inner, card). Recombination
-// prices every candidate through the batch evaluator (JoinEval.OpCostAll,
-// bit-identical to JoinCostParts) before admission, so the node it
-// materializes keeps that vector instead of pricing it a second time.
+// NewJoinPriced is NewJoinWithCard for a candidate the caller has
+// already priced and whose table set and interned id it knows: c must
+// equal JoinCost(op, outer, inner, card), rel must equal
+// outer.Rel.Union(inner.Rel) and relID must be this model's interner id
+// for it (NoID when the set was never assigned one — ids are permanent,
+// so a plan carrying the set already carries the right answer).
+// Recombination materializes every admitted candidate into one parent
+// bucket whose set is fixed, so the per-candidate set union and intern
+// hash hoist out of the loop entirely; and it prices every candidate
+// through the batch evaluator (JoinEval.OpCostAll, bit-identical to
+// JoinCostParts) before admission, so the node it materializes keeps
+// that vector instead of pricing it a second time.
 func (m *Model) NewJoinPriced(op plan.JoinOp, outer, inner *plan.Plan, card float64, rel tableset.Set, relID tableset.ID, c cost.Vector) *plan.Plan {
 	return &plan.Plan{
 		Rel:    rel,

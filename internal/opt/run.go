@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"rmq/internal/faultinject"
 	"rmq/internal/plan"
@@ -116,19 +115,6 @@ type RunResult struct {
 	Elapsed    time.Duration
 }
 
-// mergeShard is one worker's deposit inbox. Each worker publishes its
-// newly found plans under its own shard lock — never under the archive
-// lock — so depositing never contends with another worker's archive
-// fold.
-type mergeShard struct {
-	mu      sync.Mutex
-	pending []*plan.Plan
-	// Pad to a cache line so adjacent workers' shard locks never share
-	// one — false sharing would re-serialize exactly the deposit traffic
-	// the per-worker inboxes exist to decouple.
-	_ [64 - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof([]*plan.Plan(nil)))%64]byte
-}
-
 // Run drives one or more optimizer workers until the context is
 // cancelled, every worker hits MaxIterations, or no worker has work
 // left. Workers merge their frontiers into a shared non-dominated
@@ -141,21 +127,18 @@ type mergeShard struct {
 // unbounded run (anytime semantics): Run then returns the partial
 // result and a nil error, not the context's error.
 //
-// Merging is two-phase to keep the shared lock cold: a worker deposits
-// its plans (just the delta since its last merge when the optimizer
-// implements DeltaFrontier, its whole frontier otherwise) into a
-// per-worker inbox shard under that shard's lock, then tries to
-// fold all inboxes into the archive; if another worker is already
-// folding, it simply moves on and its deposit rides along with that
-// worker's fold. Every worker folds unconditionally once at the end,
-// and the result snapshot drains the inboxes too, so nothing is ever
-// lost. The final plan set is the same as under the old
-// one-big-lock-per-merge scheme; only contention changes.
+// A merge adds the worker's plans — just the delta since its last merge
+// when the optimizer implements DeltaFrontier, its whole frontier
+// otherwise — to the archive under one lock, then notifies the
+// observer. One lock suffices: merges happen only between steps, only
+// when someone observes the run (and once per worker at the end), and
+// each adds a few plans to a root archive of tens, so a merge is short
+// next to the step that precedes it.
 //
 // A panic in a worker (the optimizer's Step, a merge, or the Observe
 // callback) is contained at that worker's boundary: the other workers
-// run to completion, the panicking worker's deposits up to the panic
-// still fold in, and Run returns the partial merged result together
+// run to completion, the panicking worker's merges up to the panic stay
+// in the archive, and Run returns the partial merged result together
 // with a *PanicError per failed worker (joined). Only a panic on the
 // caller's own goroutine before workers start can escape.
 func Run(ctx context.Context, cfg RunConfig) (RunResult, error) {
@@ -173,96 +156,53 @@ func Run(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	}
 	start := time.Now() //rmq:allow-detrand(Elapsed telemetry only; never steers the search)
 	var (
-		mu       sync.Mutex // guards archive and inbox draining
+		mu       sync.Mutex // guards archive
 		archive  Archive
 		cbMu     sync.Mutex // serializes Observe calls
 		total    atomic.Int64
 		failMu   sync.Mutex // guards failures
 		failures []error
 	)
-	shards := make([]mergeShard, len(cfg.Workers))
-	// drainLocked folds every inbox into the archive; mu must be held.
-	// Shard locks nest inside mu (deposits take only the shard lock, so
-	// the ordering is acyclic).
-	drainLocked := func() bool {
-		improved := false
-		for s := range shards {
-			sh := &shards[s]
-			batch := func() []*plan.Plan {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				b := sh.pending
-				sh.pending = nil
-				return b
-			}()
-			for _, p := range batch {
-				if archive.Add(p) {
-					improved = true
-				}
-			}
-		}
-		return improved
-	}
 	snapshot := func() []*plan.Plan {
 		mu.Lock()
 		defer mu.Unlock()
-		drainLocked()
 		return append([]*plan.Plan(nil), archive.Plans()...)
 	}
 	runWorker := func(idx int, w Worker) {
-		// Panic boundary: contain anything the optimizer, the merge
-		// machinery or the Observe callback throws, so one poisoned
-		// worker cannot take down its siblings or the process. The
-		// defer-based unlocks below guarantee the unwind releases every
-		// lock, and the best-effort drain folds whatever the worker
-		// deposited before dying.
+		// Panic boundary: contain anything the optimizer, the merge or
+		// the Observe callback throws, so one poisoned worker cannot
+		// take down its siblings or the process. The defer-based unlocks
+		// below guarantee the unwind releases every lock.
 		defer func() {
-			r := recover()
-			if r == nil {
-				return
+			if r := recover(); r != nil {
+				failMu.Lock()
+				defer failMu.Unlock()
+				failures = append(failures, &PanicError{Worker: idx, Value: r, Stack: debug.Stack()})
 			}
-			perr := &PanicError{Worker: idx, Value: r, Stack: debug.Stack()}
-			failMu.Lock()
-			failures = append(failures, perr)
-			failMu.Unlock()
-			func() {
-				defer func() { _ = recover() }() // a second panic stays contained too
-				mu.Lock()
-				defer mu.Unlock()
-				drainLocked()
-			}()
 		}()
 		w.Optimizer.Init(w.Problem, w.Seed)
 		df, _ := w.Optimizer.(DeltaFrontier)
 		var mark uint64
-		sh := &shards[idx]
-		deposit := func() {
+		// add holds mu only while it adds: the observer that merge
+		// calls next may take it again through Event.Snapshot.
+		add := func() (improved bool) {
 			var fresh []*plan.Plan
 			if df != nil {
 				fresh, mark = df.FrontierDelta(mark)
 			} else {
 				fresh = w.Optimizer.Frontier()
 			}
-			if len(fresh) == 0 {
-				return
-			}
-			// The frontier slice is only valid until the next step, but
-			// the plans themselves are immutable: copying the pointers
-			// into the inbox is all the hand-off needs.
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			sh.pending = append(sh.pending, fresh...)
-		}
-		fold := func(blocking bool) (folded, improved bool) {
-			if blocking {
-				mu.Lock()
-			} else if !mu.TryLock() {
-				return false, false
-			}
+			mu.Lock()
 			defer mu.Unlock()
-			return true, drainLocked()
+			for _, p := range fresh {
+				if archive.Add(p) {
+					improved = true
+				}
+			}
+			return improved
 		}
-		notify := func(improved bool) {
+		merge := func() {
+			improved := add()
 			if cfg.Observe == nil {
 				return
 			}
@@ -283,8 +223,8 @@ func Run(ctx context.Context, cfg RunConfig) (RunResult, error) {
 		// frontier is all a worker contributes) but the hot loop pays
 		// no per-step dominance checks or mutex traffic.
 		sinceMerge := 0
-		merged := false
-		Drive(ctx, w.Optimizer, cfg.MaxIterations, func(int) bool {
+		steps := Drive(ctx, w.Optimizer, cfg.MaxIterations, func(int) bool {
+			sinceMerge++
 			// Fault-injection site: a panic kind panics out of Check and
 			// exercises the worker boundary above; an error kind aborts
 			// just this worker, whose partial frontier still merges. The
@@ -298,33 +238,17 @@ func Run(ctx context.Context, cfg RunConfig) (RunResult, error) {
 				return false
 			}
 			total.Add(1)
-			if cfg.Observe != nil {
-				sinceMerge++
-				if sinceMerge >= mergeEvery {
-					sinceMerge = 0
-					deposit()
-					folded, improved := fold(false)
-					if folded {
-						notify(improved)
-					}
-					// A failed TryLock leaves this worker's deposit
-					// pending; only a completed fold counts as merged,
-					// so the final blocking merge below still runs and
-					// observers see the run's last improvements.
-					merged = folded
-				} else {
-					merged = false
-				}
+			if cfg.Observe != nil && sinceMerge >= mergeEvery {
+				sinceMerge = 0
+				merge()
 			}
 			return true
 		})
-		// A final blocking merge covers the steps since the last
-		// observed one — and the whole run when no observer is
-		// configured or a TryLock left deposits pending.
-		if !merged {
-			deposit()
-			_, improved := fold(true)
-			notify(improved)
+		// A final merge covers the steps since the last observed one —
+		// the whole run when no observer is configured, and the warm
+		// frontier Init may leave when no step ran.
+		if sinceMerge > 0 || steps == 0 {
+			merge()
 		}
 	}
 	if len(cfg.Workers) == 1 {

@@ -26,12 +26,9 @@ import (
 	"testing"
 
 	"rmq"
-	"rmq/internal/baselines/weighted"
 	"rmq/internal/cache"
 	"rmq/internal/catalog"
-	"rmq/internal/core"
 	"rmq/internal/harness"
-	"rmq/internal/opt"
 	"rmq/internal/snapshot"
 	"rmq/internal/tableset"
 )
@@ -149,8 +146,9 @@ func BenchmarkParallelScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// One warm-up run fills the session's problem pool so the
-			// timed ops measure optimization, not catalog setup.
+			// One untimed warm-up run. Private runs park no problem
+			// instances, so every timed op builds its workers' cost
+			// models, as a fresh query does.
 			if _, err := sess.Optimize(context.Background(),
 				rmq.WithParallelism(workers), rmq.WithMaxIterations(2)); err != nil {
 				b.Fatal(err)
@@ -442,7 +440,7 @@ func BenchmarkWarmStartPull(b *testing.B) {
 			_, snap := snapshotBenchSession(b, retain)
 			var sh *cache.Shared
 			if _, err := snapshot.Decode(snap, func(_ string, st cache.StoreState) (*cache.Shared, error) {
-				sh = cache.NewShared(tableset.NewSharedInterner(), st.Retention)
+				sh = cache.NewShared(tableset.NewInterner(), st.Retention)
 				return sh, nil
 			}); err != nil {
 				b.Fatal(err)
@@ -479,7 +477,7 @@ func BenchmarkExtensionWeightedSum(b *testing.B) {
 		Checkpoints: tn.Checkpoints,
 		Cases:       tn.Cases,
 		BaseSeed:    tn.BaseSeed,
-		Algorithms:  []opt.Factory{weighted.Factory(), core.Factory()},
+		Algorithms:  []harness.Algorithm{{Name: "ws"}, {Name: "rmq"}},
 		Parallel:    tn.Parallel,
 	}
 	for i := 0; i < b.N; i++ {

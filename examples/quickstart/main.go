@@ -1,8 +1,8 @@
 // Quickstart: optimize a generated 20-table query under two cost metrics
 // and pick plans by preference — the minimal end-to-end use of the rmq
-// library. A Session carries the catalog and default options, so issuing
-// further queries against the same database reuses warmed-up cost-model
-// state.
+// library. A Session carries the catalog and default options for
+// further queries against the same database; with WithSharedCache it
+// also keeps warmed cost-model state and the plan cache across runs.
 package main
 
 import (
@@ -57,8 +57,9 @@ func main() {
 	}
 
 	// A second query against the same session (here: a different seed
-	// and metric subset) skips catalog/estimator re-setup and benefits
-	// from the cardinalities memoized above.
+	// and metric subset) reuses the catalog and the session defaults.
+	// This session does not share its plan cache, so the run builds its
+	// cost model afresh and drops it when it ends.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel2()
 	again, err := sess.Optimize(ctx2,

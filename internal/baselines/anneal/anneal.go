@@ -84,11 +84,6 @@ type SA struct {
 // configuration.
 func New(cfg Config) *SA { return &SA{cfg: cfg} }
 
-// Factory returns the harness factory for SA with default configuration.
-func Factory() opt.Factory {
-	return opt.Factory{Name: "SA", New: func() opt.Optimizer { return New(Config{}) }}
-}
-
 func init() {
 	opt.Register("sa", func(opt.Spec) (opt.Optimizer, error) {
 		return New(Config{}), nil

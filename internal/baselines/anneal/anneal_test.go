@@ -133,7 +133,7 @@ func TestSAConfigDefaults(t *testing.T) {
 }
 
 func TestSAName(t *testing.T) {
-	if New(Config{}).Name() != "SA" || Factory().Name != "SA" {
+	if New(Config{}).Name() != "SA" {
 		t.Error("unexpected name")
 	}
 }

@@ -50,12 +50,6 @@ type DP struct {
 // alpha ≥ 1 (use math.Inf(1) for DP(∞), 1 for the exact algorithm).
 func New(alpha float64) *DP { return &DP{alpha: alpha} }
 
-// Factory returns the harness factory for DP(alpha).
-func Factory(alpha float64) opt.Factory {
-	name := Name(alpha)
-	return opt.Factory{Name: name, New: func() opt.Optimizer { return New(alpha) }}
-}
-
 func init() {
 	opt.Register("dp", func(spec opt.Spec) (opt.Optimizer, error) {
 		alpha := spec.DPAlpha

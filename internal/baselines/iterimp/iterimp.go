@@ -32,11 +32,6 @@ type II struct {
 // New returns an uninitialized II optimizer.
 func New() *II { return &II{} }
 
-// Factory returns the harness factory for II.
-func Factory() opt.Factory {
-	return opt.Factory{Name: "II", New: func() opt.Optimizer { return New() }}
-}
-
 func init() {
 	opt.Register("ii", func(opt.Spec) (opt.Optimizer, error) {
 		return New(), nil

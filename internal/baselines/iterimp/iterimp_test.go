@@ -91,7 +91,7 @@ func TestIIDeterministicForSeed(t *testing.T) {
 }
 
 func TestIIName(t *testing.T) {
-	if New().Name() != "II" || Factory().Name != "II" {
+	if New().Name() != "II" {
 		t.Error("unexpected name")
 	}
 }

@@ -62,12 +62,6 @@ type NSGA2 struct {
 // New returns an uninitialized NSGA-II optimizer.
 func New(cfg Config) *NSGA2 { return &NSGA2{cfg: cfg} }
 
-// Factory returns the harness factory for NSGA-II with the paper's
-// configuration.
-func Factory() opt.Factory {
-	return opt.Factory{Name: "NSGA-II", New: func() opt.Optimizer { return New(Config{}) }}
-}
-
 func init() {
 	opt.Register("nsga2", func(opt.Spec) (opt.Optimizer, error) {
 		return New(Config{}), nil

@@ -32,11 +32,6 @@ type TwoPhase struct {
 // New returns an uninitialized 2P optimizer.
 func New() *TwoPhase { return &TwoPhase{} }
 
-// Factory returns the harness factory for 2P.
-func Factory() opt.Factory {
-	return opt.Factory{Name: "2P", New: func() opt.Optimizer { return New() }}
-}
-
 func init() {
 	opt.Register("2p", func(opt.Spec) (opt.Optimizer, error) {
 		return New(), nil

@@ -102,7 +102,7 @@ func TestBestByMeanLogCost(t *testing.T) {
 }
 
 func TestTwoPhaseName(t *testing.T) {
-	if New().Name() != "2P" || Factory().Name != "2P" {
+	if New().Name() != "2P" {
 		t.Error("unexpected name")
 	}
 }

@@ -43,11 +43,6 @@ type WS struct {
 // New returns an uninitialized weighted-sum optimizer.
 func New(cfg Config) *WS { return &WS{cfg: cfg} }
 
-// Factory returns the harness factory for WS.
-func Factory() opt.Factory {
-	return opt.Factory{Name: "WS", New: func() opt.Optimizer { return New(Config{}) }}
-}
-
 func init() {
 	opt.Register("ws", func(opt.Spec) (opt.Optimizer, error) {
 		return New(Config{}), nil

@@ -90,7 +90,7 @@ func TestScoreMonotone(t *testing.T) {
 }
 
 func TestWSName(t *testing.T) {
-	if New(Config{}).Name() != "WS" || Factory().Name != "WS" {
+	if New(Config{}).Name() != "WS" {
 		t.Error("unexpected name")
 	}
 }

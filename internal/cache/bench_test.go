@@ -14,7 +14,7 @@ import (
 // returns it with a probe stream drawn from the same distribution.
 func benchBucket(n, dim int) (*Bucket, []cost.Vector) {
 	rng := rand.New(rand.NewPCG(uint64(n)*uint64(dim), 41))
-	c := New(nil)
+	c := New(tableset.NewInterner())
 	b := c.Bucket(rel)
 	for i := 0; i < n; i++ {
 		vec := randVec(rng, dim)

@@ -525,17 +525,9 @@ func (b *Bucket) BeginScans(alpha float64) bool {
 // (hand-built, or past the interner capacity) take a Set-keyed overflow
 // path.
 type Cache struct {
-	in      *tableset.Interner
-	buckets []*Bucket // indexed by tableset.ID; index 0 unused
-	// tableHint is the interner's reserved id capacity when the cache
-	// was created, the size of the bucket table's first allocation.
-	tableHint int
-	overflow  map[tableset.Set]*Bucket
-	// private marks a cache whose interner was created internally rather
-	// than shared by the plans' cost model. Plan RelIDs then belong to a
-	// foreign id namespace and must be ignored — every probe interns the
-	// set instead, which is correct but forgoes the indexed fast path.
-	private bool
+	in       *tableset.Interner
+	buckets  []*Bucket // indexed by tableset.ID; index 0 unused
+	overflow map[tableset.Set]*Bucket
 	// track enables dirty-bucket tracking for shared-cache publication:
 	// buckets that admit a plan enqueue themselves on dirty exactly once,
 	// so a SyncState publish touches only what changed since the last one.
@@ -549,20 +541,10 @@ type Cache struct {
 // New returns an empty cache over the given interner, which must be the
 // one of the cost model constructing the cached plans (see
 // costmodel.Model.Interner) so that plan RelIDs agree with bucket
-// indices. A nil interner gives the cache a private one; plan RelIDs
-// (assigned by some other interner) are then ignored entirely. New reads
-// the interner's reserved capacity to size the bucket table, so with a
-// single-owner interner it must run on the goroutine that interns; after
-// that, lookups by a plan's interned id (BucketFor, GetFor, Insert,
+// indices. Lookups by a plan's interned id (BucketFor, GetFor, Insert,
 // SyncState.Pull) never consult the interner.
 func New(in *tableset.Interner) *Cache {
-	c := &Cache{in: in}
-	if in == nil {
-		c.in = tableset.NewInterner()
-		c.private = true
-	}
-	c.tableHint = c.in.CapHint()
-	return c
+	return &Cache{in: in}
 }
 
 // newBucket returns an empty bucket wired to the cache, carved from the
@@ -577,26 +559,27 @@ func (c *Cache) newBucket() *Bucket {
 	return b
 }
 
-// growTable widens the bucket table to hold every id below n. The first
-// allocation takes the interner's capacity at New, so a pooled problem's
-// interner, which already holds every set earlier runs met, sizes the
-// table once; after that the table at least doubles, so a run meeting
-// freshly interned sets one at a time recopies it only logarithmically
-// often. It never consults the interner: a private interner belongs to
-// the goroutine that climbs, which may be interning while this cache
-// approximates frontiers (see core.RMQ.Step).
+// growTable widens the bucket table to hold every id below n. It grows
+// to at least the interner's reserved capacity, so a table over an
+// interner that already holds every set earlier runs met is sized
+// once, and at least doubles, so a run meeting freshly interned sets
+// one at a time recopies it only logarithmically often.
 func (c *Cache) growTable(n int) {
 	if n <= len(c.buckets) {
 		return
 	}
-	grown := make([]*Bucket, max(2*len(c.buckets), c.tableHint, n)) //rmq:allow-alloc(geometric table growth, amortized)
+	grown := make([]*Bucket, max(2*len(c.buckets), c.in.CapHint(), n)) //rmq:allow-alloc(geometric table growth, amortized)
 	copy(grown, c.buckets)
 	c.buckets = grown
 }
 
 // bucketAt returns the bucket with the given id, creating it if absent.
 func (c *Cache) bucketAt(id tableset.ID) *Bucket {
-	c.growTable(int(id) + 1)
+	// growTable consults the interner and is not inlined, so the bounds
+	// test stays here, on the hot path.
+	if int(id) >= len(c.buckets) {
+		c.growTable(int(id) + 1)
+	}
 	b := c.buckets[id]
 	if b == nil {
 		b = c.newBucket()
@@ -634,7 +617,7 @@ func (c *Cache) Bucket(rel tableset.Set) *Bucket {
 // interned id carried by the plan when it has one. Hot loops that walk
 // model-built plans should prefer it over Bucket.
 func (c *Cache) BucketFor(p *plan.Plan) *Bucket {
-	if p.RelID != tableset.NoID && !c.private {
+	if p.RelID != tableset.NoID {
 		return c.bucketAt(p.RelID)
 	}
 	return c.Bucket(p.Rel)
@@ -654,7 +637,7 @@ func (c *Cache) GetID(id tableset.ID) []*plan.Plan {
 // GetFor returns the cached frontier for p's table set, via the plan's
 // interned id when present.
 func (c *Cache) GetFor(p *plan.Plan) []*plan.Plan {
-	if p.RelID != tableset.NoID && !c.private {
+	if p.RelID != tableset.NoID {
 		return c.GetID(p.RelID)
 	}
 	return c.Get(p.Rel)

@@ -130,7 +130,7 @@ func TestWouldAdmitMatchesPruneApprox(t *testing.T) {
 }
 
 func TestCacheBasics(t *testing.T) {
-	c := New(nil)
+	c := New(tableset.NewInterner())
 	if c.NumSets() != 0 || c.NumPlans() != 0 {
 		t.Fatal("new cache not empty")
 	}
@@ -150,7 +150,7 @@ func TestCacheBasics(t *testing.T) {
 }
 
 func TestCachePlanCountTracksEviction(t *testing.T) {
-	c := New(nil)
+	c := New(tableset.NewInterner())
 	other := tableset.FromSlice([]int{2, 3})
 	c.Insert(mkPlan(rel, plan.Pipelined, 10, 1), 1)
 	c.Insert(mkPlan(rel, plan.Pipelined, 1, 10), 1)
@@ -169,7 +169,7 @@ func TestCachePlanCountTracksEviction(t *testing.T) {
 }
 
 func TestBucketSharedWithCache(t *testing.T) {
-	c := New(nil)
+	c := New(tableset.NewInterner())
 	b := c.Bucket(rel)
 	b.Insert(mkPlan(rel, plan.Pipelined, 1, 1), 1)
 	if got := c.Get(rel); len(got) != 1 {
@@ -243,7 +243,7 @@ func TestCacheProbeAllocFree(t *testing.T) {
 // TestCacheOverflowFallback exercises the Set-keyed overflow path taken
 // by plans without a valid interned id.
 func TestCacheOverflowFallback(t *testing.T) {
-	c := New(nil)
+	c := New(tableset.NewInterner())
 	p := mkPlan(rel, plan.Pipelined, 1, 1) // RelID zero: hand-built
 	if !c.Insert(p, 1) {
 		t.Fatal("insert rejected")
@@ -253,31 +253,5 @@ func TestCacheOverflowFallback(t *testing.T) {
 	}
 	if c.NumSets() != 1 || c.NumPlans() != 1 {
 		t.Fatalf("sets=%d plans=%d", c.NumSets(), c.NumPlans())
-	}
-}
-
-// TestCachePrivateInternerIgnoresForeignRelIDs: a cache built with
-// New(nil) must not index by RelIDs assigned by some other interner —
-// those ids belong to a foreign namespace.
-func TestCachePrivateInternerIgnoresForeignRelIDs(t *testing.T) {
-	foreign := tableset.NewInterner()
-	foreign.Intern(tableset.Single(9)) // shift id assignment
-	c := New(nil)
-	// Claim a private-interner id for a different set first, so a
-	// foreign id that were trusted would alias this bucket.
-	c.Bucket(tableset.Single(5))
-	p := mkPlan(rel, plan.Pipelined, 1, 1)
-	p.RelID = foreign.Intern(p.Rel)
-	if !c.Insert(p, 1) {
-		t.Fatal("insert rejected")
-	}
-	if got := c.Get(rel); len(got) != 1 || got[0] != p {
-		t.Fatalf("plan not retrievable via its set: %v", got)
-	}
-	if got := c.Get(tableset.Single(5)); len(got) != 0 {
-		t.Fatalf("foreign RelID aliased another set's bucket: %v", got)
-	}
-	if got := c.GetFor(p); len(got) != 1 || got[0] != p {
-		t.Fatalf("GetFor lost the plan: %v", got)
 	}
 }

@@ -36,7 +36,7 @@ func randVec(rng *rand.Rand, dim int) cost.Vector {
 func runDifferential(t *testing.T, seed uint64, n, dim int, alphaFor func(rng *rand.Rand) float64) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 77))
-	c := New(nil)
+	c := New(tableset.NewInterner())
 	b := c.Bucket(rel)
 	var ref []*plan.Plan
 	for i := 0; i < n; i++ {
@@ -110,7 +110,7 @@ func TestQuickIndexedBucketMatchesReference(t *testing.T) {
 }
 
 func TestBucketEpochAndSince(t *testing.T) {
-	c := New(nil)
+	c := New(tableset.NewInterner())
 	b := c.Bucket(rel)
 	if b.Epoch() != 0 || len(b.Since(0)) != 0 {
 		t.Fatal("fresh bucket not at mark 0")
@@ -145,7 +145,7 @@ func TestBucketEpochAndSince(t *testing.T) {
 }
 
 func TestBeginRecombVisitLifecycle(t *testing.T) {
-	c := New(nil)
+	c := New(tableset.NewInterner())
 	outer := c.Bucket(tableset.Single(0))
 	inner := c.Bucket(tableset.Single(1))
 	parent := c.Bucket(tableset.FromSlice([]int{0, 1}))

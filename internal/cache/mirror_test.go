@@ -39,7 +39,7 @@ func TestBucketMirrorConsistency(t *testing.T) {
 	for dim := 1; dim <= cost.MaxMetrics; dim++ {
 		for _, alpha := range []float64{1, 2, 25} {
 			rng := rand.New(rand.NewPCG(uint64(dim)*31+uint64(alpha), 8))
-			c := New(nil)
+			c := New(tableset.NewInterner())
 			b := c.Bucket(rel)
 			for i := 0; i < 300; i++ {
 				vec := randVec(rng, dim)
@@ -77,7 +77,7 @@ func TestBucketMirrorConsistency(t *testing.T) {
 // the WouldAdmit reference.
 func TestImportBucketRebuildsMirrors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 4))
-	src := NewShared(tableset.NewSharedInterner(), 0)
+	src := NewShared(tableset.NewInterner(), 0)
 	c := New(src.Interner())
 	c.TrackDirty()
 	sync := src.NewSync()
@@ -95,7 +95,7 @@ func TestImportBucketRebuildsMirrors(t *testing.T) {
 	}
 	sync.Publish(c)
 
-	dst := NewShared(tableset.NewSharedInterner(), 0)
+	dst := NewShared(tableset.NewInterner(), 0)
 	var snaps []BucketSnapshot
 	if _, _, err := src.Export(0, func(bs BucketSnapshot) error {
 		snaps = append(snaps, bs)

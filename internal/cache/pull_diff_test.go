@@ -39,7 +39,7 @@ func (w workload) run(sh *cache.Shared, seed uint64, iters int) *core.RMQ {
 
 // warmStore builds a store through runs at the given retention.
 func (w workload) warmStore(retain float64, seeds ...uint64) *cache.Shared {
-	sh := cache.NewShared(tableset.NewSharedInterner(), retain)
+	sh := cache.NewShared(tableset.NewInterner(), retain)
 	for _, s := range seeds {
 		w.run(sh, s, 250)
 	}
@@ -56,7 +56,7 @@ func restore(tb testing.TB, sh *cache.Shared) *cache.Shared {
 	}
 	var out *cache.Shared
 	if _, err := snapshot.Decode(data, func(_ string, st cache.StoreState) (*cache.Shared, error) {
-		out = cache.NewShared(tableset.NewSharedInterner(), st.Retention)
+		out = cache.NewShared(tableset.NewInterner(), st.Retention)
 		return out, nil
 	}); err != nil {
 		tb.Fatal(err)

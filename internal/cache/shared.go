@@ -37,11 +37,10 @@ import (
 // per-slot marks and touches a bucket only when the two differ, so
 // scanning a warm store costs 8 bytes per bucket, not a bucket header.
 //
-// Bucket ids come from one shared-mode interner (tableset.
-// NewSharedInterner) that every participating cost model must be built
-// over, so plan.RelID values agree across workers and runs; table sets
-// past the interner capacity (plan.RelID == NoID) stay private to their
-// worker. Plans themselves are immutable once cached (climbed plans are
+// Bucket ids come from the store's interner, which every participating
+// cost model must be built over, so plan.RelID values agree across
+// workers and runs; table sets past the interner capacity (plan.RelID
+// == NoID) stay private to their worker. Plans themselves are immutable once cached (climbed plans are
 // frozen out of the scratch arena before they escape), so passing plan
 // pointers between workers needs no copying and no further locking.
 //
@@ -183,14 +182,10 @@ type sharedBucket struct {
 	b       Bucket
 }
 
-// NewShared returns an empty shared store over the given shared-mode
-// interner (it panics on a single-owner interner — sharing plans
-// requires one concurrency-safe id namespace). retain is the retention
-// precision α; values below 1 (including 0) select exact retention.
+// NewShared returns an empty shared store that owns the given interner.
+// retain is the retention precision α; values below 1 (including 0)
+// select exact retention.
 func NewShared(in *tableset.Interner, retain float64) *Shared {
-	if in == nil || !in.Concurrent() {
-		panic("cache: NewShared needs a shared-mode interner (tableset.NewSharedInterner)")
-	}
 	if retain < 1 {
 		retain = 1
 	}

@@ -15,7 +15,7 @@ import (
 // the wiring an n-worker shared-cache run uses.
 func sharedFixture(t testing.TB, n int, retain float64) (*Shared, []*Cache, []*SyncState) {
 	t.Helper()
-	sh := NewShared(tableset.NewSharedInterner(), retain)
+	sh := NewShared(tableset.NewInterner(), retain)
 	caches := make([]*Cache, n)
 	syncs := make([]*SyncState, n)
 	for i := range caches {
@@ -50,15 +50,6 @@ func costsOf(plans []*plan.Plan) [][]float64 {
 		out[i] = []float64{p.Cost.At(0), p.Cost.At(1)}
 	}
 	return out
-}
-
-func TestSharedNeedsConcurrentInterner(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewShared accepted a single-owner interner")
-		}
-	}()
-	NewShared(tableset.NewInterner(), 1)
 }
 
 // TestSharedPublishPullRoundtrip moves plans worker A found into worker
@@ -253,7 +244,7 @@ func TestSharedConcurrentStress(t *testing.T) {
 func TestPullConvergesWhileBucketsAreCreated(t *testing.T) {
 	const publishers, pullers, rounds = 3, 3, 3
 	sets := 4*sharedBucketsPerSlab + 17
-	sh := NewShared(tableset.NewSharedInterner(), 1)
+	sh := NewShared(tableset.NewInterner(), 1)
 	rels := make([]tableset.Set, sets)
 	for i := range rels {
 		rels[i] = tableset.FromWords(uint64(i+1), 0)

@@ -111,7 +111,7 @@ func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alp
 			if !bucket.Admits(m.ScanCost(p.Table, op), op.Output(), alpha) {
 				continue
 			}
-			bucket.Insert(m.NewScanForID(p.Table, op, p.RelID), alpha)
+			bucket.Insert(m.NewScan(p.Table, op), alpha)
 		}
 	}
 }

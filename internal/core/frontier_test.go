@@ -93,7 +93,7 @@ func approximateFull(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alpha fl
 		bucket := pc.BucketFor(p)
 		for _, op := range plan.AllScanOps() {
 			if bucket.Admits(m.ScanCost(p.Table, op), op.Output(), alpha) {
-				bucket.Insert(m.NewScanForID(p.Table, op, p.RelID), alpha)
+				bucket.Insert(m.NewScan(p.Table, op), alpha)
 			}
 		}
 		return

@@ -51,7 +51,7 @@ func TestTrajectoryGolden(t *testing.T) {
 		}
 		writeTrajectory(&out, name+" private", r)
 
-		sh := cache.NewShared(tableset.NewSharedInterner(), 1)
+		sh := cache.NewShared(tableset.NewInterner(), 1)
 		p := trajectoryProblem(tc.graph, tc.tables, tc.seed, sh.Interner())
 		for run := 1; run <= 2; run++ {
 			r := New(Config{Shared: sh})

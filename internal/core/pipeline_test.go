@@ -37,7 +37,7 @@ func TestPipelinedMatchesInline(t *testing.T) {
 				cfg := tc.cfg
 				p := testProblem(t, 12, 61)
 				if tc.shared {
-					cfg.Shared = cache.NewShared(tableset.NewSharedInterner(), 1)
+					cfg.Shared = cache.NewShared(tableset.NewInterner(), 1)
 					p = sharedProblem(t, cfg.Shared, 12, 61)
 				}
 				r := New(cfg)

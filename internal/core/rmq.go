@@ -100,12 +100,6 @@ func New(cfg Config) *RMQ {
 	return r
 }
 
-// Factory returns the harness factory for RMQ with the paper's default
-// configuration.
-func Factory() opt.Factory {
-	return opt.Factory{Name: "RMQ", New: func() opt.Optimizer { return New(Config{}) }}
-}
-
 func init() {
 	opt.Register("rmq", func(s opt.Spec) (opt.Optimizer, error) {
 		return New(Config{Shared: s.SharedCache}), nil
@@ -173,8 +167,8 @@ type retainedCache struct {
 // runs this iteration's stage A, joins both, and leaves this iteration's
 // stage B pending. Stage B sees the plans, α values and cache of a
 // sequential run, so cache decisions and frontiers are bit-identical to
-// it. Stage B never touches what stage A may be using: the estimator
-// memo and a private interner (it takes set ids from the plan nodes).
+// it. Stage B never touches the estimator memo, which stage A uses; the
+// table-set interner both stages use is safe for concurrent use.
 //
 // No goroutine outlives a Step. The helper is joined before Step
 // returns, also when stage A panics, and a panic in stage B is re-raised

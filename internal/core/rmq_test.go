@@ -303,11 +303,13 @@ func TestRMQConvergesOnTinyQuery(t *testing.T) {
 }
 
 func TestRMQFactory(t *testing.T) {
-	f := Factory()
-	if f.Name != "RMQ" {
-		t.Errorf("factory name = %q", f.Name)
+	o, err := opt.NewNamed("rmq", opt.Spec{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	o := f.New()
+	if _, ok := o.(*RMQ); !ok {
+		t.Errorf("registry built %T for \"rmq\"", o)
+	}
 	if o.Name() != "RMQ" {
 		t.Errorf("optimizer name = %q", o.Name())
 	}

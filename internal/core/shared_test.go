@@ -26,7 +26,7 @@ func sharedProblem(tb testing.TB, sh *cache.Shared, n int, seed uint64) *opt.Pro
 // reports a frontier at least as good as the first one's final result
 // before performing a single step, and never regresses below it.
 func TestRMQSharedWarmStart(t *testing.T) {
-	sh := cache.NewShared(tableset.NewSharedInterner(), 1)
+	sh := cache.NewShared(tableset.NewInterner(), 1)
 	p := sharedProblem(t, sh, 12, 42)
 
 	cold := New(Config{Shared: sh})
@@ -57,7 +57,7 @@ func TestRMQSharedWarmStart(t *testing.T) {
 // whose interner is not the problem's runs the optimizer privately (the
 // foreign id namespace must be ignored, not mixed in).
 func TestRMQSharedInternerMismatchFallsBack(t *testing.T) {
-	sh := cache.NewShared(tableset.NewSharedInterner(), 1)
+	sh := cache.NewShared(tableset.NewInterner(), 1)
 	p := testProblem(t, 8, 42) // private interner, NOT the store's
 	r := New(Config{Shared: sh})
 	r.Init(p, 7)
@@ -77,7 +77,7 @@ func TestRMQSharedInternerMismatchFallsBack(t *testing.T) {
 // bit-identically: its own publishes are never pulled back, so sharing
 // only changes later (warmed) runs.
 func TestRMQSharedSoloFirstRunMatchesPrivate(t *testing.T) {
-	sh := cache.NewShared(tableset.NewSharedInterner(), 1)
+	sh := cache.NewShared(tableset.NewInterner(), 1)
 	ps := sharedProblem(t, sh, 10, 42)
 	pp := testProblem(t, 10, 42)
 

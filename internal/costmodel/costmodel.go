@@ -89,7 +89,9 @@ type raw struct {
 
 // Model evaluates plan costs over a catalog for a chosen metric subset
 // and constructs plan nodes. A Model is not safe for concurrent use (it
-// owns a memoizing estimator); optimizer runs each own one.
+// owns a memoizing estimator); optimizer runs each own one. Its
+// interner is safe for concurrent use, so a run's frontier stage may
+// build scan nodes (NewScan) while its climbing stage prices plans.
 type Model struct {
 	est     *catalog.Estimator
 	metrics []Metric
@@ -108,12 +110,13 @@ func New(cat *catalog.Catalog, metrics []Metric) *Model {
 }
 
 // NewWithInterner is New with an externally owned table-set interner; a
-// nil interner gives the model a private one. Sessions that share one
-// plan cache across workers and runs build every participating model
-// over the same shared-mode interner (tableset.NewSharedInterner), so
-// the interned ids carried by the models' plans (plan.RelID) agree with
-// the shared cache's bucket indices. The model itself stays
-// single-goroutine either way — only the interner is shared.
+// nil interner gives the model one of its own, which lives as long as
+// the model. Sessions that share one plan cache across workers and runs
+// build every participating model over the store's interner
+// (cache.Shared.Interner), so the interned ids carried by the models'
+// plans (plan.RelID) agree with the shared cache's bucket indices. The
+// model itself stays single-goroutine either way; only the interner is
+// shared.
 func NewWithInterner(cat *catalog.Catalog, metrics []Metric, in *tableset.Interner) *Model {
 	if len(metrics) == 0 {
 		panic("costmodel: need at least one metric")
@@ -272,24 +275,9 @@ func (m *Model) NewScan(t int, op plan.ScanOp) *plan.Plan {
 // Generators that produce whole plan trees at once use it to build into
 // a single block allocation instead of one per node.
 func (m *Model) InitScan(n *plan.Plan, t int, op plan.ScanOp) {
-	m.initScan(n, t, op, m.in.Intern(tableset.Single(t)))
-}
-
-// NewScanForID is NewScan for callers that already hold the interned id
-// of the scanned table's set: relID must be this model's id for
-// tableset.Single(t) (NoID when it has none). It never touches the
-// interner, so frontier approximation can materialize scans while
-// another goroutine interns through the same model (see core.RMQ.Step).
-func (m *Model) NewScanForID(t int, op plan.ScanOp, relID tableset.ID) *plan.Plan {
-	n := new(plan.Plan)
-	m.initScan(n, t, op, relID)
-	return n
-}
-
-func (m *Model) initScan(n *plan.Plan, t int, op plan.ScanOp, relID tableset.ID) {
 	*n = plan.Plan{
 		Rel:    tableset.Single(t),
-		RelID:  relID,
+		RelID:  m.in.Intern(tableset.Single(t)),
 		Cost:   m.project(m.scanRaw(t, op)),
 		Card:   m.Catalog().Table(t).Rows,
 		Output: op.Output(),

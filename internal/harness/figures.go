@@ -7,14 +7,15 @@ import (
 	"strconv"
 	"time"
 
-	"rmq/internal/baselines/anneal"
-	"rmq/internal/baselines/dp"
-	"rmq/internal/baselines/iterimp"
-	"rmq/internal/baselines/nsga2"
-	"rmq/internal/baselines/twophase"
 	"rmq/internal/catalog"
-	"rmq/internal/core"
 	"rmq/internal/opt"
+
+	// Register the competitors AllAlgorithms names; dp and core register
+	// through harness.go's imports.
+	_ "rmq/internal/baselines/anneal"
+	_ "rmq/internal/baselines/iterimp"
+	_ "rmq/internal/baselines/nsga2"
+	_ "rmq/internal/baselines/twophase"
 )
 
 // Tuning scales the paper's experiments to the machine at hand. The
@@ -95,16 +96,16 @@ func envInt(name string) int {
 // AllAlgorithms returns the full competitor set of the paper's
 // evaluation in its legend order: DP(∞), DP(1000), DP(2), SA, 2P,
 // NSGA-II, II, RMQ.
-func AllAlgorithms() []opt.Factory {
-	return []opt.Factory{
-		dp.Factory(math.Inf(1)),
-		dp.Factory(1000),
-		dp.Factory(2),
-		anneal.Factory(),
-		twophase.Factory(),
-		nsga2.Factory(),
-		iterimp.Factory(),
-		core.Factory(),
+func AllAlgorithms() []Algorithm {
+	return []Algorithm{
+		{"dp", opt.Spec{DPAlpha: math.Inf(1)}},
+		{"dp", opt.Spec{DPAlpha: 1000}},
+		{"dp", opt.Spec{DPAlpha: 2}},
+		{Name: "sa"},
+		{Name: "2p"},
+		{Name: "nsga2"},
+		{Name: "ii"},
+		{Name: "rmq"},
 	}
 }
 
@@ -116,7 +117,7 @@ func scenarioName(g catalog.GraphKind, tables, metrics int) string {
 }
 
 // grid builds one scenario per (graph, size) combination.
-func grid(t Tuning, sizes []int, metrics int, sel catalog.SelectivityModel, budget time.Duration, cases int, refAlpha float64, algos []opt.Factory) []Scenario {
+func grid(t Tuning, sizes []int, metrics int, sel catalog.SelectivityModel, budget time.Duration, cases int, refAlpha float64, algos []Algorithm) []Scenario {
 	var out []Scenario
 	for _, g := range allGraphs {
 		for _, n := range sizes {
@@ -156,7 +157,7 @@ func Figure2(t Tuning) []Scenario {
 // query size. Only RMQ runs.
 func Figure3(t Tuning) []Scenario {
 	return grid(t, []int{10, 25, 50, 75, 100}, 3, catalog.Steinbrunn, t.Budget, t.Cases, 0,
-		[]opt.Factory{core.Factory()})
+		[]Algorithm{{Name: "rmq"}})
 }
 
 // Figure4 reproduces Figure 4: two cost metrics with Bruno's MinMax

@@ -48,7 +48,7 @@ type Scenario struct {
 	// variation in how many steps fit into the budget.
 	BaseSeed uint64
 	// Algorithms lists the optimizers to compare.
-	Algorithms []opt.Factory
+	Algorithms []Algorithm
 	// RefAlpha, when > 0, additionally runs DP(RefAlpha) to completion
 	// per test case and merges its result into the reference frontier —
 	// the precise-error methodology of Figures 8 and 9 (α = 1.01).
@@ -61,6 +61,29 @@ type Scenario struct {
 	// sequentially, so within-case comparisons stay fair under load.
 	Parallel int
 }
+
+// Algorithm names one optimizer of a scenario: its registry name (see
+// opt.Names) and the Spec it is built with, e.g.
+// {"dp", opt.Spec{DPAlpha: math.Inf(1)}}.
+type Algorithm struct {
+	Name string
+	Spec opt.Spec
+}
+
+// build returns a fresh, uninitialized instance of the algorithm.
+// Scenarios are built in code, so a name the registry does not know is
+// a programming error and panics.
+func (a Algorithm) build() opt.Optimizer {
+	o, err := opt.NewNamed(a.Name, a.Spec)
+	if err != nil {
+		panic("harness: " + err.Error())
+	}
+	return o
+}
+
+// label returns the algorithm's display name in figures, the Name of
+// the optimizer it builds (e.g. "DP(Infinity)").
+func (a Algorithm) label() string { return a.build().Name() }
 
 // Series is the measured α curve of one algorithm in one scenario.
 type Series struct {
@@ -127,7 +150,7 @@ func Run(ctx context.Context, s Scenario) Result {
 
 	res := Result{Scenario: s, Times: checkpointTimes(s)}
 	for ai, f := range s.Algorithms {
-		series := Series{Algorithm: f.Name, Alpha: make([]float64, s.Checkpoints)}
+		series := Series{Algorithm: f.label(), Alpha: make([]float64, s.Checkpoints)}
 		for k := 0; k < s.Checkpoints; k++ {
 			vals := make([]float64, 0, s.Cases)
 			for c := 0; c < s.Cases; c++ {
@@ -190,7 +213,7 @@ func runCase(ctx context.Context, s Scenario, c int) caseOutcome {
 			finals = append(finals, nil)
 			continue
 		}
-		o := f.New()
+		o := f.build()
 		o.Init(problem, s.BaseSeed^(uint64(c)*2654435761+uint64(ai)*40503+17))
 		snapshots[ai] = runTimed(ctx, o, s.Budget, s.Checkpoints)
 		finals = append(finals, snapshots[ai][s.Checkpoints-1])

@@ -7,10 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"rmq/internal/baselines/iterimp"
 	"rmq/internal/catalog"
-	"rmq/internal/core"
-	"rmq/internal/opt"
 )
 
 func smallScenario() Scenario {
@@ -24,7 +21,7 @@ func smallScenario() Scenario {
 		Checkpoints: 4,
 		Cases:       2,
 		BaseSeed:    99,
-		Algorithms:  []opt.Factory{iterimp.Factory(), core.Factory()},
+		Algorithms:  []Algorithm{{Name: "ii"}, {Name: "rmq"}},
 		Parallel:    1,
 	}
 }
@@ -210,7 +207,7 @@ func TestFigureParameters(t *testing.T) {
 		}
 	}
 	for _, s := range Figure3(tn) {
-		if len(s.Algorithms) != 1 || s.Algorithms[0].Name != "RMQ" {
+		if len(s.Algorithms) != 1 || s.Algorithms[0].label() != "RMQ" {
 			t.Errorf("figure 3 must run RMQ only, got %v", s.Algorithms)
 		}
 	}
@@ -218,8 +215,8 @@ func TestFigureParameters(t *testing.T) {
 
 func TestAllAlgorithmsLegendOrder(t *testing.T) {
 	names := []string{}
-	for _, f := range AllAlgorithms() {
-		names = append(names, f.Name)
+	for _, a := range AllAlgorithms() {
+		names = append(names, a.label())
 	}
 	want := []string{"DP(Infinity)", "DP(1000)", "DP(2)", "SA", "2P", "NSGA-II", "II", "RMQ"}
 	if len(names) != len(want) {

@@ -20,7 +20,10 @@ import (
 // catalog, the query (the set of all catalog tables, per the paper's
 // model), and the cost model with the metric subset of the test case.
 // A Problem is not safe for concurrent use (the model memoizes
-// cardinalities); algorithms run on it sequentially.
+// cardinalities); algorithms run on it sequentially. Its table-set
+// interner is owned either by one run (NewProblem) or by a session's
+// shared plan store (NewProblemWithInterner), and is safe for
+// concurrent use in both cases.
 type Problem struct {
 	Model *costmodel.Model
 	Query tableset.Set
@@ -42,9 +45,9 @@ func NewProblem(cat *catalog.Catalog, metrics []costmodel.Metric) *Problem {
 }
 
 // NewProblemWithInterner is NewProblem with an externally owned
-// table-set interner (nil for a private one). Runs that publish into a
-// session-scoped shared plan cache build their problems over the
-// cache's shared-mode interner so plan ids agree across workers; see
+// table-set interner (nil for one of the problem's own). Runs that
+// publish into a session-scoped shared plan cache build their problems
+// over the cache's interner so plan ids agree across workers; see
 // cache.Shared.
 func NewProblemWithInterner(cat *catalog.Catalog, metrics []costmodel.Metric, in *tableset.Interner) *Problem {
 	return &Problem{
@@ -98,15 +101,6 @@ type Optimizer interface {
 // is valid until the next Step call.
 type DeltaFrontier interface {
 	FrontierDelta(mark uint64) ([]*plan.Plan, uint64)
-}
-
-// Factory constructs a fresh optimizer instance. The harness uses
-// factories so concurrent test cases never share optimizer state.
-type Factory struct {
-	// Name is the display name, matching Optimizer.Name of the product.
-	Name string
-	// New returns a new, uninitialized optimizer.
-	New func() Optimizer
 }
 
 // Archive accumulates complete query plans, keeping only plans whose cost

@@ -21,7 +21,7 @@ func openWarm(stores map[string]*cache.Shared) snapshot.OpenStore {
 		if sh, ok := stores[tag]; ok {
 			return sh, nil
 		}
-		sh := cache.NewShared(tableset.NewSharedInterner(), st.Retention)
+		sh := cache.NewShared(tableset.NewInterner(), st.Retention)
 		stores[tag] = sh
 		return sh, nil
 	}
@@ -66,7 +66,7 @@ type deltaFixture struct {
 }
 
 func newDeltaFixture(retain float64) *deltaFixture {
-	sh := cache.NewShared(tableset.NewSharedInterner(), retain)
+	sh := cache.NewShared(tableset.NewInterner(), retain)
 	c := cache.New(sh.Interner())
 	c.TrackDirty()
 	return &deltaFixture{sh: sh, c: c, st: sh.NewSync()}
@@ -218,7 +218,7 @@ func TestDeltaRejectsMalformedInput(t *testing.T) {
 		t.Fatalf("EncodeDeltas: %v", err)
 	}
 	discard := func(tag string, st cache.StoreState) (*cache.Shared, error) {
-		return cache.NewShared(tableset.NewSharedInterner(), st.Retention), nil
+		return cache.NewShared(tableset.NewInterner(), st.Retention), nil
 	}
 	t.Run("snapshot magic rejected", func(t *testing.T) {
 		snap := encode(t, snapshot.TaggedStore{Tag: "\x00", Store: buildStore(t, 1, 5)})

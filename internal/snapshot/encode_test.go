@@ -22,7 +22,7 @@ import (
 func runStore(tb testing.TB, tables int, graph catalog.GraphKind, metrics []costmodel.Metric, retain float64, runs, iters int) (*cache.Shared, uint64) {
 	tb.Helper()
 	cat := catalog.Generate(catalog.GenSpec{Tables: tables, Graph: graph}, rand.New(rand.NewPCG(uint64(tables), 5)))
-	sh := cache.NewShared(tableset.NewSharedInterner(), retain)
+	sh := cache.NewShared(tableset.NewInterner(), retain)
 	var mid uint64
 	for run := 0; run < runs; run++ {
 		r := core.New(core.Config{Shared: sh})
@@ -83,7 +83,7 @@ func storeShape(tb testing.TB, sh *cache.Shared) (maxBucket, evicted int) {
 // appears, and one set appears both with NoID and with its store id.
 func foreignIDStore(tb testing.TB) *cache.Shared {
 	tb.Helper()
-	sh := cache.NewShared(tableset.NewSharedInterner(), 1)
+	sh := cache.NewShared(tableset.NewInterner(), 1)
 	in := sh.Interner()
 	c := cache.New(in)
 	c.TrackDirty()
@@ -125,7 +125,7 @@ func foreignIDStore(tb testing.TB) *cache.Shared {
 // and misses.
 func largeBucketStore(tb testing.TB) *cache.Shared {
 	tb.Helper()
-	sh := cache.NewShared(tableset.NewSharedInterner(), 1)
+	sh := cache.NewShared(tableset.NewInterner(), 1)
 	in := sh.Interner()
 	in.Intern(tableset.Single(0).Union(tableset.Single(1))) // exported first
 	c := cache.New(in)
@@ -258,7 +258,7 @@ func TestEncoderMatchesOracle(t *testing.T) {
 func TestEncodeConcurrentWithRuns(t *testing.T) {
 	two := []costmodel.Metric{costmodel.Time, costmodel.Buffer}
 	cat := catalog.Generate(catalog.GenSpec{Tables: 14, Graph: catalog.Cycle}, rand.New(rand.NewPCG(14, 5)))
-	sh := cache.NewShared(tableset.NewSharedInterner(), 1)
+	sh := cache.NewShared(tableset.NewInterner(), 1)
 	done := make(chan struct{})
 	for w := 0; w < 2; w++ {
 		go func(seed uint64) {

@@ -134,7 +134,7 @@ type Header struct {
 // Decode or DecodeDeltas. The callback owns store construction so the
 // codec stays ignorant of session policy. The returned store must report
 // exactly state.Retention. For Decode it is a fresh store over a fresh
-// shared interner, whose buckets for the section's table sets are
+// interner, whose buckets for the section's table sets are
 // empty; for DecodeDeltas it may be a live, populated one.
 type OpenStore func(tag string, state cache.StoreState) (*cache.Shared, error)
 

@@ -55,7 +55,7 @@ func join(in *tableset.Interner, op plan.JoinOp, outer, inner *plan.Plan, costs 
 // wiring live runs use.
 func buildStore(tb testing.TB, retain float64, seed uint64) *cache.Shared {
 	tb.Helper()
-	sh := cache.NewShared(tableset.NewSharedInterner(), retain)
+	sh := cache.NewShared(tableset.NewInterner(), retain)
 	in := sh.Interner()
 	c := cache.New(in)
 	c.TrackDirty()
@@ -94,10 +94,10 @@ func buildStore(tb testing.TB, retain float64, seed uint64) *cache.Shared {
 }
 
 // openFresh is the Decode callback sessions use: a new store over a new
-// shared interner at the snapshot's retention.
+// interner at the snapshot's retention.
 func openFresh(stores map[string]*cache.Shared) snapshot.OpenStore {
 	return func(tag string, st cache.StoreState) (*cache.Shared, error) {
-		sh := cache.NewShared(tableset.NewSharedInterner(), st.Retention)
+		sh := cache.NewShared(tableset.NewInterner(), st.Retention)
 		stores[tag] = sh
 		return sh, nil
 	}
@@ -248,7 +248,7 @@ func restoredPlans(tb testing.TB, sh *cache.Shared, rel tableset.Set) []weak.Poi
 // the window a growing bucket leaves behind must not keep its old plans
 // reachable; nor may the slots an eviction compacts away.
 func TestRestoredBucketReleasesEvictedPlans(t *testing.T) {
-	sh := cache.NewShared(tableset.NewSharedInterner(), 1)
+	sh := cache.NewShared(tableset.NewInterner(), 1)
 	in := sh.Interner()
 	c := cache.New(in)
 	c.TrackDirty()
@@ -321,7 +321,7 @@ func TestEmptyAndNoStores(t *testing.T) {
 		t.Fatalf("empty snapshot opened %d stores", len(restored))
 	}
 
-	empty := cache.NewShared(tableset.NewSharedInterner(), 1)
+	empty := cache.NewShared(tableset.NewInterner(), 1)
 	data = encode(t, snapshot.TaggedStore{Tag: "\x00", Store: empty})
 	if _, err := snapshot.Decode(data, openFresh(restored)); err != nil {
 		t.Fatalf("Decode of empty store: %v", err)
@@ -333,7 +333,7 @@ func TestEmptyAndNoStores(t *testing.T) {
 
 // TestEncodeRejectsDuplicateTags pins the duplicate-tag guard.
 func TestEncodeRejectsDuplicateTags(t *testing.T) {
-	sh := cache.NewShared(tableset.NewSharedInterner(), 1)
+	sh := cache.NewShared(tableset.NewInterner(), 1)
 	_, err := snapshot.Encode(1, []snapshot.TaggedStore{
 		{Tag: "\x00", Store: sh},
 		{Tag: "\x00", Store: sh},
@@ -353,7 +353,7 @@ func reseal(data []byte) []byte {
 func TestDecodeRejectsMalformedInput(t *testing.T) {
 	valid := encode(t, snapshot.TaggedStore{Tag: "\x00", Store: buildStore(t, 1, 9)})
 	discard := func(tag string, st cache.StoreState) (*cache.Shared, error) {
-		return cache.NewShared(tableset.NewSharedInterner(), st.Retention), nil
+		return cache.NewShared(tableset.NewInterner(), st.Retention), nil
 	}
 
 	t.Run("wrong magic", func(t *testing.T) {
@@ -533,7 +533,7 @@ func TestDecodeRejectsDuplicateSets(t *testing.T) {
 		!strings.Contains(err.Error(), "entry 3 empty or duplicate") {
 		t.Fatalf("restore: err = %v, want a duplicate set at entry 3", err)
 	}
-	warm := cache.NewShared(tableset.NewSharedInterner(), 1)
+	warm := cache.NewShared(tableset.NewInterner(), 1)
 	for i := uint64(1); i <= 100; i++ {
 		warm.Interner().Intern(tableset.FromWords(i, 0))
 	}

@@ -21,22 +21,21 @@ const NoID ID = 0
 // Intern returns NoID and callers use their Set-keyed fallback.
 const MaxInterned = 1 << 20
 
-// Interner assigns dense IDs to table sets. The zero Interner is not
-// usable; call NewInterner or NewSharedInterner. A plain interner is not
-// safe for concurrent use; it is owned by one optimizer run's cost model
-// and shared with the run's plan cache. A shared-mode interner
-// (NewSharedInterner) is safe for concurrent use: it is the id authority
-// of a session-scoped shared plan cache, so every worker's cost model
-// and every run of the session agree on one id namespace.
+// Interner assigns dense IDs to table sets. It is safe for concurrent
+// use and has one owner: a session's shared plan store, whose workers'
+// cost models all intern through it, or a single optimizer run, whose
+// cost model, plan cache and pipelined frontier stage share it. Ids are
+// permanent, so id-indexed side tables built by different users of one
+// interner (per-worker plan caches, cardinality memos, the shared
+// store) stay mutually consistent for their whole lifetime. The zero
+// Interner is not usable; call NewInterner.
 type Interner struct {
-	// mu guards ids and sets in shared mode; nil selects the unlocked
-	// single-owner paths, so private runs pay nothing for the mode.
-	mu   *sync.RWMutex
+	mu   sync.RWMutex
 	ids  map[Set]ID
 	sets []Set // sets[id] is the set with that id; index 0 is unused
 }
 
-// NewInterner returns an empty interner for a single owner.
+// NewInterner returns an empty interner.
 func NewInterner() *Interner {
 	return &Interner{
 		ids:  make(map[Set]ID, 256),
@@ -44,40 +43,14 @@ func NewInterner() *Interner {
 	}
 }
 
-// NewSharedInterner returns an empty interner that is safe for
-// concurrent use. Interned ids are permanent, so id-indexed side tables
-// built by different owners over the same shared interner (per-worker
-// plan caches, cardinality memos, the session's shared frontier store)
-// stay mutually consistent for their whole lifetime.
-func NewSharedInterner() *Interner {
-	in := NewInterner()
-	in.mu = new(sync.RWMutex)
-	return in
-}
-
-// Concurrent reports whether the interner is safe for concurrent use
-// (constructed by NewSharedInterner).
-func (in *Interner) Concurrent() bool { return in.mu != nil }
-
 // Intern returns the id of s, assigning the next dense id on first sight.
 // It returns NoID once MaxInterned distinct sets have been assigned.
+// Reads resolve under the read lock (the steady-state path: almost
+// every set repeats), and only a genuinely new set takes the write
+// lock, re-checking after the lock gap.
 //
 //rmq:hotpath
 func (in *Interner) Intern(s Set) ID {
-	if in.mu != nil {
-		return in.internShared(s)
-	}
-	if id, ok := in.ids[s]; ok {
-		return id
-	}
-	return in.assign(s)
-}
-
-// internShared is Intern under the shared-mode lock: reads resolve under
-// the read lock (the steady-state path — almost every set repeats), and
-// only a genuinely new set upgrades to the write lock, re-checking after
-// the lock gap.
-func (in *Interner) internShared(s Set) ID {
 	in.mu.RLock()
 	id, ok := in.ids[s]
 	in.mu.RUnlock()
@@ -92,8 +65,7 @@ func (in *Interner) internShared(s Set) ID {
 	return in.assign(s)
 }
 
-// assign hands out the next dense id; callers hold the write lock in
-// shared mode.
+// assign hands out the next dense id; callers hold the write lock.
 func (in *Interner) assign(s Set) ID {
 	if len(in.sets) > MaxInterned {
 		return NoID
@@ -107,20 +79,16 @@ func (in *Interner) assign(s Set) ID {
 // Lookup returns the id of s if it was interned before, NoID otherwise.
 // It never assigns a new id.
 func (in *Interner) Lookup(s Set) ID {
-	if in.mu != nil {
-		in.mu.RLock()
-		defer in.mu.RUnlock()
-	}
+	in.mu.RLock()
+	defer in.mu.RUnlock()
 	return in.ids[s]
 }
 
 // SetOf returns the set with the given id. It panics for NoID or ids
 // never assigned.
 func (in *Interner) SetOf(id ID) Set {
-	if in.mu != nil {
-		in.mu.RLock()
-		defer in.mu.RUnlock()
-	}
+	in.mu.RLock()
+	defer in.mu.RUnlock()
 	if id <= 0 || int(id) >= len(in.sets) {
 		panic("tableset: SetOf of unassigned id")
 	}
@@ -134,19 +102,15 @@ func (in *Interner) SetOf(id ID) Set {
 // the end, so the view stays valid however many sets are interned
 // after it was taken.
 func (in *Interner) Sets() []Set {
-	if in.mu != nil {
-		in.mu.RLock()
-		defer in.mu.RUnlock()
-	}
+	in.mu.RLock()
+	defer in.mu.RUnlock()
 	return in.sets[:len(in.sets):len(in.sets)]
 }
 
 // Len returns the number of interned sets.
 func (in *Interner) Len() int {
-	if in.mu != nil {
-		in.mu.RLock()
-		defer in.mu.RUnlock()
-	}
+	in.mu.RLock()
+	defer in.mu.RUnlock()
 	return len(in.sets) - 1
 }
 
@@ -158,9 +122,7 @@ func (in *Interner) Len() int {
 //
 //rmq:hotpath
 func (in *Interner) CapHint() int {
-	if in.mu != nil {
-		in.mu.RLock()
-		defer in.mu.RUnlock()
-	}
+	in.mu.RLock()
+	defer in.mu.RUnlock()
 	return cap(in.sets)
 }

@@ -5,13 +5,11 @@ import (
 	"testing"
 )
 
-// TestSharedInternerMatchesPrivate pins the shared-mode interner to the
-// exact semantics of the single-owner one under sequential use.
+// TestSharedInternerMatchesPrivate pins that a store's interner and a
+// run's interner, fed the same sets, assign the same ids, and that the
+// read accessors agree with Intern under sequential use.
 func TestSharedInternerMatchesPrivate(t *testing.T) {
-	priv, shared := NewInterner(), NewSharedInterner()
-	if priv.Concurrent() || !shared.Concurrent() {
-		t.Fatal("Concurrent() mode flags wrong")
-	}
+	priv, shared := NewInterner(), NewInterner()
 	sets := []Set{Single(0), Single(3), Single(0).Add(3), Single(7), Single(3)}
 	for _, s := range sets {
 		if p, sh := priv.Intern(s), shared.Intern(s); p != sh {
@@ -37,11 +35,11 @@ func TestSharedInternerMatchesPrivate(t *testing.T) {
 	}
 }
 
-// TestSharedInternerConcurrent hammers one shared interner from many
+// TestSharedInternerConcurrent hammers one interner from many
 // goroutines interning overlapping set streams and checks that every
 // goroutine observed one consistent id assignment (run under -race).
 func TestSharedInternerConcurrent(t *testing.T) {
-	in := NewSharedInterner()
+	in := NewInterner()
 	const workers = 8
 	const n = 300
 	var wg sync.WaitGroup

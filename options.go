@@ -76,7 +76,7 @@ func resolveConfig(layers ...[]Option) (config, error) {
 	return c, nil
 }
 
-// poolCap resolves the per-class problem-pool cap a run's release uses:
+// poolCap resolves the per-subset problem-pool cap a run's release uses:
 // the explicit WithPoolLimit value, or -1 selecting the adaptive
 // default (see Session.release).
 func (c *config) poolCap() int {
@@ -198,12 +198,13 @@ func WithCacheRetention(alpha float64) Option {
 }
 
 // WithPoolLimit caps how many warmed problem instances a session parks
-// per compatibility class (metric subset × shared-cache binding) for
-// reuse by later runs; the overflow of a release is dropped, oldest
-// first. Each parked instance holds a cost model with memoized
-// cardinalities, private plan caches, and scratch arenas, so an
-// uncapped pool under bursts of concurrent Optimize calls pins
-// burst×parallelism instances permanently. The default (option unset)
+// per metric subset for reuse by later shared-cache runs
+// (WithSharedCache); the overflow of a release is dropped, oldest
+// first. Runs without the shared cache park nothing. Each parked
+// instance holds a cost model with memoized cardinalities, a private
+// plan cache, and scratch arenas, so an uncapped pool under bursts of
+// concurrent Optimize calls pins burst×parallelism instances
+// permanently. The default (option unset)
 // is adaptive: a release keeps at most max(GOMAXPROCS, the run's
 // parallelism) instances — everything one run at that width can
 // re-borrow warm. n = 0 disables pooling entirely; negative n is an

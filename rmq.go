@@ -39,8 +39,7 @@
 //
 // Applications issuing many queries against the same database should
 // create a Session once and call its Optimize method per query: sessions
-// reuse warmed-up cost-model state across runs and are safe for
-// concurrent use.
+// hold the catalog and default options and are safe for concurrent use.
 //
 //	sess, err := rmq.NewSession(cat, rmq.WithMetrics(rmq.MetricTime, rmq.MetricBuffer))
 //	...
@@ -49,10 +48,10 @@
 // Sessions serving sustained traffic should additionally enable
 // WithSharedCache: the session then retains the plan cache — the
 // sub-plan Pareto frontiers nearly all iteration work is answered from
-// once warm — across Optimize calls and shares it among the parallel
-// workers of each run, so repeated and overlapping queries warm-start
-// at a fraction of the cold cost (WithCacheRetention bounds the
-// retained memory).
+// once warm — and the workers' warmed cost-model state across Optimize
+// calls, and shares the cache among the parallel workers of each run,
+// so repeated and overlapping queries warm-start at a fraction of the
+// cold cost (WithCacheRetention bounds the retained memory).
 //
 // To serve optimization over the network, cmd/rmqd wraps sessions in an
 // HTTP/JSON service with per-request deadlines, admission control, and

@@ -32,38 +32,36 @@ var ErrRetentionMismatch = errors.New("cache retention conflicts with the sessio
 var ErrWorkerPanic = errors.New("optimizer worker panicked")
 
 // Session binds a catalog and default options for repeated optimization
-// of queries against the same database. Sessions reuse cost-model state
-// across runs: the memoized cardinality estimates of earlier runs warm
-// later ones, so repeated Optimize calls skip re-setup. With
-// WithSharedCache, a session additionally retains the plan cache — the
-// α-approximate sub-plan frontiers that almost all of an iteration's
-// work is answered from once warm — across runs and shares it among the
-// parallel workers of each run, so repeated and overlapping queries
-// warm-start instead of relearning identical frontiers. A Session is
-// safe for concurrent use; concurrent runs and parallel workers each
-// borrow their own problem instance from an internal pool (the
-// underlying cost model is not concurrency-safe). The pool is capped —
-// a release keeps at most max(GOMAXPROCS, the run's parallelism)
-// warmed instances per compatibility class, or the explicit
-// WithPoolLimit — so bursts of concurrent runs do not pin unbounded
-// memory; PoolStats reports its state. The retention precision of the
-// shared plan cache is fixed per metric subset by the run that creates
-// the store: a later run passing a different WithCacheRetention gets
-// ErrRetentionMismatch.
+// of queries against the same database. With WithSharedCache, a session
+// retains the plan cache — the α-approximate sub-plan frontiers that
+// almost all of an iteration's work is answered from once warm — across
+// runs and shares it among the parallel workers of each run, so
+// repeated and overlapping queries warm-start instead of relearning
+// identical frontiers. Such runs also reuse cost-model state: each
+// worker borrows a problem instance from an internal pool, so the
+// memoized cardinality estimates and the private plan cache of earlier
+// runs warm later ones. The pool is capped — a release keeps at most
+// max(GOMAXPROCS, the run's parallelism) warmed instances per metric
+// subset, or the explicit WithPoolLimit — so bursts of concurrent runs
+// do not pin unbounded memory; PoolStats reports its state. A run
+// without the shared cache builds fresh problem instances and parks
+// none of them, so its table-set interner lives for that run alone. A
+// Session is safe for concurrent use; every worker has its own problem
+// instance (the underlying cost model is not concurrency-safe). The
+// retention precision of the shared plan cache is fixed per metric
+// subset by the run that creates the store: a later run passing a
+// different WithCacheRetention gets ErrRetentionMismatch.
 type Session struct {
 	cat      *Catalog
 	defaults []Option
 
 	mu sync.Mutex
-	// pool holds warmed problem instances, keyed by everything that makes
-	// a problem compatible with a run: the metric subset AND whether the
-	// problem's cost model was built over the session's shared-cache
-	// interner. Problems warmed under one key must never be handed to a
-	// run resolving to another — a private-interner problem inside a
-	// shared-cache run would assign plan ids from a foreign namespace.
-	// Each key's population is capped (see release); a burst of
+	// pool holds warmed problem instances of shared-cache runs, keyed by
+	// metric subset (a metricsKey, which also names the subset's store):
+	// every pooled problem's cost model is built over that store's
+	// interner. Each key's population is capped (see release); a burst of
 	// concurrent runs must not pin burst×parallelism warmed instances.
-	pool map[poolKey][]*opt.Problem
+	pool map[string][]*opt.Problem
 	// pooled is the current total across pool keys; poolHigh its
 	// high-water mark and dropped the instances discarded at the cap.
 	pooled   int
@@ -73,12 +71,6 @@ type Session struct {
 	// subset (cost vectors of different dimensionality are incomparable).
 	// Created lazily by the first run that enables sharing.
 	shared map[string]*cache.Shared
-}
-
-// poolKey identifies a compatibility class of pooled problem instances.
-type poolKey struct {
-	metrics string
-	shared  bool
 }
 
 // NewSession creates a session over the catalog. The given options
@@ -100,7 +92,7 @@ func NewSession(cat *Catalog, defaults ...Option) (*Session, error) {
 	return &Session{
 		cat:      cat,
 		defaults: append([]Option(nil), defaults...),
-		pool:     make(map[poolKey][]*opt.Problem),
+		pool:     make(map[string][]*opt.Problem),
 	}, nil
 }
 
@@ -182,19 +174,21 @@ func (s *Session) TightenCache(alpha float64) (removed int) {
 
 // PoolStats describes the session's pool of warmed problem instances:
 // how many are currently parked, the most that were ever parked at
-// once, how many were dropped at the cap, and the configured cap.
+// once, how many were dropped at the cap, and the configured cap. Only
+// shared-cache runs (WithSharedCache) park instances, so a session that
+// never shares reports zeros.
 type PoolStats struct {
 	// Pooled is the number of problem instances currently parked,
-	// summed across compatibility classes. Instances borrowed by
-	// running Optimize calls are not counted.
+	// summed across metric subsets. Instances borrowed by running
+	// Optimize calls are not counted.
 	Pooled int
 	// HighWater is the largest Pooled value the session ever reached.
-	// With the per-class cap it is bounded regardless of burst size.
+	// With the per-subset cap it is bounded regardless of burst size.
 	HighWater int
 	// Dropped counts warmed instances discarded because returning them
-	// would have exceeded the per-class cap.
+	// would have exceeded the per-subset cap.
 	Dropped int
-	// Limit is the explicit per-class cap (WithPoolLimit) or 0 when the
+	// Limit is the explicit per-subset cap (WithPoolLimit) or 0 when the
 	// adaptive default applies: max(GOMAXPROCS, the run's parallelism).
 	Limit int
 }
@@ -226,7 +220,7 @@ func (s *Session) sharedCache(cfg config) (*cache.Shared, error) {
 
 // store returns the session's shared plan cache for a metric-subset tag
 // (a metricsKey, which is also the tag on the wire), creating it and its
-// shared-mode interner at the given retention when absent. It reports
+// interner at the given retention when absent. It reports
 // whether it created the store.
 func (s *Session) store(tag string, retention float64) (sh *cache.Shared, created bool) {
 	s.mu.Lock()
@@ -234,7 +228,7 @@ func (s *Session) store(tag string, retention float64) (sh *cache.Shared, create
 	if sh = s.shared[tag]; sh != nil {
 		return sh, false
 	}
-	sh = cache.NewShared(tableset.NewSharedInterner(), retention)
+	sh = cache.NewShared(tableset.NewInterner(), retention)
 	if s.shared == nil {
 		s.shared = make(map[string]*cache.Shared)
 	}
@@ -344,7 +338,8 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// metricsKey canonically encodes a metric subset for the problem pool.
+// metricsKey canonically encodes a metric subset; it keys the shared
+// stores and the problem pool.
 func metricsKey(metrics []Metric) string {
 	key := make([]byte, len(metrics))
 	for i, m := range metrics {
@@ -353,43 +348,47 @@ func metricsKey(metrics []Metric) string {
 	return string(key)
 }
 
-// acquire takes n problem instances compatible with the run (metric
-// subset and shared-cache binding) from the pool, creating the
-// shortfall. Each borrowed problem is used by exactly one worker at a
-// time; shared-cache problems are built over the store's interner so
-// their plan ids live in the session-wide namespace.
+// acquire returns n problem instances for the run's workers, each used
+// by exactly one worker at a time. A shared-cache run takes warmed
+// instances of its metric subset from the pool and builds the shortfall
+// over the store's interner, so their plan ids live in the store's
+// namespace; a private run builds fresh instances.
 func (s *Session) acquire(metrics []Metric, n int, shared *cache.Shared) []*opt.Problem {
-	key := poolKey{metricsKey(metrics), shared != nil}
-	s.mu.Lock()
-	free := s.pool[key]
-	take := min(n, len(free))
-	got := append([]*opt.Problem(nil), free[len(free)-take:]...)
-	for i := len(free) - take; i < len(free); i++ {
-		free[i] = nil // keep the parked suffix collectable
-	}
-	s.pool[key] = free[:len(free)-take]
-	s.pooled -= take
-	s.mu.Unlock()
-	for len(got) < n {
-		if shared != nil {
-			got = append(got, opt.NewProblemWithInterner(s.cat, metrics, shared.Interner()))
-		} else {
-			got = append(got, opt.NewProblem(s.cat, metrics))
+	got := make([]*opt.Problem, 0, n)
+	var in *tableset.Interner // nil: every private problem gets its own
+	if shared != nil {
+		in = shared.Interner()
+		key := metricsKey(metrics)
+		s.mu.Lock()
+		free := s.pool[key]
+		take := min(n, len(free))
+		got = append(got, free[len(free)-take:]...)
+		for i := len(free) - take; i < len(free); i++ {
+			free[i] = nil // keep the parked suffix collectable
 		}
+		s.pool[key] = free[:len(free)-take]
+		s.pooled -= take
+		s.mu.Unlock()
+	}
+	for len(got) < n {
+		got = append(got, opt.NewProblemWithInterner(s.cat, metrics, in))
 	}
 	return got
 }
 
-// release returns borrowed problem instances to the pool, warmed by the
-// run that used them, under the same compatibility key they were
-// acquired with. The per-key population is capped at limit (< 0 selects
-// the adaptive default: as many instances as GOMAXPROCS or this run's
-// parallelism, whichever is larger) and the overflow is dropped, oldest
-// first — without the cap, a burst of B concurrent runs at parallelism
-// P permanently pinned B×P warmed instances, each holding a cost model,
-// caches, and scratch arenas.
+// release parks the problem instances a shared-cache run borrowed,
+// warmed by that run, under its metric subset; a private run's
+// instances are dropped with the run. The per-subset population is
+// capped at limit (< 0 selects the adaptive default: as many instances
+// as GOMAXPROCS or this run's parallelism, whichever is larger) and the
+// overflow is dropped, oldest first — without the cap, a burst of B
+// concurrent runs at parallelism P permanently pinned B×P warmed
+// instances, each holding a cost model, caches, and scratch arenas.
 func (s *Session) release(metrics []Metric, shared *cache.Shared, problems []*opt.Problem, limit int) {
-	key := poolKey{metricsKey(metrics), shared != nil}
+	if shared == nil {
+		return
+	}
+	key := metricsKey(metrics)
 	if limit < 0 {
 		limit = max(runtime.GOMAXPROCS(0), len(problems))
 	}

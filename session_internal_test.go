@@ -20,10 +20,10 @@ import (
 // an incompatible run. Concretely, a private-interner problem recycled
 // into a shared-cache run carries plan ids from a foreign namespace —
 // the optimizer then detects the mismatch and silently degrades to a
-// private cache, losing the warm start the caller asked for. The pool
-// key now includes the shared-cache binding; this test pins that the
-// two problem populations never mix and that shared-run problems are
-// built over the session store's interner.
+// private cache, losing the warm start the caller asked for. Only
+// shared-cache runs park problems now; this test pins that private runs
+// park nothing and that parked problems are built over the session
+// store's interner.
 func TestProblemPoolKeyedBySharedCacheBinding(t *testing.T) {
 	cat := GenerateCatalog(WorkloadSpec{Tables: 6, Graph: Chain}, 1)
 	s, err := NewSession(cat)
@@ -31,9 +31,9 @@ func TestProblemPoolKeyedBySharedCacheBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Warm the pool with a private run, then run shared, then private
-	// again — under the old keying the second run would have been handed
-	// the first run's private-interner problem.
+	// A private run, then a shared one, then private again — under the
+	// old keying the second run would have been handed the first run's
+	// private-interner problem.
 	if _, err := s.Optimize(ctx, WithMaxIterations(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +51,13 @@ func TestProblemPoolKeyedBySharedCacheBinding(t *testing.T) {
 	if store == nil {
 		t.Fatal("shared run created no session store")
 	}
-	private := s.pool[poolKey{key, false}]
-	shared := s.pool[poolKey{key, true}]
-	if len(private) == 0 || len(shared) == 0 {
-		t.Fatalf("pool populations: %d private, %d shared — both runs must pool separately",
-			len(private), len(shared))
+	shared := s.pool[key]
+	if len(shared) == 0 {
+		t.Fatal("the shared run parked no problem")
 	}
-	for _, p := range private {
-		if p.Model.Interner() == store.Interner() {
-			t.Fatal("private pool holds a shared-interner problem")
-		}
-		if p.Model.Interner().Concurrent() {
-			t.Fatal("private pool holds a concurrent-interner problem")
-		}
+	if s.pooled != len(shared) {
+		t.Fatalf("pool holds %d problems, %d of them the shared run's: private runs must park nothing",
+			s.pooled, len(shared))
 	}
 	for _, p := range shared {
 		if p.Model.Interner() != store.Interner() {
@@ -153,12 +147,12 @@ func TestSharedStoreRetentionFixedByFirstRun(t *testing.T) {
 // unbounded-pool bug: release appended every borrowed problem back with
 // no cap, so a burst of B concurrent Optimize calls at parallelism P
 // permanently pinned B×P warmed instances. The pool is now capped per
-// compatibility class; the high-water mark of a burst must not exceed
+// metric subset; the high-water mark of a burst must not exceed
 // the cap.
 func TestProblemPoolCappedUnderBurst(t *testing.T) {
 	cat := GenerateCatalog(WorkloadSpec{Tables: 8, Graph: Chain}, 1)
 	const burst, parallelism, limit = 8, 4, 3
-	s, err := NewSession(cat, WithPoolLimit(limit))
+	s, err := NewSession(cat, WithPoolLimit(limit), WithSharedCache(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +187,8 @@ func TestProblemPoolCappedUnderBurst(t *testing.T) {
 	}
 
 	// The adaptive default keeps at most max(GOMAXPROCS, parallelism)
-	// per class: a session without an explicit limit stays bounded too.
-	s2, err := NewSession(cat)
+	// per subset: a session without an explicit limit stays bounded too.
+	s2, err := NewSession(cat, WithSharedCache(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +215,7 @@ func TestProblemPoolCappedUnderBurst(t *testing.T) {
 // option's validation.
 func TestWithPoolLimitZeroDisablesPooling(t *testing.T) {
 	cat := GenerateCatalog(WorkloadSpec{Tables: 6, Graph: Chain}, 1)
-	s, err := NewSession(cat, WithPoolLimit(0))
+	s, err := NewSession(cat, WithPoolLimit(0), WithSharedCache(true))
 	if err != nil {
 		t.Fatal(err)
 	}

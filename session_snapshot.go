@@ -86,7 +86,7 @@ func (s *Session) Restore(data []byte) error {
 		if err := validMetricsTag(tag); err != nil {
 			return nil, err
 		}
-		restored[tag] = cache.NewShared(tableset.NewSharedInterner(), st.Retention)
+		restored[tag] = cache.NewShared(tableset.NewInterner(), st.Retention)
 		return restored[tag], nil
 	}); err != nil {
 		return fmt.Errorf("rmq: %w", err)

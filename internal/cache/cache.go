@@ -196,9 +196,9 @@ type Bucket struct {
 	epoch  uint64   // admissions ever (evictions do not decrease it)
 	cache  *Cache
 
-	// id is the interned id of the bucket's table set (NoID for overflow
-	// buckets); shared-cache synchronization uses it to address the
-	// session store without re-interning.
+	// id is the interned id of the bucket's table set; shared-cache
+	// synchronization uses it to address the session store without
+	// re-interning.
 	id tableset.ID
 	// dirty marks membership on the cache's dirty list; syncMark is the
 	// admission epoch up to which the bucket's plans have been published
@@ -521,13 +521,11 @@ func (b *Bucket) BeginScans(alpha float64) bool {
 // than a Set-keyed map, so the probes of the frontier-approximation inner
 // loop are array loads instead of hashes. The cache therefore shares the
 // interner of the cost model whose plans it stores: plan.RelID values
-// index directly into the bucket table. Plans with RelID == tableset.NoID
-// (hand-built, or past the interner capacity) take a Set-keyed overflow
-// path.
+// index directly into the bucket table, and every cached plan carries
+// one.
 type Cache struct {
-	in       *tableset.Interner
-	buckets  []*Bucket // indexed by tableset.ID; index 0 unused
-	overflow map[tableset.Set]*Bucket
+	in      *tableset.Interner
+	buckets []*Bucket // indexed by tableset.ID; index 0 unused
 	// track enables dirty-bucket tracking for shared-cache publication:
 	// buckets that admit a plan enqueue themselves on dirty exactly once,
 	// so a SyncState publish touches only what changed since the last one.
@@ -541,7 +539,7 @@ type Cache struct {
 // New returns an empty cache over the given interner, which must be the
 // one of the cost model constructing the cached plans (see
 // costmodel.Model.Interner) so that plan RelIDs agree with bucket
-// indices. Lookups by a plan's interned id (BucketFor, GetFor, Insert,
+// indices. Lookups by a plan's interned id (BucketFor, Insert,
 // SyncState.Pull) never consult the interner.
 func New(in *tableset.Interner) *Cache {
 	return &Cache{in: in}
@@ -590,43 +588,22 @@ func (c *Cache) bucketAt(id tableset.ID) *Bucket {
 	return b
 }
 
-// overflowBucket returns the Set-keyed bucket for sets without a valid
-// interned id, creating it if absent.
-func (c *Cache) overflowBucket(rel tableset.Set) *Bucket {
-	b := c.overflow[rel]
-	if b == nil {
-		if c.overflow == nil {
-			c.overflow = make(map[tableset.Set]*Bucket)
-		}
-		b = c.newBucket()
-		c.overflow[rel] = b
-		c.sets++
-	}
-	return b
-}
-
 // Bucket returns the bucket for the table set, creating it if absent.
-func (c *Cache) Bucket(rel tableset.Set) *Bucket {
-	if id := c.in.Intern(rel); id != tableset.NoID {
-		return c.bucketAt(id)
-	}
-	return c.overflowBucket(rel)
-}
+func (c *Cache) Bucket(rel tableset.Set) *Bucket { return c.bucketAt(c.in.Intern(rel)) }
 
-// BucketFor returns the bucket holding plans for p's table set, using the
-// interned id carried by the plan when it has one. Hot loops that walk
-// model-built plans should prefer it over Bucket.
+// BucketFor returns the bucket holding plans for p's table set, addressed
+// by the plan's interned id; a plan without one (RelID 0) is a bug.
 func (c *Cache) BucketFor(p *plan.Plan) *Bucket {
-	if p.RelID != tableset.NoID {
-		return c.bucketAt(p.RelID)
+	if p.RelID == 0 {
+		panic("cache: plan without an interned table-set id")
 	}
-	return c.Bucket(p.Rel)
+	return c.bucketAt(p.RelID)
 }
 
 // GetID returns the cached frontier for the interned table-set id; nil if
 // nothing is cached. Callers must not modify the returned slice.
 func (c *Cache) GetID(id tableset.ID) []*plan.Plan {
-	if id > tableset.NoID && int(id) < len(c.buckets) {
+	if int(id) < len(c.buckets) {
 		if b := c.buckets[id]; b != nil {
 			return b.plans
 		}
@@ -634,26 +611,9 @@ func (c *Cache) GetID(id tableset.ID) []*plan.Plan {
 	return nil
 }
 
-// GetFor returns the cached frontier for p's table set, via the plan's
-// interned id when present.
-func (c *Cache) GetFor(p *plan.Plan) []*plan.Plan {
-	if p.RelID != tableset.NoID {
-		return c.GetID(p.RelID)
-	}
-	return c.Get(p.Rel)
-}
-
-// Get returns the cached frontier for the table set (P[rel]); nil if the
-// set was never seen. Callers must not modify the returned slice.
-func (c *Cache) Get(rel tableset.Set) []*plan.Plan {
-	if id := c.in.Lookup(rel); id != tableset.NoID {
-		return c.GetID(id)
-	}
-	if b := c.overflow[rel]; b != nil {
-		return b.plans
-	}
-	return nil
-}
+// Get returns the cached frontier for the table set (P[rel]); nil if
+// nothing is cached. Callers must not modify the returned slice.
+func (c *Cache) Get(rel tableset.Set) []*plan.Plan { return c.GetID(c.in.Intern(rel)) }
 
 // Insert prunes newPlan into the frontier of its table set using
 // PruneApprox semantics with the given α and reports whether it was

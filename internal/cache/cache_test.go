@@ -137,14 +137,13 @@ func TestCacheBasics(t *testing.T) {
 	if got := c.Get(rel); got != nil {
 		t.Fatal("Get on empty cache")
 	}
-	p := mkPlan(rel, plan.Pipelined, 1, 1)
-	if !c.Insert(p, 2) {
+	if !insert(c, rel, plan.Pipelined, 2, 1, 1) {
 		t.Fatal("insert rejected")
 	}
 	if c.NumSets() != 1 || c.NumPlans() != 1 {
 		t.Fatalf("sets=%d plans=%d", c.NumSets(), c.NumPlans())
 	}
-	if got := c.Get(rel); len(got) != 1 || got[0] != p {
+	if got := c.Get(rel); len(got) != 1 || got[0].Cost != cost.New(1, 1) {
 		t.Fatalf("Get = %v", got)
 	}
 }
@@ -152,14 +151,14 @@ func TestCacheBasics(t *testing.T) {
 func TestCachePlanCountTracksEviction(t *testing.T) {
 	c := New(tableset.NewInterner())
 	other := tableset.FromSlice([]int{2, 3})
-	c.Insert(mkPlan(rel, plan.Pipelined, 10, 1), 1)
-	c.Insert(mkPlan(rel, plan.Pipelined, 1, 10), 1)
-	c.Insert(mkPlan(other, plan.Pipelined, 5, 5), 1)
+	insert(c, rel, plan.Pipelined, 1, 10, 1)
+	insert(c, rel, plan.Pipelined, 1, 1, 10)
+	insert(c, other, plan.Pipelined, 1, 5, 5)
 	if c.NumPlans() != 3 {
 		t.Fatalf("plans = %d, want 3", c.NumPlans())
 	}
 	// Dominates both plans of rel: net count 1 + 1 (other set).
-	c.Insert(mkPlan(rel, plan.Pipelined, 0.5, 0.5), 1)
+	insert(c, rel, plan.Pipelined, 1, 0.5, 0.5)
 	if c.NumPlans() != 2 {
 		t.Fatalf("plans = %d, want 2 after eviction", c.NumPlans())
 	}
@@ -225,7 +224,7 @@ func TestCacheProbeAllocFree(t *testing.T) {
 	c.Insert(p, 1)
 	b := c.Bucket(rel)
 	allocs := testing.AllocsPerRun(200, func() {
-		if c.GetFor(p) == nil || c.Get(rel) == nil || c.GetID(p.RelID) == nil {
+		if c.Get(rel) == nil || c.GetID(p.RelID) == nil {
 			t.Fatal("probe lost the cached plan")
 		}
 		if c.BucketFor(p) != b {
@@ -237,21 +236,5 @@ func TestCacheProbeAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("cache probe allocates: %v allocs/run, want 0", allocs)
-	}
-}
-
-// TestCacheOverflowFallback exercises the Set-keyed overflow path taken
-// by plans without a valid interned id.
-func TestCacheOverflowFallback(t *testing.T) {
-	c := New(tableset.NewInterner())
-	p := mkPlan(rel, plan.Pipelined, 1, 1) // RelID zero: hand-built
-	if !c.Insert(p, 1) {
-		t.Fatal("insert rejected")
-	}
-	if got := c.Get(rel); len(got) != 1 || got[0] != p {
-		t.Fatalf("Get = %v", got)
-	}
-	if c.NumSets() != 1 || c.NumPlans() != 1 {
-		t.Fatalf("sets=%d plans=%d", c.NumSets(), c.NumPlans())
 	}
 }

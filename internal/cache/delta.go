@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"rmq/internal/tableset"
-)
+import "fmt"
 
 // Replication side of the Shared store. Export since zero and
 // ImportBucket move whole stores between cold processes; Export since a
@@ -38,9 +34,6 @@ func (s *Shared) MergeBucket(bs BucketSnapshot) (admitted int, err error) {
 		return 0, nil
 	}
 	id := s.bucketID(bs)
-	if id == tableset.NoID {
-		return 0, fmt.Errorf("cache: merge bucket for %v exceeds interner capacity", bs.Set)
-	}
 	for i, p := range bs.Plans {
 		if p == nil {
 			return 0, fmt.Errorf("cache: merge of nil plan at %d", i)
@@ -69,4 +62,17 @@ func (s *Shared) MergeState(st StoreState) {
 			return
 		}
 	}
+}
+
+// Succeed hands old's place to s, a compacted copy of it (old's snapshot
+// restored over a fresh interner, plus old's deltas since). s takes
+// old's effective retention, re-pruning under it, and moves its cursor
+// past every cursor old issued: Export reads a lower one as zero, so a
+// puller holding one gets every bucket. Call it before s is shared.
+func (s *Shared) Succeed(old *Shared) {
+	if a := old.EffectiveRetention(); a > s.EffectiveRetention() {
+		s.Shed(a)
+	}
+	s.floor = max(s.repSeq.Load(), old.repSeq.Load()) + 1
+	s.repSeq.Store(s.floor)
 }

@@ -78,6 +78,9 @@ type StoreState struct {
 // them by append from empty, so its copies cost what changed.
 func (s *Shared) Export(since uint64, visit func(BucketSnapshot) error) (state StoreState, cursor uint64, err error) {
 	cursor = s.repSeq.Load()
+	if since < s.floor {
+		since = 0 // a predecessor's cursor (see Succeed)
+	}
 	var slots []int32
 	var chunks []bucketChunk
 	if since < cursor {
@@ -189,9 +192,6 @@ func (s *Shared) ImportBucket(bs BucketSnapshot) error {
 		return fmt.Errorf("cache: import epoch counter %d below last admission %d", bs.Epoch, last)
 	}
 	id := s.bucketID(bs)
-	if id == tableset.NoID {
-		return fmt.Errorf("cache: import bucket for %v exceeds interner capacity", bs.Set)
-	}
 	for i, p := range bs.Plans {
 		if p == nil {
 			return fmt.Errorf("cache: import of nil plan at %d", i)

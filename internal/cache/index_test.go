@@ -206,8 +206,7 @@ func TestBeginRecombVisitLifecycle(t *testing.T) {
 	}
 }
 
-// TestBucketTableGrowth covers the geometric bucket-table growth and the
-// interaction between id-addressed and overflow buckets across growth: plans
+// TestBucketTableGrowth covers the geometric bucket-table growth: plans
 // inserted before a growth burst must stay retrievable, countable and
 // prunable afterwards.
 func TestBucketTableGrowth(t *testing.T) {
@@ -218,13 +217,6 @@ func TestBucketTableGrowth(t *testing.T) {
 	earlyPlan.RelID = in.Intern(early)
 	c.Insert(earlyPlan, 1)
 	earlyBucket := c.BucketFor(earlyPlan)
-
-	// A hand-built plan without an id lands in the overflow map.
-	ovRel := tableset.FromSlice([]int{90, 91})
-	ovPlan := mkPlan(ovRel, plan.Pipelined, 7, 7)
-	if !c.Insert(ovPlan, 1) {
-		t.Fatal("overflow insert rejected")
-	}
 
 	// Force several growth rounds by interning a long stream of sets.
 	for i := 1; i < 600; i++ {
@@ -240,18 +232,11 @@ func TestBucketTableGrowth(t *testing.T) {
 	if got := c.Get(early); len(got) != 1 || got[0] != earlyPlan {
 		t.Fatalf("early plan lost after growth: %v", got)
 	}
-	if got := c.Get(ovRel); len(got) != 1 || got[0] != ovPlan {
-		t.Fatalf("overflow plan lost after growth: %v", got)
-	}
 	// The early id-addressed bucket still prunes correctly after growth.
-	if !c.Insert(mkPlan(early, plan.Pipelined, 1, 1), 1) {
+	if !insert(c, early, plan.Pipelined, 1, 1, 1) {
 		t.Fatal("dominating insert rejected after growth")
 	}
 	if got := c.Get(early); len(got) != 1 || got[0].Cost.At(0) != 1 {
 		t.Fatalf("post-growth eviction failed: %v", got)
-	}
-	// And the overflow bucket still prunes too.
-	if c.Insert(mkPlan(ovRel, plan.Pipelined, 9, 9), 1) {
-		t.Fatal("dominated overflow insert admitted after growth")
 	}
 }

@@ -39,10 +39,10 @@ import (
 //
 // Bucket ids come from the store's interner, which every participating
 // cost model must be built over, so plan.RelID values agree across
-// workers and runs; table sets past the interner capacity (plan.RelID
-// == NoID) stay private to their worker. Plans themselves are immutable once cached (climbed plans are
-// frozen out of the scratch arena before they escape), so passing plan
-// pointers between workers needs no copying and no further locking.
+// workers and runs. Plans themselves are immutable once cached (climbed
+// plans are frozen out of the scratch arena before they escape), so
+// passing plan pointers between workers needs no copying and no further
+// locking.
 //
 // # Retention
 //
@@ -73,6 +73,8 @@ type Shared struct {
 	// contract (advanced strictly after the epoch mirror) belongs to
 	// SyncState.Pull and must not be reused as an export cursor.
 	repSeq atomic.Uint64
+	// floor is the store's first own cursor (see Succeed).
+	floor uint64
 	// iters counts optimizer iterations performed against the store, by
 	// every worker of every attached run. The α schedule of an attached
 	// optimizer is driven by this cumulative counter rather than the
@@ -230,14 +232,7 @@ func (s *Shared) bucketAt(id tableset.ID) (sb *sharedBucket, mirror *atomic.Uint
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if int(id) >= len(s.slots) {
-		size := 2 * len(s.slots)
-		if hint := s.in.CapHint(); size < hint {
-			size = hint
-		}
-		if size < int(id)+1 {
-			size = int(id) + 1
-		}
-		grown := make([]int32, size) //rmq:allow-alloc(geometric table growth, amortized)
+		grown := make([]int32, max(2*len(s.slots), s.in.CapHint(), int(id)+1)) //rmq:allow-alloc(geometric table growth, amortized)
 		copy(grown, s.slots)
 		s.slots = grown
 	}
@@ -313,9 +308,8 @@ type SyncState struct {
 func (s *Shared) NewSync() *SyncState { return &SyncState{shared: s} }
 
 // Publish pushes every plan admitted to c since the previous Publish
-// into the shared store, walking only c's dirty buckets. Plans of
-// overflow buckets (table sets without an interned id) stay private.
-// It reports the number of plans the store admitted.
+// into the shared store, walking only c's dirty buckets. It reports the
+// number of plans the store admitted.
 //
 // Plans this worker publishes are excluded from its own future Pulls
 // when no other worker's plans interleaved in the same bucket, so a
@@ -332,7 +326,7 @@ func (st *SyncState) Publish(c *Cache) (published int) {
 		b.dirty = false
 		fresh := b.Since(b.syncMark)
 		b.syncMark = b.epoch
-		if len(fresh) == 0 || b.id == tableset.NoID {
+		if len(fresh) == 0 {
 			continue
 		}
 		sb, mirror, slot := sh.bucketAt(b.id)

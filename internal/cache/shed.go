@@ -37,11 +37,8 @@ const bytesPerSet = int64(unsafe.Sizeof(sharedBucket{})) + int64(unsafe.Sizeof(a
 // excluded, so the true footprint exceeds it. Budget checks should leave
 // headroom accordingly.
 //
-// bytesPerSet follows the bucket header's size. Each output class's
-// costs now take one block header and the recombination memo sits
-// behind a pointer, so a store bucket's header is 240 B instead of
-// 416 B on 64-bit platforms: the estimate reads about 176 B less per
-// set than it did for the same store, and a budget sheds later.
+// bytesPerSet follows the bucket header's size: on 64-bit platforms a
+// store bucket (sharedBucket) takes 232 B, so a set counts 248 B.
 func (s *Shared) Bytes() int64 {
 	return s.plans.Load()*bytesPerPlan + s.sets.Load()*bytesPerSet
 }

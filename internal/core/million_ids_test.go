@@ -12,15 +12,16 @@ import (
 	"rmq/internal/tableset"
 )
 
-// TestRMQPastInternerCap runs the optimizer against a store whose
-// interner is full. A first attached run fills the store; then the
-// interner is padded to MaxInterned with sets over tables 64–127, which
-// the 12-table catalog never uses, so every table set the second run
-// meets for the first time gets NoID. The second run must still return
-// a frontier that is non-dominated per output representation and
-// priced exactly like a fresh costing, keep NoID sets
-// out of the store, and leave a store that snapshots and restores.
-func TestRMQPastInternerCap(t *testing.T) {
+// TestRMQPastMillionIDs runs the optimizer against a store whose
+// interner holds more than 2^20 ids. A first attached run fills the
+// store; then the interner is padded past 2^20 ids with sets over tables
+// 64–127, which the 12-table catalog never uses, so every table set the
+// second run meets for the first time gets an id above 2^20. The second
+// run must still return a frontier that is non-dominated per output
+// representation and priced exactly like a fresh costing, publish every
+// set of its frontier plans to the store, sets first met past the
+// padding among them, and leave a store that snapshots and restores.
+func TestRMQPastMillionIDs(t *testing.T) {
 	sh := cache.NewShared(tableset.NewInterner(), 1)
 	in := sh.Interner()
 
@@ -30,13 +31,10 @@ func TestRMQPastInternerCap(t *testing.T) {
 		first.Step()
 	}
 	first.Frontier() // completes a pending stage B, so the store holds every publish
-	known := tableset.ID(in.Len())
-	for k := uint64(1); in.Len() < tableset.MaxInterned; k++ {
+	for k := uint64(1); in.Len() <= 1<<20; k++ {
 		in.Intern(highSet(k))
 	}
-	if id := in.Intern(tableset.Single(0).Add(64)); id != tableset.NoID {
-		t.Fatalf("interner past MaxInterned assigned id %d", id)
-	}
+	padded := tableset.ID(in.Len())
 
 	p := sharedProblem(t, sh, 12, 42)
 	second := New(Config{Shared: sh})
@@ -46,7 +44,7 @@ func TestRMQPastInternerCap(t *testing.T) {
 	}
 	front := second.Frontier()
 	if len(front) == 0 {
-		t.Fatal("run past the interner cap found no plan")
+		t.Fatal("run past 2^20 ids found no plan")
 	}
 	for i, a := range front {
 		for j, b := range front {
@@ -59,17 +57,27 @@ func TestRMQPastInternerCap(t *testing.T) {
 		}
 	}
 
-	noID := 0
+	late := 0
 	before := storeFrontiers(t, sh, func(bs cache.BucketSnapshot) {
-		if bs.ID > known {
-			t.Errorf("store gained bucket %d for %v, a set first met past the cap", bs.ID, bs.Set)
-		}
-		for _, pl := range bs.Plans {
-			noID += countNoID(pl)
+		if bs.ID > padded {
+			late++
 		}
 	})
-	if noID == 0 {
-		t.Fatal("no stored plan has a NoID sub-plan; the run never mixed interned and NoID sets")
+	if late == 0 {
+		t.Fatal("the store has no bucket for a set first met past 2^20 ids")
+	}
+	var walk func(*plan.Plan)
+	walk = func(pl *plan.Plan) {
+		if len(before[pl.Rel]) == 0 {
+			t.Fatalf("set %v (id %d) of a frontier plan has no store bucket", pl.Rel, pl.RelID)
+		}
+		if pl.IsJoin() {
+			walk(pl.Outer)
+			walk(pl.Inner)
+		}
+	}
+	for _, pl := range front {
+		walk(pl)
 	}
 
 	data, err := snapshot.Encode(1, []snapshot.TaggedStore{{Tag: "t", Store: sh}})
@@ -124,18 +132,6 @@ func storeFrontiers(t *testing.T, sh *cache.Shared, visit func(cache.BucketSnaps
 		t.Fatal(err)
 	}
 	return out
-}
-
-// countNoID counts the nodes of p's tree that carry no interned id.
-func countNoID(p *plan.Plan) int {
-	n := 0
-	if p.RelID == tableset.NoID {
-		n++
-	}
-	if p.IsJoin() {
-		n += countNoID(p.Outer) + countNoID(p.Inner)
-	}
-	return n
 }
 
 // sameBits reports whether two cost vectors are equal bit for bit.

@@ -238,8 +238,8 @@ func TestRecombinedPlansKeepPricedCost(t *testing.T) {
 			if cp.Cost != want {
 				t.Fatalf("cached plan %v costs %v, the model prices it %v", cp, cp.Cost, want)
 			}
-			if cp.RelID != m.Interner().Lookup(cp.Rel) {
-				t.Fatalf("cached plan %v carries set id %d, interner has %d", cp, cp.RelID, m.Interner().Lookup(cp.Rel))
+			if cp.RelID != m.Interner().Intern(cp.Rel) {
+				t.Fatalf("cached plan %v carries set id %d, interner has %d", cp, cp.RelID, m.Interner().Intern(cp.Rel))
 			}
 			checked++
 		}

@@ -59,6 +59,7 @@ type RMQ struct {
 	sync    *cache.SyncState // non-nil only when attached to a shared store
 	iter    int
 	stats   Stats
+	root    *cache.Bucket // the query's table set: P[q], the frontier
 
 	// Pipelining state (see Step). pending is the climbed plan whose
 	// frontier approximation has not run yet; inflight is the one the
@@ -136,6 +137,7 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 	} else {
 		r.cache = cache.New(p.Model.Interner())
 	}
+	r.root = r.cache.Bucket(p.Query)
 	r.iter = 0
 	r.stats = Stats{}
 	r.pending, r.inflight = climbed{}, climbed{}
@@ -262,7 +264,7 @@ func (r *RMQ) settle() {
 // pending frontier approximation.
 func (r *RMQ) Frontier() []*plan.Plan {
 	r.settle()
-	return r.cache.Get(r.problem.Query)
+	return r.root.Plans()
 }
 
 // FrontierDelta implements opt.DeltaFrontier: the result plans admitted
@@ -271,8 +273,7 @@ func (r *RMQ) Frontier() []*plan.Plan {
 // Frontier, it first completes the pending frontier approximation.
 func (r *RMQ) FrontierDelta(mark uint64) ([]*plan.Plan, uint64) {
 	r.settle()
-	b := r.cache.Bucket(r.problem.Query)
-	return b.Since(mark), b.Epoch()
+	return r.root.Since(mark), r.root.Epoch()
 }
 
 // Stats returns the statistics accumulated since Init, after completing

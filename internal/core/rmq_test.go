@@ -218,7 +218,7 @@ func (a *ablationRMQ) Step() {
 	}
 	scratch := cache.New(m.Interner())
 	approximateFull(m, optPlan, scratch, alpha)
-	for _, fp := range scratch.GetFor(optPlan) {
+	for _, fp := range scratch.GetID(optPlan.RelID) {
 		a.cache.Insert(fp, alpha)
 	}
 }

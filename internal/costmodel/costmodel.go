@@ -152,8 +152,7 @@ func NewWithInterner(cat *catalog.Catalog, metrics []Metric, in *tableset.Intern
 // over the same interner (see cache.New).
 func (m *Model) Interner() *tableset.Interner { return m.in }
 
-// RelID interns the table set, returning its dense id (tableset.NoID once
-// the interner is full).
+// RelID interns the table set, returning its dense id.
 //
 //rmq:hotpath
 func (m *Model) RelID(rel tableset.Set) tableset.ID { return m.in.Intern(rel) }
@@ -367,11 +366,9 @@ func (m *Model) InitJoinWithCard(n *plan.Plan, op plan.JoinOp, outer, inner *pla
 // already priced and whose table set and interned id it knows: c must
 // equal JoinCost(op, outer, inner, card), rel must equal
 // outer.Rel.Union(inner.Rel) and relID must be this model's interner id
-// for it (NoID when the set was never assigned one — ids are permanent,
-// so a plan carrying the set already carries the right answer).
-// Recombination materializes every admitted candidate into one parent
-// bucket whose set is fixed, so the per-candidate set union and intern
-// hash hoist out of the loop entirely; and it prices every candidate
+// for it. Recombination materializes every admitted candidate into one
+// parent bucket whose set is fixed, so the per-candidate set union and
+// intern hash hoist out of the loop entirely; and it prices every candidate
 // through the batch evaluator (JoinEval.OpCostAll, bit-identical to
 // JoinCostParts) before admission, so the node it materializes keeps
 // that vector instead of pricing it a second time.

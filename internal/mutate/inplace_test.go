@@ -7,7 +7,6 @@ import (
 	"rmq/internal/catalog"
 	"rmq/internal/costmodel"
 	"rmq/internal/plan"
-	"rmq/internal/tableset"
 )
 
 // buildMove evaluates the derived quantities of a structural move using
@@ -169,7 +168,7 @@ func TestSnapshotRevert(t *testing.T) {
 	u := Snapshot(root)
 	root.Join = plan.MakeJoinOp(plan.GraceHash, true)
 	root.Card = 42
-	root.RelID = tableset.NoID
+	root.RelID = 0
 	u.Revert()
 	if *root != before {
 		t.Fatal("Snapshot.Revert did not restore the node")

@@ -262,9 +262,8 @@ type Plan struct {
 	Rel tableset.Set
 	// RelID is the interned id of Rel under the constructing cost model's
 	// interner (see costmodel.Model.Interner). The plan cache indexes its
-	// buckets by it, avoiding a hash of Rel on every probe. It is
-	// tableset.NoID on hand-built plans, which fall back to Set-keyed
-	// paths.
+	// buckets by it, avoiding a hash of Rel on every probe, so every plan
+	// entering a cache carries it; the zero ID names no set.
 	RelID tableset.ID
 	// Cost is the plan's cost vector under the run's cost model.
 	Cost cost.Vector

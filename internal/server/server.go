@@ -640,9 +640,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ps := e.sess.PoolStats()
 		resp.CacheBytes += cs.Bytes
 		st := api.CatalogStats{
-			CatalogInfo:        e.info(),
-			Requests:           e.requests.Load(),
-			Cache:              api.CacheStatsJSON{Sets: cs.Sets, Plans: cs.Plans, Bytes: cs.Bytes},
+			CatalogInfo: e.info(),
+			Requests:    e.requests.Load(),
+			Cache: api.CacheStatsJSON{
+				Sets: cs.Sets, Plans: cs.Plans, Bytes: cs.Bytes,
+				IDs: cs.IDs, Compactions: cs.Compactions,
+			},
 			EffectiveRetention: e.sess.EffectiveRetention(),
 			Pool: api.PoolStatsJSON{
 				Pooled: ps.Pooled, HighWater: ps.HighWater,

@@ -44,19 +44,18 @@ const scanMax = 32
 // refs at the plan's position in its own bucket. Only the other nodes —
 // interior sub-plans their bucket has since evicted, and the plans of
 // buckets past scanMax — go through one map. Table sets are keyed by
-// the store's interned ids, so the set table is an array too. Each node
-// is encoded the moment it is numbered, while its plan is still in the
-// processor's cache, so no later pass touches the plans again.
+// the store's interned ids, which every store plan carries as its
+// RelID, so the set table is an array too. Each node is encoded the
+// moment it is numbered, while its plan is still in the processor's
+// cache, so no later pass touches the plans again.
 type sectionBuilder struct {
 	*section
-	in   *tableset.Interner
-	view []tableset.Set // in.Sets(), taken after the export
+	view []tableset.Set // the store interner's Sets(), taken after the export
 	// byID maps a store id to its compact set id (0 = not in the table
-	// yet); byValue does the same for sets that have no store id.
-	byID    []int32
-	byValue map[tableset.Set]int32
-	starts  []int32              // bucket i's plans have refs[starts[i]:starts[i+1]]
-	others  map[*plan.Plan]int32 // node ids of nodes without a refs slot
+	// yet).
+	byID   []int32
+	starts []int32              // bucket i's plans have refs[starts[i]:starts[i+1]]
+	others map[*plan.Plan]int32 // node ids of nodes without a refs slot
 }
 
 // newSection resolves one store section from an export. The node walk
@@ -66,7 +65,6 @@ type sectionBuilder struct {
 func newSection(tag string, in *tableset.Interner, state cache.StoreState, buckets []cache.BucketSnapshot, cursor uint64, delta bool) (*section, error) {
 	b := &sectionBuilder{
 		section: &section{tag: tag, state: state, cursor: cursor, delta: delta, dim: -1, buckets: buckets},
-		in:      in,
 		view:    in.Sets(),
 		starts:  make([]int32, len(buckets)+1),
 	}
@@ -75,7 +73,7 @@ func newSection(tag string, in *tableset.Interner, state cache.StoreState, bucke
 		b.sets = make([]tableset.Set, 0, len(buckets))
 	}
 	for i, bs := range buckets {
-		if b.setOf(bs.Set, bs.ID) != 0 {
+		if b.byID[bs.ID] != 0 {
 			return nil, fmt.Errorf("snapshot: store %q exported bucket set %v twice", tag, bs.Set)
 		}
 		b.addSet(bs.Set, bs.ID)
@@ -98,7 +96,7 @@ func newSection(tag string, in *tableset.Interner, state cache.StoreState, bucke
 			switch {
 			case *slot != 0: // numbered earlier, as a sub-plan
 			case len(bs.Plans) <= scanMax:
-				_, err = b.add(p, int32(i+1), slot)
+				_, err = b.add(p, bs.ID, int32(i+1), slot)
 			default:
 				*slot, err = b.visit(p)
 			}
@@ -113,53 +111,25 @@ func newSection(tag string, in *tableset.Interner, state cache.StoreState, bucke
 	return b.section, nil
 }
 
-// storeID returns the store's interned id for rel, or NoID when rel has
-// none. A plan's own RelID answers without locking whenever it is the
-// store's id for rel — for every plan a store holds, in practice; any
-// other id (hand-built plans, past the interner's capacity) is resolved
-// through the interner.
-func (b *sectionBuilder) storeID(rel tableset.Set, id tableset.ID) tableset.ID {
-	if id > 0 && int(id) < len(b.view) && b.view[id] == rel {
-		return id
-	}
-	return b.in.Lookup(rel)
-}
-
-// setOf returns rel's compact set id, or 0 when it is not in the table.
-func (b *sectionBuilder) setOf(rel tableset.Set, id tableset.ID) int32 {
-	if sid := b.storeID(rel, id); sid != tableset.NoID {
-		if int(sid) < len(b.byID) {
-			return b.byID[sid]
-		}
-		return 0
-	}
-	return b.byValue[rel]
-}
-
-// addSet appends rel to the set table and returns its compact id.
+// addSet appends rel, whose store id is id, to the set table and
+// returns its compact id.
 func (b *sectionBuilder) addSet(rel tableset.Set, id tableset.ID) int32 {
 	b.sets = append(b.sets, rel)
 	k := int32(len(b.sets))
-	if sid := b.storeID(rel, id); sid != tableset.NoID {
-		if int(sid) >= len(b.byID) {
-			b.byID = append(b.byID, make([]int32, int(sid)+1-len(b.byID))...)
-		}
-		b.byID[sid] = k
-	} else {
-		if b.byValue == nil {
-			b.byValue = make(map[tableset.Set]int32)
-		}
-		b.byValue[rel] = k
-	}
+	b.byID[id] = k
 	return k
 }
 
 // visit returns p's node id, adding p (after its children) on first
-// visit.
+// visit. p's RelID must be the store's id for its set.
 func (b *sectionBuilder) visit(p *plan.Plan) (int32, error) {
-	k := b.setOf(p.Rel, p.RelID)
+	id := p.RelID
+	if uint(id) >= uint(len(b.view)) || b.view[id] != p.Rel {
+		return 0, fmt.Errorf("snapshot: store %q holds a plan for %v whose id %d does not name it", b.tag, p.Rel, id)
+	}
+	k := b.byID[id]
 	if k == 0 {
-		return b.add(p, 0, nil) // a set not in the table has no node yet
+		return b.add(p, id, 0, nil) // a set not in the table has no node yet
 	}
 	if int(k) <= len(b.buckets) && len(b.buckets[k-1].Plans) <= scanMax {
 		for j, q := range b.buckets[k-1].Plans {
@@ -168,21 +138,23 @@ func (b *sectionBuilder) visit(p *plan.Plan) (int32, error) {
 				if *slot != 0 {
 					return *slot, nil
 				}
-				return b.add(p, k, slot)
+				return b.add(p, id, k, slot)
 			}
 		}
 	}
-	if id, ok := b.others[p]; ok {
-		return id, nil
+	if node, ok := b.others[p]; ok {
+		return node, nil
 	}
-	return b.add(p, k, nil)
+	return b.add(p, id, k, nil)
 }
 
 // add numbers p's unvisited children and then p itself, encodes p's
-// node, and returns p's node id. k is p's compact set id (0 when its set
-// is not in the table yet); slot is where p's id is kept when p is a
-// plan of a bucket up to scanMax, nil to map it in others instead.
-func (b *sectionBuilder) add(p *plan.Plan, k int32, slot *int32) (int32, error) {
+// node, and returns p's node id. id is p's store set id and k its
+// compact set id (0 when its set is not in the table yet; the children's
+// sets are proper subsets, so adding them never adds it); slot is where
+// p's id is kept when p is a plan of a bucket up to scanMax, nil to map
+// it in others instead.
+func (b *sectionBuilder) add(p *plan.Plan, id tableset.ID, k int32, slot *int32) (int32, error) {
 	var outer, inner int32
 	if p.IsJoin() {
 		var err error
@@ -199,19 +171,17 @@ func (b *sectionBuilder) add(p *plan.Plan, k int32, slot *int32) (int32, error) 
 		return 0, fmt.Errorf("snapshot: store %q mixes cost dimensions %d and %d", b.tag, b.dim, p.Cost.Dim())
 	}
 	if k == 0 {
-		if k = b.setOf(p.Rel, p.RelID); k == 0 {
-			k = b.addSet(p.Rel, p.RelID)
-		}
+		k = b.addSet(p.Rel, id)
 	}
 	b.numNodes++
-	id := int32(b.numNodes)
+	node := int32(b.numNodes)
 	if slot != nil {
-		*slot = id
+		*slot = node
 	} else {
 		if b.others == nil {
 			b.others = make(map[*plan.Plan]int32)
 		}
-		b.others[p] = id
+		b.others[p] = node
 	}
 
 	w := binary.AppendUvarint(b.nodes, uint64(k))
@@ -226,7 +196,7 @@ func (b *sectionBuilder) add(p *plan.Plan, k int32, slot *int32) (int32, error) 
 		w = binary.LittleEndian.AppendUint64(w, math.Float64bits(p.Cost.At(i)))
 	}
 	b.nodes = binary.LittleEndian.AppendUint64(w, math.Float64bits(p.Card))
-	return id, nil
+	return node, nil
 }
 
 // uvarintLen is the length of x's uvarint encoding.

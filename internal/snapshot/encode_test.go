@@ -76,43 +76,33 @@ func storeShape(tb testing.TB, sh *cache.Shared) (maxBucket, evicted int) {
 	return maxBucket, evicted
 }
 
-// foreignIDStore is a hand-built store whose interior nodes carry ids
-// from no interner (NoID) or from another one (a wrong id), so the
-// encoder must resolve their sets by value, as the oracle does. The
-// foreign id collides with the store's id of another set that also
-// appears, and one set appears both with NoID and with its store id.
-func foreignIDStore(tb testing.TB) *cache.Shared {
+// foreignIDStore is a hand-built store with one interior node whose id
+// does not name its set in the store: the zero ID when zero is set, else
+// an id from another interner, which the store gave to another set that
+// also appears. The encoder must refuse to write it.
+func foreignIDStore(tb testing.TB, zero bool) *cache.Shared {
 	tb.Helper()
 	sh := cache.NewShared(tableset.NewInterner(), 1)
 	in := sh.Interner()
 	c := cache.New(in)
 	c.TrackDirty()
-	foreign := tableset.NewInterner()
-	foreign.Intern(tableset.Single(5)) // shifts the foreign ids off the store's
 	var scans []*plan.Plan
 	for t := 0; t < 4; t++ {
-		s := scan(in, t, plan.SeqScan, float64(t+1), float64(4-t))
-		switch t {
-		case 1:
-			s.RelID = tableset.NoID
-		case 2:
-			s.RelID = foreign.Intern(s.Rel)
-		}
-		scans = append(scans, s)
+		scans = append(scans, scan(in, t, plan.SeqScan, float64(t+1), float64(4-t)))
 	}
-	j1 := join(in, plan.MakeJoinOp(plan.Hash, false), scans[0], scans[1], 3, 9)
-	j2 := join(in, plan.MakeJoinOp(plan.SortMerge, false), scans[1], scans[2], 4, 8)
-	j2.RelID = tableset.NoID
-	j3 := join(in, plan.MakeJoinOp(plan.Hash, false), scans[2], scans[3], 5, 7)
-	top1 := join(in, plan.MakeJoinOp(plan.Hash, false), j1, j3, 20, 30)
-	top2 := join(in, plan.MakeJoinOp(plan.GraceHash, false), j3, j1, 30, 20)
-	alt := scan(in, 1, plan.PinScan, 2, 2) // table 1 again, under its store id
-	j4 := join(in, plan.MakeJoinOp(plan.Hash, false), scans[0], alt, 2.5, 9.5)
-	for _, p := range []*plan.Plan{scans[0], scans[3], j1, top1, top2, j4} {
+	bad := *scans[1]
+	if zero {
+		bad.RelID = 0
+	} else {
+		foreign := tableset.NewInterner()
+		foreign.Intern(tableset.Single(5)) // shifts the foreign ids off the store's
+		foreign.Intern(tableset.Single(6))
+		bad.RelID = foreign.Intern(bad.Rel)
+	}
+	j1 := join(in, plan.MakeJoinOp(plan.Hash, false), scans[0], &bad, 3, 9)
+	for _, p := range []*plan.Plan{scans[0], scans[1], scans[2], scans[3], j1} {
 		c.Insert(p, 1)
 	}
-	mid := join(in, plan.MakeJoinOp(plan.Hash, false), j2, scans[3], 6, 6)
-	c.Insert(mid, 1)
 	sh.NewSync().Publish(c)
 	return sh
 }
@@ -160,8 +150,18 @@ func largeBucketStore(tb testing.TB) *cache.Shared {
 // over three metrics at α = 2, 24-table cycle at α = 1), and their
 // restored copies. Between them the stores exercise the bucket scan and
 // the fallback map, which holds the plans of large buckets and the
-// evicted interior nodes. The encoder must also size its output exactly.
+// evicted interior nodes. The encoder must also size its output exactly,
+// and refuse a store holding a plan whose id does not name its set.
 func TestEncoderMatchesOracle(t *testing.T) {
+	for _, zero := range []bool{true, false} {
+		stores := []snapshot.TaggedStore{{Tag: "\x00", Store: foreignIDStore(t, zero)}}
+		if _, err := snapshot.Encode(0xabc, stores); err == nil {
+			t.Errorf("Encode of a plan with a foreign id (zero %v) succeeded", zero)
+		}
+		if _, _, err := snapshot.EncodeDeltas(1, 2, stores); err == nil {
+			t.Errorf("EncodeDeltas of a plan with a foreign id (zero %v) succeeded", zero)
+		}
+	}
 	two := []costmodel.Metric{costmodel.Time, costmodel.Buffer}
 	type storeCase struct {
 		name string
@@ -171,7 +171,6 @@ func TestEncoderMatchesOracle(t *testing.T) {
 	cases := []storeCase{
 		{name: "hand-built/α=1", sh: buildStore(t, 1, 21)},
 		{name: "hand-built/α=2", sh: buildStore(t, 2, 22)},
-		{name: "foreign-ids", sh: foreignIDStore(t)},
 		{name: "large-bucket", sh: largeBucketStore(t)},
 	}
 	for _, rc := range []struct {

@@ -466,9 +466,7 @@ func (r *reader) decodeStore(open OpenStore, delta bool) (string, uint64, error)
 	ids := make([]tableset.ID, numSets+1)
 	var maxID tableset.ID
 	for k := 1; k <= numSets; k++ {
-		if ids[k] = sh.Interner().Intern(sets[k]); ids[k] == tableset.NoID {
-			return "", 0, fmt.Errorf("snapshot: store %q set %v exceeds interner capacity", tag, sets[k])
-		}
+		ids[k] = sh.Interner().Intern(sets[k])
 		maxID = max(maxID, ids[k])
 	}
 	if k := duplicateID(ids[1:], maxID); k >= 0 {

@@ -1,25 +1,15 @@
 package tableset
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // ID is the interned identifier of a Set. IDs are dense small integers
-// assigned in first-seen order, so subsystems that repeatedly look up the
-// same table sets (the plan cache, the cardinality memo) can replace hash
-// probes with array indexing. The zero value NoID means "not interned":
-// hand-built plans and sets beyond the interner capacity carry NoID and
-// callers fall back to Set-keyed paths.
+// assigned in first-seen order, from 1, so subsystems that repeatedly
+// look up the same table sets (the plan cache, the cardinality memo) can
+// replace hash probes with array indexing. The zero ID names no set.
 type ID int32
-
-// NoID is the invalid interned id (the zero value of ID).
-const NoID ID = 0
-
-// MaxInterned bounds the number of distinct sets an Interner assigns ids
-// to. The bound exists for the same reason as the cardinality memo cap:
-// very long optimizer runs encounter an unbounded stream of transient
-// table sets, and the dense side tables indexed by ID (cache buckets,
-// cardinality entries) must not grow without limit. Past the bound,
-// Intern returns NoID and callers use their Set-keyed fallback.
-const MaxInterned = 1 << 20
 
 // Interner assigns dense IDs to table sets. It is safe for concurrent
 // use and has one owner: a session's shared plan store, whose workers'
@@ -27,8 +17,10 @@ const MaxInterned = 1 << 20
 // cost model, plan cache and pipelined frontier stage share it. Ids are
 // permanent, so id-indexed side tables built by different users of one
 // interner (per-worker plan caches, cardinality memos, the shared
-// store) stay mutually consistent for their whole lifetime. The zero
-// Interner is not usable; call NewInterner.
+// store) stay mutually consistent for their whole lifetime. An interner
+// only grows: a run's lives as long as the run, and a session replaces
+// a store whose interner has outgrown its sets with a compacted copy
+// over a fresh one. The zero Interner is not usable; call NewInterner.
 type Interner struct {
 	mu   sync.RWMutex
 	ids  map[Set]ID
@@ -44,7 +36,6 @@ func NewInterner() *Interner {
 }
 
 // Intern returns the id of s, assigning the next dense id on first sight.
-// It returns NoID once MaxInterned distinct sets have been assigned.
 // Reads resolve under the read lock (the steady-state path: almost
 // every set repeats), and only a genuinely new set takes the write
 // lock, re-checking after the lock gap.
@@ -65,10 +56,11 @@ func (in *Interner) Intern(s Set) ID {
 	return in.assign(s)
 }
 
-// assign hands out the next dense id; callers hold the write lock.
+// assign hands out the next dense id; callers hold the write lock. It
+// panics rather than wrap past the int32 range.
 func (in *Interner) assign(s Set) ID {
-	if len(in.sets) > MaxInterned {
-		return NoID
+	if len(in.sets) > math.MaxInt32 {
+		panic("tableset: interner exhausted the int32 id range")
 	}
 	id := ID(len(in.sets))
 	in.sets = append(in.sets, s) //rmq:allow-alloc(first sight of a set; the steady-state repeat lookup returns above)
@@ -76,16 +68,8 @@ func (in *Interner) assign(s Set) ID {
 	return id
 }
 
-// Lookup returns the id of s if it was interned before, NoID otherwise.
-// It never assigns a new id.
-func (in *Interner) Lookup(s Set) ID {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.ids[s]
-}
-
-// SetOf returns the set with the given id. It panics for NoID or ids
-// never assigned.
+// SetOf returns the set with the given id. It panics for ids never
+// assigned, the zero ID among them.
 func (in *Interner) SetOf(id ID) Set {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
@@ -97,7 +81,7 @@ func (in *Interner) SetOf(id ID) Set {
 
 // Sets returns the interned sets indexed by ID, as of the call: Sets()[id]
 // is the set with that id for every id below len(Sets()), and index 0
-// (NoID) holds the empty set. The slice is a read-only view, not a copy;
+// (no id) holds the empty set. The slice is a read-only view, not a copy;
 // callers must not modify it. Ids are permanent and assigned only at
 // the end, so the view stays valid however many sets are interned
 // after it was taken.

@@ -20,15 +20,9 @@ func TestSharedInternerMatchesPrivate(t *testing.T) {
 		t.Fatalf("Len: private %d, shared %d", p, sh)
 	}
 	for _, s := range sets {
-		if p, sh := priv.Lookup(s), shared.Lookup(s); p != sh {
-			t.Fatalf("Lookup(%v): private %d, shared %d", s, p, sh)
+		if got := shared.SetOf(shared.Intern(s)); got != s {
+			t.Fatalf("SetOf(Intern(%v)) = %v", s, got)
 		}
-		if got := shared.SetOf(shared.Lookup(s)); got != s {
-			t.Fatalf("SetOf(Lookup(%v)) = %v", s, got)
-		}
-	}
-	if shared.Lookup(Single(11)) != NoID {
-		t.Fatal("Lookup of never-interned set != NoID")
 	}
 	if shared.CapHint() < shared.Len() {
 		t.Fatalf("CapHint %d < Len %d", shared.CapHint(), shared.Len())

@@ -8,8 +8,8 @@ func TestInternerAssignsDenseIDs(t *testing.T) {
 	b := Range(5)
 	idA := in.Intern(a)
 	idB := in.Intern(b)
-	if idA == NoID || idB == NoID {
-		t.Fatal("Intern returned NoID for fresh sets")
+	if idA == 0 || idB == 0 {
+		t.Fatal("Intern returned the zero ID for fresh sets")
 	}
 	if idA == idB {
 		t.Fatal("distinct sets share an id")
@@ -25,31 +25,17 @@ func TestInternerAssignsDenseIDs(t *testing.T) {
 	}
 }
 
-func TestInternerLookupDoesNotAssign(t *testing.T) {
-	in := NewInterner()
-	if id := in.Lookup(Single(7)); id != NoID {
-		t.Fatalf("Lookup of unseen set = %d, want NoID", id)
-	}
-	if in.Len() != 0 {
-		t.Fatal("Lookup assigned an id")
-	}
-	want := in.Intern(Single(7))
-	if got := in.Lookup(Single(7)); got != want {
-		t.Fatalf("Lookup = %d, want %d", got, want)
-	}
-}
-
 func TestInternerZeroIDIsInvalid(t *testing.T) {
 	in := NewInterner()
-	if id := in.Intern(Empty()); id == NoID {
+	if id := in.Intern(Empty()); id == 0 {
 		t.Fatal("even the empty set gets a real id")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SetOf(NoID) did not panic")
+			t.Fatal("SetOf(0) did not panic")
 		}
 	}()
-	in.SetOf(NoID)
+	in.SetOf(0)
 }
 
 func TestInternerSteadyStateAllocFree(t *testing.T) {
@@ -61,7 +47,7 @@ func TestInternerSteadyStateAllocFree(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, s := range sets {
-			if in.Intern(s) == NoID {
+			if in.Intern(s) == 0 {
 				t.Fatal("lost an interned set")
 			}
 		}

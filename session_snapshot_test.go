@@ -61,7 +61,9 @@ func TestSessionSnapshotRestoreWarmStart(t *testing.T) {
 	if err := restored.Restore(data); err != nil {
 		t.Fatal(err)
 	}
-	if after := restored.CacheStats(); after != before {
+	// A restore keeps the sets and plans and interns only the sets.
+	if after := restored.CacheStats(); after.Sets != before.Sets || after.Plans != before.Plans ||
+		after.Bytes != before.Bytes || after.IDs != after.Sets {
 		t.Fatalf("restored CacheStats %+v, snapshot had %+v", after, before)
 	}
 	warm, err := restored.Optimize(context.Background(), rmq.WithSeed(9), rmq.WithMaxIterations(40))
@@ -252,7 +254,8 @@ func TestSessionSnapshotMultipleSubsets(t *testing.T) {
 	if err := restored.Restore(data); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := restored.CacheStats(), sess.CacheStats(); got != want {
+	if got, want := restored.CacheStats(), sess.CacheStats(); got.Sets != want.Sets || got.Plans != want.Plans ||
+		got.Bytes != want.Bytes || got.IDs != got.Sets {
 		t.Fatalf("restored CacheStats %+v, want %+v", got, want)
 	}
 	// The restored session serves warm runs under every subset.

@@ -145,9 +145,6 @@ func (c *Catalog) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// logRows returns ln(rows) of table t (precomputed at construction).
-func (c *Catalog) logRows(t int) float64 { return c.lrows[t] }
-
 // logSelBetween returns the summed log-selectivity of all join edges with
 // one endpoint in `inA` restricted to the single table t. Used by the
 // estimator to extend a set by one table.

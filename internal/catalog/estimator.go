@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"math"
+	"math/bits"
 
 	"rmq/internal/tableset"
 )
@@ -69,24 +70,52 @@ func (e *Estimator) entry(s tableset.Set) cardEntry {
 // computeLog evaluates ln(cardinality) of s directly. The accumulation
 // order is canonical (tables joined in descending index order, each
 // contributing its base cardinality and the selectivities of its edges
-// into the higher-index suffix), so the result is a pure function of the
-// table set: plans for the same set always agree bit-for-bit on their
-// cardinality regardless of join order.
+// into the higher-index suffix, in adjacency order), so the result is a
+// pure function of the table set: plans for the same set always agree
+// bit-for-bit on their cardinality regardless of join order. The walk
+// pops the highest remaining table off the set's words, so it needs no
+// scratch: the suffix of a table t is s's tables above t.
+//
+//rmq:hotpath
 func (e *Estimator) computeLog(s tableset.Set) float64 {
-	var tabs [tableset.MaxTables]int
-	k := 0
-	s.ForEach(func(t int) { //rmq:allow-alloc(closure captures only stack slots and does not escape ForEach)
-		tabs[k] = t
-		k++
-	})
-	lc := e.cat.logRows(tabs[k-1])
-	suffix := tableset.Single(tabs[k-1])
-	for i := k - 2; i >= 0; i-- {
-		t := tabs[i]
-		lc = lc + e.cat.logRows(t) + e.cat.logSelBetween(t, suffix)
-		suffix = suffix.Add(t)
+	slo, shi := s.Words()
+	lo, hi := slo, shi // the tables not yet folded
+	t := popHighest(&lo, &hi)
+	lc := e.cat.lrows[t]
+	for lo|hi != 0 {
+		t = popHighest(&lo, &hi)
+		// Folded tables are exactly s's tables above t (and t itself,
+		// which has no edge to itself).
+		flo, fhi := slo&^lo, shi&^hi
+		sel := 0.0
+		for _, nb := range e.cat.adj[t] {
+			w := flo
+			if nb.table >= 64 {
+				w = fhi
+			}
+			// Branch-free: a neighbour outside the folded tables adds
+			// +0, which leaves sel unchanged, as sel starts at +0 and
+			// only adds logs of selectivities in (0, 1], so it is
+			// never -0.
+			mask := -(w >> (uint(nb.table) & 63) & 1)
+			sel += math.Float64frombits(math.Float64bits(nb.logSel) & mask)
+		}
+		lc = lc + e.cat.lrows[t] + sel
 	}
 	return lc
+}
+
+// popHighest removes the highest table from the non-empty set held in
+// lo and hi (the words of tableset.Set.Words) and returns it.
+func popHighest(lo, hi *uint64) int {
+	if *hi != 0 {
+		t := 63 - bits.LeadingZeros64(*hi)
+		*hi &^= 1 << uint(t)
+		return 64 + t
+	}
+	t := 63 - bits.LeadingZeros64(*lo)
+	*lo &^= 1 << uint(t)
+	return t
 }
 
 // linearize converts a log cardinality to a linear row count clamped to
@@ -116,6 +145,10 @@ func (e *Estimator) CardDirect(s tableset.Set) float64 {
 	}
 	return linearize(e.computeLog(s))
 }
+
+// MemoLen returns the number of table sets whose estimates are
+// memoized.
+func (e *Estimator) MemoLen() int { return len(e.memo) }
 
 // LogCard returns ln(cardinality) of the join of table set s.
 func (e *Estimator) LogCard(s tableset.Set) float64 { return e.entry(s).log }

@@ -208,3 +208,99 @@ func BenchmarkEstimatorCardMiss(b *testing.B) {
 		_ = e.Card(sets[i%len(sets)])
 	}
 }
+
+// computeLogOracle is the suffix-set evaluation computeLog replaced: it
+// lists s's tables, then folds them from the highest down, each adding
+// its base cardinality and the selectivities of its edges into the
+// running set of higher tables. computeLog must agree with it bit for
+// bit, since plan cardinalities, hence every cost and cache decision,
+// are built from it.
+func computeLogOracle(c *Catalog, s tableset.Set) float64 {
+	tabs := s.Tables()
+	k := len(tabs)
+	lc := c.lrows[tabs[k-1]]
+	suffix := tableset.Single(tabs[k-1])
+	for i := k - 2; i >= 0; i-- {
+		t := tabs[i]
+		lc = lc + c.lrows[t] + c.logSelBetween(t, suffix)
+		suffix = suffix.Add(t)
+	}
+	return lc
+}
+
+func TestComputeLogMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 24))
+	for _, g := range []GraphKind{Chain, Cycle, Star, -1} {
+		for _, n := range []int{1, 2, 63, 64, 65, 100, 128} {
+			var cat *Catalog
+			if g >= 0 {
+				cat = Generate(GenSpec{Tables: n, Graph: g, Selectivity: Steinbrunn}, rng)
+			} else {
+				cat = randomGraphCatalog(n, rng)
+			}
+			e := NewEstimator(cat)
+			edges := []int{0, n - 1}
+			for _, b := range []int{63, 64, 127} {
+				if b < n {
+					edges = append(edges, b)
+				}
+			}
+			check := func(s tableset.Set) {
+				t.Helper()
+				got, want := e.computeLog(s), computeLogOracle(cat, s)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s%d: computeLog(%v) = %x, oracle %x", g, n, s, math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+			check(tableset.Range(n))
+			for _, b := range edges {
+				check(tableset.Single(b))
+			}
+			for i := 0; i < 300; i++ {
+				var s tableset.Set
+				density := 1 + rng.IntN(8)
+				for tb := 0; tb < n; tb++ {
+					if rng.IntN(density) == 0 {
+						s = s.Add(tb)
+					}
+				}
+				// Every other set holds the word-boundary tables.
+				if i%2 == 0 {
+					for _, b := range edges {
+						s = s.Add(b)
+					}
+				}
+				if s.IsEmpty() {
+					s = tableset.Single(rng.IntN(n))
+				}
+				check(s)
+			}
+		}
+	}
+}
+
+// randomGraphCatalog builds an n-table catalog over a random join graph
+// with about two edges per table, a tenth of them of selectivity 1
+// (log-selectivity +0), so tables meet neighbours on both sides of the
+// 64-table word boundary.
+func randomGraphCatalog(n int, rng *rand.Rand) *Catalog {
+	tables := make([]Table, n)
+	for i := range tables {
+		tables[i] = Table{Rows: 1 + float64(rng.IntN(1_000_000))}
+	}
+	var edges []Edge
+	seen := make(map[[2]int]bool)
+	for i := 0; n > 1 && i < 2*n; i++ {
+		a, b := rng.IntN(n), rng.IntN(n)
+		if a == b || seen[[2]int{a, b}] || seen[[2]int{b, a}] {
+			continue
+		}
+		seen[[2]int{a, b}] = true
+		sel := 1.0
+		if rng.IntN(10) != 0 {
+			sel = rng.Float64()*0.999 + 1e-9
+		}
+		edges = append(edges, Edge{A: a, B: b, Selectivity: sel})
+	}
+	return MustNew(tables, edges)
+}

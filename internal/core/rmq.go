@@ -169,8 +169,10 @@ type retainedCache struct {
 // runs this iteration's stage A, joins both, and leaves this iteration's
 // stage B pending. Stage B sees the plans, α values and cache of a
 // sequential run, so cache decisions and frontiers are bit-identical to
-// it. Stage B never touches the estimator memo, which stage A uses; the
-// table-set interner both stages use is safe for concurrent use.
+// it. Neither stage touches the estimator memo (stage A prices random
+// plans and climbing moves with CardDirect, and stage B reuses the
+// cardinalities the climbed plan carries), and the table-set interner
+// both stages use is safe for concurrent use.
 //
 // No goroutine outlives a Step. The helper is joined before Step
 // returns, also when stage A panics, and a panic in stage B is re-raised

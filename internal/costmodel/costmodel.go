@@ -88,10 +88,13 @@ type raw struct {
 }
 
 // Model evaluates plan costs over a catalog for a chosen metric subset
-// and constructs plan nodes. A Model is not safe for concurrent use (it
-// owns a memoizing estimator); optimizer runs each own one. Its
-// interner is safe for concurrent use, so a run's frontier stage may
-// build scan nodes (NewScan) while its climbing stage prices plans.
+// and constructs plan nodes. A Model is not safe for concurrent use:
+// its estimator memoizes the cardinalities that JoinCard, NewJoin,
+// Recost and the DP baseline look up. Optimizer runs each own one. RMQ
+// never fills the memo: its random plans and climbing moves price joins
+// with CardDirect, so its frontier stage may build scan nodes (NewScan)
+// through the interner, which is safe for concurrent use, while its
+// climbing stage prices plans.
 type Model struct {
 	est     *catalog.Estimator
 	metrics []Metric

@@ -57,7 +57,10 @@ func randomShape(n int, rng *rand.Rand) *shapeNode {
 // Random returns a uniformly random bushy plan joining the given table
 // set under the model: uniform tree shape, uniform leaf labeling, uniform
 // applicable operators. It panics on an empty table set. The plan's 2n-1
-// nodes come from a single block allocation.
+// nodes come from a single block allocation. Join cardinalities come
+// from CardDirect, not the estimator memo: a random bushy plan's
+// intermediate table sets seldom repeat across draws, so probing and
+// filling the memo costs more than it saves.
 func Random(m *costmodel.Model, tables tableset.Set, rng *rand.Rand) *plan.Plan {
 	ids := tables.Tables()
 	if len(ids) == 0 {
@@ -81,7 +84,7 @@ func Random(m *costmodel.Model, tables tableset.Set, rng *rand.Rand) *plan.Plan 
 		outer := build(s.children[0])
 		inner := build(s.children[1])
 		ops := plan.JoinOpsFor(inner.Output)
-		m.InitJoinWithCard(n, ops[rng.IntN(len(ops))], outer, inner, m.JoinCard(outer, inner))
+		m.InitJoinWithCard(n, ops[rng.IntN(len(ops))], outer, inner, m.CardDirect(outer.Rel.Union(inner.Rel)))
 		return n
 	}
 	return build(shape)

@@ -67,3 +67,111 @@ func TestSharedInternerConcurrent(t *testing.T) {
 		t.Fatalf("interned %d sets, want ≤ %d distinct", in.Len(), 40*23)
 	}
 }
+
+// TestInternerGrowsUnderReaders re-interns known sets from reader
+// goroutines, without the mutex on the interner's fast path, while
+// writer goroutines intern enough new sets to replace the id table
+// several times. Readers must always get the known ids back, writers
+// that race on the same new set must agree on its id, and the ids must
+// end up unique and dense (run under -race).
+func TestInternerGrowsUnderReaders(t *testing.T) {
+	in := NewInterner()
+	known := make([]Set, 100)
+	knownIDs := make([]ID, len(known))
+	for i := range known {
+		known[i] = Single(i).Add(127 - i%20)
+		knownIDs[i] = in.Intern(known[i])
+	}
+	const writers, perWriter = 4, 3000
+	// Writers w and w+1 share half their stream, in opposite orders.
+	stream := func(w int) []Set {
+		out := make([]Set, perWriter)
+		for i := range out {
+			k := w*perWriter/2 + i
+			out[i] = FromWords(uint64(k)<<1|1, uint64(k)*0x9e3779b97f4a7c15|1<<63)
+		}
+		if w%2 == 1 {
+			for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+				out[i], out[j] = out[j], out[i]
+			}
+		}
+		return out
+	}
+	tablesBefore := len(*in.table.Load())
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := (n*7 + r) % len(known)
+				if id := in.Intern(known[i]); id != knownIDs[i] {
+					panic("re-interned known set changed id")
+				}
+				if in.SetOf(knownIDs[i]) != known[i] {
+					panic("SetOf disagrees with Intern")
+				}
+				if v := in.Sets(); v[knownIDs[i]] != known[i] || len(v) > in.CapHint() {
+					panic("Sets view disagrees with Intern")
+				}
+			}
+		}(r)
+	}
+	got := make([][]ID, writers)
+	var ws sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ws.Add(1)
+		go func(w int) {
+			defer ws.Done()
+			sets := stream(w)
+			ids := make([]ID, len(sets))
+			for i, s := range sets {
+				ids[i] = in.Intern(s)
+			}
+			got[w] = ids
+		}(w)
+	}
+	ws.Wait()
+	close(stop)
+	readers.Wait()
+
+	if grown := len(*in.table.Load()); grown < 8*tablesBefore {
+		t.Fatalf("id table grew %d → %d slots, want several doublings", tablesBefore, grown)
+	}
+	byID := make(map[ID]Set)
+	for i, s := range known {
+		byID[knownIDs[i]] = s
+	}
+	for w := 0; w < writers; w++ {
+		for i, s := range stream(w) {
+			id := got[w][i]
+			if prev, ok := byID[id]; ok && prev != s {
+				t.Fatalf("id %d names both %v and %v", id, prev, s)
+			}
+			byID[id] = s
+			if in.Intern(s) != id {
+				t.Fatalf("writer %d: id of %v moved from %d", w, s, id)
+			}
+		}
+	}
+	if in.Len() != len(byID) {
+		t.Fatalf("Len %d, %d distinct ids handed out", in.Len(), len(byID))
+	}
+	view := in.Sets()
+	for id := ID(1); int(id) <= in.Len(); id++ {
+		s, ok := byID[id]
+		if !ok {
+			t.Fatalf("ids not dense: %d never handed out (Len %d)", id, in.Len())
+		}
+		if view[id] != s || in.SetOf(id) != s {
+			t.Fatalf("id %d: Sets %v, SetOf %v, Intern gave it to %v", id, view[id], in.SetOf(id), s)
+		}
+	}
+}

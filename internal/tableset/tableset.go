@@ -147,7 +147,10 @@ func (s Set) Hash64() uint64 {
 }
 
 // Words returns the set's two 64-bit words (tables 0–63 in lo, 64–127
-// in hi) for serializers. FromWords is the inverse.
+// in hi) for serializers and word-at-a-time walks. FromWords is the
+// inverse.
+//
+//rmq:hotpath
 func (s Set) Words() (lo, hi uint64) { return s.lo, s.hi }
 
 // FromWords rebuilds a set from the words returned by Words.

@@ -201,8 +201,8 @@ func WithCacheRetention(alpha float64) Option {
 // per metric subset for reuse by later shared-cache runs
 // (WithSharedCache); the overflow of a release is dropped, oldest
 // first. Runs without the shared cache park nothing. Each parked
-// instance holds a cost model with memoized cardinalities, a private
-// plan cache, and scratch arenas, so an uncapped pool under bursts of
+// instance holds a cost model, a private plan cache, and scratch
+// arenas, so an uncapped pool under bursts of
 // concurrent Optimize calls pins burst×parallelism instances
 // permanently. The default (option unset)
 // is adaptive: a release keeps at most max(GOMAXPROCS, the run's

@@ -71,7 +71,8 @@ type Client struct {
 	// Share one across Clients to share its connection pool.
 	HTTP *http.Client
 	// MaxRetries bounds retry attempts per call (not counting the first
-	// attempt). Default 4.
+	// attempt). Zero means the default, 4; a negative value means no
+	// retries, so every call makes exactly one attempt.
 	MaxRetries int
 	// BaseDelay is the first backoff step; doubles per retry with full
 	// jitter. Default 100ms.

@@ -72,6 +72,31 @@ func TestRegisterNotRetriedOn500(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxRetriesMakesOneAttempt checks that a negative
+// MaxRetries disables retries: an idempotent call against a server
+// answering 503 reaches it exactly once.
+func TestNegativeMaxRetriesMakesOneAttempt(t *testing.T) {
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, `{"error":"unavailable"}`, http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	c := fastClient(srv)
+	c.MaxRetries = -1
+	_, err := c.Optimize(context.Background(), api.OptimizeRequest{Catalog: "c1"})
+	var serr *StatusError
+	if !errors.As(err, &serr) || serr.Status != http.StatusServiceUnavailable {
+		t.Fatalf("err = %v, want StatusError 503", err)
+	}
+	if got := hits.Load(); got != 1 {
+		t.Errorf("server hit %d times, want 1", got)
+	}
+	if m := c.Metrics(); m.Calls != 1 || m.Retries != 0 || m.Abandoned != 1 {
+		t.Errorf("metrics = %+v, want 1 call, 0 retries, 1 abandoned", m)
+	}
+}
+
 func TestRetryAfterHonoredOn429(t *testing.T) {
 	var hits atomic.Int32
 	var gap atomic.Int64

@@ -69,7 +69,7 @@ func main() {
 		warmIters = flag.Int("warm-iters", 40, "iteration budget of warm (repeated) requests")
 		timeoutMS = flag.Float64("timeout-ms", 0, "use a deadline budget (ms) for every request instead of iteration budgets")
 		seed      = flag.Uint64("seed", 1, "base seed for catalogs and requests")
-		retries   = flag.Int("max-retries", 4, "retry attempts per call before a request is abandoned")
+		retries   = flag.Int("max-retries", 4, "retry attempts per call before a request is abandoned (0 = no retries)")
 
 		assertWarmP99  = flag.Duration("assert-warm-p99", 0, "exit 1 if warm-class p99 latency exceeds this (0 = no check)")
 		assertColdP99  = flag.Duration("assert-cold-p99", 0, "exit 1 if cold-class p99 latency exceeds this (0 = no check)")
@@ -103,9 +103,15 @@ func main() {
 
 	// One Client per traffic class over a shared transport: the
 	// connection pool is common, the retry accounting is per class.
+	// The client reads MaxRetries 0 as its default and a negative value
+	// as no retries, so -max-retries 0 maps to -1.
+	maxRetries := *retries
+	if maxRetries == 0 {
+		maxRetries = -1
+	}
 	httpc := &http.Client{}
-	warmC := &client.Client{Base: base, Endpoints: eps, HTTP: httpc, MaxRetries: *retries}
-	coldC := &client.Client{Base: base, Endpoints: eps, HTTP: httpc, MaxRetries: *retries}
+	warmC := &client.Client{Base: base, Endpoints: eps, HTTP: httpc, MaxRetries: maxRetries}
+	coldC := &client.Client{Base: base, Endpoints: eps, HTTP: httpc, MaxRetries: maxRetries}
 	ctx := context.Background()
 
 	// Pre-register the warm catalog pool and prime each with one cold

@@ -49,13 +49,9 @@
 //
 // Every bucket stamps admissions with a monotone epoch; plans are kept
 // in admission order so the plans admitted after a given mark form a
-// suffix (Since). Join-node recombination uses this to become
-// incremental: BeginRecomb remembers, per (parent, outer-child,
-// inner-child) partition, the child epochs and precision of the last
-// visit, skips visits whose children are unchanged at the same-or-
-// coarser α, and otherwise narrows recombination to the pairs involving
-// a newly admitted child plan. The same marks power delta-based merging
-// of parallel worker frontiers (see internal/opt.DeltaFrontier).
+// suffix (Since). The marks power delta-based merging of parallel
+// worker frontiers (see internal/opt.DeltaFrontier) and the shared
+// store's publish and pull deltas.
 //
 // # Concurrency model
 //
@@ -124,72 +120,10 @@ func PruneApprox(plans []*plan.Plan, newPlan *plan.Plan, alpha float64) ([]*plan
 	return append(keep, newPlan), true
 }
 
-// maxRecombStates bounds the per-bucket partition memo; partitions past
-// the bound recombine fully on every visit (correct, just not
-// incremental). Only pathologically long runs on huge queries reach it.
-const maxRecombStates = 4096
-
-// recombLinearCutoff is the partition-memo size up to which lookups
-// scan the memo slice directly instead of hashing a bucketPair map key.
-// Most buckets see a handful of partitions for the lifetime of a run,
-// and the steady-state re-approximation loop performs one lookup per
-// join node per iteration — the map hash was its single largest cost.
-const recombLinearCutoff = 8
-
-// bucketPair keys the partition memo of incremental recombination.
-// Buckets are stable for the lifetime of a cache, so the child bucket
-// identities name the partition.
-type bucketPair struct {
-	outer, inner *Bucket
-}
-
-// recombState remembers one partition's last visit: which partition it
-// is, how far into each child frontier the pairs have been offered, and
-// the coarsest α any of those offers still covers exactly.
-type recombState struct {
-	key                  bucketPair
-	outerMark, innerMark uint64
-	// covered is the maximum α at which any already-formed pair was last
-	// offered. Offers at α' ≥ covered of previously offered pairs are
-	// provably no-ops (rejection persists under eviction, admitted plans
-	// re-reject), so delta visits are exact; a visit at α' < covered must
-	// re-offer the full cross product, since a finer precision can admit
-	// previously rejected candidates.
-	covered float64
-}
-
-// recombMemo is a bucket's partition memo: one recombState per
-// partition in first-visit order, indexed by a map once it outgrows
-// recombLinearCutoff. first backs the states of a bucket that has met
-// a single partition, so creating the memo is its only allocation.
-type recombMemo struct {
-	states []recombState
-	idx    map[bucketPair]int
-	first  [1]recombState
-}
-
-// Visit describes the pair ranges one join-node recombination must
-// offer, as computed by BeginRecomb.
-type Visit struct {
-	// Outers and Inners are the children's full current frontiers, in
-	// admission order. Callers must not modify them.
-	Outers, Inners []*plan.Plan
-	// NewOuters and NewInners are the suffixes of Outers/Inners admitted
-	// since the partition's last visit (empty on full visits).
-	NewOuters, NewInners []*plan.Plan
-	// Full requests the complete cross product (first visit, or a finer
-	// α than every earlier offer).
-	Full bool
-	// Skip reports that no pair needs offering: the children are
-	// unchanged since the last visit at a same-or-coarser α.
-	Skip bool
-}
-
 // Bucket holds the frontier of one table set. Obtaining the bucket once
 // and operating on it directly avoids repeated map lookups in the
 // frontier-approximation inner loops. Plans are kept in admission order,
-// so delta consumers (Since, BeginRecomb) see newly admitted plans as a
-// suffix.
+// so delta consumers (Since) see newly admitted plans as a suffix.
 type Bucket struct {
 	plans  []*plan.Plan
 	epochs []uint64 // admission epoch per plan; ascending
@@ -218,15 +152,6 @@ type Bucket struct {
 	// unsounds) the floors built on it: a lower bound of a superset
 	// bounds the subset.
 	corner cost.Vector
-
-	// recomb is the partition memo of incremental recombination, created
-	// by the bucket's first BeginRecomb: shared-store buckets and leaf
-	// sets never recombine, so they carry only the pointer.
-	recomb *recombMemo
-
-	// scanCovered is the finest α at which the bucket's full scan-
-	// operator set has been offered (0 = never); see BeginScans.
-	scanCovered float64
 }
 
 // Plans returns the bucket's frontier in admission order; callers must
@@ -385,132 +310,6 @@ func (b *Bucket) growArrays() {
 	epochs := make([]uint64, n, size) //rmq:allow-alloc(admission retains the mark; growth is amortized)
 	copy(epochs, b.epochs)
 	b.plans, b.epochs = plans, epochs
-}
-
-// BeginRecomb plans an incremental recombination of this bucket from the
-// two child buckets at precision α: it looks up the partition's last
-// visit, fills v with the pair ranges that still need offering (see
-// Visit), and records the children's current admission marks for the
-// next visit. Offering exactly the returned ranges yields a bucket
-// state bit-identical to recombining the full cross product on every
-// visit, provided pairs are offered in admission order with the old×new
-// pairs first (the order of the full product restricted to fresh
-// pairs). v is an out-parameter so the steady-state loop — which Skips
-// almost every visit — never copies the full Visit through a return.
-//
-//rmq:hotpath
-func (b *Bucket) BeginRecomb(outer, inner *Bucket, alpha float64, v *Visit) {
-	*v = Visit{Outers: outer.plans, Inners: inner.plans}
-	key := bucketPair{outer, inner}
-	i := b.recomb.find(key)
-	if i < 0 {
-		v.Full = true
-		b.addRecomb(recombState{
-			key:       key,
-			outerMark: outer.epoch, innerMark: inner.epoch, covered: alpha,
-		})
-		return
-	}
-	st := &b.recomb.states[i]
-	if alpha < st.covered {
-		// Finer precision than some earlier offer: previously rejected
-		// candidates may now be admissible — redo the full product.
-		st.covered = alpha
-		st.outerMark, st.innerMark = outer.epoch, inner.epoch
-		v.Full = true
-		return
-	}
-	if outer.epoch == st.outerMark && inner.epoch == st.innerMark {
-		// Epoch counters unchanged means no admissions since the marks:
-		// the converged steady state, decided without the Since binary
-		// searches below. (Epochs above the marks can still yield empty
-		// suffixes when every newcomer was evicted again.)
-		v.Skip = true
-		return
-	}
-	v.NewOuters = outer.Since(st.outerMark)
-	v.NewInners = inner.Since(st.innerMark)
-	if len(v.NewOuters) == 0 && len(v.NewInners) == 0 {
-		v.Skip = true
-		return
-	}
-	if alpha > st.covered {
-		st.covered = alpha
-	}
-	st.outerMark, st.innerMark = outer.epoch, inner.epoch
-}
-
-// find returns the index of the partition's memo entry, or -1 (also
-// for a bucket with no memo yet). Small memos — almost all of them —
-// are scanned linearly; only past recombLinearCutoff does the bucket
-// build and consult the map. The linear scan replaces the
-// aeshash-per-lookup that dominated the steady-state profile.
-//
-//rmq:hotpath
-func (m *recombMemo) find(key bucketPair) int {
-	if m == nil {
-		return -1
-	}
-	if m.idx != nil {
-		if i, ok := m.idx[key]; ok {
-			return i
-		}
-		return -1
-	}
-	for i := range m.states {
-		if m.states[i].key == key {
-			return i
-		}
-	}
-	return -1
-}
-
-// addRecomb records a new partition's memo entry, creating the memo on
-// the bucket's first partition and upgrading its lookup structure to a
-// map once it outgrows the linear-scan cutoff.
-func (b *Bucket) addRecomb(st recombState) {
-	m := b.recomb
-	if m == nil {
-		m = &recombMemo{} //rmq:allow-alloc(one memo per recombining bucket, created on its first partition)
-		m.states = m.first[:0]
-		b.recomb = m
-	}
-	if len(m.states) >= maxRecombStates {
-		return
-	}
-	key := st.key
-	if m.idx != nil {
-		m.idx[key] = len(m.states) //rmq:allow-alloc(per-partition memo, filled once per partition)
-	} else if len(m.states) == recombLinearCutoff {
-		m.idx = make(map[bucketPair]int, 4*recombLinearCutoff) //rmq:allow-alloc(per-partition memo map, built once per bucket on outgrowing the linear scan)
-		for j := range m.states {
-			m.idx[m.states[j].key] = j //rmq:allow-alloc(one-time map upgrade, amortized over the bucket's lifetime)
-		}
-		m.idx[key] = len(m.states) //rmq:allow-alloc(one-time map upgrade, amortized over the bucket's lifetime)
-	}
-	m.states = append(m.states, st) //rmq:allow-alloc(per-partition memo, filled once per partition)
-}
-
-// BeginScans reports whether a scan-leaf visit at precision α must
-// offer the bucket's scan-operator set, and records the offer when it
-// does. Scan candidates are a fixed set with deterministic costs, so
-// once all of them have been offered at some α₀, re-offering at any
-// α ≥ α₀ is provably a no-op: a candidate rejected at α₀ stays rejected
-// (its dominator — or that dominator's surviving evictor, by transitive
-// weak dominance — still α-dominates it), and a candidate admitted at
-// α₀ left a same-output plan with its exact cost that re-rejects it at
-// any α ≥ 1. Only a finer α than every earlier offer can change the
-// outcome, so only that re-offers. Callers gate it on the same
-// incremental flag as BeginRecomb; the differential trajectory tests
-// hold the memoized and full paths bit-identical.
-//
-//rmq:hotpath
-func (b *Bucket) BeginScans(alpha float64) bool {
-	if b.scanCovered != 0 && alpha >= b.scanCovered {
-		return false
-	}
-	b.scanCovered = alpha
-	return true
 }
 
 // Cache is the plan cache P: for each table set, the frontier of

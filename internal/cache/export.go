@@ -14,10 +14,9 @@ import (
 // restore) or MergeBucket/MergeState (a replication delta, delta.go)
 // without ever touching bucket internals. The view deliberately exposes
 // admission order and admission epochs verbatim — restoring them exactly is what
-// keeps delta consumers (SyncState marks, the incremental-recombination
-// memo keyed on child epochs) valid against a restored store, and what
-// makes re-encoding a restored store byte-identical to the snapshot it
-// came from.
+// keeps delta consumers (SyncState marks) valid against a restored
+// store, and what makes re-encoding a restored store byte-identical to
+// the snapshot it came from.
 
 // BucketSnapshot is one bucket's exported state: the table set it
 // caches, its admission counter, and the retained frontier in admission

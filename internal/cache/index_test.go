@@ -144,68 +144,6 @@ func TestBucketEpochAndSince(t *testing.T) {
 	}
 }
 
-func TestBeginRecombVisitLifecycle(t *testing.T) {
-	c := New(tableset.NewInterner())
-	outer := c.Bucket(tableset.Single(0))
-	inner := c.Bucket(tableset.Single(1))
-	parent := c.Bucket(tableset.FromSlice([]int{0, 1}))
-	o1 := mkPlan(tableset.Single(0), plan.Materialized, 1, 9)
-	i1 := mkPlan(tableset.Single(1), plan.Materialized, 2, 8)
-	outer.Insert(o1, 1)
-	inner.Insert(i1, 1)
-
-	// First visit: full cross product.
-	var v Visit
-	parent.BeginRecomb(outer, inner, 2, &v)
-	if !v.Full || v.Skip {
-		t.Fatalf("first visit = %+v, want full", v)
-	}
-	if len(v.Outers) != 1 || len(v.Inners) != 1 {
-		t.Fatalf("visit frontiers = %d×%d", len(v.Outers), len(v.Inners))
-	}
-
-	// Unchanged children at the same α: skip.
-	if parent.BeginRecomb(outer, inner, 2, &v); !v.Skip {
-		t.Fatalf("unchanged children not skipped: %+v", v)
-	}
-	// Unchanged children at a coarser α: offers are still provably
-	// no-ops — skip.
-	if parent.BeginRecomb(outer, inner, 3, &v); !v.Skip {
-		t.Fatalf("coarser α with unchanged children not skipped: %+v", v)
-	}
-
-	// A new outer plan: delta visit with the newcomer suffix.
-	o2 := mkPlan(tableset.Single(0), plan.Materialized, 9, 1)
-	outer.Insert(o2, 1)
-	parent.BeginRecomb(outer, inner, 3, &v)
-	if v.Full || v.Skip {
-		t.Fatalf("changed children produced %+v, want delta", v)
-	}
-	if len(v.NewOuters) != 1 || v.NewOuters[0] != o2 || len(v.NewInners) != 0 {
-		t.Fatalf("delta = new outers %v, new inners %v", v.NewOuters, v.NewInners)
-	}
-	if len(v.Outers) != 2 {
-		t.Fatalf("full outers = %d, want 2", len(v.Outers))
-	}
-
-	// Finer α than every earlier offer: full cross product again.
-	parent.BeginRecomb(outer, inner, 1.5, &v)
-	if !v.Full {
-		t.Fatalf("finer α did not force a full visit: %+v", v)
-	}
-	// ... and thereafter the finer precision is covered.
-	if parent.BeginRecomb(outer, inner, 1.5, &v); !v.Skip {
-		t.Fatalf("converged finer visit not skipped: %+v", v)
-	}
-
-	// A different partition of the same parent has its own state.
-	other := c.Bucket(tableset.Single(2))
-	other.Insert(mkPlan(tableset.Single(2), plan.Materialized, 3, 3), 1)
-	if parent.BeginRecomb(outer, other, 1.5, &v); !v.Full {
-		t.Fatalf("fresh partition not full: %+v", v)
-	}
-}
-
 // TestBucketTableGrowth covers the geometric bucket-table growth: plans
 // inserted before a growth burst must stay retrievable, countable and
 // prunable afterwards.

@@ -12,11 +12,10 @@ import (
 // TestBucketHeaderSize pins the bucket header: a store or pooled cache
 // holds one per table set, and serve-warm sets average under five
 // plans, so the header is a large share of the cache's memory. Each
-// output class's costs take one block header, and the recombination
-// memo lives behind a pointer.
+// output class's costs take one block header.
 func TestBucketHeaderSize(t *testing.T) {
-	if got := unsafe.Sizeof(Bucket{}); got > 224 {
-		t.Errorf("unsafe.Sizeof(Bucket{}) = %d bytes, want ≤ 224", got)
+	if got := unsafe.Sizeof(Bucket{}); got > 200 {
+		t.Errorf("unsafe.Sizeof(Bucket{}) = %d bytes, want ≤ 200", got)
 	}
 	t.Logf("Bucket %d B, sharedBucket %d B, bytesPerSet %d B", unsafe.Sizeof(Bucket{}), unsafe.Sizeof(sharedBucket{}), bytesPerSet)
 }

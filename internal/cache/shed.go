@@ -33,12 +33,11 @@ const bytesPerSet = int64(unsafe.Sizeof(sharedBucket{})) + int64(unsafe.Sizeof(a
 
 // Bytes estimates the store's retained memory from its set and plan
 // counts. An estimate, not an accounting: the per-class cost-column
-// mirrors, spare slice capacity and the recombination memo are
-// excluded, so the true footprint exceeds it. Budget checks should leave
-// headroom accordingly.
+// mirrors and spare slice capacity are excluded, so the true footprint
+// exceeds it. Budget checks should leave headroom accordingly.
 //
 // bytesPerSet follows the bucket header's size: on 64-bit platforms a
-// store bucket (sharedBucket) takes 232 B, so a set counts 248 B.
+// store bucket (sharedBucket) takes 216 B, so a set counts 232 B.
 func (s *Shared) Bytes() int64 {
 	return s.plans.Load()*bytesPerPlan + s.sets.Load()*bytesPerSet
 }

@@ -60,65 +60,32 @@ func DefaultAlpha(iteration int) float64 {
 // input table sets (which may use different join orders, discovered in
 // earlier iterations) with every applicable join operator; for every
 // scan it tries every scan operator. New plans are pruned into the cache
-// with approximation factor alpha.
-//
-// Join nodes consult the cache's per-partition visit memo
-// (cache.Bucket.BeginRecomb): a node whose children are unchanged since
-// its last visit at a same-or-coarser α is skipped, and otherwise only
-// the pairs involving a newly admitted child plan are recombined —
-// old×new first, then new×all, which is exactly the order the full
-// cross product offers the fresh pairs in. Because re-offering
-// an already offered pair at a same-or-coarser α never changes the
-// bucket (rejections persist under eviction and admitted plans
-// re-reject), the resulting cache states are bit-identical to full
-// recombination for any non-increasing α schedule; a differential test
-// holds the trajectory against a test-only transcription of Algorithm 3
-// (full cross products, PruneApprox into plain slices, no floors).
+// with approximation factor alpha. A differential test holds the cache
+// against a test-only transcription of Algorithm 3 (PruneApprox into
+// plain slices, no admission floors).
 func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alpha float64) {
-	if p.IsJoin() {
-		approximateFrontiers(m, p.Outer, pc, alpha)
-		approximateFrontiers(m, p.Inner, pc, alpha)
-		ob := pc.BucketFor(p.Outer)
-		ib := pc.BucketFor(p.Inner)
-		// Iterating the children's frontiers while inserting into the
-		// parent's is safe: the table sets differ, so the buckets are
-		// distinct.
+	if !p.IsJoin() {
 		bucket := pc.BucketFor(p)
-		var v cache.Visit
-		bucket.BeginRecomb(ob, ib, alpha, &v)
-		if v.Skip {
-			return
-		}
-		if v.Full {
-			recombinePairs(m, bucket, ob, ib, v.Outers, v.Inners, p, alpha)
-		} else {
-			oldOuters := v.Outers[:len(v.Outers)-len(v.NewOuters)]
-			recombinePairs(m, bucket, ob, ib, oldOuters, v.NewInners, p, alpha)
-			recombinePairs(m, bucket, ob, ib, v.NewOuters, v.Inners, p, alpha)
-		}
-	} else {
-		bucket := pc.BucketFor(p)
-		// Scan leaves converge after one visit: the operator set and its
-		// costs never change, so the bucket memoizes the finest α offered
-		// (BeginScans) and later visits at same-or-coarser α skip the
-		// whole offer loop — the scan-leaf analogue of BeginRecomb's
-		// Skip, and equally trajectory-preserving.
-		if !bucket.BeginScans(alpha) {
-			return
-		}
 		for _, op := range plan.AllScanOps() {
 			// As with joins: cost first, materialize only on admission.
-			if !bucket.Admits(m.ScanCost(p.Table, op), op.Output(), alpha) {
-				continue
+			if bucket.Admits(m.ScanCost(p.Table, op), op.Output(), alpha) {
+				bucket.Insert(m.NewScan(p.Table, op), alpha)
 			}
-			bucket.Insert(m.NewScan(p.Table, op), alpha)
 		}
+		return
 	}
+	approximateFrontiers(m, p.Outer, pc, alpha)
+	approximateFrontiers(m, p.Inner, pc, alpha)
+	// Iterating the children's frontiers while inserting into the
+	// parent's is safe: the table sets differ, so the buckets are
+	// distinct.
+	ob, ib := pc.BucketFor(p.Outer), pc.BucketFor(p.Inner)
+	recombinePairs(m, pc.BucketFor(p), ob, ib, p, alpha)
 }
 
-// recombinePairs offers every (outer, inner) pair over every applicable
-// join operator to the bucket, pricing candidates before materializing
-// them. parent is the join node being recombined: every pair unions to
+// recombinePairs offers every pair of the outer bucket ob's and the
+// inner bucket ib's plans, over every applicable join operator, to the
+// bucket, pricing candidates before materializing them. parent is the join node being recombined: every pair unions to
 // its table set, so its cardinality, set and interned id are hoisted
 // out of the loop (admitted candidates materialize via NewJoinPriced
 // without re-hashing the set or re-pricing the candidate).
@@ -135,9 +102,10 @@ func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alp
 // costs two probes total. The filter only skips offers the bucket
 // provably rejects, so cache trajectories stay bit-identical to the
 // floor-free reference (the differential tests hold them together).
-// Non-empty outers and inners imply both child buckets admitted plans,
-// so both corners exist.
-func recombinePairs(m *costmodel.Model, bucket *cache.Bucket, ob, ib *cache.Bucket, outers, inners []*plan.Plan, parent *plan.Plan, alpha float64) {
+// Non-empty child frontiers imply both child buckets admitted plans, so
+// both corners exist.
+func recombinePairs(m *costmodel.Model, bucket *cache.Bucket, ob, ib *cache.Bucket, parent *plan.Plan, alpha float64) {
+	outers, inners := ob.Plans(), ib.Plans()
 	if len(outers) == 0 || len(inners) == 0 {
 		return
 	}

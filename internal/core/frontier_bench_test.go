@@ -20,9 +20,9 @@ type approxFunc func(p *plan.Plan, alpha float64)
 // one climbed plan re-approximated per op from a rotating pool of fresh
 // local optima. After the pool's first lap the store is converged, so
 // the measured work is the per-iteration cost of ApproximateFrontiers
-// once partial plans are shared. Every variant ends in the same
-// frontiers (TestIncrementalRecombinationMatchesFull); only the
-// machinery differs.
+// once partial plans are shared. Both variants end in the same
+// frontiers (TestRecombinationMatchesReference); only the machinery
+// differs.
 func benchApproxFrontiers(b *testing.B, bind func(m *costmodel.Model) approxFunc) {
 	const warmup = 200
 	p := testProblem(b, 50, 1)
@@ -53,8 +53,8 @@ func benchApproxFrontiers(b *testing.B, bind func(m *costmodel.Model) approxFunc
 
 // BenchmarkApproxFrontiers is the recombination ablation: the test-only
 // Algorithm 3 reference (refFrontiers: full cross products, PruneApprox
-// into plain slices, no floors), the production cache with full cross
-// products, and the production cache with incremental recombination.
+// into plain slices, no floors) against the production cache, its
+// column sweeps and admission floors.
 func BenchmarkApproxFrontiers(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		benchApproxFrontiers(b, func(m *costmodel.Model) approxFunc {
@@ -62,16 +62,10 @@ func BenchmarkApproxFrontiers(b *testing.B) {
 			return func(p *plan.Plan, alpha float64) { ref.approximate(m, p, alpha) }
 		})
 	})
-	production := func(approximate func(*costmodel.Model, *plan.Plan, *cache.Cache, float64)) func(m *costmodel.Model) approxFunc {
-		return func(m *costmodel.Model) approxFunc {
-			pc := cache.New(m.Interner())
-			return func(p *plan.Plan, alpha float64) { approximate(m, p, pc, alpha) }
-		}
-	}
 	b.Run("full", func(b *testing.B) {
-		benchApproxFrontiers(b, production(approximateFull))
-	})
-	b.Run("indexed-incremental", func(b *testing.B) {
-		benchApproxFrontiers(b, production(approximateFrontiers))
+		benchApproxFrontiers(b, func(m *costmodel.Model) approxFunc {
+			pc := cache.New(m.Interner())
+			return func(p *plan.Plan, alpha float64) { approximateFrontiers(m, p, pc, alpha) }
+		})
 	})
 }

@@ -41,8 +41,8 @@ func TestDefaultAlphaTableBitIdentical(t *testing.T) {
 // ApproximateFrontiers: plain per-table-set plan slices, every join node
 // recombined over the full cross product of its children's frontiers,
 // and every candidate materialized and pruned by cache.PruneApprox — no
-// buckets, no column mirrors, no admission floors, no visit memo. The
-// production path must reproduce its frontiers plan for plan.
+// buckets, no column mirrors, no admission floors. The production path
+// must reproduce its frontiers plan for plan.
 type refFrontiers struct {
 	sets  map[tableset.Set][]*plan.Plan
 	order []tableset.Set // first-contact order, for deterministic walks
@@ -81,29 +81,6 @@ func (r *refFrontiers) approximate(m *costmodel.Model, p *plan.Plan, alpha float
 	}
 }
 
-// approximateFull is approximateFrontiers without the visit memo: every
-// join node recombines the full cross product of its children's
-// frontiers and every scan leaf offers every operator, through the
-// production buckets, admission floors and recombinePairs. It is the
-// "full" arm of BenchmarkApproxFrontiers and the approximation of the
-// no-sharing ablation, whose per-iteration caches never see a repeat
-// visit.
-func approximateFull(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alpha float64) {
-	if !p.IsJoin() {
-		bucket := pc.BucketFor(p)
-		for _, op := range plan.AllScanOps() {
-			if bucket.Admits(m.ScanCost(p.Table, op), op.Output(), alpha) {
-				bucket.Insert(m.NewScan(p.Table, op), alpha)
-			}
-		}
-		return
-	}
-	approximateFull(m, p.Outer, pc, alpha)
-	approximateFull(m, p.Inner, pc, alpha)
-	ob, ib := pc.BucketFor(p.Outer), pc.BucketFor(p.Inner)
-	recombinePairs(m, pc.BucketFor(p), ob, ib, ob.Plans(), ib.Plans(), p, alpha)
-}
-
 // samePlan reports whether two plans are the same tree: same operators,
 // table sets, output representations and cost vectors at every node.
 func samePlan(a, b *plan.Plan) bool {
@@ -118,9 +95,9 @@ func samePlan(a, b *plan.Plan) bool {
 
 // checkAgainstReference climbs one sequence of random plans (climbing
 // never reads the cache) and re-approximates each one twice: through
-// approximateFrontiers with incremental recombination on a real
-// cache.Cache, and through refFrontiers. After every step both must
-// hold the same plans in the same order for every table set.
+// approximateFrontiers on a real cache.Cache, and through refFrontiers.
+// After every step both must hold the same plans in the same order for
+// every table set.
 func checkAgainstReference(t *testing.T, tables int, seed uint64, steps int, alphaAt func(iter int) float64) {
 	t.Helper()
 	p := testProblem(t, tables, seed)
@@ -153,24 +130,21 @@ func checkAgainstReference(t *testing.T, tables int, seed uint64, steps int, alp
 	}
 }
 
-// TestIncrementalRecombinationMatchesFull is the end-to-end differential
+// TestRecombinationMatchesReference is the end-to-end differential
 // test of the frontier approximation under the paper's default α
-// schedule: incremental visits skip only provably no-op pair offers,
-// admission floors skip only provably rejected candidates, and the
-// columnar admission sweep decides exactly as PruneApprox, so the cache
-// must match the full-cross-product reference after every iteration.
-// The schedule also runs fast-forwarded (one precision level per step),
-// so that α drops far enough for earlier rejections to turn into
-// admissions — the case where a partition must be re-offered in full.
-func TestIncrementalRecombinationMatchesFull(t *testing.T) {
+// schedule: admission floors skip only provably rejected candidates and
+// the columnar admission sweep decides exactly as PruneApprox, so the
+// cache must match the reference after every iteration. The schedule
+// also runs fast-forwarded (one precision level per step), so that α
+// drops far enough for earlier rejections to turn into admissions.
+func TestRecombinationMatchesReference(t *testing.T) {
 	checkAgainstReference(t, 14, 42, 80, DefaultAlpha)
 	checkAgainstReference(t, 14, 42, 80, func(i int) float64 { return DefaultAlpha(25 * i) })
 }
 
-// TestIncrementalMatchesFullUnderFixedAlpha repeats the differential
-// run with fixed exact, fine and coarse α schedules, the regimes where
-// visit skipping is most aggressive.
-func TestIncrementalMatchesFullUnderFixedAlpha(t *testing.T) {
+// TestRecombinationMatchesReferenceUnderFixedAlpha repeats the
+// differential run with fixed exact, fine and coarse α schedules.
+func TestRecombinationMatchesReferenceUnderFixedAlpha(t *testing.T) {
 	for _, alpha := range []float64{1, 2, 25} {
 		checkAgainstReference(t, 10, 17, 50, func(int) float64 { return alpha })
 	}

@@ -121,10 +121,9 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 		// Warm start from the session store. A problem pooled by a
 		// session carries the previous run's private cache and sync
 		// marks (opt.Problem.Retained): reusing them turns the warm
-		// start into a delta pull — everything this problem's earlier
-		// runs saw is still cached, including the incremental
-		// recombination memo, so repeat visits skip. A fresh problem
-		// imports the whole store once instead.
+		// start into a delta pull: everything this problem's earlier
+		// runs saw is still cached. A fresh problem imports the whole
+		// store once instead.
 		if rc, ok := p.Retained.(*retainedCache); ok && rc.shared == shared {
 			r.cache, r.sync = rc.cache, rc.sync
 		} else {

@@ -217,7 +217,7 @@ func (a *ablationRMQ) Step() {
 		return
 	}
 	scratch := cache.New(m.Interner())
-	approximateFull(m, optPlan, scratch, alpha)
+	approximateFrontiers(m, optPlan, scratch, alpha)
 	for _, fp := range scratch.GetID(optPlan.RelID) {
 		a.cache.Insert(fp, alpha)
 	}

@@ -264,12 +264,9 @@ func TestFSWrappers(t *testing.T) {
 		if err := Rename("r", src, dst); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadFile("rf", dst)
+		got, err := os.ReadFile(dst)
 		if err != nil || string(got) != string(data) {
 			t.Fatalf("round trip = %q, %v", got, err)
-		}
-		if err := Remove("rm", dst); err != nil {
-			t.Fatal(err)
 		}
 		if err := MkdirAll("mk", filepath.Join(dir, "a/b"), 0o755); err != nil {
 			t.Fatal(err)

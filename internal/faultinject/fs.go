@@ -88,22 +88,6 @@ func Rename(siteName, oldpath, newpath string) error {
 	return os.Rename(oldpath, newpath)
 }
 
-// Remove is os.Remove behind the named injection site.
-func Remove(siteName, name string) error {
-	if err := Check(siteName); err != nil {
-		return err
-	}
-	return os.Remove(name)
-}
-
-// ReadFile is os.ReadFile behind the named injection site.
-func ReadFile(siteName, name string) ([]byte, error) {
-	if err := Check(siteName); err != nil {
-		return nil, err
-	}
-	return os.ReadFile(name)
-}
-
 // MkdirAll is os.MkdirAll behind the named injection site.
 func MkdirAll(siteName, path string, perm os.FileMode) error {
 	if err := Check(siteName); err != nil {

@@ -139,12 +139,25 @@ func TestQuickRandomPlansAlwaysValid(t *testing.T) {
 	}
 }
 
+// BenchmarkRandom100 times one random 100-table plan as a run draws it.
+// Every draw interns about 99 table sets, so a model that served every
+// draw would hold about a million ids and the benchmark would mostly
+// time interner misses; a fresh model every drawsPerModel draws keeps
+// the interner near the size a run's private cache reaches (a 200-step
+// run on a 100-table chain ends with about 30k ids).
 func BenchmarkRandom100(b *testing.B) {
-	m := testModel(b, 100)
+	const drawsPerModel = 300
+	cat := testModel(b, 100).Catalog()
 	rng := rand.New(rand.NewPCG(1, 2))
-	all := m.Catalog().AllTables()
+	all := cat.AllTables()
+	var m *costmodel.Model
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%drawsPerModel == 0 {
+			b.StopTimer()
+			m = costmodel.New(cat, costmodel.AllMetrics())
+			b.StartTimer()
+		}
 		_ = Random(m, all, rng)
 	}
 }

@@ -3,12 +3,12 @@
 // process restarts. A snapshot captures, per metric subset, the
 // retained α-approximate sub-plan frontiers together with the three
 // counters that make a restored store a drop-in continuation of the
-// original: per-bucket admission epochs (so warm-start sync marks and
-// the incremental-recombination memo stay valid), the store-wide
-// publish version (so SyncState.Pull's fast path does not mistake a
-// restored store for an empty one), and the cumulative iteration
-// counter (so the α schedule resumes at the precision the store was
-// refined to instead of redoing the coarse passes).
+// original: per-bucket admission epochs (so warm-start sync marks stay
+// valid), the store-wide publish version (so SyncState.Pull's fast path
+// does not mistake a restored store for an empty one), and the
+// cumulative iteration counter (so the α schedule resumes at the
+// precision the store was refined to instead of redoing the coarse
+// passes).
 //
 // The package has one encoder and one decoder for two streams. A delta
 // (rmq-delt/v1, see delta.go) ships every bucket changed since a

@@ -40,9 +40,8 @@ var ErrWorkerPanic = errors.New("optimizer worker panicked")
 // repeated and overlapping queries warm-start instead of relearning
 // identical frontiers. Such runs also reuse per-worker state: each
 // worker borrows a problem instance from an internal pool, so the
-// private plan cache of earlier runs, with its sync marks and
-// recombination memo, turns a later run's warm start into a delta
-// pull. The pool is capped — a release keeps at most
+// private plan cache of earlier runs, with its sync marks, turns a
+// later run's warm start into a delta pull. The pool is capped — a release keeps at most
 // max(GOMAXPROCS, the run's parallelism) warmed instances per metric
 // subset, or the explicit WithPoolLimit — so bursts of concurrent runs
 // do not pin unbounded memory; PoolStats reports its state. A run

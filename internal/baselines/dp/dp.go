@@ -155,7 +155,7 @@ func (o *DP) processSubset() {
 		// anchoring elems[0] on the left side, then try both operand
 		// orientations for each partition.
 		k := len(elems)
-		card := m.Estimator().Card(set)
+		card := m.Card(set)
 		full := uint32(1)<<(k-1) - 1
 		for mask := uint32(0); mask < full; mask++ {
 			left := tableset.Single(elems[0])

@@ -9,11 +9,41 @@ import (
 	"rmq/internal/tableset"
 )
 
+// logSelBetween returns the summed log-selectivity of the join edges
+// between table t and the tables of inA.
+func (c *Catalog) logSelBetween(t int, inA tableset.Set) float64 {
+	sum := 0.0
+	for _, nb := range c.adj[t] {
+		if inA.Contains(nb.table) {
+			sum += nb.logSel
+		}
+	}
+	return sum
+}
+
+// joinSelectivity returns the combined selectivity factor applied when
+// joining disjoint table sets a and b: the product of the selectivities
+// of all edges crossing between them (1 for a pure cross product).
+func joinSelectivity(c *Catalog, a, b tableset.Set) float64 {
+	// Iterate the smaller side's tables and sum the log-selectivities of
+	// their edges into the other side.
+	if b.Count() < a.Count() {
+		a, b = b, a
+	}
+	ls := 0.0
+	a.ForEach(func(t int) {
+		ls += c.logSelBetween(t, b)
+	})
+	if ls == 0 {
+		return 1
+	}
+	return math.Exp(ls)
+}
+
 func TestEstimatorSingleTables(t *testing.T) {
 	cat := testCatalog(t)
-	e := NewEstimator(cat)
 	for i := 0; i < cat.NumTables(); i++ {
-		got := e.Card(tableset.Single(i))
+		got := cat.Card(tableset.Single(i))
 		want := cat.Table(i).Rows
 		if math.Abs(got-want) > 1e-9*want {
 			t.Errorf("Card({%d}) = %g, want %g", i, got, want)
@@ -23,13 +53,12 @@ func TestEstimatorSingleTables(t *testing.T) {
 
 func TestEstimatorJoinWithPredicate(t *testing.T) {
 	cat := testCatalog(t) // a(1000) -0.01- b(100) -0.5- c(10)
-	e := NewEstimator(cat)
-	got := e.Card(tableset.FromSlice([]int{0, 1}))
+	got := cat.Card(tableset.FromSlice([]int{0, 1}))
 	want := 1000.0 * 100 * 0.01
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("Card(a⋈b) = %g, want %g", got, want)
 	}
-	got = e.Card(tableset.FromSlice([]int{0, 1, 2}))
+	got = cat.Card(tableset.FromSlice([]int{0, 1, 2}))
 	want = 1000 * 100 * 10 * 0.01 * 0.5
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("Card(a⋈b⋈c) = %g, want %g", got, want)
@@ -38,9 +67,8 @@ func TestEstimatorJoinWithPredicate(t *testing.T) {
 
 func TestEstimatorCrossProduct(t *testing.T) {
 	cat := testCatalog(t)
-	e := NewEstimator(cat)
 	// a and c share no edge: pure cross product.
-	got := e.Card(tableset.FromSlice([]int{0, 2}))
+	got := cat.Card(tableset.FromSlice([]int{0, 2}))
 	want := 1000.0 * 10
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("Card(a×c) = %g, want %g", got, want)
@@ -48,12 +76,8 @@ func TestEstimatorCrossProduct(t *testing.T) {
 }
 
 func TestEstimatorEmptySet(t *testing.T) {
-	e := NewEstimator(testCatalog(t))
-	if got := e.Card(tableset.Empty()); got != 1 {
+	if got := testCatalog(t).Card(tableset.Empty()); got != 1 {
 		t.Errorf("Card(∅) = %g, want 1", got)
-	}
-	if got := e.LogCard(tableset.Empty()); got != 0 {
-		t.Errorf("LogCard(∅) = %g, want 0", got)
 	}
 }
 
@@ -62,8 +86,7 @@ func TestEstimatorLowerClamp(t *testing.T) {
 		[]Table{{Rows: 10}, {Rows: 10}},
 		[]Edge{{A: 0, B: 1, Selectivity: 1e-9}},
 	)
-	e := NewEstimator(cat)
-	if got := e.Card(tableset.Range(2)); got != 1 {
+	if got := cat.Card(tableset.Range(2)); got != 1 {
 		t.Errorf("Card = %g, want clamp to 1", got)
 	}
 }
@@ -74,46 +97,35 @@ func TestEstimatorSaturation(t *testing.T) {
 	for i := range tables {
 		tables[i] = Table{Rows: 1e6}
 	}
-	e := NewEstimator(MustNew(tables, nil))
-	if got := e.Card(tableset.Range(60)); got != maxLinearCard {
+	cat := MustNew(tables, nil)
+	if got := cat.Card(tableset.Range(60)); got != maxLinearCard {
 		t.Errorf("Card = %g, want saturation %g", got, maxLinearCard)
 	}
 	// Log-space value stays exact.
-	if got, want := e.LogCard(tableset.Range(60)), 60*math.Log(1e6); math.Abs(got-want) > 1e-6 {
-		t.Errorf("LogCard = %g, want %g", got, want)
-	}
-}
-
-func TestEstimatorMemoConsistency(t *testing.T) {
-	e := NewEstimator(testCatalog(t))
-	s := tableset.Range(3)
-	first := e.Card(s)
-	second := e.Card(s)
-	if first != second {
-		t.Errorf("memoized value changed: %g vs %g", first, second)
+	if got, want := cat.logCard(tableset.Range(60)), 60*math.Log(1e6); math.Abs(got-want) > 1e-6 {
+		t.Errorf("logCard = %g, want %g", got, want)
 	}
 }
 
 func TestJoinSelectivity(t *testing.T) {
 	cat := testCatalog(t)
-	e := NewEstimator(cat)
-	got := e.JoinSelectivity(tableset.Single(0), tableset.Single(1))
+	got := joinSelectivity(cat, tableset.Single(0), tableset.Single(1))
 	if math.Abs(got-0.01) > 1e-12 {
-		t.Errorf("JoinSelectivity(a,b) = %g, want 0.01", got)
+		t.Errorf("joinSelectivity(a,b) = %g, want 0.01", got)
 	}
 	// Symmetric.
-	rev := e.JoinSelectivity(tableset.Single(1), tableset.Single(0))
+	rev := joinSelectivity(cat, tableset.Single(1), tableset.Single(0))
 	if got != rev {
-		t.Errorf("JoinSelectivity not symmetric: %g vs %g", got, rev)
+		t.Errorf("joinSelectivity not symmetric: %g vs %g", got, rev)
 	}
 	// No edge: selectivity 1.
-	if got := e.JoinSelectivity(tableset.Single(0), tableset.Single(2)); got != 1 {
-		t.Errorf("JoinSelectivity(a,c) = %g, want 1", got)
+	if got := joinSelectivity(cat, tableset.Single(0), tableset.Single(2)); got != 1 {
+		t.Errorf("joinSelectivity(a,c) = %g, want 1", got)
 	}
 	// Multiple crossing edges multiply.
-	got = e.JoinSelectivity(tableset.Single(1), tableset.FromSlice([]int{0, 2}))
+	got = joinSelectivity(cat, tableset.Single(1), tableset.FromSlice([]int{0, 2}))
 	if math.Abs(got-0.01*0.5)/got > 1e-9 {
-		t.Errorf("JoinSelectivity(b, {a,c}) = %g, want 0.005", got)
+		t.Errorf("joinSelectivity(b, {a,c}) = %g, want 0.005", got)
 	}
 }
 
@@ -124,9 +136,8 @@ func TestQuickCardOrderIndependent(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 21))
 		cat := Generate(GenSpec{Tables: 12, Graph: Cycle, Selectivity: Steinbrunn}, rng)
-		// Two estimators query the same sets in different orders; every
-		// agreeing set must produce the identical estimate.
-		e1, e2 := NewEstimator(cat), NewEstimator(cat)
+		// The same sets estimated in opposite orders must produce the
+		// identical estimate.
 		sets := make([]tableset.Set, 20)
 		for i := range sets {
 			var s tableset.Set
@@ -140,11 +151,12 @@ func TestQuickCardOrderIndependent(t *testing.T) {
 			}
 			sets[i] = s
 		}
-		for _, s := range sets {
-			_ = e1.Card(s)
+		first := make([]float64, len(sets))
+		for i, s := range sets {
+			first[i] = cat.Card(s)
 		}
 		for i := len(sets) - 1; i >= 0; i-- {
-			if e2.Card(sets[i]) != e1.Card(sets[i]) {
+			if cat.Card(sets[i]) != first[i] {
 				return false
 			}
 		}
@@ -154,8 +166,8 @@ func TestQuickCardOrderIndependent(t *testing.T) {
 		if b.IsEmpty() {
 			return true
 		}
-		lhs := e1.LogCard(a.Union(b))
-		rhs := e1.LogCard(a) + e1.LogCard(b) + math.Log(e1.JoinSelectivity(a, b))
+		lhs := cat.logCard(a.Union(b))
+		rhs := cat.logCard(a) + cat.logCard(b) + math.Log(joinSelectivity(cat, a, b))
 		return math.Abs(lhs-rhs) < 1e-6*(1+math.Abs(lhs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -163,11 +175,12 @@ func TestQuickCardOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestQuickPagesAtLeastOne checks Card's lower clamp, which keeps every
+// page count the cost model derives from it at one page or more.
 func TestQuickPagesAtLeastOne(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 22))
 		cat := Generate(GenSpec{Tables: 6, Graph: Star, Selectivity: Steinbrunn}, rng)
-		e := NewEstimator(cat)
 		for s := 1; s < 1<<6; s++ {
 			set := tableset.Set{}
 			for i := 0; i < 6; i++ {
@@ -175,7 +188,7 @@ func TestQuickPagesAtLeastOne(t *testing.T) {
 					set = set.Add(i)
 				}
 			}
-			if e.Pages(set) < 1 {
+			if cat.Card(set) < 1 {
 				return false
 			}
 		}
@@ -186,10 +199,9 @@ func TestQuickPagesAtLeastOne(t *testing.T) {
 	}
 }
 
-func BenchmarkEstimatorCardMiss(b *testing.B) {
+func BenchmarkCard(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	cat := Generate(GenSpec{Tables: 100, Graph: Chain, Selectivity: Steinbrunn}, rng)
-	e := NewEstimator(cat)
 	sets := make([]tableset.Set, 1024)
 	for i := range sets {
 		var s tableset.Set
@@ -202,17 +214,16 @@ func BenchmarkEstimatorCardMiss(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%len(sets) == 0 {
-			e = NewEstimator(cat) // force misses
-		}
-		_ = e.Card(sets[i%len(sets)])
+		cardSink = cat.Card(sets[i%len(sets)])
 	}
 }
 
-// computeLogOracle is the suffix-set evaluation computeLog replaced: it
+var cardSink float64
+
+// computeLogOracle is the suffix-set evaluation logCard replaced: it
 // lists s's tables, then folds them from the highest down, each adding
 // its base cardinality and the selectivities of its edges into the
-// running set of higher tables. computeLog must agree with it bit for
+// running set of higher tables. logCard must agree with it bit for
 // bit, since plan cardinalities, hence every cost and cache decision,
 // are built from it.
 func computeLogOracle(c *Catalog, s tableset.Set) float64 {
@@ -238,7 +249,6 @@ func TestComputeLogMatchesOracle(t *testing.T) {
 			} else {
 				cat = randomGraphCatalog(n, rng)
 			}
-			e := NewEstimator(cat)
 			edges := []int{0, n - 1}
 			for _, b := range []int{63, 64, 127} {
 				if b < n {
@@ -247,9 +257,9 @@ func TestComputeLogMatchesOracle(t *testing.T) {
 			}
 			check := func(s tableset.Set) {
 				t.Helper()
-				got, want := e.computeLog(s), computeLogOracle(cat, s)
+				got, want := cat.logCard(s), computeLogOracle(cat, s)
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s%d: computeLog(%v) = %x, oracle %x", g, n, s, math.Float64bits(got), math.Float64bits(want))
+					t.Fatalf("%s%d: logCard(%v) = %x, oracle %x", g, n, s, math.Float64bits(got), math.Float64bits(want))
 				}
 			}
 			check(tableset.Range(n))

@@ -39,7 +39,7 @@ type Edge struct {
 
 // Catalog is a database instance: tables plus join graph. Tables are
 // addressed by index. A Catalog is immutable after construction and safe
-// for concurrent reads.
+// for concurrent use.
 type Catalog struct {
 	tables []Table
 	edges  []Edge
@@ -48,8 +48,7 @@ type Catalog struct {
 	// product); the paper's plan space is unconstrained, so any join is
 	// allowed.
 	adj [][]neighbor
-	// lrows[t] caches ln(tables[t].Rows); the estimator reads it on every
-	// cardinality miss.
+	// lrows[t] caches ln(tables[t].Rows); Card reads it on every call.
 	lrows []float64
 }
 
@@ -119,7 +118,7 @@ func (c *Catalog) Edges() []Edge { return c.edges }
 func (c *Catalog) AllTables() tableset.Set { return tableset.Range(len(c.tables)) }
 
 // Fingerprint hashes everything about the catalog that the cost model
-// and cardinality estimator read — table count, per-table
+// and the cardinality estimate (Card) read — table count, per-table
 // cardinalities, and the join graph with its selectivities — with
 // FNV-1a. Table and edge order are significant (table indices are how
 // plans address tables); table names are not (costs never depend on
@@ -143,19 +142,6 @@ func (c *Catalog) Fingerprint() uint64 {
 		w64(math.Float64bits(e.Selectivity))
 	}
 	return h.Sum64()
-}
-
-// logSelBetween returns the summed log-selectivity of all join edges with
-// one endpoint in `inA` restricted to the single table t. Used by the
-// estimator to extend a set by one table.
-func (c *Catalog) logSelBetween(t int, inA tableset.Set) float64 {
-	sum := 0.0
-	for _, nb := range c.adj[t] {
-		if inA.Contains(nb.table) {
-			sum += nb.logSel
-		}
-	}
-	return sum
 }
 
 // GraphKind selects the join graph structure of generated queries.

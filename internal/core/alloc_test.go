@@ -44,7 +44,7 @@ func TestClimbSteadyStateAllocsBounded(t *testing.T) {
 	m := testModel(t, 20, 33)
 	c := NewClimber(m, ClimbConfig{})
 	rng := rand.New(rand.NewPCG(34, 34))
-	// Warm model memos, scratch arena and card cache.
+	// Warm the interner, scratch arena and card cache.
 	for i := 0; i < 5; i++ {
 		c.Climb(randplan.Random(m, m.Catalog().AllTables(), rng))
 	}
@@ -54,7 +54,7 @@ func TestClimbSteadyStateAllocsBounded(t *testing.T) {
 	})
 	// 4 allocations from randplan.Random (table ids, shape pool, node
 	// pointers, plan node block) + 1 from Scratch.Freeze, with headroom
-	// for estimator/interner memo growth on yet-unseen table sets.
+	// for interner growth on yet-unseen table sets.
 	if allocs > 12 {
 		t.Errorf("climb allocates %v allocs/run, want ≤ 12", allocs)
 	}

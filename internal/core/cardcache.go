@@ -5,15 +5,13 @@ import "rmq/internal/tableset"
 // cardCache is a small, bounded, lossy cache of candidate-join
 // cardinalities, private to one climber. The move search prices the same
 // transient table sets repeatedly across the passes of one climb, but
-// rarely across climbs (each climb starts from a fresh random plan), so
-// the global estimator memo is the wrong tool: it pays a map probe per
-// lookup and grows without bound on a stream of never-to-be-seen-again
-// sets. This cache is a fixed-size open-addressed table: lookups are a
-// few array accesses, collisions simply evict (values are recomputable),
-// and nothing ever allocates. Values come from Estimator.CardDirect and
-// are therefore bit-identical to the memoized paths; since a climber is
-// bound to one model for its lifetime and cardinality is a pure function
-// of the table set, entries never go stale. Cardinalities are clamped to
+// rarely across climbs (each climb starts from a fresh random plan). A
+// hit is a few array accesses, cheaper than Model.Card's fold over the
+// set's join edges; collisions simply evict (values are recomputable),
+// and nothing ever allocates. Values come from Model.Card and are
+// therefore bit-identical to every other path; since a climber is bound
+// to one model for its lifetime and cardinality is a pure function of
+// the table set, entries never go stale. Cardinalities are clamped to
 // ≥ 1, so a zero value marks an empty slot.
 type cardCache struct {
 	keys [cardCacheSize]tableset.Set
@@ -67,7 +65,7 @@ func (c *Climber) candidateCard(rel tableset.Set) float64 {
 	if v, ok := c.cards.get(rel); ok {
 		return v
 	}
-	v := c.model.CardDirect(rel)
+	v := c.model.Card(rel)
 	c.cards.put(rel, v)
 	return v
 }

@@ -284,7 +284,7 @@ func BenchmarkAblationClimb(b *testing.B) {
 			rng := rand.New(rand.NewPCG(2, 2))
 			c := arm.new(m)
 			// One op climbs a fixed pool of random plans, drawn and climbed
-			// once (warming the model's memos) before the timer starts, so
+			// once (warming the interner and card cache) before the timer starts, so
 			// every op does the same work and allocs/op does not depend on
 			// b.N.
 			pool := make([]*plan.Plan, 4)

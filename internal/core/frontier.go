@@ -85,10 +85,11 @@ func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alp
 
 // recombinePairs offers every pair of the outer bucket ob's and the
 // inner bucket ib's plans, over every applicable join operator, to the
-// bucket, pricing candidates before materializing them. parent is the join node being recombined: every pair unions to
-// its table set, so its cardinality, set and interned id are hoisted
-// out of the loop (admitted candidates materialize via NewJoinPriced
-// without re-hashing the set or re-pricing the candidate).
+// bucket, pricing candidates before materializing them. parent is the
+// join node being recombined: every pair unions to its table set, so
+// its cardinality, set and interned id are hoisted out of the loop
+// (admitted candidates materialize via NewJoinPriced without re-hashing
+// the set or re-pricing the candidate).
 //
 // Candidates are pre-filtered through hierarchical admission floors
 // before any pricing happens: operator costs are the children's
@@ -98,12 +99,13 @@ func approximateFrontiers(m *costmodel.Model, p *plan.Plan, pc *cache.Cache, alp
 // one outer plan with the inner corner lower-bounds that outer's
 // candidates, and the pair combination lower-bounds the pair's
 // operators. Rejecting a floor for both output representations prunes
-// the whole group without touching the evaluator — a converged visit
-// costs two probes total. The filter only skips offers the bucket
-// provably rejects, so cache trajectories stay bit-identical to the
-// floor-free reference (the differential tests hold them together).
-// Non-empty child frontiers imply both child buckets admitted plans, so
-// both corners exist.
+// the whole group without touching the evaluator. The floors guarantee
+// only that skipped offers are ones the bucket provably rejects, so
+// cache trajectories stay bit-identical to the floor-free reference
+// (the differential tests hold them together). They do not bound the
+// work of a visit: a floor that the bucket admits sends its group on to
+// the next level. Non-empty child frontiers imply both child buckets
+// admitted plans, so both corners exist.
 func recombinePairs(m *costmodel.Model, bucket *cache.Bucket, ob, ib *cache.Bucket, parent *plan.Plan, alpha float64) {
 	outers, inners := ob.Plans(), ib.Plans()
 	if len(outers) == 0 || len(inners) == 0 {
@@ -139,8 +141,8 @@ func recombinePairs(m *costmodel.Model, bucket *cache.Bucket, ob, ib *cache.Buck
 			}
 			// Price only the operators of output classes that survived
 			// the floor, in one batch (bit-identical to per-operator
-			// OpCost; the filtered slices preserve the canonical offer
-			// order).
+			// JoinCostParts; the filtered slices preserve the canonical
+			// offer order).
 			var ops []plan.JoinOp
 			switch {
 			case pipeOK && matOK:

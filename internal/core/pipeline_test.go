@@ -248,37 +248,3 @@ func TestRecombinedPlansKeepPricedCost(t *testing.T) {
 		t.Fatal("no cached plans checked")
 	}
 }
-
-// TestRMQLeavesEstimatorMemoEmpty pins that RMQ prices every plan
-// without the estimator's Set-keyed memo: random plans and climbing
-// moves use CardDirect and recombination reuses the cardinalities the
-// climbed plan carries, so neither a private inline run nor a shared
-// pipelined one fills it.
-func TestRMQLeavesEstimatorMemoEmpty(t *testing.T) {
-	private := testProblem(t, 12, 61)
-	r := New(Config{})
-	r.pipe = pipeInline
-	r.Init(private, 9)
-	for i := 0; i < 40; i++ {
-		r.Step()
-	}
-	r.Frontier()
-	if n := private.Model.Estimator().MemoLen(); n != 0 {
-		t.Errorf("private run memoized %d cardinalities", n)
-	}
-
-	sh := cache.NewShared(tableset.NewInterner(), 1)
-	shared := sharedProblem(t, sh, 12, 61)
-	for run := uint64(1); run <= 2; run++ {
-		r := New(Config{Shared: sh})
-		r.pipe = pipeAsync
-		r.Init(shared, 9+run)
-		for i := 0; i < 40; i++ {
-			r.Step()
-		}
-		r.Frontier()
-	}
-	if n := shared.Model.Estimator().MemoLen(); n != 0 {
-		t.Errorf("shared pipelined runs memoized %d cardinalities", n)
-	}
-}

@@ -88,15 +88,12 @@ type raw struct {
 }
 
 // Model evaluates plan costs over a catalog for a chosen metric subset
-// and constructs plan nodes. A Model is not safe for concurrent use:
-// its estimator memoizes the cardinalities that JoinCard, NewJoin,
-// Recost and the DP baseline look up. Optimizer runs each own one. RMQ
-// never fills the memo: its random plans and climbing moves price joins
-// with CardDirect, so its frontier stage may build scan nodes (NewScan)
-// through the interner, which is safe for concurrent use, while its
-// climbing stage prices plans.
+// and constructs plan nodes. A Model holds no mutable state of its own:
+// cardinalities come from the immutable catalog (catalog.Card) and
+// interned ids from an interner that is safe for concurrent use, so a
+// Model is safe for concurrent use.
 type Model struct {
-	est     *catalog.Estimator
+	cat     *catalog.Catalog
 	metrics []Metric
 	in      *tableset.Interner
 	// ti, bi and di are the vector component indices of the Time, Buffer
@@ -117,9 +114,7 @@ func New(cat *catalog.Catalog, metrics []Metric) *Model {
 // the model. Sessions that share one plan cache across workers and runs
 // build every participating model over the store's interner
 // (cache.Shared.Interner), so the interned ids carried by the models'
-// plans (plan.RelID) agree with the shared cache's bucket indices. The
-// model itself stays single-goroutine either way; only the interner is
-// shared.
+// plans (plan.RelID) agree with the shared cache's bucket indices.
 func NewWithInterner(cat *catalog.Catalog, metrics []Metric, in *tableset.Interner) *Model {
 	if len(metrics) == 0 {
 		panic("costmodel: need at least one metric")
@@ -129,7 +124,7 @@ func NewWithInterner(cat *catalog.Catalog, metrics []Metric, in *tableset.Intern
 	}
 	ms := append([]Metric(nil), metrics...)
 	m := &Model{
-		est:     catalog.NewEstimator(cat),
+		cat:     cat,
 		metrics: ms,
 		in:      in,
 		ti:      -1,
@@ -161,10 +156,7 @@ func (m *Model) Interner() *tableset.Interner { return m.in }
 func (m *Model) RelID(rel tableset.Set) tableset.ID { return m.in.Intern(rel) }
 
 // Catalog returns the model's catalog.
-func (m *Model) Catalog() *catalog.Catalog { return m.est.Catalog() }
-
-// Estimator returns the model's cardinality estimator.
-func (m *Model) Estimator() *catalog.Estimator { return m.est }
+func (m *Model) Catalog() *catalog.Catalog { return m.cat }
 
 // Metrics returns the projected metric subset.
 func (m *Model) Metrics() []Metric { return m.metrics }
@@ -213,7 +205,7 @@ func pages(card float64) float64 {
 
 // scanRaw returns the raw cost of scanning table t with op.
 func (m *Model) scanRaw(t int, op plan.ScanOp) raw {
-	p := m.Catalog().Table(t).Pages()
+	p := m.cat.Table(t).Pages()
 	switch op {
 	case plan.SeqScan:
 		return raw{time: p, buffer: 2}
@@ -281,7 +273,7 @@ func (m *Model) InitScan(n *plan.Plan, t int, op plan.ScanOp) {
 		Rel:    tableset.Single(t),
 		RelID:  m.in.Intern(tableset.Single(t)),
 		Cost:   m.project(m.scanRaw(t, op)),
-		Card:   m.Catalog().Table(t).Rows,
+		Card:   m.cat.Table(t).Rows,
 		Output: op.Output(),
 		Table:  t,
 		Scan:   op,
@@ -297,22 +289,14 @@ func (m *Model) ScanCost(t int, op plan.ScanOp) cost.Vector {
 	return m.project(m.scanRaw(t, op))
 }
 
-// JoinCard returns the estimated output cardinality of joining the two
-// plans' table sets.
-func (m *Model) JoinCard(outer, inner *plan.Plan) float64 {
-	return m.est.Card(outer.Rel.Union(inner.Rel))
-}
-
-// CardDirect computes the cardinality of joining the table set without
-// touching any memo (same values as JoinCard); see catalog.CardDirect.
+// Card returns the estimated output cardinality of joining the table
+// set rel; see catalog.Card.
 //
 //rmq:hotpath
-func (m *Model) CardDirect(rel tableset.Set) float64 {
-	return m.est.CardDirect(rel)
-}
+func (m *Model) Card(rel tableset.Set) float64 { return m.cat.Card(rel) }
 
 // JoinCost returns the cost vector that JoinPlan(outer, inner, op) would
-// have, given the join's output cardinality (from JoinCard), without
+// have, given the join's output cardinality (from Card), without
 // allocating the plan node. Hot loops use it to discard dominated
 // candidates before construction. Loops evaluating several operators over
 // the same input pair should hoist the shared work with PrepareJoin
@@ -335,14 +319,13 @@ func (m *Model) JoinCostParts(op plan.JoinOp, outerCost cost.Vector, outerCard f
 // applicable to the inner input's representation; Validate in package
 // plan checks these invariants in tests.
 func (m *Model) NewJoin(op plan.JoinOp, outer, inner *plan.Plan) *plan.Plan {
-	card := m.JoinCard(outer, inner)
-	return m.NewJoinWithCard(op, outer, inner, card)
+	return m.NewJoinWithCard(op, outer, inner, m.Card(outer.Rel.Union(inner.Rel)))
 }
 
 // NewJoinWithCard is NewJoin with the output cardinality already known
-// (it must equal JoinCard(outer, inner)); hot loops that evaluate many
-// operators over the same table set pass the cardinality through to skip
-// repeated estimator lookups.
+// (it must equal Card of the children's union); hot loops that evaluate
+// many operators over the same table set pass the cardinality through to
+// skip recomputing it.
 func (m *Model) NewJoinWithCard(op plan.JoinOp, outer, inner *plan.Plan, card float64) *plan.Plan {
 	n := new(plan.Plan)
 	m.InitJoinWithCard(n, op, outer, inner, card)

@@ -3,6 +3,7 @@ package costmodel
 import (
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -199,7 +200,7 @@ func TestJoinCostMatchesNewJoin(t *testing.T) {
 	m := testModel(t, AllMetrics())
 	a, b := m.NewScan(0, plan.SeqScan), m.NewScan(1, plan.SeqScan)
 	for _, op := range plan.JoinOpsFor(b.Output) {
-		card := m.JoinCard(a, b)
+		card := m.Card(a.Rel.Union(b.Rel))
 		vec := m.JoinCost(op, a, b, card)
 		j := m.NewJoinWithCard(op, a, b, card)
 		if !vec.Equal(j.Cost) {
@@ -215,7 +216,7 @@ func TestJoinCostMatchesNewJoin(t *testing.T) {
 func TestJoinCostPartsMatchesJoinCost(t *testing.T) {
 	m := testModel(t, AllMetrics())
 	a, b := m.NewScan(0, plan.SeqScan), m.NewScan(2, plan.PinScan)
-	card := m.JoinCard(a, b)
+	card := m.Card(a.Rel.Union(b.Rel))
 	for _, op := range plan.JoinOpsFor(b.Output) {
 		v1 := m.JoinCost(op, a, b, card)
 		v2 := m.JoinCostParts(op, a.Cost, a.Card, b.Cost, b.Card, card)
@@ -235,6 +236,91 @@ func TestRecostReproducesCosts(t *testing.T) {
 	}
 	if r.Rel != j.Rel || r.Output != j.Output {
 		t.Error("Recost changed structure")
+	}
+}
+
+// randomPlan builds a random bushy plan over a random subset of the
+// model's tables, drawn from seed alone, so every goroutine that builds
+// the plan of one seed builds the same plan.
+func randomPlan(m *Model, seed uint64) *plan.Plan {
+	rng := rand.New(rand.NewPCG(seed, 41))
+	n := m.Catalog().NumTables()
+	tables := rng.Perm(n)[:2+rng.IntN(n-1)]
+	var build func(ts []int) *plan.Plan
+	build = func(ts []int) *plan.Plan {
+		if len(ts) == 1 {
+			return m.NewScan(ts[0], plan.AllScanOps()[rng.IntN(plan.NumScanOps)])
+		}
+		k := 1 + rng.IntN(len(ts)-1)
+		outer, inner := build(ts[:k]), build(ts[k:])
+		ops := plan.JoinOpsFor(inner.Output)
+		return m.NewJoin(ops[rng.IntN(len(ops))], outer, inner)
+	}
+	return build(tables)
+}
+
+// planBits appends, for every node of p, the bits of its cardinality,
+// of Card over its table set and of its cost vector.
+func planBits(m *Model, p *plan.Plan, out []uint64) []uint64 {
+	out = append(out, math.Float64bits(p.Card), math.Float64bits(m.Card(p.Rel)))
+	for k := 0; k < p.Cost.Dim(); k++ {
+		out = append(out, math.Float64bits(p.Cost.At(k)))
+	}
+	if p.IsJoin() {
+		out = planBits(m, p.Outer, out)
+		out = planBits(m, p.Inner, out)
+	}
+	return out
+}
+
+// TestModelConcurrentUse pins that a Model holds no mutable state but
+// its interner: goroutines sharing one model over overlapping random
+// plans get, bit for bit, what a single goroutine gets from a model of
+// its own. Run under -race, it also proves the calls write nothing
+// unsynchronized.
+func TestModelConcurrentUse(t *testing.T) {
+	const goroutines, plans = 8, 24
+	rng := rand.New(rand.NewPCG(43, 44))
+	cat := catalog.Generate(catalog.GenSpec{Tables: 60, Graph: catalog.Cycle, Selectivity: catalog.Steinbrunn}, rng)
+	eval := func(m *Model, seed uint64) []uint64 {
+		p := randomPlan(m, seed)
+		out := planBits(m, p, nil)
+		return planBits(m, m.Recost(p), out)
+	}
+	ref := New(cat, AllMetrics())
+	want := make([][]uint64, plans)
+	for i := range want {
+		want[i] = eval(ref, uint64(i))
+	}
+
+	m := New(cat, AllMetrics())
+	got := make([][][]uint64, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([][]uint64, plans)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each goroutine walks the plans from its own offset, so
+			// they price the same table sets at the same time.
+			for k := 0; k < plans; k++ {
+				i := (g*plans/goroutines + k) % plans
+				got[g][i] = eval(m, uint64(i))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i := range want {
+			if len(got[g][i]) != len(want[i]) {
+				t.Fatalf("goroutine %d plan %d: %d values, want %d", g, i, len(got[g][i]), len(want[i]))
+			}
+			for k := range want[i] {
+				if got[g][i][k] != want[i][k] {
+					t.Fatalf("goroutine %d plan %d value %d: %x, want %x", g, i, k, got[g][i][k], want[i][k])
+				}
+			}
+		}
 	}
 }
 
@@ -313,7 +399,7 @@ func BenchmarkJoinCost(b *testing.B) {
 	m := New(cat, AllMetrics())
 	x, y := m.NewScan(0, plan.SeqScan), m.NewScan(1, plan.SeqScan)
 	op := plan.MakeJoinOp(plan.Hash, false)
-	card := m.JoinCard(x, y)
+	card := m.Card(x.Rel.Union(y.Rel))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.JoinCost(op, x, y, card)

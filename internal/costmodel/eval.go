@@ -27,8 +27,7 @@ import (
 // on the caller's stack and are reused across the operator loop.
 type JoinEval struct {
 	// rawsByOp is indexed by plan.JoinOp; padded to a power of two so
-	// the pricing hot path can mask the index instead of bounds-checking
-	// (which also keeps OpCost within the inlining budget).
+	// the pricing hot path can mask the index instead of bounds-checking.
 	rawsByOp [16]raw
 	// minRaw, filled by PrepareFloors, holds per output representation
 	// the component-wise minima over the matching operators' raw costs —
@@ -56,7 +55,7 @@ func (m *Model) PrepareJoin(e *JoinEval, outerCard, innerCard, outCard float64) 
 // CombineChildren merges two children cost vectors under the per-metric
 // composition rules (time/disc additive, buffer max), without the
 // operator's own cost. The result is the operator-independent base that
-// OpCost completes; it is symmetric in its arguments.
+// OpCostAll and OpEval.Cost complete; it is symmetric in its arguments.
 //
 // Additive metrics saturate here as everywhere (sat(sat(a+b)+t) equals
 // sat(a+b+t) for non-negative inputs, so this changes no final cost),
@@ -78,26 +77,6 @@ func (m *Model) CombineChildren(a, b cost.Vector) cost.Vector {
 		a.V[i] = min(a.V[i]+b.V[i], cost.Saturation)
 	}
 	return a
-}
-
-// OpCost returns the complete plan cost of applying op over the prepared
-// input pair, where base is the children combination from
-// CombineChildren. It equals JoinCostParts on the same inputs. It is
-// small enough to inline into the operator loops.
-//
-//rmq:hotpath
-func (e *JoinEval) OpCost(op plan.JoinOp, base cost.Vector) cost.Vector {
-	r := &e.rawsByOp[op&15]
-	if i := e.ti; i >= 0 {
-		base.V[i] = min(base.V[i]+r.time, cost.Saturation)
-	}
-	if i := e.bi; i >= 0 {
-		base.V[i] = max(base.V[i], r.buffer)
-	}
-	if i := e.di; i >= 0 {
-		base.V[i] = min(base.V[i]+r.disc, cost.Saturation)
-	}
-	return base
 }
 
 // PrepareFloors derives, from a prepared evaluator, the per-output
@@ -130,7 +109,7 @@ func (e *JoinEval) PrepareFloors() {
 // combination from CombineChildren): base composed with the
 // component-wise minimum of the matching operators' raw costs
 // (PrepareFloors). Operator raw costs are non-negative and the
-// composition rules are monotone, so OpCost(op, base) ≥
+// composition rules are monotone, so OpCostAll's price of op over base ≥
 // FloorCost(base, op.Output()) component-wise for every prepared op
 // with that output — the admission pre-filter of the frontier
 // recombination builds on exactly this. The bound covers all operators

@@ -30,8 +30,8 @@ func randVec(rng *rand.Rand, dim int) cost.Vector {
 
 // TestEvalMatchesJoinCostParts is the bit-for-bit cross-check promised
 // by eval.go: for every metric subset, every concrete operator and
-// random inputs (including saturating magnitudes), JoinEval.OpCost,
-// OpCostAll and OpEval.Cost must agree exactly with JoinCostParts.
+// random inputs (including saturating magnitudes), JoinEval.OpCostAll
+// and OpEval.Cost must agree exactly with JoinCostParts.
 func TestEvalMatchesJoinCostParts(t *testing.T) {
 	rng0 := rand.New(rand.NewPCG(1, 1))
 	cat := catalog.Generate(catalog.GenSpec{Tables: 6, Graph: catalog.Chain, Selectivity: catalog.Steinbrunn}, rng0)
@@ -55,9 +55,6 @@ func TestEvalMatchesJoinCostParts(t *testing.T) {
 			ev.OpCostAll(ops, base, &out)
 			for _, op := range ops {
 				want := m.JoinCostParts(op, oc, ocard, ic, icard, outCard)
-				if got := ev.OpCost(op, base); !got.Equal(want) {
-					t.Fatalf("metrics %v op %v: OpCost %v, JoinCostParts %v", metrics, op, got, want)
-				}
 				if got := out[op]; !got.Equal(want) {
 					t.Fatalf("metrics %v op %v: OpCostAll %v, JoinCostParts %v", metrics, op, got, want)
 				}
@@ -73,9 +70,9 @@ func TestEvalMatchesJoinCostParts(t *testing.T) {
 
 // TestCombineChildrenIsOperatorFloor checks the property the climbing
 // move search prunes on: the children combination weakly dominates
-// every operator's complete cost, i.e. CombineChildren(a, b) ⪯
-// OpCost(op, CombineChildren(a, b)) for all inputs, including the
-// saturated regime.
+// every operator's complete cost, i.e. CombineChildren(a, b) ⪯ the
+// OpCostAll price of every op over CombineChildren(a, b) for all
+// inputs, including the saturated regime.
 func TestCombineChildrenIsOperatorFloor(t *testing.T) {
 	rng0 := rand.New(rand.NewPCG(3, 3))
 	cat := catalog.Generate(catalog.GenSpec{Tables: 6, Graph: catalog.Star, Selectivity: catalog.Steinbrunn}, rng0)
@@ -83,13 +80,19 @@ func TestCombineChildrenIsOperatorFloor(t *testing.T) {
 		m := New(cat, metrics)
 		rng := rand.New(rand.NewPCG(4, uint64(len(metrics))))
 		var ev JoinEval
+		var out [16]cost.Vector
+		ops := make([]plan.JoinOp, 0, plan.NumJoinOps)
+		for op := plan.JoinOp(0); op < plan.NumJoinOps; op++ {
+			ops = append(ops, op)
+		}
 		for trial := 0; trial < 300; trial++ {
 			a := randVec(rng, len(metrics))
 			b := randVec(rng, len(metrics))
 			m.PrepareJoin(&ev, math.Exp(rng.Float64()*560), math.Exp(rng.Float64()*560), math.Exp(rng.Float64()*575))
 			base := m.CombineChildren(a, b)
-			for op := plan.JoinOp(0); op < plan.NumJoinOps; op++ {
-				if got := ev.OpCost(op, base); !base.Dominates(got) {
+			ev.OpCostAll(ops, base, &out)
+			for k, op := range ops {
+				if got := out[k]; !base.Dominates(got) {
 					t.Fatalf("metrics %v op %v: floor %v does not dominate cost %v", metrics, op, base, got)
 				}
 			}
@@ -127,7 +130,7 @@ func TestEvalAllocFree(t *testing.T) {
 		m.PrepareJoin(&ev, 1e6, 1e5, 1e7)
 		ev.OpCostAll(ops, base, &out)
 		m.PrepareOp(&oe, ops[0], 1e6, 1e5, 1e7)
-		if oe.Cost(base).Dim() != 3 || ev.OpCost(ops[1], base).Dim() != 3 {
+		if oe.Cost(base).Dim() != 3 || out[1].Dim() != 3 {
 			t.Fatal("lost dimensions")
 		}
 	})
@@ -146,6 +149,7 @@ func TestFloorCostLowerBoundsEveryOperator(t *testing.T) {
 	for _, metrics := range [][]Metric{AllMetrics(), {Time}, {Buffer, Disc}} {
 		m := New(cat, metrics)
 		var ev JoinEval
+		var costs [16]cost.Vector
 		rng := rand.New(rand.NewPCG(18, 18))
 		for trial := 0; trial < 200; trial++ {
 			oc := math.Exp(rng.Float64() * 30)
@@ -159,9 +163,11 @@ func TestFloorCostLowerBoundsEveryOperator(t *testing.T) {
 			}
 			base := cost.New(comps...)
 			for _, inner := range []plan.OutputProp{plan.Pipelined, plan.Materialized} {
-				for _, op := range plan.JoinOpsFor(inner) {
+				ops := plan.JoinOpsFor(inner)
+				ev.OpCostAll(ops, base, &costs)
+				for k, op := range ops {
 					floor := ev.FloorCost(base, op.Output())
-					vec := ev.OpCost(op, base)
+					vec := costs[k]
 					if !floor.Dominates(vec) {
 						t.Fatalf("floor %v exceeds op %v cost %v (metrics %v)", floor, op, vec, metrics)
 					}

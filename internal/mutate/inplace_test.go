@@ -12,7 +12,7 @@ import (
 // buildMove evaluates the derived quantities of a structural move using
 // the cost model, mirroring what the climbing move search computes.
 func buildMove(m *costmodel.Model, kind MoveKind, rootOp, childOp plan.JoinOp, childOuter, childInner, fixed *plan.Plan, childIsInner bool, rootCard float64) *Move {
-	childCard := m.JoinCard(childOuter, childInner)
+	childCard := m.Card(childOuter.Rel.Union(childInner.Rel))
 	childCost := m.JoinCostParts(childOp, childOuter.Cost, childOuter.Card, childInner.Cost, childInner.Card, childCard)
 	childRel := childOuter.Rel.Union(childInner.Rel)
 	var rootCost = childCost

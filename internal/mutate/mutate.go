@@ -86,7 +86,7 @@ func Append(m *costmodel.Model, p *plan.Plan, dst []*plan.Plan) []*plan.Plan {
 // rootOp when applicable and falls back to the first applicable operator
 // otherwise.
 func appendStruct(m *costmodel.Model, dst []*plan.Plan, rootOp plan.JoinOp, rootCard float64, childOuter, childInner, fixed *plan.Plan, childIsInner bool) []*plan.Plan {
-	childCard := m.JoinCard(childOuter, childInner)
+	childCard := m.Card(childOuter.Rel.Union(childInner.Rel))
 	for _, cop := range plan.JoinOpsFor(childInner.Output) {
 		child := m.NewJoinWithCard(cop, childOuter, childInner, childCard)
 		var o, i *plan.Plan
@@ -143,9 +143,11 @@ func nodeAt(p *plan.Plan, loc locator) *plan.Plan {
 }
 
 // replaceAt rebuilds the complete plan with the sub-plan at loc replaced
-// by sub. Ancestor operators are kept where applicable; when a changed
-// output representation makes an ancestor's operator inapplicable, the
-// first applicable operator is substituted.
+// by sub, which joins the same table set. Ancestor operators are kept
+// where applicable; when a changed output representation makes an
+// ancestor's operator inapplicable, the first applicable operator is
+// substituted. Ancestors keep their cardinalities, since their table
+// sets do not change.
 func replaceAt(m *costmodel.Model, p *plan.Plan, loc locator, sub *plan.Plan) *plan.Plan {
 	if len(loc) == 0 {
 		return sub
@@ -158,7 +160,7 @@ func replaceAt(m *costmodel.Model, p *plan.Plan, loc locator, sub *plan.Plan) *p
 		outer = replaceAt(m, p.Outer, loc[1:], sub)
 		inner = p.Inner
 	}
-	return m.NewJoin(PickRootOp(p.Join, inner.Output), outer, inner)
+	return m.NewJoinWithCard(PickRootOp(p.Join, inner.Output), outer, inner, p.Card)
 }
 
 // AllNeighbors returns every complete plan reachable from p by applying a

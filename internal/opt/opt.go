@@ -19,11 +19,11 @@ import (
 // Problem is one multi-objective query optimization instance: a database
 // catalog, the query (the set of all catalog tables, per the paper's
 // model), and the cost model with the metric subset of the test case.
-// A Problem is not safe for concurrent use (the model memoizes
-// cardinalities); algorithms run on it sequentially. Its table-set
-// interner is owned either by one run (NewProblem) or by a session's
-// shared plan store (NewProblemWithInterner), and is safe for
-// concurrent use in both cases.
+// The model is safe for concurrent use: it is immutable apart from its
+// table-set interner, which is owned either by one run (NewProblem) or
+// by a session's shared plan store (NewProblemWithInterner) and is safe
+// for concurrent use in both cases. Retained is not, so one optimizer
+// at a time runs on a Problem.
 type Problem struct {
 	Model *costmodel.Model
 	Query tableset.Set

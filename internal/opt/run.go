@@ -62,9 +62,9 @@ func Drive(ctx context.Context, o Optimizer, maxSteps int, after func(steps int)
 }
 
 // Worker is one optimizer instance of a (possibly parallel) run. Each
-// worker needs its own Problem: a Problem memoizes cardinalities and is
-// not safe for concurrent use. Workers may share an interner, as the
-// workers of a shared-cache run share their store's.
+// worker needs its own Problem, whose Retained state belongs to one
+// optimizer. Workers may share an interner, as the workers of a
+// shared-cache run share their store's.
 type Worker struct {
 	Optimizer Optimizer
 	Problem   *Problem

@@ -58,9 +58,8 @@ func randomShape(n int, rng *rand.Rand) *shapeNode {
 // set under the model: uniform tree shape, uniform leaf labeling, uniform
 // applicable operators. It panics on an empty table set. The plan's 2n-1
 // nodes come from a single block allocation. Join cardinalities come
-// from CardDirect, not the estimator memo: a random bushy plan's
-// intermediate table sets seldom repeat across draws, so probing and
-// filling the memo costs more than it saves.
+// from the immutable catalog (Model.Card), so Random writes no shared
+// state but the interner, which is safe for concurrent use.
 func Random(m *costmodel.Model, tables tableset.Set, rng *rand.Rand) *plan.Plan {
 	ids := tables.Tables()
 	if len(ids) == 0 {
@@ -84,7 +83,7 @@ func Random(m *costmodel.Model, tables tableset.Set, rng *rand.Rand) *plan.Plan 
 		outer := build(s.children[0])
 		inner := build(s.children[1])
 		ops := plan.JoinOpsFor(inner.Output)
-		m.InitJoinWithCard(n, ops[rng.IntN(len(ops))], outer, inner, m.CardDirect(outer.Rel.Union(inner.Rel)))
+		m.InitJoinWithCard(n, ops[rng.IntN(len(ops))], outer, inner, m.Card(outer.Rel.Union(inner.Rel)))
 		return n
 	}
 	return build(shape)

@@ -8,8 +8,8 @@ import (
 
 // ID is the interned identifier of a Set. IDs are dense small integers
 // assigned in first-seen order, from 1, so subsystems that repeatedly
-// look up the same table sets (the plan cache, the cardinality memo) can
-// replace hash probes with array indexing. The zero ID names no set.
+// look up the same table sets (the plan cache) can replace hash probes
+// with array indexing. The zero ID names no set.
 type ID int32
 
 // Interner assigns dense IDs to table sets. It is safe for concurrent
@@ -17,11 +17,11 @@ type ID int32
 // cost models all intern through it, or a single optimizer run, whose
 // cost model, plan cache and pipelined frontier stage share it. Ids are
 // permanent, so id-indexed side tables built by different users of one
-// interner (per-worker plan caches, cardinality memos, the shared
-// store) stay mutually consistent for their whole lifetime. An interner
-// only grows: a run's lives as long as the run, and a session replaces
-// a store whose interner has outgrown its sets with a compacted copy
-// over a fresh one. The zero Interner is not usable; call NewInterner.
+// interner (per-worker plan caches, the shared store) stay mutually
+// consistent for their whole lifetime. An interner only grows: a run's
+// lives as long as the run, and a session replaces a store whose
+// interner has outgrown its sets with a compacted copy over a fresh
+// one. The zero Interner is not usable; call NewInterner.
 //
 // Reads take no lock. The interner keeps two arrays, each published
 // through an atomic pointer: the sets by id, append-only, and an
@@ -160,10 +160,9 @@ func (in *Interner) Sets() []Set {
 func (in *Interner) Len() int { return int(in.next.Load()) - 1 }
 
 // CapHint returns the number of ids the interner has reserved storage
-// for. Side tables indexed by ID (the plan cache's bucket table, the
-// cardinality memo) size themselves from it so they grow geometrically
-// in lockstep with the interner instead of creeping up one id at a
-// time.
+// for. Side tables indexed by ID (the plan cache's bucket table) size
+// themselves from it so they grow geometrically in lockstep with the
+// interner instead of creeping up one id at a time.
 //
 //rmq:hotpath
 func (in *Interner) CapHint() int { return len(*in.sets.Load()) }

@@ -50,7 +50,9 @@ type Optimizer = opt.Optimizer
 
 // Problem is one optimization instance handed to Optimizer.Init: the
 // query (all catalog tables) plus the cost model to build and evaluate
-// plans with. It is not safe for concurrent use.
+// plans with. The cost model is safe for concurrent use; the problem's
+// retained optimizer state is not, so one optimizer at a time runs on
+// it.
 type Problem = opt.Problem
 
 // AlgorithmSpec carries the per-run knobs an algorithm factory may

@@ -48,7 +48,7 @@ var ErrWorkerPanic = errors.New("optimizer worker panicked")
 // without the shared cache builds fresh problem instances and parks
 // none of them, so its table-set interner lives for that run alone. A
 // Session is safe for concurrent use; every worker has its own problem
-// instance (the underlying cost model is not concurrency-safe). The
+// instance, whose retained optimizer state belongs to that worker. The
 // retention precision of the shared plan cache is fixed per metric
 // subset by the run that creates the store: a later run passing a
 // different WithCacheRetention gets ErrRetentionMismatch.

@@ -24,19 +24,15 @@
 //   - Context cancellation and deadline expiry: never retried; the
 //     context's error is returned immediately.
 //
-// Failover: when Endpoints lists more than one server, retries that
-// indicate endpoint trouble (dial failures, transport errors, 5xx) move
-// to the next endpoint in order instead of hammering the failed one;
-// 429 stays put, because backpressure means the endpoint is alive and
-// its Retry-After hint is about *its* load. A failed endpoint is
-// remembered and skipped for Cooldown, after which it is probed again
-// in its turn. The client is sticky: it keeps using the endpoint that
-// last worked until that one fails.
+// A Client talks to one server, Base. Failover between servers is the
+// router's job (internal/cluster): any replica holding a catalog's
+// cache answers correctly, a colder one only slower, so one layer
+// decides where a request goes when a node fails.
 //
-// The zero value of Client is not usable; set Base (or Endpoints). One
-// Client is one metrics domain: callers that want per-class retry
-// accounting (as cmd/rmqload does) create one Client per class over a
-// shared *http.Client, which carries the connection pool.
+// The zero value of Client is not usable; set Base. One Client is one
+// metrics domain: callers that want per-class retry accounting (as
+// cmd/rmqload does) create one Client per class over a shared
+// *http.Client, which carries the connection pool.
 package client
 
 import (
@@ -51,7 +47,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,10 +58,6 @@ import (
 type Client struct {
 	// Base is the server's URL prefix, e.g. "http://127.0.0.1:8080".
 	Base string
-	// Endpoints lists alternative server URL prefixes for failover.
-	// When set, calls rotate across them on endpoint failures and Base
-	// is ignored; when empty, the client talks to Base alone.
-	Endpoints []string
 	// HTTP is the underlying transport; http.DefaultClient when nil.
 	// Share one across Clients to share its connection pool.
 	HTTP *http.Client
@@ -77,21 +68,13 @@ type Client struct {
 	// BaseDelay is the first backoff step; doubles per retry with full
 	// jitter. Default 100ms.
 	BaseDelay time.Duration
-	// MaxDelay caps a single backoff sleep (Retry-After hints included).
-	// Default 5s.
+	// MaxDelay caps a single backoff step; a server's Retry-After hint
+	// is honored in full. Default 5s.
 	MaxDelay time.Duration
-	// Cooldown is how long a failed endpoint is skipped in rotation
-	// before being probed again. Default 2s.
-	Cooldown time.Duration
 
 	calls     atomic.Uint64
 	retries   atomic.Uint64
 	abandoned atomic.Uint64
-	failovers atomic.Uint64
-
-	mu        sync.Mutex
-	cursor    int                  // index of the endpoint in current use
-	downUntil map[string]time.Time // per-endpoint health memory
 }
 
 // Metrics is a snapshot of a Client's retry accounting.
@@ -103,9 +86,6 @@ type Metrics struct {
 	// Abandoned is the number of calls that ultimately failed — retries
 	// exhausted, a non-retryable response, or context expiry.
 	Abandoned uint64
-	// Failovers is the number of times a retry moved to a different
-	// endpoint because the one in use looked down.
-	Failovers uint64
 }
 
 // Metrics returns the client's current retry accounting.
@@ -114,7 +94,6 @@ func (c *Client) Metrics() Metrics {
 		Calls:     c.calls.Load(),
 		Retries:   c.retries.Load(),
 		Abandoned: c.abandoned.Load(),
-		Failovers: c.failovers.Load(),
 	}
 }
 
@@ -150,7 +129,7 @@ func (c *Client) Optimize(ctx context.Context, req api.OptimizeRequest) (api.Opt
 // idempotent on the server (a repeat answers 404, which is not
 // retried), so transient failures retry.
 func (c *Client) Delete(ctx context.Context, catalogID string) error {
-	_, err := c.call(ctx, http.MethodDelete, "/catalogs/"+url.PathEscape(catalogID), true, nil, nil)
+	_, err := c.do(ctx, http.MethodDelete, c.Base+"/catalogs/"+url.PathEscape(catalogID), true, nil)
 	return err
 }
 
@@ -169,21 +148,21 @@ func (c *Client) Healthz(ctx context.Context) error {
 // Snapshot fetches a catalog's current plan-cache snapshot stream
 // (GET /catalogs/{id}/snapshot).
 func (c *Client) Snapshot(ctx context.Context, catalogID string) ([]byte, error) {
-	return c.call(ctx, http.MethodGet, "/catalogs/"+url.PathEscape(catalogID)+"/snapshot", true, nil, nil)
+	return c.do(ctx, http.MethodGet, c.Base+"/catalogs/"+url.PathEscape(catalogID)+"/snapshot", true, nil)
 }
 
 // Checkpoint persists a catalog's checkpoint on the server
 // (POST /catalogs/{id}/snapshot). Checkpointing is idempotent.
 func (c *Client) Checkpoint(ctx context.Context, catalogID string) error {
-	_, err := c.call(ctx, http.MethodPost, "/catalogs/"+url.PathEscape(catalogID)+"/snapshot", true, nil, nil)
+	_, err := c.do(ctx, http.MethodPost, c.Base+"/catalogs/"+url.PathEscape(catalogID)+"/snapshot", true, nil)
 	return err
 }
 
 // FetchURL fetches an absolute URL with the client's retry policy —
-// the rmqd-to-rmqd snapshot hand-off path, where the target is another
-// server entirely and neither Base nor endpoint rotation applies.
+// the rmqd-to-rmqd path (replication pulls, snapshot_url warm starts),
+// where the target is another server entirely and Base does not apply.
 func (c *Client) FetchURL(ctx context.Context, rawURL string) ([]byte, error) {
-	return c.callOn(ctx, nil, http.MethodGet, rawURL, true, nil, nil)
+	return c.do(ctx, http.MethodGet, rawURL, true, nil)
 }
 
 // callJSON performs a call with a JSON request and response body.
@@ -195,7 +174,7 @@ func (c *Client) callJSON(ctx context.Context, method, path string, idempotent b
 			return err
 		}
 	}
-	raw, err := c.call(ctx, method, path, idempotent, body, jsonType(in))
+	raw, err := c.do(ctx, method, c.Base+path, idempotent, body)
 	if err != nil {
 		return err
 	}
@@ -205,28 +184,10 @@ func (c *Client) callJSON(ctx context.Context, method, path string, idempotent b
 	return json.Unmarshal(raw, out)
 }
 
-func jsonType(in any) map[string]string {
-	if in == nil {
-		return nil
-	}
-	return map[string]string{"Content-Type": "application/json"}
-}
-
-// call resolves the endpoint set and runs the retry loop for a
-// server-relative path.
-func (c *Client) call(ctx context.Context, method, path string, idempotent bool, body []byte, hdr map[string]string) ([]byte, error) {
-	eps := c.Endpoints
-	if len(eps) == 0 {
-		eps = []string{c.Base}
-	}
-	return c.callOn(ctx, eps, method, path, idempotent, body, hdr)
-}
-
-// callOn is the retry loop shared by every call. With endpoints, path
-// is server-relative and retries may rotate; with eps == nil, path is
-// an absolute URL and every attempt targets it. It returns the
-// response body on 2xx.
-func (c *Client) callOn(ctx context.Context, eps []string, method, path string, idempotent bool, body []byte, hdr map[string]string) ([]byte, error) {
+// do is the retry loop shared by every call: every attempt targets url,
+// sending body, when non-nil, as JSON. It returns the response body on
+// 2xx.
+func (c *Client) do(ctx context.Context, method, url string, idempotent bool, body []byte) ([]byte, error) {
 	c.calls.Add(1)
 	maxRetries := c.MaxRetries
 	if maxRetries == 0 {
@@ -241,30 +202,13 @@ func (c *Client) callOn(ctx context.Context, eps []string, method, path string, 
 		if attempt > 0 {
 			c.retries.Add(1)
 		}
-		url := path
-		ep := ""
-		if eps != nil {
-			ep = c.pick(eps)
-			url = ep + path
-		}
-		data, retryIn, err := c.attempt(ctx, httpc, method, url, idempotent, body, hdr)
+		data, retryIn, err := c.attempt(ctx, httpc, method, url, idempotent, body)
 		if err == nil {
-			c.markUp(ep)
 			return data, nil
 		}
 		lastErr = err
 		if retryIn < 0 || attempt >= maxRetries {
 			break
-		}
-		if len(eps) > 1 && endpointTrouble(err) {
-			c.markDown(ep, len(eps))
-			if c.anyUp(eps) {
-				// The next endpoint is fresh: skip the backoff (a
-				// Retry-After hint is still about the failed endpoint).
-				continue
-			}
-			// Every endpoint is cooling down — back off like a
-			// single-endpoint client would.
 		}
 		if err := c.sleep(ctx, max(retryIn, c.backoff(attempt))); err != nil {
 			lastErr = err
@@ -275,83 +219,13 @@ func (c *Client) callOn(ctx context.Context, eps []string, method, path string, 
 	return nil, lastErr
 }
 
-// pick returns the endpoint to try: the one in current use, unless its
-// cooldown is running, in which case the scan continues in rotation
-// order. When every endpoint is cooling down the current one is used
-// anyway — a probably-dead endpoint still beats not trying.
-func (c *Client) pick(eps []string) string {
-	if len(eps) == 1 {
-		return eps[0]
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := time.Now()
-	for i := range eps {
-		idx := (c.cursor + i) % len(eps)
-		if until, down := c.downUntil[eps[idx]]; !down || now.After(until) {
-			c.cursor = idx
-			return eps[idx]
-		}
-	}
-	return eps[c.cursor%len(eps)]
-}
-
-// markDown records an endpoint failure: start its cooldown and advance
-// the rotation cursor so the next attempt lands elsewhere.
-func (c *Client) markDown(ep string, n int) {
-	c.failovers.Add(1)
-	cd := c.Cooldown
-	if cd <= 0 {
-		cd = 2 * time.Second
-	}
-	c.mu.Lock()
-	if c.downUntil == nil {
-		c.downUntil = make(map[string]time.Time)
-	}
-	c.downUntil[ep] = time.Now().Add(cd)
-	c.cursor = (c.cursor + 1) % n
-	c.mu.Unlock()
-}
-
-// anyUp reports whether at least one endpoint is out of cooldown.
-func (c *Client) anyUp(eps []string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := time.Now()
-	for _, ep := range eps {
-		if until, down := c.downUntil[ep]; !down || now.After(until) {
-			return true
-		}
-	}
-	return false
-}
-
-// markUp clears an endpoint's health memory after a success, so a
-// recovered endpoint is trusted again immediately.
-func (c *Client) markUp(ep string) {
-	if ep == "" {
-		return
-	}
-	c.mu.Lock()
-	delete(c.downUntil, ep)
-	c.mu.Unlock()
-}
-
-// endpointTrouble reports whether a retryable failure indicts the
-// endpoint rather than the request: transport errors and 5xx rotate;
-// 429 is live backpressure and stays put.
-func endpointTrouble(err error) bool {
-	var serr *StatusError
-	if errors.As(err, &serr) {
-		return serr.Status >= 500
-	}
-	return true
-}
+// maxBody caps the response body a call reads.
+const maxBody = 64 << 20
 
 // attempt performs one HTTP exchange. retryIn < 0 means the failure is
 // not retryable; retryIn > 0 is a server-mandated minimum wait
 // (Retry-After); retryIn == 0 leaves the wait to the backoff schedule.
-func (c *Client) attempt(ctx context.Context, httpc *http.Client, method, url string, idempotent bool, body []byte, hdr map[string]string) (data []byte, retryIn time.Duration, err error) {
+func (c *Client) attempt(ctx context.Context, httpc *http.Client, method, url string, idempotent bool, body []byte) (data []byte, retryIn time.Duration, err error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -360,8 +234,8 @@ func (c *Client) attempt(ctx context.Context, httpc *http.Client, method, url st
 	if err != nil {
 		return nil, -1, err
 	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := httpc.Do(req)
 	if err != nil {
@@ -377,13 +251,19 @@ func (c *Client) attempt(ctx context.Context, httpc *http.Client, method, url st
 		return nil, -1, err
 	}
 	defer resp.Body.Close()
-	data, readErr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, readErr := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		if readErr != nil {
 			if idempotent {
 				return nil, 0, readErr
 			}
 			return nil, -1, readErr
+		}
+		if len(data) > maxBody {
+			// A truncated body would pass for a whole one (a snapshot
+			// then fails its CRC, as if corrupt), and a retry would
+			// only fetch the same oversized body again.
+			return nil, -1, fmt.Errorf("%s %s: response exceeded %d MiB", method, url, maxBody>>20)
 		}
 		return data, 0, nil
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -204,129 +205,17 @@ func TestFetchURL(t *testing.T) {
 	}
 }
 
-// deadServer returns a URL whose listener is closed: dials are refused.
-func deadServer() string {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	srv.Close()
-	return srv.URL
-}
-
-func TestFailoverRotationOrder(t *testing.T) {
-	var bHits, cHits atomic.Int32
-	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		bHits.Add(1)
-		_, _ = w.Write([]byte(`{}`))
-	}))
-	defer b.Close()
-	cSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cHits.Add(1)
-		_, _ = w.Write([]byte(`{}`))
-	}))
-	defer cSrv.Close()
-	c := &Client{
-		Endpoints: []string{deadServer(), b.URL, cSrv.URL},
-		BaseDelay: 100 * time.Microsecond,
-		MaxDelay:  time.Millisecond,
-		Cooldown:  time.Hour,
-	}
-	// First call: endpoint 0 refuses the dial, rotation lands on 1 — in
-	// order, never skipping to 2.
-	if _, err := c.Stats(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if bHits.Load() != 1 || cHits.Load() != 0 {
-		t.Fatalf("hits after first call: b=%d c=%d, want rotation to stop at b", bHits.Load(), cHits.Load())
-	}
-	if m := c.Metrics(); m.Failovers != 1 || m.Retries != 1 {
-		t.Fatalf("metrics = %+v, want 1 failover, 1 retry", m)
-	}
-	// Second call: sticky on the endpoint that worked; the dead one is
-	// cooling down and is not probed again.
-	if _, err := c.Stats(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if bHits.Load() != 2 || cHits.Load() != 0 {
-		t.Fatalf("hits after second call: b=%d c=%d, want sticky on b", bHits.Load(), cHits.Load())
-	}
-	if m := c.Metrics(); m.Failovers != 1 || m.Retries != 1 {
-		t.Fatalf("metrics after sticky call = %+v, want no new failovers", m)
-	}
-}
-
-func TestFailoverOn500ButNotOn429(t *testing.T) {
-	var aMode atomic.Int32 // 0: 500, 1: 429-then-ok
-	var aHits, bHits atomic.Int32
-	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case aMode.Load() == 0:
-			aHits.Add(1)
-			http.Error(w, `{"error":"boom"}`, http.StatusInternalServerError)
-		case aHits.Add(1) == 2: // second 429-mode hit succeeds
-			_, _ = w.Write([]byte(`{}`))
-		default:
-			http.Error(w, `{"error":"saturated"}`, http.StatusTooManyRequests)
-		}
-	}))
-	defer a.Close()
-	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		bHits.Add(1)
-		_, _ = w.Write([]byte(`{}`))
-	}))
-	defer b.Close()
-	c := &Client{
-		Endpoints: []string{a.URL, b.URL},
-		BaseDelay: 100 * time.Microsecond,
-		MaxDelay:  time.Millisecond,
-		Cooldown:  time.Microsecond, // expire instantly so a is probed again
-	}
-	// 500 from a rotates to b.
-	if _, err := c.Stats(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if aHits.Load() != 1 || bHits.Load() != 1 {
-		t.Fatalf("hits = a:%d b:%d, want one each (rotate on 500)", aHits.Load(), bHits.Load())
-	}
-	if m := c.Metrics(); m.Failovers != 1 {
-		t.Fatalf("metrics = %+v, want 1 failover", m)
-	}
-	// Move back to a (cooldown expired, cursor rotated past b on its own
-	// next failure — force it by pointing a fresh client at a first).
-	c2 := &Client{
-		Endpoints: []string{a.URL, b.URL},
-		BaseDelay: 100 * time.Microsecond,
-		MaxDelay:  time.Millisecond,
-	}
-	aMode.Store(1)
-	aHits.Store(0) // mode-1 hit 1 answers 429, hit 2 succeeds
-	before := bHits.Load()
-	if _, err := c2.Stats(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if bHits.Load() != before {
-		t.Fatal("429 caused a failover; backpressure must stay on the same endpoint")
-	}
-	if m := c2.Metrics(); m.Failovers != 0 || m.Retries != 1 {
-		t.Fatalf("metrics = %+v, want retry without failover", m)
-	}
-}
-
-func TestFailoverContextErrorsNeverRetry(t *testing.T) {
+// TestContextErrorsNeverRetry checks that a context expiring while a
+// request is in flight ends the call: the context's error comes back,
+// nothing is retried, and the server saw one request.
+func TestContextErrorsNeverRetry(t *testing.T) {
 	var hits atomic.Int32
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		<-r.Context().Done()
 	}))
-	defer slow.Close()
-	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		_, _ = w.Write([]byte(`{}`))
-	}))
-	defer b.Close()
-	c := &Client{
-		Endpoints: []string{slow.URL, b.URL},
-		BaseDelay: 100 * time.Microsecond,
-		MaxDelay:  time.Millisecond,
-	}
+	defer srv.Close()
+	c := fastClient(srv)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	_, err := c.Stats(ctx)
@@ -334,80 +223,37 @@ func TestFailoverContextErrorsNeverRetry(t *testing.T) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	if got := hits.Load(); got != 1 {
-		t.Fatalf("a context expiry reached %d endpoints, want 1 (no failover on context errors)", got)
+		t.Fatalf("server hit %d times, want 1", got)
 	}
-	if m := c.Metrics(); m.Retries != 0 || m.Failovers != 0 || m.Abandoned != 1 {
-		t.Fatalf("metrics = %+v, want no retries or failovers", m)
-	}
-}
-
-func TestFailoverCooldownReadmitsEndpoint(t *testing.T) {
-	var aHits atomic.Int32
-	var aDead atomic.Bool
-	aDead.Store(true)
-	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		aHits.Add(1)
-		if aDead.Load() {
-			http.Error(w, `{"error":"boom"}`, http.StatusInternalServerError)
-			return
-		}
-		_, _ = w.Write([]byte(`{}`))
-	}))
-	defer a.Close()
-	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte(`{}`))
-	}))
-	defer b.Close()
-	c := &Client{
-		Endpoints: []string{a.URL, b.URL},
-		BaseDelay: 100 * time.Microsecond,
-		MaxDelay:  time.Millisecond,
-		Cooldown:  20 * time.Millisecond,
-	}
-	if _, err := c.Stats(context.Background()); err != nil {
-		t.Fatal(err) // failed over to b
-	}
-	if _, err := c.Stats(context.Background()); err != nil {
-		t.Fatal(err) // still inside a's cooldown: sticky on b
-	}
-	if got := aHits.Load(); got != 1 {
-		t.Fatalf("a probed %d times during cooldown, want 1", got)
-	}
-	// After the cooldown a is probed again in its rotation turn — which
-	// comes up when b fails. Kill b by closing it.
-	aDead.Store(false)
-	time.Sleep(25 * time.Millisecond)
-	b.Close()
-	if _, err := c.Stats(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := aHits.Load(); got != 2 {
-		t.Fatalf("recovered endpoint not re-admitted after cooldown: %d hits", got)
+	if m := c.Metrics(); m.Retries != 0 || m.Abandoned != 1 {
+		t.Fatalf("metrics = %+v, want 0 retries, 1 abandoned", m)
 	}
 }
 
-func TestFailoverRegisterRotatesOnDialFailure(t *testing.T) {
+// TestOversizedBodyFailsWithoutRetry checks the body cap: a 2xx body one
+// byte over maxBody is an error, not a silently truncated success, and
+// fetching it again would not help, so even an idempotent call stops.
+func TestOversizedBodyFailsWithoutRetry(t *testing.T) {
 	var hits atomic.Int32
-	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		_, _ = w.Write([]byte(`{"id":"c1"}`))
+		chunk := make([]byte, 64<<10)
+		for left := maxBody + 1; left > 0; left -= len(chunk) {
+			if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
+				return
+			}
+		}
 	}))
-	defer b.Close()
-	c := &Client{
-		Endpoints: []string{deadServer(), b.URL},
-		BaseDelay: 100 * time.Microsecond,
-		MaxDelay:  time.Millisecond,
+	defer srv.Close()
+	c := fastClient(srv)
+	data, err := c.FetchURL(context.Background(), srv.URL+"/catalogs/c1/snapshot")
+	if err == nil || !strings.Contains(err.Error(), "exceeded 64 MiB") {
+		t.Fatalf("FetchURL = %d bytes, %v; want an exceeded-64-MiB error", len(data), err)
 	}
-	// Registration is not idempotent, but a refused dial means the
-	// request never went out — so even Register fails over.
-	info, err := c.Register(context.Background(), api.CatalogRequest{})
-	if err != nil {
-		t.Fatal(err)
+	if got := hits.Load(); got != 1 {
+		t.Errorf("server hit %d times, want 1", got)
 	}
-	if info.ID != "c1" || hits.Load() != 1 {
-		t.Fatalf("info = %+v, hits = %d", info, hits.Load())
-	}
-	if m := c.Metrics(); m.Failovers != 1 {
-		t.Fatalf("metrics = %+v, want 1 failover", m)
+	if m := c.Metrics(); m.Retries != 0 || m.Abandoned != 1 {
+		t.Errorf("metrics = %+v, want 0 retries, 1 abandoned", m)
 	}
 }

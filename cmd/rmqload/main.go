@@ -20,10 +20,6 @@
 //
 //	rmqload -addr http://localhost:8080 -clients 8 -duration 10s
 //	rmqload -duration 5s            # no -addr: serves in-process
-//	rmqload -endpoints http://n1:8080,http://n2:8080   # client-side failover
-//
-// With -endpoints, the client rotates between the listed servers when
-// one stops answering; the failover column reports how often it did.
 //
 // With -timeout-ms the workload switches from iteration budgets to
 // deadline budgets: every request carries timeout_ms and latency
@@ -58,7 +54,6 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "", "rmqd base URL; empty starts an in-process server")
-		endpoints = flag.String("endpoints", "", "comma-separated rmqd base URLs; the client fails over between them on endpoint trouble (overrides -addr)")
 		duration  = flag.Duration("duration", 10*time.Second, "how long to generate load")
 		clients   = flag.Int("clients", 4, "concurrent client goroutines")
 		catalogs  = flag.Int("catalogs", 4, "pre-registered warm catalogs")
@@ -78,16 +73,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var eps []string
-	for _, e := range strings.Split(*endpoints, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			eps = append(eps, strings.TrimSuffix(e, "/"))
-		}
-	}
 	base := *addr
-	if len(eps) > 0 {
-		base = eps[0]
-	}
 	if base == "" {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -110,8 +96,8 @@ func main() {
 		maxRetries = -1
 	}
 	httpc := &http.Client{}
-	warmC := &client.Client{Base: base, Endpoints: eps, HTTP: httpc, MaxRetries: maxRetries}
-	coldC := &client.Client{Base: base, Endpoints: eps, HTTP: httpc, MaxRetries: maxRetries}
+	warmC := &client.Client{Base: base, HTTP: httpc, MaxRetries: maxRetries}
+	coldC := &client.Client{Base: base, HTTP: httpc, MaxRetries: maxRetries}
 	ctx := context.Background()
 
 	// Pre-register the warm catalog pool and prime each with one cold
@@ -189,8 +175,8 @@ func main() {
 		warm.merge(&results[c*2])
 		cold.merge(&results[c*2+1])
 	}
-	fmt.Printf("\n%-6s %9s %7s %8s %10s %9s %12s %9s %9s %9s %9s %7s\n",
-		"class", "requests", "errors", "retried", "abandoned", "failover", "throughput", "p50", "p90", "p99", "max", "plans")
+	fmt.Printf("\n%-6s %9s %7s %8s %10s %12s %9s %9s %9s %9s %7s\n",
+		"class", "requests", "errors", "retried", "abandoned", "throughput", "p50", "p90", "p99", "max", "plans")
 	warm.report("warm", *duration, warmC.Metrics())
 	cold.report("cold", *duration, coldC.Metrics())
 	if n := rejected.Load(); n > 0 {
@@ -286,11 +272,11 @@ func (cs *classStats) quantile(p float64) time.Duration {
 func (cs *classStats) report(name string, elapsed time.Duration, m client.Metrics) {
 	n := len(cs.latencies)
 	if n == 0 {
-		fmt.Printf("%-6s %9d %7d %8d %10d %9d %12s\n", name, 0, cs.errors, m.Retries, m.Abandoned, m.Failovers, "-")
+		fmt.Printf("%-6s %9d %7d %8d %10d %12s\n", name, 0, cs.errors, m.Retries, m.Abandoned, "-")
 		return
 	}
-	fmt.Printf("%-6s %9d %7d %8d %10d %9d %10.1f/s %9v %9v %9v %9v %7.1f\n",
-		name, n, cs.errors, m.Retries, m.Abandoned, m.Failovers, float64(n)/elapsed.Seconds(),
+	fmt.Printf("%-6s %9d %7d %8d %10d %10.1f/s %9v %9v %9v %9v %7.1f\n",
+		name, n, cs.errors, m.Retries, m.Abandoned, float64(n)/elapsed.Seconds(),
 		cs.quantile(0.50).Round(100*time.Microsecond), cs.quantile(0.90).Round(100*time.Microsecond),
 		cs.quantile(0.99).Round(100*time.Microsecond), cs.latencies[n-1].Round(100*time.Microsecond),
 		float64(cs.plans)/float64(n))

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rmq/client"
 	"rmq/internal/api"
 	"rmq/internal/faultinject"
 )
@@ -65,11 +66,15 @@ type Router struct {
 	ring   *Ring
 	prober *Prober
 	mux    *http.ServeMux
-	// httpc carries forwarded requests and registration fan-out through
-	// the injectable transport (site router.forward). No client timeout:
+	// httpc carries forwarded requests and the node clients' calls
+	// through the injectable transport (site router.forward). No timeout:
 	// forwarded optimizations are bounded by their own deadlines and the
 	// caller's context.
 	httpc *http.Client
+	// nodes holds one client per node over httpc, without retries: for
+	// registration, delete and repair the router's own loops move on to
+	// the next node instead.
+	nodes map[string]*client.Client
 
 	forwards    atomic.Uint64
 	failovers   atomic.Uint64
@@ -154,7 +159,11 @@ func NewRouter(cfg Config) (*Router, error) {
 		httpc: &http.Client{
 			Transport: faultinject.Transport("router.forward", nil),
 		},
+		nodes:      make(map[string]*client.Client, len(cfg.Nodes)),
 		placements: make(map[string]*placement),
+	}
+	for _, node := range cfg.Nodes {
+		rt.nodes[node] = &client.Client{Base: node, HTTP: rt.httpc, MaxRetries: -1}
 	}
 	rt.mux.HandleFunc("POST /catalogs", rt.handleRegister)
 	rt.mux.HandleFunc("GET /catalogs", rt.handleList)
@@ -214,14 +223,14 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var primaryInfo api.CatalogInfo
 	var lastErr error
 	for _, node := range readyFirst(rt.prober, want, func(n string) string { return n }) {
-		info, err := rt.registerOn(r.Context(), node, req)
-		var refused *nodeStatusError
-		if errors.As(err, &refused) && refused.status < 500 {
-			api.WriteError(w, refused.status, "%s", refused.msg)
+		info, err := rt.nodes[node].Register(r.Context(), req)
+		var refused *client.StatusError
+		if errors.As(err, &refused) && refused.Status < 500 {
+			api.WriteError(w, refused.Status, "%s", refused.Message)
 			return
 		}
 		if err != nil {
-			lastErr = err
+			lastErr = fmt.Errorf("%s: %w", node, err)
 			rt.cfg.Logf("register %s: primary candidate %s failed: %v", id, node, err)
 			continue
 		}
@@ -252,7 +261,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 			rt.cfg.Logf("register %s: replica node %s not ready, placement degraded", id, node)
 			continue
 		}
-		info, err := rt.registerOn(r.Context(), node, replicaReq)
+		info, err := rt.nodes[node].Register(r.Context(), replicaReq)
 		if err != nil {
 			rt.cfg.Logf("register %s: replica on %s failed: %v", id, node, err)
 			continue
@@ -273,39 +282,6 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 // catalogURL is the peer-visible URL of a replica's catalog.
 func catalogURL(ref replicaRef) string {
 	return ref.node + "/catalogs/" + ref.localID
-}
-
-// nodeStatusError is a node's non-success answer to a registration.
-type nodeStatusError struct {
-	node   string
-	status int
-	msg    string
-}
-
-func (e *nodeStatusError) Error() string {
-	return fmt.Sprintf("%s answered %d: %s", e.node, e.status, e.msg)
-}
-
-// registerOn registers a catalog on one node.
-func (rt *Router) registerOn(ctx context.Context, node string, req api.CatalogRequest) (api.CatalogInfo, error) {
-	var info api.CatalogInfo
-	hreq, err := jsonRequest(ctx, node+"/catalogs", req)
-	if err != nil {
-		return info, err
-	}
-	resp, err := rt.httpc.Do(hreq)
-	if err != nil {
-		return info, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return info, err
-	}
-	if resp.StatusCode != http.StatusCreated {
-		return info, &nodeStatusError{node: node, status: resp.StatusCode, msg: api.ErrorMessage(data)}
-	}
-	return info, json.Unmarshal(data, &info)
 }
 
 // jsonRequest builds a POST request carrying v as its JSON body.
@@ -456,13 +432,7 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// catalog later (nodes do not gossip), so a failed delete only
 	// leaks a local session until that node restarts.
 	for _, ref := range p.refs() {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodDelete, catalogURL(ref), nil)
-		if err != nil {
-			continue
-		}
-		if resp, err := rt.httpc.Do(req); err == nil {
-			drainClose(resp)
-		}
+		_ = rt.nodes[ref.node].Delete(r.Context(), ref.localID)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -539,7 +509,7 @@ func (rt *Router) repairPlacement(ctx context.Context, p *placement) {
 		if member[node] || !rt.prober.Ready(node) {
 			continue
 		}
-		info, err := rt.registerOn(ctx, node, req)
+		info, err := rt.nodes[node].Register(ctx, req)
 		if err != nil {
 			rt.cfg.Logf("repair %s: node %s refused: %v", p.id, node, err)
 			continue

@@ -134,11 +134,9 @@ type CacheStatsJSON struct {
 	Plans int `json:"plans"`
 	// Bytes estimates the retained plan cache's memory footprint.
 	Bytes int64 `json:"bytes,omitempty"`
-	// IDs is the number of table-set ids the caches' interners hold, and
-	// Compactions the number of times one was replaced by a compacted
-	// copy holding only its kept sets.
-	IDs         int `json:"ids,omitempty"`
-	Compactions int `json:"compactions,omitempty"`
+	// IDs is the number of table-set ids the caches' interners hold:
+	// one per cached set.
+	IDs int `json:"ids,omitempty"`
 }
 
 // PoolStatsJSON mirrors rmq.PoolStats.

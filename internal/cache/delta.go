@@ -63,16 +63,3 @@ func (s *Shared) MergeState(st StoreState) {
 		}
 	}
 }
-
-// Succeed hands old's place to s, a compacted copy of it (old's snapshot
-// restored over a fresh interner, plus old's deltas since). s takes
-// old's effective retention, re-pruning under it, and moves its cursor
-// past every cursor old issued: Export reads a lower one as zero, so a
-// puller holding one gets every bucket. Call it before s is shared.
-func (s *Shared) Succeed(old *Shared) {
-	if a := old.EffectiveRetention(); a > s.EffectiveRetention() {
-		s.Shed(a)
-	}
-	s.floor = max(s.repSeq.Load(), old.repSeq.Load()) + 1
-	s.repSeq.Store(s.floor)
-}

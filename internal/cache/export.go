@@ -77,9 +77,6 @@ type StoreState struct {
 // them by append from empty, so its copies cost what changed.
 func (s *Shared) Export(since uint64, visit func(BucketSnapshot) error) (state StoreState, cursor uint64, err error) {
 	cursor = s.repSeq.Load()
-	if since < s.floor {
-		since = 0 // a predecessor's cursor (see Succeed)
-	}
 	var slots []int32
 	var chunks []bucketChunk
 	if since < cursor {

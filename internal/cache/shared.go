@@ -73,8 +73,6 @@ type Shared struct {
 	// contract (advanced strictly after the epoch mirror) belongs to
 	// SyncState.Pull and must not be reused as an export cursor.
 	repSeq atomic.Uint64
-	// floor is the store's first own cursor (see Succeed).
-	floor uint64
 	// iters counts optimizer iterations performed against the store, by
 	// every worker of every attached run. The α schedule of an attached
 	// optimizer is driven by this cumulative counter rather than the

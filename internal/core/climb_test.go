@@ -236,6 +236,68 @@ func TestClimbSingleTable(t *testing.T) {
 	}
 }
 
+// TestClimbInternsItsResult checks the stage-A boundary of table-set
+// ids: a random plan and the climber's moves leave RelID zero, and the
+// plan a climb returns carries its interned id on every node — the
+// frozen copy after moves as well as the input plan itself when no move
+// applied. The interner ends up holding exactly the result's sets, none
+// of the transient ones the random plan or the moves passed through.
+func TestClimbInternsItsResult(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 8))
+	moved, unmoved := 0, 0
+	for i := 0; i < 20; i++ {
+		m := testModel(t, 10, uint64(i))
+		in := m.Interner()
+		c := NewClimber(m, ClimbConfig{})
+		p := randplan.Random(m, m.Catalog().AllTables(), rng)
+		out, steps := c.Climb(p)
+		if steps > 0 {
+			moved++
+			checkInterned(t, m, out)
+			if in.Len() != 2*10-1 {
+				t.Fatalf("interner holds %d ids after a climb to a 19-node plan", in.Len())
+			}
+		}
+		// A local optimum with its ids stripped takes the steps == 0 path,
+		// which interns the input plan in place.
+		stripped := withoutIDs(out)
+		again, steps := c.Climb(stripped)
+		if steps != 0 || again != stripped {
+			t.Fatalf("re-climbing a local optimum took %d steps", steps)
+		}
+		unmoved++
+		checkInterned(t, m, again)
+		if next := c.Step(again); next != nil {
+			t.Fatal("Step improved a local optimum")
+		}
+	}
+	if moved == 0 || unmoved == 0 {
+		t.Fatalf("%d climbs moved and %d did not; the test needs both paths", moved, unmoved)
+	}
+}
+
+// checkInterned fails unless every node of p carries its set's id.
+func checkInterned(t *testing.T, m *costmodel.Model, p *plan.Plan) {
+	t.Helper()
+	if p.RelID == 0 || p.RelID != m.RelID(p.Rel) {
+		t.Fatalf("node %v carries id %d, want %d", p.Rel, p.RelID, m.RelID(p.Rel))
+	}
+	if p.IsJoin() {
+		checkInterned(t, m, p.Outer)
+		checkInterned(t, m, p.Inner)
+	}
+}
+
+// withoutIDs returns a deep copy of p with every RelID zero.
+func withoutIDs(p *plan.Plan) *plan.Plan {
+	q := *p
+	q.RelID = 0
+	if p.IsJoin() {
+		q.Outer, q.Inner = withoutIDs(p.Outer), withoutIDs(p.Inner)
+	}
+	return &q
+}
+
 // TestQuickClimbPathLengthModest confirms the empirical counterpart of
 // Theorem 2 at test scale: path lengths stay far below the defensive
 // bound and grow slowly with the query size.

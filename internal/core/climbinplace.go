@@ -51,7 +51,9 @@ const (
 // current one, returning the locally Pareto-optimal plan and the path
 // length (number of improving moves) — the statistic of Figure 3. The
 // whole climb runs in place on a scratch copy of p and only the final
-// plan is materialized; the input plan and the result are immutable.
+// plan is materialized. The result is interned (see intern); apart from
+// the ids filled in when no move applied and the result is p itself,
+// the input plan and the result are immutable.
 //
 // A pass may change the tree without strictly improving the root: a
 // locally dominating child mutation can alter the child's output
@@ -81,15 +83,32 @@ func (c *Climber) Climb(p *plan.Plan) (*plan.Plan, int) {
 		steps++
 	}
 	if steps == 0 {
-		return p, 0
+		return c.intern(p), 0
 	}
-	return c.scratch.Freeze(root), steps
+	return c.intern(c.scratch.Freeze(root)), steps
+}
+
+// intern gives every node of p that carries no id (random plans and
+// nodes rewritten by moves) the interned id of its table set, and
+// returns p. Only plans leaving the climber take ids, so the interner
+// never sees the transient sets a climb starts from or passes through.
+//
+//rmq:hotpath
+func (c *Climber) intern(p *plan.Plan) *plan.Plan {
+	if p.IsJoin() {
+		c.intern(p.Outer)
+		c.intern(p.Inner)
+	}
+	if p.RelID == 0 {
+		p.RelID = c.model.RelID(p.Rel)
+	}
+	return p
 }
 
 // Step performs one climbing move: one pass over a fresh scratch copy of
-// p, returning the materialized plan that strictly dominates p, or nil
-// when p is a local Pareto optimum for the step function. A failed pass
-// needs no revert — the scratch copy is simply discarded.
+// p, returning the materialized, interned plan that strictly dominates
+// p, or nil when p is a local Pareto optimum for the step function. A
+// failed pass needs no revert — the scratch copy is simply discarded.
 //
 //rmq:hotpath
 func (c *Climber) Step(p *plan.Plan) *plan.Plan {
@@ -99,7 +118,7 @@ func (c *Climber) Step(p *plan.Plan) *plan.Plan {
 	if !c.passInPlace(root) || !root.Cost.StrictlyDominates(p.Cost) {
 		return nil
 	}
-	return c.scratch.Freeze(root)
+	return c.intern(c.scratch.Freeze(root))
 }
 
 // passInPlace performs one climbing step on the mutable node n (the
@@ -137,9 +156,6 @@ func (c *Climber) passInPlace(n *plan.Plan) bool {
 	if n.Aux&auxEnumerated == 0 {
 		var mv mutate.Move
 		if c.bestMove(n, &mv) {
-			if mv.Kind >= mutate.AssocLeft {
-				mv.ChildRelID = m.RelID(mv.ChildRel)
-			}
 			c.undoLog = append(c.undoLog, mutate.Apply(n, &mv)) //rmq:allow-alloc(reused journal; grows to the per-pass high-water mark)
 			n.Aux = 0
 			return true

@@ -145,7 +145,7 @@ func NewWithInterner(cat *catalog.Catalog, metrics []Metric, in *tableset.Intern
 }
 
 // Interner returns the model's table-set interner. Every plan node the
-// model constructs carries the interned id of its table set (plan.RelID);
+// model allocates carries the interned id of its table set (plan.RelID);
 // the plan cache indexes its buckets by these ids, so it must be built
 // over the same interner (see cache.New).
 func (m *Model) Interner() *tableset.Interner { return m.in }
@@ -262,16 +262,16 @@ func joinRaw(op plan.JoinOp, po, pi, pout float64) raw {
 func (m *Model) NewScan(t int, op plan.ScanOp) *plan.Plan {
 	n := new(plan.Plan)
 	m.InitScan(n, t, op)
+	n.RelID = m.in.Intern(n.Rel)
 	return n
 }
 
-// InitScan fills the caller-allocated node n with ScanPlan(t, op).
-// Generators that produce whole plan trees at once use it to build into
-// a single block allocation instead of one per node.
+// InitScan fills the caller-allocated node n with ScanPlan(t, op) but
+// leaves RelID zero. Generators that produce whole plan trees at once
+// use it to build into a single block allocation instead of one per node.
 func (m *Model) InitScan(n *plan.Plan, t int, op plan.ScanOp) {
 	*n = plan.Plan{
 		Rel:    tableset.Single(t),
-		RelID:  m.in.Intern(tableset.Single(t)),
 		Cost:   m.project(m.scanRaw(t, op)),
 		Card:   m.cat.Table(t).Rows,
 		Output: op.Output(),
@@ -329,16 +329,15 @@ func (m *Model) NewJoin(op plan.JoinOp, outer, inner *plan.Plan) *plan.Plan {
 func (m *Model) NewJoinWithCard(op plan.JoinOp, outer, inner *plan.Plan, card float64) *plan.Plan {
 	n := new(plan.Plan)
 	m.InitJoinWithCard(n, op, outer, inner, card)
+	n.RelID = m.in.Intern(n.Rel)
 	return n
 }
 
 // InitJoinWithCard fills the caller-allocated node n with
-// JoinPlan(outer, inner, op); see InitScan.
+// JoinPlan(outer, inner, op), leaving RelID zero; see InitScan.
 func (m *Model) InitJoinWithCard(n *plan.Plan, op plan.JoinOp, outer, inner *plan.Plan, card float64) {
-	rel := outer.Rel.Union(inner.Rel)
 	*n = plan.Plan{
-		Rel:    rel,
-		RelID:  m.in.Intern(rel),
+		Rel:    outer.Rel.Union(inner.Rel),
 		Cost:   m.JoinCost(op, outer, inner, card),
 		Card:   card,
 		Output: op.Output(),

@@ -55,13 +55,12 @@ type Move struct {
 	Op plan.JoinOp
 	// Cost is the mutated node's new cost vector.
 	Cost cost.Vector
-	// ChildOp, ChildCost, ChildCard, ChildRel and ChildRelID describe the
+	// ChildOp, ChildCost, ChildCard and ChildRel describe the
 	// intermediate join node a structural rule creates.
-	ChildOp    plan.JoinOp
-	ChildCost  cost.Vector
-	ChildCard  float64
-	ChildRel   tableset.Set
-	ChildRelID tableset.ID
+	ChildOp   plan.JoinOp
+	ChildCost cost.Vector
+	ChildCard float64
+	ChildRel  tableset.Set
 }
 
 // Undo snapshots the nodes a Move rewrote; Revert restores them.
@@ -94,13 +93,14 @@ func Snapshot(n *plan.Plan) Undo { return Undo{node: n, saved: *n} }
 
 // setChildJoin recycles the detached node r as the structural rule's new
 // intermediate join (outer ⋈ inner) with the given operator and derived
-// quantities. Aux is cleared: the node is a fresh combination.
+// quantities. Aux and RelID are cleared: the node is a fresh
+// combination, and the climber interns the plan it returns.
 func setChildJoin(r *plan.Plan, mv *Move, outer, inner *plan.Plan) {
 	r.Outer, r.Inner = outer, inner
 	r.Join = mv.ChildOp
 	r.Output = mv.ChildOp.Output()
 	r.Rel = mv.ChildRel
-	r.RelID = mv.ChildRelID
+	r.RelID = 0
 	r.Card = mv.ChildCard
 	r.Cost = mv.ChildCost
 	r.Aux = 0

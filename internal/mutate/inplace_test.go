@@ -24,7 +24,7 @@ func buildMove(m *costmodel.Model, kind MoveKind, rootOp, childOp plan.JoinOp, c
 	return &Move{
 		Kind: kind, Op: rootOp, Cost: rootCost,
 		ChildOp: childOp, ChildCost: childCost, ChildCard: childCard,
-		ChildRel: childRel, ChildRelID: m.RelID(childRel),
+		ChildRel: childRel,
 	}
 }
 
@@ -143,8 +143,14 @@ func TestApplyPreservesRelAndCard(t *testing.T) {
 	if root.Rel != rel || root.Card != card {
 		t.Fatal("structural move changed the node's table set or cardinality")
 	}
-	if root.Inner.Rel != mv.ChildRel || root.Inner.RelID != mv.ChildRelID {
+	if root.Inner.Rel != mv.ChildRel {
 		t.Fatal("recycled child rel not installed")
+	}
+	// The recycled child held another set's id; the move clears it, and
+	// the child gets its id when the climber interns the plan it returns.
+	if root.Inner.RelID != 0 || root.RelID != m.RelID(rel) {
+		t.Fatalf("after the move the child carries id %d and the node id %d, want 0 and %d",
+			root.Inner.RelID, root.RelID, m.RelID(rel))
 	}
 }
 

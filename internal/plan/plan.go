@@ -263,7 +263,9 @@ type Plan struct {
 	// RelID is the interned id of Rel under the constructing cost model's
 	// interner (see costmodel.Model.Interner). The plan cache indexes its
 	// buckets by it, avoiding a hash of Rel on every probe, so every plan
-	// entering a cache carries it; the zero ID names no set.
+	// entering a cache carries it; the zero ID names no set. Random plans
+	// and climbing moves leave it zero: a plan gets its ids when it leaves
+	// stage A of an RMQ iteration, as the climber returns it.
 	RelID tableset.ID
 	// Cost is the plan's cost vector under the run's cost model.
 	Cost cost.Vector

@@ -58,8 +58,9 @@ func randomShape(n int, rng *rand.Rand) *shapeNode {
 // set under the model: uniform tree shape, uniform leaf labeling, uniform
 // applicable operators. It panics on an empty table set. The plan's 2n-1
 // nodes come from a single block allocation. Join cardinalities come
-// from the immutable catalog (Model.Card), so Random writes no shared
-// state but the interner, which is safe for concurrent use.
+// from the immutable catalog (Model.Card) and every RelID stays zero
+// (the climber interns the plan it returns), so Random writes no shared
+// state.
 func Random(m *costmodel.Model, tables tableset.Set, rng *rand.Rand) *plan.Plan {
 	ids := tables.Tables()
 	if len(ids) == 0 {

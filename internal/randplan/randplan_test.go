@@ -35,6 +35,29 @@ func TestRandomPlanValid(t *testing.T) {
 	}
 }
 
+// TestRandomWritesNoInterner checks that a random plan, a climb's
+// transient start, carries no table-set ids and interns nothing.
+func TestRandomWritesNoInterner(t *testing.T) {
+	m := testModel(t, 10)
+	rng := rand.New(rand.NewPCG(3, 4))
+	var walk func(p *plan.Plan)
+	walk = func(p *plan.Plan) {
+		if p.RelID != 0 {
+			t.Fatalf("node %v of a random plan carries id %d", p.Rel, p.RelID)
+		}
+		if p.IsJoin() {
+			walk(p.Outer)
+			walk(p.Inner)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		walk(Random(m, m.Catalog().AllTables(), rng))
+	}
+	if n := m.Interner().Len(); n != 0 {
+		t.Fatalf("random plans interned %d sets", n)
+	}
+}
+
 func TestRandomSingleTable(t *testing.T) {
 	m := testModel(t, 3)
 	rng := rand.New(rand.NewPCG(5, 5))

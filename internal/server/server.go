@@ -643,8 +643,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			CatalogInfo: e.info(),
 			Requests:    e.requests.Load(),
 			Cache: api.CacheStatsJSON{
-				Sets: cs.Sets, Plans: cs.Plans, Bytes: cs.Bytes,
-				IDs: cs.IDs, Compactions: cs.Compactions,
+				Sets: cs.Sets, Plans: cs.Plans, Bytes: cs.Bytes, IDs: cs.IDs,
 			},
 			EffectiveRetention: e.sess.EffectiveRetention(),
 			Pool: api.PoolStatsJSON{

@@ -18,10 +18,12 @@ type ID int32
 // cost model, plan cache and pipelined frontier stage share it. Ids are
 // permanent, so id-indexed side tables built by different users of one
 // interner (per-worker plan caches, the shared store) stay mutually
-// consistent for their whole lifetime. An interner only grows: a run's
-// lives as long as the run, and a session replaces a store whose
-// interner has outgrown its sets with a compacted copy over a fresh
-// one. The zero Interner is not usable; call NewInterner.
+// consistent for their whole lifetime. An interner only grows, so its
+// users intern only sets worth an id: RMQ interns a plan's sets when
+// the plan leaves its climb, not the transient sets of random plans and
+// climbing moves, and a store's interner therefore names exactly the
+// sets the store caches. The zero Interner is not usable; call
+// NewInterner.
 //
 // Reads take no lock. The interner keeps two arrays, each published
 // through an atomic pointer: the sets by id, append-only, and an

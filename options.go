@@ -168,7 +168,8 @@ func WithParallelism(n int) Option {
 // see the differential quality tests). The store retains every
 // published plan that survives pruning at the retention precision; see
 // WithCacheRetention for bounding memory growth. Only algorithms with a
-// sub-plan cache (AlgoRMQ) consult the store; others ignore it.
+// sub-plan cache (AlgoRMQ) consult the store; the other built-ins run as
+// without sharing.
 func WithSharedCache(enabled bool) Option {
 	return func(c *config) { c.sharedCache = enabled }
 }

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"rmq/internal/cache"
 	"rmq/internal/opt"
-	"rmq/internal/snapshot"
 	"rmq/internal/tableset"
 )
 
@@ -72,14 +72,6 @@ type Session struct {
 	// subset (cost vectors of different dimensionality are incomparable).
 	// Created lazily by the first run that enables sharing.
 	shared map[string]*cache.Shared
-	// compacting marks the tags whose store a compaction is replacing,
-	// or failed to replace; compactions counts the replacements.
-	compacting  map[string]bool
-	compactions int
-	// repl is held in read mode by calls that must meet one store per
-	// tag throughout (replication, TightenCache) and in write mode while
-	// a compaction swaps a store. It ranks before mu.
-	repl sync.RWMutex
 }
 
 // NewSession creates a session over the catalog. The given options
@@ -99,10 +91,9 @@ func NewSession(cat *Catalog, defaults ...Option) (*Session, error) {
 		return nil, err
 	}
 	return &Session{
-		cat:        cat,
-		defaults:   append([]Option(nil), defaults...),
-		pool:       make(map[string][]*opt.Problem),
-		compacting: make(map[string]bool),
+		cat:      cat,
+		defaults: append([]Option(nil), defaults...),
+		pool:     make(map[string][]*opt.Problem),
 	}, nil
 }
 
@@ -123,9 +114,10 @@ type CacheStats struct {
 	// estimate from the set and plan counts, not an accounting of every
 	// index structure; see cache.Shared.Bytes.
 	Bytes int64
-	// IDs is the number of table-set ids the stores' interners hold, kept
-	// or not; Compactions counts the stores replaced by compacted copies.
-	IDs, Compactions int
+	// IDs is the number of table-set ids the stores' interners hold.
+	// Stores intern only the sets they cache, so IDs equals Sets while no
+	// run is in flight.
+	IDs int
 }
 
 // CacheStats reports the current size of the session's shared plan
@@ -134,7 +126,7 @@ type CacheStats struct {
 func (s *Session) CacheStats() CacheStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cs := CacheStats{Compactions: s.compactions}
+	var cs CacheStats
 	for _, sh := range s.shared {
 		sets, plans := sh.Stats()
 		cs.Sets += sets
@@ -174,8 +166,6 @@ func (s *Session) EffectiveRetention() float64 {
 // retention (what runs assert against via WithCacheRetention) is
 // unchanged. α values ≤ 1 are a no-op.
 func (s *Session) TightenCache(alpha float64) (removed int) {
-	s.repl.RLock()
-	defer s.repl.RUnlock()
 	s.mu.Lock()
 	stores := make([]*cache.Shared, 0, len(s.shared))
 	for _, sh := range s.shared {
@@ -265,8 +255,11 @@ func (s *Session) Optimize(ctx context.Context, opts ...Option) (*Frontier, erro
 		return nil, err
 	}
 
+	// The built-in baselines have no sub-plan cache, and their moves
+	// intern every set they build: they run as without sharing.
+	baseline := slices.Contains([]Algorithm{AlgoII, AlgoSA, Algo2P, AlgoNSGA2, AlgoDP, AlgoWS}, cfg.algorithm)
 	var shared *cache.Shared
-	if cfg.sharedCache {
+	if cfg.sharedCache && !baseline {
 		shared, err = s.sharedCache(cfg)
 		if err != nil {
 			return nil, err
@@ -368,8 +361,7 @@ func metricsKey(metrics []Metric) string {
 // by exactly one worker at a time. A shared-cache run takes warmed
 // instances of its metric subset from the pool and builds the shortfall
 // over the store's interner, so their plan ids live in the store's
-// namespace; a private run, or one whose store a compaction replaced,
-// builds fresh instances.
+// namespace; a private run builds fresh instances.
 func (s *Session) acquire(metrics []Metric, n int, shared *cache.Shared) []*opt.Problem {
 	got := make([]*opt.Problem, 0, n)
 	var in *tableset.Interner // nil: every private problem gets its own
@@ -379,9 +371,6 @@ func (s *Session) acquire(metrics []Metric, n int, shared *cache.Shared) []*opt.
 		s.mu.Lock()
 		free := s.pool[key]
 		take := min(n, len(free))
-		if s.shared[key] != shared {
-			take = 0
-		}
 		got = append(got, free[len(free)-take:]...)
 		for i := len(free) - take; i < len(free); i++ {
 			free[i] = nil // keep the parked suffix collectable
@@ -398,9 +387,8 @@ func (s *Session) acquire(metrics []Metric, n int, shared *cache.Shared) []*opt.
 
 // release parks the problem instances a shared-cache run borrowed,
 // warmed by that run, under its metric subset; a private run's
-// instances are dropped with the run, as are those of a run whose store
-// a compaction replaced; an outgrown store starts a compaction. The
-// per-subset population is capped at limit (< 0 selects the adaptive default: as many instances
+// instances are dropped with the run. The per-subset population is
+// capped at limit (< 0 selects the adaptive default: as many instances
 // as GOMAXPROCS or this run's parallelism, whichever is larger) and the
 // overflow is dropped, oldest first — without the cap, a burst of B
 // concurrent runs at parallelism P permanently pinned B×P warmed
@@ -415,12 +403,6 @@ func (s *Session) release(metrics []Metric, shared *cache.Shared, problems []*op
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.shared[key] != shared {
-		return
-	}
-	if !s.compacting[key] && outgrown(shared) {
-		go s.compact(key) // a failed compaction leaves the store in place
-	}
 	before := len(s.pool[key])
 	free := append(s.pool[key], problems...)
 	if over := len(free) - limit; over > 0 {
@@ -435,61 +417,4 @@ func (s *Session) release(metrics []Metric, shared *cache.Shared, problems []*op
 	s.pool[key] = free
 	s.pooled += len(free) - before
 	s.poolHigh = max(s.poolHigh, s.pooled)
-}
-
-// outgrown reports whether a store's interner holds at least 2^20 ids
-// and more than twice the store's sets. A compaction leaves one id per
-// kept set, so the next one needs as many new ids: O(1) copying per id.
-func outgrown(sh *cache.Shared) bool {
-	ids := sh.Interner().Len()
-	sets, _ := sh.Stats()
-	return ids >= 1<<20 && ids > 2*sets
-}
-
-// compact replaces an outgrown store with a copy over a fresh interner
-// that names only the kept sets: the store's snapshot restored, plus
-// its deltas since. The copy keeps frontiers, admission order, version,
-// iteration counter, effective retention and replication cursors.
-// Replication waits while the copy catches up and takes over; plans
-// that runs still attached to the old store publish later are lost, as
-// the anytime contract allows, and their problems are never pooled.
-// Without an outgrown store, or while another compaction of it runs,
-// compact does nothing; after a failure the old store stays for good.
-func (s *Session) compact(tag string) error {
-	s.mu.Lock()
-	old := s.shared[tag]
-	if s.compacting[tag] || !outgrown(old) {
-		s.mu.Unlock()
-		return nil
-	}
-	s.compacting[tag] = true
-	s.mu.Unlock()
-
-	fresh := cache.NewShared(tableset.NewInterner(), old.Retention())
-	open := func(string, cache.StoreState) (*cache.Shared, error) { return fresh, nil }
-	since := old.DeltaCursor()
-	data, err := snapshot.Encode(0, []snapshot.TaggedStore{{Tag: tag, Store: old}})
-	if err == nil {
-		_, err = snapshot.Decode(data, open)
-	}
-	s.repl.Lock()
-	defer s.repl.Unlock()
-	if err == nil {
-		data, _, err = snapshot.EncodeDeltas(0, 0, []snapshot.TaggedStore{{Tag: tag, Store: old, Since: since}})
-	}
-	if err == nil {
-		_, _, err = snapshot.DecodeDeltas(data, open)
-	}
-	if err != nil {
-		return fmt.Errorf("rmq: compacting store %s: %w", metricsTagName(tag), err)
-	}
-	fresh.Succeed(old)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.shared[tag] = fresh
-	s.pooled -= len(s.pool[tag])
-	delete(s.pool, tag)
-	delete(s.compacting, tag)
-	s.compactions++
-	return nil
 }

@@ -40,8 +40,6 @@ type DeltaApply struct {
 // running Optimize calls and returns a valid (empty) stream for a
 // session that never enabled WithSharedCache.
 func (s *Session) EncodeDeltas(instance uint64, since map[string]uint64) ([]byte, map[string]uint64, error) {
-	s.repl.RLock()
-	defer s.repl.RUnlock()
 	return snapshot.EncodeDeltas(s.cat.Fingerprint(), instance, s.taggedStores(since))
 }
 
@@ -50,8 +48,6 @@ func (s *Session) EncodeDeltas(instance uint64, since map[string]uint64) ([]byte
 // cannot have come from this store's history — servers use that to
 // detect cursors from another incarnation.
 func (s *Session) DeltaCursors() map[string]uint64 {
-	s.repl.RLock()
-	defer s.repl.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]uint64, len(s.shared))
@@ -79,8 +75,6 @@ func (s *Session) ApplyDeltas(data []byte) (DeltaApply, error) {
 		return DeltaApply{}, fmt.Errorf("rmq: %w (delta fingerprint %016x, catalog %016x)",
 			ErrSnapshotMismatch, h.Fingerprint, want)
 	}
-	s.repl.RLock()
-	defer s.repl.RUnlock()
 	before := s.CacheStats().Plans
 	_, cursors, err := snapshot.DecodeDeltas(data, func(tag string, st cache.StoreState) (*cache.Shared, error) {
 		if err := validMetricsTag(tag); err != nil {

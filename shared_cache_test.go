@@ -246,3 +246,78 @@ func slicesEqual(a, b []float64) bool {
 	}
 	return true
 }
+
+// TestStoreInternsOnlyCachedSets checks that a store's interner names
+// exactly the table sets the store caches. Shared runs at parallelism 2
+// (with more than one processor each worker pipelines stage B behind
+// the next climb) leave one id per cached set; so do a replica after
+// the primary's full delta pull and a fresh session after restoring the
+// primary's snapshot. Random plans and climbing moves pass through
+// many more sets than the climbed plans keep; none of those may take an
+// id.
+func TestStoreInternsOnlyCachedSets(t *testing.T) {
+	cat := rmq.GenerateCatalog(rmq.WorkloadSpec{Tables: 14, Graph: rmq.Cycle}, 3)
+	primary, err := rmq.NewSession(cat, rmq.WithSharedCache(true),
+		rmq.WithCacheRetention(2), rmq.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		if _, err := primary.Optimize(context.Background(), rmq.WithSeed(seed), rmq.WithMaxIterations(40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(name string, s *rmq.Session) {
+		t.Helper()
+		if cs := s.CacheStats(); cs.Sets == 0 || cs.IDs != cs.Sets {
+			t.Fatalf("%s store holds %d ids for %d sets", name, cs.IDs, cs.Sets)
+		}
+	}
+	check("primary", primary)
+
+	deltas, _, err := primary.EncodeDeltas(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := rmq.NewSession(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replica.ApplyDeltas(deltas); err != nil {
+		t.Fatal(err)
+	}
+	check("replica", replica)
+
+	snap, err := primary.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := rmq.NewSession(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored)
+}
+
+// TestBaselinesLeaveStoreAlone checks that shared-cache runs of a
+// baseline, which has no sub-plan cache, neither create a store nor
+// intern into one: simulated annealing builds plans over every set its
+// moves reach, and none of them may take a store id.
+func TestBaselinesLeaveStoreAlone(t *testing.T) {
+	sess, err := rmq.NewSession(sharedTestCatalog(10), rmq.WithSharedCache(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		if _, err := sess.Optimize(context.Background(), rmq.WithSeed(seed),
+			rmq.WithAlgorithm(rmq.AlgoSA), rmq.WithMaxIterations(200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cs, ps := sess.CacheStats(), sess.PoolStats(); cs != (rmq.CacheStats{}) || ps.Pooled != 0 {
+		t.Fatalf("baseline runs left cache stats %+v and %d pooled problems", cs, ps.Pooled)
+	}
+}

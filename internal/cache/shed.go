@@ -23,6 +23,8 @@ import (
 
 // bytesPerPlan estimates the retained footprint of one cached plan: the
 // plan struct itself plus its pointer and admission epoch in the bucket.
+// On 64-bit platforms a plan node takes 96 B (plan.TestPlanNodeSize), so
+// a plan counts 112 B.
 const bytesPerPlan = int64(unsafe.Sizeof(plan.Plan{})) + int64(unsafe.Sizeof((*plan.Plan)(nil))) + 8
 
 // bytesPerSet estimates the fixed footprint of one table set's bucket:

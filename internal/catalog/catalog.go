@@ -28,7 +28,7 @@ type Table struct {
 // Pages returns the table size in pages (≥ 1).
 //
 //rmq:hotpath
-func (t Table) Pages() float64 { return math.Max(1, t.Rows/RowsPerPage) }
+func (t Table) Pages() float64 { return max(1, t.Rows/RowsPerPage) }
 
 // Edge is an undirected join-graph edge with a predicate selectivity in
 // (0, 1].

@@ -50,15 +50,19 @@ type Climber struct {
 	// climbing pass so a pass failing the strict-improvement gate can be
 	// reverted (see Climb).
 	undoLog []mutate.Undo
-	// evNode, evChild, evRootA and evRootB are reusable evaluator
-	// buffers for the move search; keeping them out of the recursion
-	// frames avoids re-zeroing them on every node visit.
-	evNode, evChild  costmodel.JoinEval
+	// ev, evRootA and evRootB are reusable evaluator buffers for the
+	// move search; keeping them out of the recursion frames avoids
+	// re-zeroing them on every node visit.
+	ev               costmodel.JoinEval
 	evRootA, evRootB costmodel.OpEval
-	// vecBuf receives batch-priced candidate cost vectors (OpCostAll).
+	// vecBuf receives batch-priced candidate cost vectors (RuleCostAll).
 	vecBuf [16]cost.Vector
-	// cards caches candidate-join cardinalities for the current climb.
+	// cards caches candidate-join cardinalities across climbs.
 	cards cardCache
+	// prepared and priced count the move search's work since the
+	// climber was built: evaluator preparations (PrepareJoin calls) and
+	// candidate operators priced. Benchmarks report them.
+	prepared, priced uint64
 }
 
 // NewClimber returns a climber over the model.

@@ -363,3 +363,81 @@ func BenchmarkAblationClimb(b *testing.B) {
 		})
 	}
 }
+
+// largeClimbModels returns 3-metric models over 100-table chain, cycle
+// and star catalogs with Steinbrunn selectivities: the shapes of the
+// large-query regime.
+func largeClimbModels(tb testing.TB) []*costmodel.Model {
+	tb.Helper()
+	var models []*costmodel.Model
+	for i, g := range []catalog.GraphKind{catalog.Chain, catalog.Cycle, catalog.Star} {
+		rng := rand.New(rand.NewPCG(uint64(41+i), 1))
+		cat := catalog.Generate(catalog.GenSpec{Tables: 100, Graph: g, Selectivity: catalog.Steinbrunn}, rng)
+		models = append(models, costmodel.New(cat, costmodel.AllMetrics()))
+	}
+	return models
+}
+
+// BenchmarkClimbLarge times stage A of a large query: one op is, per
+// 100-table chain, cycle and star catalog, one fresh climber climbing
+// 200 random plans drawn from a fixed seed. The evaluator preparations
+// (PrepareJoin calls) and operator candidates priced per op are
+// reported as custom metrics; both are deterministic counts.
+func BenchmarkClimbLarge(b *testing.B) {
+	models := largeClimbModels(b)
+	op := func() (prepared, priced uint64) {
+		for i, m := range models {
+			c := NewClimber(m, ClimbConfig{})
+			rng := rand.New(rand.NewPCG(uint64(51+i), 2))
+			for range 200 {
+				c.Climb(randplan.Random(m, m.Catalog().AllTables(), rng))
+			}
+			prepared += c.prepared
+			priced += c.priced
+		}
+		return prepared, priced
+	}
+	op() // warm the interners
+	b.ResetTimer()
+	var prepared, priced uint64
+	for i := 0; i < b.N; i++ {
+		prepared, priced = op()
+	}
+	b.ReportMetric(float64(prepared), "preparejoin/op")
+	b.ReportMetric(float64(priced), "priced/op")
+}
+
+// TestClimberReuseMatchesFresh checks that nothing a climber keeps
+// between climbs (scratch arena, card cache, evaluator buffers) leaks
+// into the search: one climber reused across 200 climbs returns the
+// same plans and step counts as a fresh climber per climb. RMQ relies
+// on it when a pooled problem hands its climber to the next run.
+func TestClimberReuseMatchesFresh(t *testing.T) {
+	type tc struct {
+		name string
+		m    *costmodel.Model
+	}
+	var cases []tc
+	for i, m := range largeClimbModels(t) {
+		cases = append(cases, tc{name: []string{"chain100", "cycle100", "star100"}[i], m: m})
+	}
+	for l := 1; l <= costmodel.NumMetrics; l++ {
+		rng := rand.New(rand.NewPCG(61, uint64(l)))
+		cat := catalog.Generate(catalog.GenSpec{Tables: 24, Graph: catalog.Chain, Selectivity: catalog.Steinbrunn}, rng)
+		cases = append(cases, tc{name: "chain24", m: costmodel.New(cat, costmodel.ChooseMetrics(l, rng))})
+	}
+	for ci, c := range cases {
+		m := c.m
+		reused := NewClimber(m, ClimbConfig{})
+		rngA := rand.New(rand.NewPCG(71, uint64(ci)))
+		rngB := rand.New(rand.NewPCG(71, uint64(ci)))
+		for i := range 200 {
+			got, gotSteps := reused.Climb(randplan.Random(m, m.Catalog().AllTables(), rngA))
+			want, wantSteps := NewClimber(m, ClimbConfig{}).Climb(randplan.Random(m, m.Catalog().AllTables(), rngB))
+			if gotSteps != wantSteps || !samePlan(got, want) {
+				t.Fatalf("%s at %d metrics, climb %d: reused climber took %d steps to %v, fresh %d steps to %v",
+					c.name, m.Dim(), i, gotSteps, got.Cost, wantSteps, want.Cost)
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"rmq/internal/cost"
 
 	"rmq/internal/mutate"
@@ -212,33 +214,34 @@ func (c *Climber) bestMove(n *plan.Plan, mv *mutate.Move) bool {
 	// cardinality lookup and evaluator preparation of the structural
 	// rules. The incumbent only shrinks, so pruning against the current
 	// bestVec never discards a possible winner.
-	ev := &c.evNode
+	//
+	// Within a group, RuleCostAll prices every operator at once and masks
+	// the candidates whose floor weakly dominates the incumbent the group
+	// starts with; the successive strict-dominance selection then visits
+	// only those. Operator exchange and commutativity keep the node's
+	// children, so their floor is the candidate's own cost (a zero fixed
+	// vector).
 	base := m.CombineChildren(outer.Cost, inner.Cost)
 	if base.Dominates(bestVec) {
 		// Operator exchange: same children, every other applicable
 		// operator.
-		m.PrepareJoin(ev, outer.Card, inner.Card, n.Card)
 		ops := plan.JoinOpsFor(inner.Output)
-		ev.OpCostAll(ops, base, &c.vecBuf)
-		for k, op := range ops {
-			if op == n.Join {
-				continue
-			}
-			if vec := c.vecBuf[k]; vec.StrictlyDominates(bestVec) {
-				bestVec, found = vec, true
-				*mv = mutate.Move{Kind: mutate.OpExchange, Op: op, Cost: vec}
+		for mask := c.priceRule(ops, outer.Card, inner.Card, n.Card, base, cost.Vector{}, bestVec); mask != 0; mask &= mask - 1 {
+			k := bits.TrailingZeros16(mask)
+			if op := ops[k]; op != n.Join && c.vecBuf[k].StrictlyDominates(bestVec) {
+				bestVec, found = c.vecBuf[k], true
+				*mv = mutate.Move{Kind: mutate.OpExchange, Op: op, Cost: bestVec}
 			}
 		}
 	}
 	if base.Dominates(bestVec) {
 		// Commutativity: swapped children over all applicable operators.
-		m.PrepareJoin(ev, inner.Card, outer.Card, n.Card)
 		ops := plan.JoinOpsFor(outer.Output)
-		ev.OpCostAll(ops, base, &c.vecBuf)
-		for k, op := range ops {
-			if vec := c.vecBuf[k]; vec.StrictlyDominates(bestVec) {
-				bestVec, found = vec, true
-				*mv = mutate.Move{Kind: mutate.Commute, Op: op, Cost: vec}
+		for mask := c.priceRule(ops, inner.Card, outer.Card, n.Card, base, cost.Vector{}, bestVec); mask != 0; mask &= mask - 1 {
+			k := bits.TrailingZeros16(mask)
+			if c.vecBuf[k].StrictlyDominates(bestVec) {
+				bestVec, found = c.vecBuf[k], true
+				*mv = mutate.Move{Kind: mutate.Commute, Op: ops[k], Cost: bestVec}
 			}
 		}
 	}
@@ -277,8 +280,16 @@ func (c *Climber) structMoves(n *plan.Plan, kind mutate.MoveKind, childOuter, ch
 	}
 	childRel := childOuter.Rel.Union(childInner.Rel)
 	childCard := c.candidateCard(childRel)
-	childEv := &c.evChild
-	m.PrepareJoin(childEv, childOuter.Card, childInner.Card, childCard)
+	// Price every child operator at once; the mask keeps the candidates
+	// whose floor (the complete cost is ≥ CombineChildren(fixed,
+	// childVec)) weakly dominates the incumbent this rule starts with.
+	// The incumbent only shrinks, so no candidate outside the mask can
+	// be the selection's pick.
+	cops := plan.JoinOpsFor(childInner.Output)
+	mask := c.priceRule(cops, childOuter.Card, childInner.Card, childCard, childBase, fixed.Cost, *bestVec)
+	if mask == 0 {
+		return
+	}
 	// The root operator depends only on the new inner representation, so
 	// at most two distinct operators ever price the root; prepare one
 	// single-operator evaluator each instead of a full JoinEval.
@@ -293,15 +304,10 @@ func (c *Climber) structMoves(n *plan.Plan, kind mutate.MoveKind, childOuter, ch
 		rootOpFixed = mutate.PickRootOp(n.Join, fixed.Output)
 		m.PrepareOp(rootPipe, rootOpFixed, childCard, fixed.Card, n.Card)
 	}
-	cops := plan.JoinOpsFor(childInner.Output)
-	childEv.OpCostAll(cops, childBase, &c.vecBuf)
-	for k, cop := range cops {
-		childVec := c.vecBuf[k]
+	for ; mask != 0; mask &= mask - 1 {
+		k := bits.TrailingZeros16(mask)
+		cop, childVec := cops[k], c.vecBuf[k]
 		rootBase := m.CombineChildren(fixed.Cost, childVec)
-		// Per-candidate floor: the complete cost is ≥ rootBase.
-		if !rootBase.Dominates(*bestVec) {
-			continue
-		}
 		var rop plan.JoinOp
 		var vec cost.Vector
 		if childIsInner {
@@ -326,4 +332,17 @@ func (c *Climber) structMoves(n *plan.Plan, kind mutate.MoveKind, childOuter, ch
 			}
 		}
 	}
+}
+
+// priceRule prices the operators ops joining inputs of the given
+// cardinalities over base into c.vecBuf and returns the mask of
+// JoinEval.RuleCostAll: the candidates whose floor, base's cost
+// combined with fixed, weakly dominates incumbent.
+//
+//rmq:hotpath
+func (c *Climber) priceRule(ops []plan.JoinOp, outerCard, innerCard, outCard float64, base, fixed, incumbent cost.Vector) uint16 {
+	c.prepared++
+	c.priced += uint64(len(ops))
+	c.model.PrepareJoin(&c.ev, outerCard, innerCard, outCard)
+	return c.ev.RuleCostAll(ops, base, fixed, incumbent, &c.vecBuf)
 }

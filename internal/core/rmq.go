@@ -114,7 +114,6 @@ func (r *RMQ) Name() string { return "RMQ" }
 func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 	r.problem = p
 	r.rng = rand.New(rand.NewPCG(seed, 0x524d51)) // "RMQ"
-	r.climber = NewClimber(p.Model, ClimbConfig{})
 	r.sync = nil
 	shared := r.cfg.Shared
 	if shared != nil && shared.Interner() == p.Model.Interner() {
@@ -125,16 +124,18 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 		// runs saw is still cached. A fresh problem imports the whole
 		// store once instead.
 		if rc, ok := p.Retained.(*retainedCache); ok && rc.shared == shared {
-			r.cache, r.sync = rc.cache, rc.sync
+			r.cache, r.sync, r.climber = rc.cache, rc.sync, rc.climber
 		} else {
 			r.cache = cache.New(p.Model.Interner())
 			r.cache.TrackDirty()
 			r.sync = shared.NewSync()
-			p.Retained = &retainedCache{shared: shared, cache: r.cache, sync: r.sync}
+			r.climber = NewClimber(p.Model, ClimbConfig{})
+			p.Retained = &retainedCache{shared: shared, cache: r.cache, sync: r.sync, climber: r.climber}
 		}
 		r.sync.Pull(r.cache)
 	} else {
 		r.cache = cache.New(p.Model.Interner())
+		r.climber = NewClimber(p.Model, ClimbConfig{})
 	}
 	r.root = r.cache.Bucket(p.Query)
 	r.iter = 0
@@ -145,13 +146,17 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 
 // retainedCache is the state RMQ stashes in a pooled problem between
 // shared-cache runs: the warmed private cache plus the sync marks that
-// make the next run's warm start incremental. It is only reused when
-// the session store matches (the store's identity implies the interner
-// and metric subset match too).
+// make the next run's warm start incremental, and the climber, whose
+// scratch arena and card cache stay allocated and warm (a climber is
+// bound to the problem's model, and what it caches is a pure function
+// of that model). It is only reused when the session store matches
+// (the store's identity implies the interner and metric subset match
+// too).
 type retainedCache struct {
-	shared *cache.Shared
-	cache  *cache.Cache
-	sync   *cache.SyncState
+	shared  *cache.Shared
+	cache   *cache.Cache
+	sync    *cache.SyncState
+	climber *Climber
 }
 
 // Step runs one iteration of the main loop (Algorithm 1) and always

@@ -45,11 +45,20 @@ type JoinEval struct {
 func (m *Model) PrepareJoin(e *JoinEval, outerCard, innerCard, outCard float64) {
 	po, pi, pout := pages(outerCard), pages(innerCard), pages(outCard)
 	e.ti, e.bi, e.di = int32(m.ti), int32(m.bi), int32(m.di)
-	for alg := plan.JoinAlg(0); alg < plan.NumJoinAlgs; alg++ {
-		r := algRaw(alg, po, pi)
-		e.rawsByOp[plan.MakeJoinOp(alg, false)] = r
-		e.rawsByOp[plan.MakeJoinOp(alg, true)] = r.materialized(pout)
-	}
+	// Straight-line calls of the per-family formulas (see algRaw), so
+	// they inline instead of dispatching once per family.
+	e.setAlg(plan.BNL10, bnlRaw(plan.BNL10.BufferBudget(), po, pi), pout)
+	e.setAlg(plan.BNL100, bnlRaw(plan.BNL100.BufferBudget(), po, pi), pout)
+	e.setAlg(plan.BNL1000, bnlRaw(plan.BNL1000.BufferBudget(), po, pi), pout)
+	e.setAlg(plan.Hash, hashRaw(po, pi), pout)
+	e.setAlg(plan.GraceHash, graceRaw(po, pi), pout)
+	e.setAlg(plan.SortMerge, sortMergeRaw(po, pi), pout)
+}
+
+// setAlg stores the pipelining and materializing operators of alg.
+func (e *JoinEval) setAlg(alg plan.JoinAlg, r raw, pout float64) {
+	e.rawsByOp[plan.MakeJoinOp(alg, false)] = r
+	e.rawsByOp[plan.MakeJoinOp(alg, true)] = r.materialized(pout)
 }
 
 // CombineChildren merges two children cost vectors under the per-metric
@@ -155,6 +164,48 @@ func (e *JoinEval) OpCostAll(ops []plan.JoinOp, base cost.Vector, out *[16]cost.
 		}
 		out[k] = v
 	}
+}
+
+// RuleCostAll prices the operators of one climbing move group (a
+// structural rule's new child join, or a node's operator exchange or
+// commutation): it fills out exactly as OpCostAll(ops, childBase, out)
+// does and
+// returns the bitmask of the indices k whose root floor
+// CombineChildren(fixed, out[k]) weakly dominates incumbent. Every root
+// operator's cost over that floor is at least the floor component-wise,
+// so a candidate outside the mask cannot strictly dominate incumbent,
+// nor any vector incumbent dominates: the mask is a superset of the
+// candidates a strict-dominance selection that starts at incumbent can
+// pick. Only the model's metric components of the vectors are read, so
+// a zero fixed (cost.Vector{}) masks the candidates that themselves
+// weakly dominate incumbent.
+//
+//rmq:hotpath
+func (e *JoinEval) RuleCostAll(ops []plan.JoinOp, childBase, fixed, incumbent cost.Vector, out *[16]cost.Vector) uint16 {
+	ti, bi, di := e.ti, e.bi, e.di
+	var mask uint16
+	for k, op := range ops {
+		r := &e.rawsByOp[op&15]
+		v := childBase
+		floorOK := true
+		if ti >= 0 {
+			v.V[ti] = min(v.V[ti]+r.time, cost.Saturation)
+			floorOK = !(min(fixed.V[ti]+v.V[ti], cost.Saturation) > incumbent.V[ti])
+		}
+		if bi >= 0 {
+			v.V[bi] = max(v.V[bi], r.buffer)
+			floorOK = floorOK && !(max(fixed.V[bi], v.V[bi]) > incumbent.V[bi])
+		}
+		if di >= 0 {
+			v.V[di] = min(v.V[di]+r.disc, cost.Saturation)
+			floorOK = floorOK && !(min(fixed.V[di]+v.V[di], cost.Saturation) > incumbent.V[di])
+		}
+		out[k] = v
+		if floorOK {
+			mask |= 1 << k
+		}
+	}
+	return mask
 }
 
 // OpEval prices one fixed join operator over varying child-combination

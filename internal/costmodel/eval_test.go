@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 
@@ -174,5 +175,93 @@ func TestFloorCostLowerBoundsEveryOperator(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBuiltinMaxMatchesMathMax backs the cost model's use of the
+// builtin max (pages, the BNL term, combine, catalog.Table.Pages): it
+// agrees with math.Max bit for bit on random inputs and on the
+// boundaries the model meets, signed zeros and +Inf included.
+func TestBuiltinMaxMatchesMathMax(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, catalog.RowsPerPage, cost.Saturation, math.Inf(1), 0.5, 1e-300}
+	rng := rand.New(rand.NewPCG(9, 9))
+	for range 1000 {
+		vals = append(vals, math.Exp(rng.Float64()*600-20), -math.Exp(rng.Float64()*40))
+	}
+	same := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: builtin %v (%#x), math.Max %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, a := range vals {
+		for _, b := range vals[:8] {
+			same("max(a, b)", max(a, b), math.Max(a, b))
+			same("max(b, a)", max(b, a), math.Max(b, a))
+		}
+		same("pages", pages(a), math.Max(1, a/catalog.RowsPerPage))
+		same("Table.Pages", catalog.Table{Rows: a}.Pages(), math.Max(1, a/catalog.RowsPerPage))
+	}
+}
+
+// TestRuleCostAllMask checks the masked kernel of the climbing move
+// search against the sequential selection it replaces: the vectors are
+// OpCostAll's, the mask holds exactly the candidates whose root floor
+// weakly dominates the incumbent, and a candidate the mask drops is
+// never the pick of a strict-dominance selection over every candidate
+// (priced under random root operators) starting at that incumbent.
+func TestRuleCostAllMask(t *testing.T) {
+	rng0 := rand.New(rand.NewPCG(7, 7))
+	cat := catalog.Generate(catalog.GenSpec{Tables: 6, Graph: catalog.Cycle, Selectivity: catalog.Steinbrunn}, rng0)
+	picks, dropped := 0, 0
+	for _, metrics := range metricSubsets() {
+		m := New(cat, metrics)
+		rng := rand.New(rand.NewPCG(8, uint64(len(metrics))))
+		var ev JoinEval
+		var got, want [16]cost.Vector
+		for trial := 0; trial < 2000; trial++ {
+			ops := plan.JoinOpsFor(plan.OutputProp(trial % 2))
+			card := func() float64 { return math.Exp(rng.Float64() * 60) }
+			m.PrepareJoin(&ev, card(), card(), card())
+			childBase := m.CombineChildren(randVec(rng, len(metrics)), randVec(rng, len(metrics)))
+			fixed := randVec(rng, len(metrics))
+			if trial%5 == 0 {
+				fixed = cost.Zero(len(metrics)) // the operator-exchange form
+			}
+			// An incumbent near the candidates' floors, so masks vary.
+			incumbent := m.CombineChildren(fixed, childBase)
+			for i := range len(metrics) {
+				incumbent.V[i] *= math.Exp(rng.Float64()*4 - 0.5)
+			}
+			mask := ev.RuleCostAll(ops, childBase, fixed, incumbent, &got)
+			ev.OpCostAll(ops, childBase, &want)
+			var roots [2]OpEval
+			for i := range roots {
+				m.PrepareOp(&roots[i], plan.JoinOp(rng.IntN(plan.NumJoinOps)), card(), card(), card())
+			}
+			best, pick := incumbent, -1
+			for k := range ops {
+				if !got[k].Equal(want[k]) {
+					t.Fatalf("metrics %v op %v: RuleCostAll %v, OpCostAll %v", metrics, ops[k], got[k], want[k])
+				}
+				floor := m.CombineChildren(fixed, got[k])
+				if inMask := mask&(1<<k) != 0; inMask != floor.Dominates(incumbent) {
+					t.Fatalf("metrics %v op %v: mask bit %v, floor %v vs incumbent %v", metrics, ops[k], inMask, floor, incumbent)
+				}
+				if vec := roots[ops[k]&1].Cost(floor); vec.StrictlyDominates(best) {
+					best, pick = vec, k
+				}
+			}
+			if pick >= 0 {
+				picks++
+				if mask&(1<<pick) == 0 {
+					t.Fatalf("metrics %v: the selection picks op %v, which the mask drops", metrics, ops[pick])
+				}
+			}
+			dropped += len(ops) - bits.OnesCount16(mask)
+		}
+	}
+	if picks == 0 || dropped == 0 {
+		t.Fatalf("degenerate test inputs: %d picks, %d dropped candidates", picks, dropped)
 	}
 }

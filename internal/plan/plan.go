@@ -258,8 +258,25 @@ func JoinOpsProducing(inner, out OutputProp) []JoinOp { return joinOpsByInnerOut
 // cache aliases sub-plans across plans), so they must never be mutated
 // after construction — transformations build new nodes instead.
 type Plan struct {
+	// The field order packs the node into 96 bytes on 64-bit platforms,
+	// the 96-byte allocation size class: the fields of a word or more come
+	// first and the small ones share the last word, with no padding
+	// between. TestPlanNodeSize pins it.
+
 	// Rel is the set of tables joined by the plan (p.rel).
 	Rel tableset.Set
+	// Cost is the plan's cost vector under the run's cost model.
+	Cost cost.Vector
+	// Card is the estimated output cardinality in rows.
+	Card float64
+
+	// Outer and Inner are the children of join plans (nil for scans).
+	Outer *Plan
+	Inner *Plan
+
+	// Table is the scanned table of scan plans.
+	Table int
+
 	// RelID is the interned id of Rel under the constructing cost model's
 	// interner (see costmodel.Model.Interner). The plan cache indexes its
 	// buckets by it, avoiding a hash of Rel on every probe, so every plan
@@ -267,21 +284,13 @@ type Plan struct {
 	// and climbing moves leave it zero: a plan gets its ids when it leaves
 	// stage A of an RMQ iteration, as the climber returns it.
 	RelID tableset.ID
-	// Cost is the plan's cost vector under the run's cost model.
-	Cost cost.Vector
-	// Card is the estimated output cardinality in rows.
-	Card float64
 	// Output is the data representation the plan produces.
 	Output OutputProp
 
-	// Table and Scan describe scan plans (when Outer == nil).
-	Table int
-	Scan  ScanOp
-
-	// Join, Outer and Inner describe join plans.
-	Join  JoinOp
-	Outer *Plan
-	Inner *Plan
+	// Scan is the operator of scan plans (when Outer == nil); Join is
+	// the operator of join plans.
+	Scan ScanOp
+	Join JoinOp
 
 	// Aux is scratch bookkeeping space for optimizers operating on
 	// mutable Scratch-owned nodes (the climbing hot path marks

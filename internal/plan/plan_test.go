@@ -3,6 +3,7 @@ package plan
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rmq/internal/cost"
 	"rmq/internal/tableset"
@@ -200,5 +201,15 @@ func TestValidateRejectsScanWithWrongRel(t *testing.T) {
 	s.Rel = tableset.FromSlice([]int{0, 1})
 	if err := s.Validate(); err == nil {
 		t.Error("scan with two tables accepted")
+	}
+}
+
+// TestPlanNodeSize pins the plan node: stores and pooled caches retain
+// one per cached plan (cache.Shared.Bytes budgets by it), so the node
+// is most of a warm cache's memory. Ordering the fields by size keeps it
+// in the 96-byte allocation size class.
+func TestPlanNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Plan{}); got > 96 {
+		t.Errorf("unsafe.Sizeof(Plan{}) = %d bytes, want ≤ 96", got)
 	}
 }

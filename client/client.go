@@ -159,8 +159,8 @@ func (c *Client) Checkpoint(ctx context.Context, catalogID string) error {
 }
 
 // FetchURL fetches an absolute URL with the client's retry policy —
-// the rmqd-to-rmqd path (replication pulls, snapshot_url warm starts),
-// where the target is another server entirely and Base does not apply.
+// the rmqd-to-rmqd path of replicate_from's delta pulls, where the
+// target is another server entirely and Base does not apply.
 func (c *Client) FetchURL(ctx context.Context, rawURL string) ([]byte, error) {
 	return c.do(ctx, http.MethodGet, rawURL, true, nil)
 }

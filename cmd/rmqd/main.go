@@ -40,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"rmq"
 	"rmq/internal/faultinject"
 	"rmq/internal/server"
 )
@@ -52,13 +51,12 @@ func main() {
 		defaultTimeout = flag.Duration("default-timeout", 500*time.Millisecond, "optimization budget when a request names neither timeout_ms nor max_iterations")
 		maxTimeout     = flag.Duration("max-timeout", 30*time.Second, "cap on any request budget (also bounds shutdown drain)")
 		maxParallel    = flag.Int("max-parallelism", 0, "cap on per-request multi-start parallelism (0 = max(8, 4×GOMAXPROCS))")
-		poolLimit      = flag.Int("pool-limit", -1, "per-catalog cap on pooled warmed problem instances (-1 = adaptive)")
 		retention      = flag.Float64("retention", 0, "default shared-cache retention α for catalogs that do not set one (0 = exact)")
 		grace          = flag.Duration("shutdown-grace", 15*time.Second, "how long SIGTERM waits for in-flight requests before closing")
 		snapshotDir    = flag.String("snapshot-dir", "", "directory for plan-cache checkpoints; restored at startup, written on a timer and at shutdown (empty = no persistence)")
 		snapshotEvery  = flag.Duration("snapshot-interval", time.Minute, "how often the background checkpointer persists plan caches to -snapshot-dir")
 		maxCacheBytes  = flag.Int64("max-cache-bytes", 0, "budget for the estimated memory of all plan caches; when exceeded the server tightens cache retention instead of growing (0 = unbounded)")
-		allowFetch     = flag.Bool("allow-snapshot-fetch", false, "allow registrations carrying snapshot_url or replicate_from to fetch warm state from another rmqd (outbound requests to caller-supplied URLs)")
+		allowFetch     = flag.Bool("allow-snapshot-fetch", false, "allow registrations carrying replicate_from to pull cache deltas from another rmqd (outbound requests to caller-supplied URLs)")
 		replEvery      = flag.Duration("replicate-interval", time.Second, "how often catalogs registered with replicate_from pull cache deltas from their peers")
 		faults         = flag.String("faults", "", "fault-injection profile for chaos runs, e.g. 'server.optimize=panic@0.01;checkpoint.write=enospc@0.3' (also via RMQ_FAULTS)")
 		pprofAddr      = flag.String("pprof-addr", "", "listen address for the net/http/pprof diagnostics server (empty = disabled); bind it to loopback, the endpoints are unauthenticated")
@@ -87,9 +85,6 @@ func main() {
 	}
 	if !*quiet {
 		cfg.Logf = logger.Printf
-	}
-	if *poolLimit >= 0 {
-		cfg.SessionOptions = append(cfg.SessionOptions, rmq.WithPoolLimit(*poolLimit))
 	}
 
 	srv := server.New(cfg)

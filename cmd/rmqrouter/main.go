@@ -44,8 +44,6 @@ func main() {
 		nodes       = flag.String("nodes", "", "comma-separated rmqd base URLs, e.g. http://h1:8080,http://h2:8080 (required)")
 		replication = flag.Int("replication", 2, "replicas per catalog (capped at the node count)")
 		probeEvery  = flag.Duration("probe-interval", 500*time.Millisecond, "node health probe interval")
-		downAfter   = flag.Int("down-after", 2, "consecutive failed probes before a node stops receiving traffic")
-		upAfter     = flag.Int("up-after", 3, "consecutive good probes before a demoted node is re-admitted")
 		repairEvery = flag.Duration("repair-interval", 2*time.Second, "how often degraded placements are re-grown onto spare nodes")
 		grace       = flag.Duration("shutdown-grace", 15*time.Second, "how long SIGTERM waits for in-flight requests before closing")
 		faults      = flag.String("faults", "", "fault-injection profile for chaos runs, e.g. 'router.forward=partition@0.05' (also via RMQ_FAULTS)")
@@ -67,13 +65,9 @@ func main() {
 		}
 	}
 	cfg := cluster.Config{
-		Nodes:       nodeList,
-		Replication: *replication,
-		Health: cluster.HealthConfig{
-			Interval:  *probeEvery,
-			DownAfter: *downAfter,
-			UpAfter:   *upAfter,
-		},
+		Nodes:          nodeList,
+		Replication:    *replication,
+		Health:         cluster.HealthConfig{Interval: *probeEvery},
 		RepairInterval: *repairEvery,
 	}
 	if !*quiet {

@@ -6,9 +6,10 @@
 // The edge lives in its own package so every side of the wire shares
 // one copy: internal/server and internal/cluster serve it, the client
 // package (and cmd/rmqload on top of it) calls it, and an rmqd
-// peer-fetching another rmqd's snapshot does both at once. Keeping it
-// out of internal/server breaks the import cycle server → client →
-// server that a server-side peer fetch would otherwise create.
+// replicating another rmqd's catalog through replicate_from does both
+// at once. Keeping it out of internal/server breaks the import cycle
+// server → client → server that the server-side puller would otherwise
+// create.
 package api
 
 // TableSpec is one base table of an explicit catalog registration.
@@ -48,22 +49,11 @@ type CatalogRequest struct {
 	// Retention is the shared-cache retention precision α ≥ 1 bounding
 	// store memory (0 = exact retention).
 	Retention float64 `json:"retention,omitempty"`
-	// PoolLimit caps the session's warmed problem pool; nil selects the
-	// adaptive default.
-	PoolLimit *int `json:"pool_limit,omitempty"`
-	// SnapshotPath names an rmq-snap stream to warm-start the catalog's
-	// session from, resolved inside the server's snapshot directory
-	// (rejected when no -snapshot-dir is configured). The snapshot must
-	// fingerprint-match the catalog being registered.
-	SnapshotPath string `json:"snapshot_path,omitempty"`
-	// Snapshot is the same warm start with the stream carried inline
-	// (base64 in JSON). At most one of Snapshot and SnapshotPath.
+	// Snapshot is an rmq-snap stream (base64 in JSON) to warm-start the
+	// catalog's session from, e.g. the body of another rmqd's
+	// GET /catalogs/{id}/snapshot. It must fingerprint-match the catalog
+	// being registered.
 	Snapshot []byte `json:"snapshot,omitempty"`
-	// SnapshotURL is the same warm start fetched from another rmqd's
-	// GET /catalogs/{id}/snapshot endpoint — the peer hand-off path for
-	// warm fleet rollouts. Requires the server to allow outbound
-	// snapshot fetches. At most one of the three snapshot fields.
-	SnapshotURL string `json:"snapshot_url,omitempty"`
 	// ReplicateFrom lists peer catalog URLs (each the prefix of another
 	// rmqd's catalog, e.g. "http://node1:8080/catalogs/c7") this catalog
 	// continuously pulls cache deltas from. The catalog registers and
@@ -74,15 +64,14 @@ type CatalogRequest struct {
 }
 
 // Spec returns the registration without its one-shot warm-start
-// fields (Snapshot, SnapshotPath, SnapshotURL): the part worth keeping
-// once the catalog exists. Re-registering a spec — from a checkpoint
-// manifest, or as a router's replica — rebuilds the same catalog and
-// session settings, with warmth from the checkpoint's own snapshot or
-// from replication instead of a stale copy or a repeated fetch.
-// ReplicateFrom stays: a replica restored from a checkpoint must
-// resume pulling.
+// Snapshot: the part worth keeping once the catalog exists.
+// Re-registering a spec — from a checkpoint manifest, or as a router's
+// replica — rebuilds the same catalog and session settings, with
+// warmth from the checkpoint's own snapshot or from replication
+// instead of a stale copy. ReplicateFrom stays: a replica restored
+// from a checkpoint must resume pulling.
 func (req CatalogRequest) Spec() CatalogRequest {
-	req.Snapshot, req.SnapshotPath, req.SnapshotURL = nil, "", ""
+	req.Snapshot = nil
 	return req
 }
 
@@ -106,11 +95,6 @@ type OptimizeRequest struct {
 	DPAlpha       float64  `json:"dp_alpha,omitempty"`
 	Parallelism   int      `json:"parallelism,omitempty"`
 	Seed          *uint64  `json:"seed,omitempty"`
-	// Retention asserts the shared-cache retention precision this
-	// request expects. It must match the precision the catalog's store
-	// was created with — a mismatch is answered with 409 rather than
-	// silently optimizing under a different memory bound.
-	Retention float64 `json:"retention,omitempty"`
 	// IncludePlans adds each frontier plan's operator tree to the
 	// response (costs alone otherwise).
 	IncludePlans bool `json:"include_plans,omitempty"`
@@ -144,7 +128,6 @@ type PoolStatsJSON struct {
 	Pooled    int `json:"pooled"`
 	HighWater int `json:"high_water"`
 	Dropped   int `json:"dropped"`
-	Limit     int `json:"limit"`
 }
 
 // OptimizeResponse is the non-streaming /optimize response and the

@@ -67,9 +67,9 @@ func TestWriteReady(t *testing.T) {
 	}
 }
 
-// Spec clears exactly the three one-shot warm-start fields.
+// Spec clears exactly the one-shot warm-start snapshot.
 func TestCatalogRequestSpec(t *testing.T) {
-	shared, limit := false, 4
+	shared := false
 	req := CatalogRequest{
 		Name:          "orders",
 		Tables:        []TableSpec{{Name: "a", Rows: 10}, {Name: "b", Rows: 20}},
@@ -77,20 +77,17 @@ func TestCatalogRequestSpec(t *testing.T) {
 		Generate:      &GenerateSpec{Tables: 3},
 		SharedCache:   &shared,
 		Retention:     2,
-		PoolLimit:     &limit,
-		SnapshotPath:  "c1.snap",
 		Snapshot:      []byte("rmq-snap"),
-		SnapshotURL:   "http://peer/catalogs/c1/snapshot",
 		ReplicateFrom: []string{"http://peer/catalogs/c1"},
 	}
 	want := req
-	want.Snapshot, want.SnapshotPath, want.SnapshotURL = nil, "", ""
+	want.Snapshot = nil
 	if got := req.Spec(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Spec() = %+v, want %+v", got, want)
 	}
 	// Every other field survives: a field added to CatalogRequest later
 	// must be kept or cleared on purpose, not by accident.
-	if n := reflect.TypeOf(req).NumField(); n != 11 {
+	if n := reflect.TypeOf(req).NumField(); n != 8 {
 		t.Fatalf("CatalogRequest has %d fields; decide whether Spec keeps the new one and update this test", n)
 	}
 }

@@ -33,47 +33,37 @@ func benchBucket(n, dim int) (*Bucket, []cost.Vector) {
 // class. The reference arm runs the per-plan scan (WouldAdmit) over the
 // same frontier and probes.
 func BenchmarkAdmissionProbe(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		dim  int
-	}{{"3d", 3}, {"4d", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			bk, probes := benchBucket(256, bc.dim)
-			b.ReportAllocs()
-			b.ResetTimer()
-			hits := 0
-			for i := 0; i < b.N; i++ {
-				if bk.Admits(probes[i%len(probes)], plan.OutputProp(i%2), 1) {
-					hits++
-				}
+	b.Run("3d", func(b *testing.B) {
+		bk, probes := benchBucket(256, 3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			if bk.Admits(probes[i%len(probes)], plan.OutputProp(i%2), 1) {
+				hits++
 			}
-			benchSink = hits
-		})
-	}
+		}
+		benchSink = hits
+	})
 }
 
 // BenchmarkAdmissionProbeReference is the AoS arm of
 // BenchmarkAdmissionProbe: the per-plan reference scan over the
 // identical frontier and probe stream.
 func BenchmarkAdmissionProbeReference(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		dim  int
-	}{{"3d", 3}, {"4d", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			bk, probes := benchBucket(256, bc.dim)
-			plans := bk.Plans()
-			b.ReportAllocs()
-			b.ResetTimer()
-			hits := 0
-			for i := 0; i < b.N; i++ {
-				if WouldAdmit(plans, probes[i%len(probes)], plan.OutputProp(i%2), 1) {
-					hits++
-				}
+	b.Run("3d", func(b *testing.B) {
+		bk, probes := benchBucket(256, 3)
+		plans := bk.Plans()
+		b.ReportAllocs()
+		b.ResetTimer()
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			if WouldAdmit(plans, probes[i%len(probes)], plan.OutputProp(i%2), 1) {
+				hits++
 			}
-			benchSink = hits
-		})
-	}
+		}
+		benchSink = hits
+	})
 }
 
 // BenchmarkBucketFill fills the 256 buckets of a fresh cache with

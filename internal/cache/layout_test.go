@@ -14,10 +14,20 @@ import (
 // plans, so the header is a large share of the cache's memory. Each
 // output class's costs take one block header.
 func TestBucketHeaderSize(t *testing.T) {
-	if got := unsafe.Sizeof(Bucket{}); got > 200 {
-		t.Errorf("unsafe.Sizeof(Bucket{}) = %d bytes, want ≤ 200", got)
+	if got := unsafe.Sizeof(Bucket{}); got > 192 {
+		t.Errorf("unsafe.Sizeof(Bucket{}) = %d bytes, want ≤ 192", got)
 	}
 	t.Logf("Bucket %d B, sharedBucket %d B, bytesPerSet %d B", unsafe.Sizeof(Bucket{}), unsafe.Sizeof(sharedBucket{}), bytesPerSet)
+}
+
+// TestBytesPerPlanChargesSizeClass pins that Shared.Bytes charges a
+// plan node its allocation, not its struct size: the node must fall in
+// planAllocBytes' size class (above the 80-byte class below it), or
+// the estimate drifts from what the heap pays.
+func TestBytesPerPlanChargesSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(plan.Plan{}); got <= 80 || got > planAllocBytes {
+		t.Errorf("unsafe.Sizeof(plan.Plan{}) = %d bytes, outside the (80, %d] size class Shared.Bytes charges", got, planAllocBytes)
+	}
 }
 
 // antichainPlans returns n plans over the set with id, spread

@@ -22,10 +22,14 @@ import (
 )
 
 // bytesPerPlan estimates the retained footprint of one cached plan: the
-// plan struct itself plus its pointer and admission epoch in the bucket.
-// On 64-bit platforms a plan node takes 96 B (plan.TestPlanNodeSize), so
-// a plan counts 112 B.
-const bytesPerPlan = int64(unsafe.Sizeof(plan.Plan{})) + int64(unsafe.Sizeof((*plan.Plan)(nil))) + 8
+// plan node's heap allocation plus its pointer and admission epoch in
+// the bucket. On 64-bit platforms a plan node takes 88 B but is
+// allocated from the 96-byte size class (plan.TestPlanNodeSize), so the
+// node is charged 96 B and a plan counts 112 B.
+const bytesPerPlan = planAllocBytes + int64(unsafe.Sizeof((*plan.Plan)(nil))) + 8
+
+// planAllocBytes is the heap size class a plan node is allocated from.
+const planAllocBytes = 96
 
 // bytesPerSet estimates the fixed footprint of one table set's bucket:
 // its header, its epoch mirror, and 8 bytes for its share of the id

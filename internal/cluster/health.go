@@ -3,12 +3,12 @@ package cluster
 // Node health with hysteresis. The prober polls every node's /readyz
 // (readiness implies liveness: a live-but-unready node must not
 // receive traffic either, so one probe suffices). Transitions are
-// deliberately sticky — a node is demoted only after DownAfter
-// consecutive failures and re-admitted only after UpAfter consecutive
+// deliberately sticky — a node is demoted only after downAfter
+// consecutive failures and re-admitted only after upAfter consecutive
 // successes — so one dropped probe does not flap a healthy node out of
 // rotation and one lucky probe does not flap a dying node back in.
 // The first probe result adopts directly: a fresh router should not
-// need UpAfter rounds to discover a healthy cluster.
+// need upAfter rounds to discover a healthy cluster.
 
 import (
 	"context"
@@ -21,16 +21,17 @@ import (
 	"rmq/internal/faultinject"
 )
 
+// Probe hysteresis: downAfter consecutive probe failures demote a
+// ready node, upAfter consecutive successes re-admit a demoted one.
+const (
+	downAfter = 2
+	upAfter   = 3
+)
+
 // HealthConfig parameterizes the prober; zero values select defaults.
 type HealthConfig struct {
 	// Interval between probe rounds. Default 500ms.
 	Interval time.Duration
-	// DownAfter consecutive probe failures demote a ready node.
-	// Default 2.
-	DownAfter int
-	// UpAfter consecutive probe successes re-admit a demoted node.
-	// Default 3.
-	UpAfter int
 }
 
 // NodeStatus is one node's health row in the router's /stats.
@@ -70,12 +71,6 @@ type nodeHealth struct {
 func NewProber(nodes []string, cfg HealthConfig, logf func(string, ...any)) *Prober {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 2
-	}
-	if cfg.UpAfter <= 0 {
-		cfg.UpAfter = 3
 	}
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -157,7 +152,7 @@ func (p *Prober) observe(node string, err error) {
 	if err == nil {
 		h.fails, h.oks = 0, h.oks+1
 		h.lastErr = ""
-		if !h.known || (!h.ready && h.oks >= p.cfg.UpAfter) {
+		if !h.known || (!h.ready && h.oks >= upAfter) {
 			if h.known {
 				h.transitions++
 				p.logf("node %s re-admitted after %d consecutive ready probes", node, h.oks)
@@ -168,7 +163,7 @@ func (p *Prober) observe(node string, err error) {
 	}
 	h.oks, h.fails = 0, h.fails+1
 	h.lastErr = err.Error()
-	if !h.known || (h.ready && h.fails >= p.cfg.DownAfter) {
+	if !h.known || (h.ready && h.fails >= downAfter) {
 		if h.known {
 			h.transitions++
 			p.logf("node %s demoted after %d consecutive probe failures: %v", node, h.fails, err)

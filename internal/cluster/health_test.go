@@ -37,7 +37,7 @@ func newFlappableNode(t *testing.T) *flappableNode {
 func TestProberHysteresis(t *testing.T) {
 	ctx := context.Background()
 	node := newFlappableNode(t)
-	p := NewProber([]string{node.ts.URL}, HealthConfig{DownAfter: 2, UpAfter: 3}, t.Logf)
+	p := NewProber([]string{node.ts.URL}, HealthConfig{}, t.Logf)
 
 	// First result adopts directly: one round discovers a healthy node.
 	p.ProbeOnce(ctx)
@@ -45,7 +45,10 @@ func TestProberHysteresis(t *testing.T) {
 		t.Fatal("healthy node not ready after first probe")
 	}
 
-	// One failed probe must not demote (hysteresis), two must.
+	// One failed probe must not demote (hysteresis), downAfter = 2 must.
+	if downAfter != 2 || upAfter != 3 {
+		t.Fatalf("hysteresis is %d down / %d up; this walk checks 2 / 3", downAfter, upAfter)
+	}
 	node.ok.Store(false)
 	p.ProbeOnce(ctx)
 	if !p.Ready(node.ts.URL) {
@@ -53,16 +56,16 @@ func TestProberHysteresis(t *testing.T) {
 	}
 	p.ProbeOnce(ctx)
 	if p.Ready(node.ts.URL) {
-		t.Fatal("node still ready after DownAfter consecutive failures")
+		t.Fatal("node still ready after downAfter consecutive failures")
 	}
 
-	// Recovery: two good probes are not enough with UpAfter=3, and an
+	// Recovery: two good probes are not enough with upAfter = 3, and an
 	// interleaved failure resets the streak.
 	node.ok.Store(true)
 	p.ProbeOnce(ctx)
 	p.ProbeOnce(ctx)
 	if p.Ready(node.ts.URL) {
-		t.Fatal("node re-admitted before UpAfter consecutive successes")
+		t.Fatal("node re-admitted before upAfter consecutive successes")
 	}
 	node.ok.Store(false)
 	p.ProbeOnce(ctx)
@@ -74,7 +77,7 @@ func TestProberHysteresis(t *testing.T) {
 	}
 	p.ProbeOnce(ctx)
 	if !p.Ready(node.ts.URL) {
-		t.Fatal("node not re-admitted after UpAfter consecutive successes")
+		t.Fatal("node not re-admitted after upAfter consecutive successes")
 	}
 
 	st := p.Status()

@@ -154,7 +154,7 @@ func TestRouterClusterFailoverAndRepair(t *testing.T) {
 		t.Fatal("failover not counted after primary death")
 	}
 
-	// Two probe rounds demote the dead node (DownAfter default 2); the
+	// Two probe rounds demote the dead node (downAfter = 2); the
 	// repair loop then re-grows the placement onto the third node,
 	// seeded from the survivor.
 	tc.rt.ProbeNow(context.Background())

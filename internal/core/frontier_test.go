@@ -72,10 +72,12 @@ func (r *refFrontiers) approximate(m *costmodel.Model, p *plan.Plan, alpha float
 	}
 	r.approximate(m, p.Outer, alpha)
 	r.approximate(m, p.Inner, alpha)
+	// Every candidate joins the node's set: one cardinality serves all.
+	card := m.Card(p.Rel)
 	for _, outer := range r.sets[p.Outer.Rel] {
 		for _, inner := range r.sets[p.Inner.Rel] {
 			for _, op := range plan.JoinOps(outer, inner) {
-				r.prune(m.NewJoin(op, outer, inner), alpha)
+				r.prune(m.NewJoinWithCard(op, outer, inner, card), alpha)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // The dimension is fixed by the first Append into an empty block; every
 // later Append must match it (buckets hold plans of one dimension, so
 // in practice the dimension is chosen once per bucket). Kernels
-// dispatch on that stored dimension once per sweep — via dim1..dim4
+// dispatch on that stored dimension once per sweep — via dim1..dim3
 // specializations with hoisted per-metric bounds — not once per
 // element, which is what makes the inner loops a single fused
 // compare-and-branch per entry.
@@ -209,9 +209,6 @@ func (c *Columns) ApproxDominatedBy(v Vector, alpha float64) bool {
 	case 3:
 		return anyLE3(c.buf[:n], c.from(1), c.from(2),
 			alpha*v.V[0], alpha*v.V[1], alpha*v.V[2])
-	case 4:
-		return anyLE4(c.buf[:n], c.from(1), c.from(2), c.from(3),
-			alpha*v.V[0], alpha*v.V[1], alpha*v.V[2], alpha*v.V[3])
 	}
 	return n > 0 // dimension 0: every entry vacuously dominates
 }
@@ -231,9 +228,6 @@ func (c *Columns) DominatesAny(v Vector) bool {
 		return anyGE2(c.buf[:n], c.from(1), v.V[0], v.V[1])
 	case 3:
 		return anyGE3(c.buf[:n], c.from(1), c.from(2), v.V[0], v.V[1], v.V[2])
-	case 4:
-		return anyGE4(c.buf[:n], c.from(1), c.from(2), c.from(3),
-			v.V[0], v.V[1], v.V[2], v.V[3])
 	}
 	return n > 0
 }
@@ -279,19 +273,6 @@ func anyLE3(x0, x1, x2 []float64, b0, b1, b2 float64) bool {
 }
 
 //rmq:hotpath
-func anyLE4(x0, x1, x2, x3 []float64, b0, b1, b2, b3 float64) bool {
-	x1 = x1[:len(x0)]
-	x2 = x2[:len(x0)]
-	x3 = x3[:len(x0)]
-	for i, v := range x0 {
-		if max(v-b0, x1[i]-b1, x2[i]-b2, x3[i]-b3) <= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-//rmq:hotpath
 func anyGE1(x0 []float64, b0 float64) bool {
 	for _, v := range x0 {
 		if b0 <= v {
@@ -318,19 +299,6 @@ func anyGE3(x0, x1, x2 []float64, b0, b1, b2 float64) bool {
 	x2 = x2[:len(x0)]
 	for i, v := range x0 {
 		if max(b0-v, b1-x1[i], b2-x2[i]) <= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-//rmq:hotpath
-func anyGE4(x0, x1, x2, x3 []float64, b0, b1, b2, b3 float64) bool {
-	x1 = x1[:len(x0)]
-	x2 = x2[:len(x0)]
-	x3 = x3[:len(x0)]
-	for i, v := range x0 {
-		if max(b0-v, b1-x1[i], b2-x2[i], b3-x3[i]) <= 0 {
 			return true
 		}
 	}

@@ -63,14 +63,15 @@ func checkAgainstRef(t *testing.T, rng *rand.Rand, c *Columns, ref *refBlock, st
 }
 
 // TestColumnsMatchVectorReference runs random sequences of every
-// mutating operation at dimensions 1–4 against a []Vector reference,
+// mutating operation at dimensions 1–3 against a []Vector reference,
 // checking all observables after each operation. Appends dominate the
 // mix so blocks grow across many size classes; the test also fails if
 // the seeds never reach one of the cases the block layout makes
-// delicate (see the covered keys).
+// delicate (see the covered keys). Growth past 64 entries is the
+// rarest: a few seeds in a hundred reach it.
 func TestColumnsMatchVectorReference(t *testing.T) {
 	covered := map[string]bool{}
-	for seed := uint64(0); seed < 24; seed++ {
+	for seed := uint64(0); seed < 256; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 97))
 		var c Columns
 		ref := refBlock{dim: int8(1 + rng.IntN(MaxMetrics))}

@@ -193,8 +193,8 @@ func benchProbes(n, dim int) []Vector {
 // matching AoS arms in BenchmarkDominatesVectors run the per-Vector
 // loop the kernel replaced, over the same data.
 func BenchmarkDominatesColumns(b *testing.B) {
-	for _, dim := range []int{2, 3, 4} {
-		b.Run(map[int]string{2: "2d", 3: "3d", 4: "4d"}[dim], func(b *testing.B) {
+	for _, dim := range []int{2, 3} {
+		b.Run(map[int]string{2: "2d", 3: "3d"}[dim], func(b *testing.B) {
 			c, _ := benchFillColumns(256, dim)
 			probes := benchProbes(64, dim)
 			b.ResetTimer()
@@ -213,8 +213,8 @@ func BenchmarkDominatesColumns(b *testing.B) {
 // BenchmarkDominatesColumns: identical probes, identical frontier, but
 // swept through the per-Vector ApproxDominates loop.
 func BenchmarkDominatesVectors(b *testing.B) {
-	for _, dim := range []int{2, 3, 4} {
-		b.Run(map[int]string{2: "2d", 3: "3d", 4: "4d"}[dim], func(b *testing.B) {
+	for _, dim := range []int{2, 3} {
+		b.Run(map[int]string{2: "2d", 3: "3d"}[dim], func(b *testing.B) {
 			_, ref := benchFillColumns(256, dim)
 			probes := benchProbes(64, dim)
 			b.ResetTimer()

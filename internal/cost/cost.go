@@ -27,11 +27,11 @@ import (
 	"strings"
 )
 
-// MaxMetrics is the largest number of cost metrics supported. The paper
-// evaluates up to three (time, buffer space, disc space); we allow a
-// fourth for extensions. Vectors are fixed-size arrays so they are
-// comparable value types and allocation-free.
-const MaxMetrics = 4
+// MaxMetrics is the largest number of cost metrics supported: the
+// paper's three (time, buffer space, disc space), all the cost model
+// defines. Vectors are fixed-size arrays so they are comparable value
+// types and allocation-free.
+const MaxMetrics = 3
 
 // Saturation is the largest representable cost component. Cardinalities of
 // 100-table cross products overflow float64, so the cost model saturates

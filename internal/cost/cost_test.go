@@ -256,14 +256,6 @@ func BenchmarkStrictlyDominates(b *testing.B) {
 			{New(1, 3, 4), New(2, 3, 4)},
 			{New(9, 1, 1), New(2, 3, 4)},
 		}},
-		{"4d", [][2]Vector{
-			{New(1, 2, 3, 4), New(2, 3, 4, 5)},
-			{New(5, 9, 9, 9), New(2, 3, 4, 5)},
-			{New(1, 9, 3, 4), New(2, 3, 4, 5)},
-			{New(2, 3, 4, 5), New(2, 3, 4, 5)},
-			{New(1, 3, 4, 5), New(2, 3, 4, 5)},
-			{New(9, 1, 1, 1), New(2, 3, 4, 5)},
-		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			pairs := bc.pairs

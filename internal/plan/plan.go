@@ -258,10 +258,10 @@ func JoinOpsProducing(inner, out OutputProp) []JoinOp { return joinOpsByInnerOut
 // cache aliases sub-plans across plans), so they must never be mutated
 // after construction — transformations build new nodes instead.
 type Plan struct {
-	// The field order packs the node into 96 bytes on 64-bit platforms,
-	// the 96-byte allocation size class: the fields of a word or more come
-	// first and the small ones share the last word, with no padding
-	// between. TestPlanNodeSize pins it.
+	// The field order packs the node into 88 bytes on 64-bit platforms,
+	// inside the 96-byte allocation size class: the fields of a word or
+	// more come first and the small ones share the last word, with no
+	// padding between. TestPlanNodeSize pins it.
 
 	// Rel is the set of tables joined by the plan (p.rel).
 	Rel tableset.Set

@@ -1,11 +1,10 @@
 // Failure-path tests for the serving daemon: the panic-recovery
 // boundary, the load-derived Retry-After hint, crash-consistent
-// checkpoint recovery under injected filesystem faults, the cache
-// memory budget, and warm registration fetched from a peer rmqd.
+// checkpoint recovery under injected filesystem faults, and the cache
+// memory budget.
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -316,58 +315,4 @@ func TestServerCacheBudgetSheds(t *testing.T) {
 		t.Fatalf("optimize after shed: status %d", code)
 	}
 	checkFrontier(t, &resp)
-}
-
-// TestServerSnapshotURLRegistration pins the peer hand-off: a replica
-// registers with snapshot_url pointing at the donor's snapshot endpoint
-// and starts with the donor's plans — but only when the operator opted
-// into outbound fetches, and never alongside another snapshot field.
-func TestServerSnapshotURLRegistration(t *testing.T) {
-	_, donor := testServer(t, Config{})
-	id := warmCatalog(t, donor, genBody)
-	donorPlans := cachePlans(t, donor, id)
-	snapURL := donor.URL + "/catalogs/" + id + "/snapshot"
-
-	dir := t.TempDir()
-	replicaSrv, replica := testServer(t, Config{AllowSnapshotFetch: true, SnapshotDir: dir})
-	body, err := json.Marshal(map[string]any{
-		"generate":     map[string]any{"tables": 14, "graph": "chain", "seed": 21},
-		"snapshot_url": snapURL,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rid := register(t, replica, string(body))
-	if got := cachePlans(t, replica, rid); got != donorPlans {
-		t.Fatalf("URL-registered catalog starts with %d plans, donor had %d", got, donorPlans)
-	}
-	// The fetch is one-shot: the checkpoint manifest keeps the catalog,
-	// not the URL it was warmed from.
-	if err := replicaSrv.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	manifest, err := os.ReadFile(filepath.Join(dir, rid+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(manifest), "snapshot_url") {
-		t.Fatalf("checkpoint manifest keeps the one-shot snapshot_url: %s", manifest)
-	}
-
-	// Off by default: the fetch is an outbound request to a
-	// caller-supplied URL.
-	_, sealed := testServer(t, Config{})
-	if code := post(t, sealed, "/catalogs", string(body), nil); code != http.StatusBadRequest {
-		t.Fatalf("snapshot_url without opt-in: status %d", code)
-	}
-	// Only absolute http(s) URLs.
-	if code := post(t, replica, "/catalogs",
-		`{"generate":{"tables":8},"snapshot_url":"file:///etc/passwd"}`, nil); code != http.StatusBadRequest {
-		t.Fatalf("non-http snapshot_url: status %d", code)
-	}
-	// At most one snapshot source.
-	if code := post(t, replica, "/catalogs",
-		fmt.Sprintf(`{"generate":{"tables":8},"snapshot_url":%q,"snapshot":"AAAA"}`, snapURL), nil); code != http.StatusBadRequest {
-		t.Fatalf("two snapshot sources: status %d", code)
-	}
 }

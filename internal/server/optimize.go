@@ -29,18 +29,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", req.Catalog)
 		return
 	}
-	// Retention is an assertion against the catalog's registered value,
-	// checked here rather than passed into the run: the session's
-	// per-subset stores are created lazily, and a request-supplied
-	// retention on the creation path would silently override the
-	// registration instead of being validated against it.
-	if req.Retention > 0 && req.Retention != entry.retention {
-		api.WriteError(w, http.StatusConflict,
-			"%v: request asserts α = %v, catalog %s was registered with α = %v",
-			rmq.ErrRetentionMismatch, req.Retention, entry.id, entry.retention)
-		return
-	}
-
 	opts, err := s.requestOptions(&req)
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, "%v", err)
@@ -122,7 +110,6 @@ func (s *Server) requestOptions(req *api.OptimizeRequest) ([]rmq.Option, error) 
 		{"max_iterations", float64(req.MaxIterations)},
 		{"dp_alpha", req.DPAlpha},
 		{"parallelism", float64(req.Parallelism)},
-		{"retention", req.Retention},
 		{"progress_every", float64(req.ProgressEvery)},
 	} {
 		if f.v < 0 {

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -38,7 +37,6 @@ import (
 	"time"
 
 	"rmq"
-	"rmq/client"
 	"rmq/internal/api"
 	"rmq/internal/faultinject"
 )
@@ -64,28 +62,21 @@ type Config struct {
 	// catalogs whose registration does not set one; 0 selects exact
 	// retention (α = 1).
 	DefaultRetention float64
-	// SessionOptions are default rmq options applied to every catalog's
-	// session, before the per-catalog registration settings. Useful for
-	// a server-wide pool limit. (Retention belongs in DefaultRetention,
-	// not here: the server must know each catalog's effective retention
-	// to validate request assertions against it.)
-	SessionOptions []rmq.Option
 	// SnapshotDir, when set, enables plan-cache persistence: Checkpoint
 	// writes each catalog's registration manifest and rmq-snap stream
 	// there, LoadCheckpoint re-registers them at startup, and
 	// POST /catalogs/{id}/snapshot checkpoints one catalog on demand.
-	// Registration snapshot_path values resolve inside it.
 	SnapshotDir string
 	// MaxCacheBytes budgets the estimated memory of all catalogs'
 	// shared plan caches. When the total exceeds it, the server tightens
 	// cache retention (Lemma-6 pruning bounds what survives) instead of
 	// growing until the OOM killer picks a victim. 0 means unbounded.
 	MaxCacheBytes int64
-	// AllowSnapshotFetch permits registrations carrying snapshot_url to
-	// fetch their warm-start stream from another rmqd, and registrations
-	// carrying replicate_from to continuously pull cache deltas from
-	// peers. Off by default: both make the server issue outbound
-	// requests to caller-supplied URLs, which an operator must opt into.
+	// AllowSnapshotFetch permits registrations carrying replicate_from
+	// to continuously pull cache deltas from peers. Off by default: the
+	// pulls are outbound requests to caller-supplied URLs, which an
+	// operator must opt into. It is the only route by which the server
+	// issues outbound requests.
 	AllowSnapshotFetch bool
 	// ReplicateInterval is how often a replicated catalog's puller asks
 	// its peer for new deltas. Default 1s.
@@ -145,14 +136,8 @@ type catalogEntry struct {
 	name        string
 	tables      int
 	sharedCache bool
-	// retention is the shared-cache retention precision the catalog was
-	// registered with (1 = exact). Requests may assert it; they can
-	// never change it — the per-subset stores are created lazily, so a
-	// request-supplied retention on the creation path would silently
-	// override the registration.
-	retention float64
-	sess      *rmq.Session
-	requests  atomic.Uint64
+	sess        *rmq.Session
+	requests    atomic.Uint64
 	// instance is the catalog's incarnation id: random at registration,
 	// stamped into every delta stream it serves. Replication cursors are
 	// only meaningful against one instance, so a restart (new random id)
@@ -395,60 +380,14 @@ func (s *Server) handleRegisterCatalog(w http.ResponseWriter, r *http.Request) {
 	if !api.DecodeBody(w, r, &req) {
 		return
 	}
-	snap, err := s.registrationSnapshot(r.Context(), &req)
-	if err != nil {
-		api.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	entry, err := s.register(&req, "", snap)
+	entry, err := s.register(&req, "", req.Snapshot)
 	if err != nil {
 		api.WriteError(w, registerStatus(err), "%v", err)
 		return
 	}
 	s.logf("registered catalog %s (%q, %d tables, shared cache %v, warm %v)",
-		entry.id, entry.name, entry.tables, entry.sharedCache, snap != nil)
+		entry.id, entry.name, entry.tables, entry.sharedCache, len(req.Snapshot) > 0)
 	api.WriteJSON(w, http.StatusCreated, entry.info())
-}
-
-// registrationSnapshot resolves a register request's warm-start
-// snapshot: the inline bytes, the contents of snapshot_path resolved
-// inside the server's snapshot directory, or — when the operator opted
-// in — the stream fetched from another rmqd's snapshot endpoint with
-// the client package's retry policy (the warm fleet-rollout hand-off).
-// nil means a cold start.
-func (s *Server) registrationSnapshot(ctx context.Context, req *api.CatalogRequest) ([]byte, error) {
-	given := 0
-	for _, set := range []bool{len(req.Snapshot) > 0, req.SnapshotPath != "", req.SnapshotURL != ""} {
-		if set {
-			given++
-		}
-	}
-	if given > 1 {
-		return nil, fmt.Errorf("give at most one of snapshot, snapshot_path and snapshot_url")
-	}
-	switch {
-	case req.SnapshotPath != "":
-		if s.cfg.SnapshotDir == "" {
-			return nil, fmt.Errorf("snapshot_path requires the server to run with a snapshot directory")
-		}
-		return readSnapshotFile(s.cfg.SnapshotDir, req.SnapshotPath)
-	case req.SnapshotURL != "":
-		if !s.cfg.AllowSnapshotFetch {
-			return nil, fmt.Errorf("snapshot_url requires the server to allow outbound snapshot fetches")
-		}
-		u, err := url.Parse(req.SnapshotURL)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return nil, fmt.Errorf("snapshot_url must be an absolute http(s) URL")
-		}
-		ctx, cancel := context.WithTimeout(ctx, s.cfg.MaxTimeout)
-		defer cancel()
-		data, err := (&client.Client{}).FetchURL(ctx, req.SnapshotURL)
-		if err != nil {
-			return nil, fmt.Errorf("fetching snapshot_url: %w", err)
-		}
-		return data, nil
-	}
-	return req.Snapshot, nil
 }
 
 // buildCatalog materializes the catalog a registration request
@@ -505,9 +444,9 @@ func (s *Server) register(req *api.CatalogRequest, id string, snap []byte) (*cat
 	if len(req.ReplicateFrom) > 0 && !sharedCache {
 		return nil, fmt.Errorf("replicate_from requires shared_cache: deltas merge into the shared plan cache")
 	}
-	// The catalog's effective retention: registration value, server
-	// default, or exact. Fixed here for the catalog's lifetime —
-	// requests assert it but cannot change it.
+	// The catalog's retention: registration value, server default, or
+	// exact. Fixed here for the catalog's lifetime; /stats reports it
+	// as effective_retention until budget shedding coarsens it.
 	retention := req.Retention
 	if retention == 0 {
 		retention = s.cfg.DefaultRetention
@@ -515,12 +454,7 @@ func (s *Server) register(req *api.CatalogRequest, id string, snap []byte) (*cat
 	if retention == 0 {
 		retention = 1
 	}
-	opts := append([]rmq.Option(nil), s.cfg.SessionOptions...)
-	opts = append(opts, rmq.WithSharedCache(sharedCache), rmq.WithCacheRetention(retention))
-	if req.PoolLimit != nil {
-		opts = append(opts, rmq.WithPoolLimit(*req.PoolLimit))
-	}
-	sess, err := rmq.NewSession(cat, opts...)
+	sess, err := rmq.NewSession(cat, rmq.WithSharedCache(sharedCache), rmq.WithCacheRetention(retention))
 	if err != nil {
 		return nil, err
 	}
@@ -534,7 +468,6 @@ func (s *Server) register(req *api.CatalogRequest, id string, snap []byte) (*cat
 		name:        req.Name,
 		tables:      cat.NumTables(),
 		sharedCache: sharedCache,
-		retention:   retention,
 		sess:        sess,
 		instance:    newInstance(),
 		spec:        req.Spec(),
@@ -648,7 +581,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			EffectiveRetention: e.sess.EffectiveRetention(),
 			Pool: api.PoolStatsJSON{
 				Pooled: ps.Pooled, HighWater: ps.HighWater,
-				Dropped: ps.Dropped, Limit: ps.Limit,
+				Dropped: ps.Dropped,
 			},
 		}
 		if e.repl != nil {
@@ -660,7 +593,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // errStatus maps an rmq.Optimize error to an HTTP status: retention
-// conflicts are 409 (the request contradicts server-side state), a
+// conflicts are 409 (a store restored from a registration's snapshot
+// carries another α than the catalog was registered with), a
 // contained worker panic or injected fault is a server-side failure
 // (500) — the request failed, the process and its caches did not —
 // and every other library error is a request problem.

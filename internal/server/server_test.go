@@ -1,8 +1,8 @@
 // Tests for the optimization service: catalog lifecycle, the anytime
 // deadline contract through the HTTP path, client-disconnect
-// cancellation (no goroutine leak), admission control, streaming, the
-// retention-mismatch conflict, and a concurrent mixed-catalog stress
-// that CI runs under the race detector.
+// cancellation (no goroutine leak), admission control, streaming, and
+// a concurrent mixed-catalog stress that CI runs under the race
+// detector.
 package server
 
 import (
@@ -188,7 +188,7 @@ func TestServerRequestValidation(t *testing.T) {
 		"negative workers":   fmt.Sprintf(`{"catalog":%q,"parallelism":-3}`, id),
 		"negative progress":  fmt.Sprintf(`{"catalog":%q,"stream":true,"progress_every":-1}`, id),
 		"negative dp alpha":  fmt.Sprintf(`{"catalog":%q,"dp_alpha":-2}`, id),
-		"negative retention": fmt.Sprintf(`{"catalog":%q,"retention":-1}`, id),
+		"removed retention":  fmt.Sprintf(`{"catalog":%q,"retention":2}`, id),
 	} {
 		var e api.ErrorResponse
 		code := post(t, ts, "/optimize", body, &e)
@@ -202,13 +202,20 @@ func TestServerRequestValidation(t *testing.T) {
 		if e.Error == "" {
 			t.Errorf("%s: error response without message", name)
 		}
+		// A field the protocol no longer has is refused by name, not
+		// ignored: a client still sending it learns what changed.
+		if field, ok := strings.CutPrefix(name, "removed "); ok && !strings.Contains(e.Error, `"`+field+`"`) {
+			t.Errorf("%s: error %q does not name the field", name, e.Error)
+		}
 	}
 	for name, body := range map[string]string{
-		"empty":          `{}`,
-		"both forms":     `{"tables":[{"rows":10}],"generate":{"tables":3}}`,
-		"bad graph":      `{"generate":{"tables":3,"graph":"mesh"}}`,
-		"bad table rows": `{"tables":[{"rows":0}]}`,
-		"bad edge":       `{"tables":[{"rows":10}],"edges":[{"a":0,"b":5,"selectivity":0.5}]}`,
+		"empty":              `{}`,
+		"both forms":         `{"tables":[{"rows":10}],"generate":{"tables":3}}`,
+		"bad graph":          `{"generate":{"tables":3,"graph":"mesh"}}`,
+		"bad table rows":     `{"tables":[{"rows":0}]}`,
+		"bad edge":           `{"tables":[{"rows":10}],"edges":[{"a":0,"b":5,"selectivity":0.5}]}`,
+		"oversized generate": `{"generate":{"tables":1000000}}`,
+		"negative retention": `{"generate":{"tables":3},"retention":-1}`,
 	} {
 		if code := post(t, ts, "/catalogs", body, nil); code != http.StatusBadRequest {
 			t.Errorf("catalog %s: status %d, want 400", name, code)
@@ -463,46 +470,6 @@ func TestServerStreamingEmitsProgressAndResult(t *testing.T) {
 	defer r2.Body.Close()
 	if r2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("streaming with bad option: status %d, want 400", r2.StatusCode)
-	}
-}
-
-// TestServerRetentionMismatchConflict pins the retention-assertion
-// contract through the HTTP path: a request asserting a retention
-// different from the catalog's registered value is answered 409 — even
-// before any store exists for the requested metric subset, where
-// letting the request's value through would silently create the store
-// at the wrong precision instead of conflicting.
-func TestServerRetentionMismatchConflict(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	id := register(t, ts, `{"generate":{"tables":6,"seed":1},"retention":2}`)
-	// First-touch conflict: no store exists yet for this subset, the
-	// registered retention still wins.
-	var e api.ErrorResponse
-	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5,"retention":4,"metrics":["time"]}`, id), &e); code != http.StatusConflict {
-		t.Fatalf("first-touch conflicting retention: status %d, want 409 (%s)", code, e.Error)
-	}
-	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5}`, id), nil); code != http.StatusOK {
-		t.Fatalf("creating run: status %d", code)
-	}
-	e = api.ErrorResponse{}
-	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5,"retention":4}`, id), &e); code != http.StatusConflict {
-		t.Fatalf("conflicting retention: status %d, want 409 (%s)", code, e.Error)
-	}
-	if !strings.Contains(e.Error, "retention") {
-		t.Errorf("conflict error %q does not mention retention", e.Error)
-	}
-	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5,"retention":2}`, id), nil); code != http.StatusOK {
-		t.Fatalf("matching retention: status %d, want 200", code)
-	}
-	// Catalog registered without retention: the default is exact (α=1),
-	// and asserting it succeeds.
-	id2 := register(t, ts, `{"generate":{"tables":6,"seed":2}}`)
-	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5,"retention":1}`, id2), nil); code != http.StatusOK {
-		t.Fatalf("asserting the default retention: status %d, want 200", code)
-	}
-	// Oversized catalogs are rejected up front.
-	if code := post(t, ts, "/catalogs", `{"generate":{"tables":1000000}}`, nil); code != http.StatusBadRequest {
-		t.Fatalf("oversized generate accepted: status %d", code)
 	}
 }
 

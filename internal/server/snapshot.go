@@ -321,8 +321,7 @@ func (s *Server) quarantineFile(name, reason string) {
 }
 
 // readSnapshotFile reads a bounded snapshot file from inside dir. name
-// must be a local path (no escape via .. or absolute paths) — it comes
-// from the wire in register requests.
+// must be a local path (no escape via .. or absolute paths).
 func readSnapshotFile(dir, name string) ([]byte, error) {
 	if !filepath.IsLocal(name) {
 		return nil, fmt.Errorf("snapshot path %q escapes the snapshot directory", name)

@@ -1,7 +1,7 @@
 // Tests for the server's persistence surface: the snapshot endpoints,
-// inline and path-based warm registration, the checkpoint/restart
-// cycle behind rmqd -snapshot-dir, pruning of deleted catalogs, and
-// cold fallback on damaged checkpoint files.
+// inline warm registration, the checkpoint/restart cycle behind rmqd
+// -snapshot-dir, pruning of deleted catalogs, and cold fallback on
+// damaged checkpoint files.
 package server
 
 import (
@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rmq/internal/api"
@@ -56,15 +57,7 @@ func warmCatalog(t *testing.T, ts *httptest.Server, genBody string) string {
 // cachePlans reads a catalog's retained-plan count from /stats.
 func cachePlans(t *testing.T, ts *httptest.Server, id string) int {
 	t.Helper()
-	var stats api.StatsResponse
-	getJSON(t, ts, "/stats", &stats)
-	for _, c := range stats.Catalogs {
-		if c.ID == id {
-			return c.Cache.Plans
-		}
-	}
-	t.Fatalf("catalog %s missing from /stats", id)
-	return 0
+	return catalogStats(t, ts, id).Cache.Plans
 }
 
 const genBody = `{"generate":{"tables":14,"graph":"chain","seed":21}}`
@@ -117,23 +110,85 @@ func TestServerSnapshotMismatchConflict(t *testing.T) {
 	}
 }
 
-// TestServerSnapshotRegistrationValidation pins the request-shape
-// errors: snapshot and snapshot_path together, snapshot_path without a
-// snapshot directory, and a path escaping the directory.
+// TestServerSnapshotRetentionConflict pins the 409 a retention
+// conflict still gets: an inline snapshot's stores keep the α they
+// were taken at, so a catalog registered at another α cannot optimize
+// against them — answered as a conflict with server-side state, not
+// run silently under the snapshot's memory bound. Registering at the
+// snapshot's α serves.
+func TestServerSnapshotRetentionConflict(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	snap := fetchSnapshot(t, ts, warmCatalog(t, ts, genBody))
+	registerAt := func(retention float64) string {
+		body, err := json.Marshal(map[string]any{
+			"generate":  map[string]any{"tables": 14, "graph": "chain", "seed": 21},
+			"retention": retention,
+			"snapshot":  snap,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return register(t, ts, string(body))
+	}
+	var e api.ErrorResponse
+	conflicting := registerAt(2)
+	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5}`, conflicting), &e); code != http.StatusConflict {
+		t.Fatalf("α = 2 catalog over an α = 1 snapshot: status %d, want 409 (%s)", code, e.Error)
+	}
+	if !strings.Contains(e.Error, "retention") {
+		t.Errorf("conflict error %q does not mention retention", e.Error)
+	}
+	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5}`, registerAt(1)), nil); code != http.StatusOK {
+		t.Fatalf("matching retention: status %d, want 200", code)
+	}
+}
+
+// TestServerSnapshotRegistrationValidation pins that the registration
+// fields the protocol dropped are refused by name, even on a server
+// with a snapshot directory and outbound fetches allowed: a peer's warm
+// state comes through replicate_from or an inline snapshot, a file in
+// the directory through LoadCheckpoint, and the pool uses its adaptive
+// cap.
 func TestServerSnapshotRegistrationValidation(t *testing.T) {
-	_, noDir := testServer(t, Config{})
-	if code := post(t, noDir, "/catalogs",
-		`{"generate":{"tables":8},"snapshot_path":"x.snap"}`, nil); code != http.StatusBadRequest {
-		t.Fatalf("snapshot_path without directory: status %d", code)
+	_, ts := testServer(t, Config{SnapshotDir: t.TempDir(), AllowSnapshotFetch: true})
+	for field, body := range map[string]string{
+		"snapshot_path": `{"generate":{"tables":8},"snapshot_path":"x.snap"}`,
+		"snapshot_url":  `{"generate":{"tables":8},"snapshot_url":"http://127.0.0.1:1/catalogs/c1/snapshot"}`,
+		"pool_limit":    `{"generate":{"tables":8},"pool_limit":2}`,
+	} {
+		var e api.ErrorResponse
+		if code := post(t, ts, "/catalogs", body, &e); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", field, code)
+		}
+		if !strings.Contains(e.Error, `"`+field+`"`) {
+			t.Errorf("%s: error %q does not name the field", field, e.Error)
+		}
 	}
-	if code := post(t, noDir, "/catalogs",
-		`{"generate":{"tables":8},"snapshot_path":"x.snap","snapshot":"AAAA"}`, nil); code != http.StatusBadRequest {
-		t.Fatalf("both snapshot and snapshot_path: status %d", code)
+}
+
+// TestReadSnapshotFileGuards pins the guards LoadCheckpoint reads every
+// snapshot generation through: a name escaping the directory and a
+// file over maxSnapshotBytes are refused before any byte is read.
+func TestReadSnapshotFileGuards(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"../escape.snap", "/etc/passwd"} {
+		if _, err := readSnapshotFile(dir, name); err == nil || !strings.Contains(err.Error(), "escapes") {
+			t.Errorf("readSnapshotFile(%q) = %v, want an escape error", name, err)
+		}
 	}
-	_, withDir := testServer(t, Config{SnapshotDir: t.TempDir()})
-	if code := post(t, withDir, "/catalogs",
-		`{"generate":{"tables":8},"snapshot_path":"../escape.snap"}`, nil); code != http.StatusBadRequest {
-		t.Fatalf("escaping snapshot_path: status %d", code)
+	// A sparse file reports the oversize length without occupying it.
+	big := filepath.Join(dir, "big.snap")
+	f, err := os.Create(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(maxSnapshotBytes + 1); err != nil {
+		f.Close()
+		t.Skipf("cannot size a sparse file here: %v", err)
+	}
+	f.Close()
+	if _, err := readSnapshotFile(dir, "big.snap"); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Errorf("oversized snapshot: %v, want a size-limit error", err)
 	}
 }
 
@@ -182,11 +237,14 @@ func TestServerCheckpointRestartCycle(t *testing.T) {
 		t.Fatalf("catalog %s restored with %d plans, want %d", idB, got, plansB)
 	}
 	// Restored catalogs keep their registration settings and serve
-	// requests (the retention assertion passes only if the restored
-	// store kept α = 1.5).
+	// requests: the restored store kept α = 1.5, and the run succeeds
+	// only because the re-registered catalog asks for the same α.
+	if got := catalogStats(t, ts2, idB).EffectiveRetention; got != 1.5 {
+		t.Fatalf("catalog %s restored at α = %v, want 1.5", idB, got)
+	}
 	var resp api.OptimizeResponse
 	if code := post(t, ts2, "/optimize",
-		fmt.Sprintf(`{"catalog":%q,"max_iterations":40,"seed":9,"retention":1.5}`, idB), &resp); code != http.StatusOK {
+		fmt.Sprintf(`{"catalog":%q,"max_iterations":40,"seed":9}`, idB), &resp); code != http.StatusOK {
 		t.Fatalf("optimize restored catalog: status %d", code)
 	}
 	checkFrontier(t, &resp)
@@ -195,6 +253,56 @@ func TestServerCheckpointRestartCycle(t *testing.T) {
 	idC := register(t, ts2, `{"generate":{"tables":8}}`)
 	if idC == idA || idC == idB {
 		t.Fatalf("fresh registration reused restored id %s", idC)
+	}
+}
+
+// TestServerLoadCheckpointLegacyPoolLimit pins the upgrade path for
+// manifests written while registrations could carry pool_limit: the
+// manifest is read leniently, so the catalog still restores warm (the
+// pool then uses its adaptive cap), while a live registration carrying
+// the field is refused.
+func TestServerLoadCheckpointLegacyPoolLimit(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1 := testServer(t, Config{SnapshotDir: dir})
+	id := warmCatalog(t, ts1, genBody)
+	plans := cachePlans(t, ts1, id)
+	if err := srv1.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	path := filepath.Join(dir, id+".json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		ID      string         `json:"id"`
+		Request map[string]any `json:"request"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Request["pool_limit"] = 2
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, ts2 := testServer(t, Config{SnapshotDir: dir})
+	if err := srv2.LoadCheckpoint(); err != nil {
+		t.Fatalf("LoadCheckpoint of a pool_limit manifest: %v", err)
+	}
+	if got := cachePlans(t, ts2, id); got != plans {
+		t.Fatalf("pool_limit manifest restored %d plans, want %d", got, plans)
+	}
+	var stats api.StatsResponse
+	getJSON(t, ts2, "/stats", &stats)
+	if len(stats.Quarantined) > 0 {
+		t.Fatalf("pool_limit manifest quarantined files: %+v", stats.Quarantined)
+	}
+	if code := post(t, ts2, "/catalogs", `{"generate":{"tables":8},"pool_limit":2}`, nil); code != http.StatusBadRequest {
+		t.Fatalf("registration with pool_limit: status %d, want 400", code)
 	}
 }
 
@@ -262,32 +370,6 @@ func TestServerLoadCheckpointColdFallback(t *testing.T) {
 		t.Fatalf("optimize cold-fallback catalog: status %d", code)
 	}
 	checkFrontier(t, &resp)
-}
-
-// TestServerSnapshotPathRegistration pins the third warm-start route:
-// a snapshot file placed in the directory (here by checkpointing) is
-// named by snapshot_path at registration.
-func TestServerSnapshotPathRegistration(t *testing.T) {
-	dir := t.TempDir()
-	srv1, ts1 := testServer(t, Config{SnapshotDir: dir})
-	id := warmCatalog(t, ts1, genBody)
-	plans := cachePlans(t, ts1, id)
-	if err := srv1.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-
-	_, ts2 := testServer(t, Config{SnapshotDir: dir})
-	body, err := json.Marshal(map[string]any{
-		"generate":      map[string]any{"tables": 14, "graph": "chain", "seed": 21},
-		"snapshot_path": id + ".snap",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rid := register(t, ts2, string(body))
-	if got := cachePlans(t, ts2, rid); got != plans {
-		t.Fatalf("path-registered catalog starts with %d plans, want %d", got, plans)
-	}
 }
 
 // TestServerGetSnapshotRoundTripsThroughCodec sanity-checks that the

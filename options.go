@@ -25,8 +25,6 @@ type config struct {
 	sharedCache   bool
 	retention     float64
 	retentionSet  bool
-	poolLimit     int
-	poolLimitSet  bool
 	progress      func(Progress)
 	progressEvery int
 	onImprovement func(Progress)
@@ -74,16 +72,6 @@ func resolveConfig(layers ...[]Option) (config, error) {
 		c.retention = 1
 	}
 	return c, nil
-}
-
-// poolCap resolves the per-subset problem-pool cap a run's release uses:
-// the explicit WithPoolLimit value, or -1 selecting the adaptive
-// default (see Session.release).
-func (c *config) poolCap() int {
-	if c.poolLimitSet {
-		return c.poolLimit
-	}
-	return -1
 }
 
 // WithMetrics selects the cost metric subset (the paper's l); the
@@ -195,30 +183,6 @@ func WithCacheRetention(alpha float64) Option {
 		}
 		c.retention = alpha
 		c.retentionSet = true
-	}
-}
-
-// WithPoolLimit caps how many warmed problem instances a session parks
-// per metric subset for reuse by later shared-cache runs
-// (WithSharedCache); the overflow of a release is dropped, oldest
-// first. Runs without the shared cache park nothing. Each parked
-// instance holds a cost model, a private plan cache, and scratch
-// arenas, so an uncapped pool under bursts of
-// concurrent Optimize calls pins burst×parallelism instances
-// permanently. The default (option unset)
-// is adaptive: a release keeps at most max(GOMAXPROCS, the run's
-// parallelism) instances — everything one run at that width can
-// re-borrow warm. n = 0 disables pooling entirely; negative n is an
-// error. Session.PoolStats reports the pool's size, high-water mark,
-// and drop count.
-func WithPoolLimit(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			c.fail(fmt.Errorf("rmq: negative pool limit %d", n))
-			return
-		}
-		c.poolLimit = n
-		c.poolLimitSet = true
 	}
 }
 

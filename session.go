@@ -41,10 +41,10 @@ var ErrWorkerPanic = errors.New("optimizer worker panicked")
 // identical frontiers. Such runs also reuse per-worker state: each
 // worker borrows a problem instance from an internal pool, so the
 // private plan cache of earlier runs, with its sync marks, turns a
-// later run's warm start into a delta pull. The pool is capped — a release keeps at most
-// max(GOMAXPROCS, the run's parallelism) warmed instances per metric
-// subset, or the explicit WithPoolLimit — so bursts of concurrent runs
-// do not pin unbounded memory; PoolStats reports its state. A run
+// later run's warm start into a delta pull. The pool is capped — a
+// release keeps at most max(GOMAXPROCS, the run's parallelism) warmed
+// instances per metric subset — so bursts of concurrent runs do not
+// pin unbounded memory; PoolStats reports its state. A run
 // without the shared cache builds fresh problem instances and parks
 // none of them, so its table-set interner lives for that run alone. A
 // Session is safe for concurrent use; every worker has its own problem
@@ -180,7 +180,7 @@ func (s *Session) TightenCache(alpha float64) (removed int) {
 
 // PoolStats describes the session's pool of warmed problem instances:
 // how many are currently parked, the most that were ever parked at
-// once, how many were dropped at the cap, and the configured cap. Only
+// once, and how many were dropped at the cap. Only
 // shared-cache runs (WithSharedCache) park instances, so a session that
 // never shares reports zeros.
 type PoolStats struct {
@@ -194,20 +194,13 @@ type PoolStats struct {
 	// Dropped counts warmed instances discarded because returning them
 	// would have exceeded the per-subset cap.
 	Dropped int
-	// Limit is the explicit per-subset cap (WithPoolLimit) or 0 when the
-	// adaptive default applies: max(GOMAXPROCS, the run's parallelism).
-	Limit int
 }
 
 // PoolStats reports the current state of the session's problem pool.
 func (s *Session) PoolStats() PoolStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	limit := 0
-	if cfg, err := resolveConfig(s.defaults); err == nil && cfg.poolLimitSet {
-		limit = cfg.poolLimit
-	}
-	return PoolStats{Pooled: s.pooled, HighWater: s.poolHigh, Dropped: s.dropped, Limit: limit}
+	return PoolStats{Pooled: s.pooled, HighWater: s.poolHigh, Dropped: s.dropped}
 }
 
 // sharedCache returns the session's shared plan cache for the metric
@@ -266,7 +259,7 @@ func (s *Session) Optimize(ctx context.Context, opts ...Option) (*Frontier, erro
 		}
 	}
 	problems := s.acquire(cfg.metrics, cfg.parallelism, shared)
-	defer s.release(cfg.metrics, shared, problems, cfg.poolCap())
+	defer s.release(cfg.metrics, shared, problems)
 	workers := make([]opt.Worker, cfg.parallelism)
 	for i := range workers {
 		o, err := newOptimizer(cfg, shared)
@@ -388,19 +381,16 @@ func (s *Session) acquire(metrics []Metric, n int, shared *cache.Shared) []*opt.
 // release parks the problem instances a shared-cache run borrowed,
 // warmed by that run, under its metric subset; a private run's
 // instances are dropped with the run. The per-subset population is
-// capped at limit (< 0 selects the adaptive default: as many instances
-// as GOMAXPROCS or this run's parallelism, whichever is larger) and the
-// overflow is dropped, oldest first — without the cap, a burst of B
+// capped at as many instances as GOMAXPROCS or this run's parallelism,
+// whichever is larger, and the overflow is dropped, oldest first — without the cap, a burst of B
 // concurrent runs at parallelism P permanently pinned B×P warmed
 // instances, each holding a cost model, caches, and scratch arenas.
-func (s *Session) release(metrics []Metric, shared *cache.Shared, problems []*opt.Problem, limit int) {
+func (s *Session) release(metrics []Metric, shared *cache.Shared, problems []*opt.Problem) {
 	if shared == nil {
 		return
 	}
 	key := metricsKey(metrics)
-	if limit < 0 {
-		limit = max(runtime.GOMAXPROCS(0), len(problems))
-	}
+	limit := max(runtime.GOMAXPROCS(0), len(problems))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	before := len(s.pool[key])

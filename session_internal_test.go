@@ -146,23 +146,37 @@ func TestSharedStoreRetentionFixedByFirstRun(t *testing.T) {
 // TestProblemPoolCappedUnderBurst is the regression test for the
 // unbounded-pool bug: release appended every borrowed problem back with
 // no cap, so a burst of B concurrent Optimize calls at parallelism P
-// permanently pinned B×P warmed instances. The pool is now capped per
-// metric subset; the high-water mark of a burst must not exceed
-// the cap.
+// permanently pinned B×P warmed instances. A release now keeps at most
+// max(GOMAXPROCS, parallelism) instances per metric subset. The burst
+// holds its instances at once (every run waits at its first progress
+// report until all have reached theirs) and borrows more than the cap
+// admits back on any GOMAXPROCS, so drops must happen and the
+// high-water mark must stay at the cap.
 func TestProblemPoolCappedUnderBurst(t *testing.T) {
 	cat := GenerateCatalog(WorkloadSpec{Tables: 8, Graph: Chain}, 1)
-	const burst, parallelism, limit = 8, 4, 3
-	s, err := NewSession(cat, WithPoolLimit(limit), WithSharedCache(true))
+	const parallelism = 4
+	burst := runtime.GOMAXPROCS(0)/parallelism + 2
+	adaptiveCap := max(runtime.GOMAXPROCS(0), parallelism)
+	s, err := NewSession(cat, WithSharedCache(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
+	var wg, inFlight sync.WaitGroup
+	inFlight.Add(burst)
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			arrived := false
 			_, err := s.Optimize(context.Background(),
-				WithSeed(uint64(i)), WithParallelism(parallelism), WithMaxIterations(5))
+				WithSeed(uint64(i)), WithParallelism(parallelism), WithMaxIterations(5),
+				WithProgress(1, func(Progress) {
+					if !arrived {
+						arrived = true
+						inFlight.Done()
+						inFlight.Wait()
+					}
+				}))
 			if err != nil {
 				t.Error(err)
 			}
@@ -170,63 +184,18 @@ func TestProblemPoolCappedUnderBurst(t *testing.T) {
 	}
 	wg.Wait()
 	ps := s.PoolStats()
-	if ps.HighWater > limit {
-		t.Fatalf("pool high-water %d exceeds the cap %d (pooled %d, dropped %d)",
-			ps.HighWater, limit, ps.Pooled, ps.Dropped)
+	if ps.HighWater > adaptiveCap {
+		t.Fatalf("pool high-water %d exceeds max(GOMAXPROCS, parallelism) = %d (pooled %d, dropped %d)",
+			ps.HighWater, adaptiveCap, ps.Pooled, ps.Dropped)
 	}
-	if ps.Pooled > limit {
-		t.Fatalf("pool holds %d instances, cap is %d", ps.Pooled, limit)
-	}
-	if ps.Limit != limit {
-		t.Fatalf("PoolStats.Limit = %d, want %d", ps.Limit, limit)
+	if ps.Pooled > adaptiveCap {
+		t.Fatalf("pool holds %d instances, cap is %d", ps.Pooled, adaptiveCap)
 	}
 	// The burst borrowed more instances than the cap admits back, so
 	// drops must have happened — that is the memory bound working.
-	if ps.Dropped == 0 {
-		t.Fatal("burst released everything into the pool without dropping; the cap is not applied")
-	}
-
-	// The adaptive default keeps at most max(GOMAXPROCS, parallelism)
-	// per subset: a session without an explicit limit stays bounded too.
-	s2, err := NewSession(cat, WithSharedCache(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg2 sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg2.Add(1)
-		go func(i int) {
-			defer wg2.Done()
-			if _, err := s2.Optimize(context.Background(),
-				WithSeed(uint64(i)), WithParallelism(parallelism), WithMaxIterations(5)); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg2.Wait()
-	adaptiveCap := max(runtime.GOMAXPROCS(0), parallelism)
-	if ps2 := s2.PoolStats(); ps2.HighWater > adaptiveCap {
-		t.Fatalf("adaptive pool high-water %d exceeds max(GOMAXPROCS, parallelism) = %d",
-			ps2.HighWater, adaptiveCap)
-	}
-}
-
-// TestWithPoolLimitZeroDisablesPooling pins the n = 0 contract and the
-// option's validation.
-func TestWithPoolLimitZeroDisablesPooling(t *testing.T) {
-	cat := GenerateCatalog(WorkloadSpec{Tables: 6, Graph: Chain}, 1)
-	s, err := NewSession(cat, WithPoolLimit(0), WithSharedCache(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Optimize(context.Background(), WithMaxIterations(4)); err != nil {
-		t.Fatal(err)
-	}
-	if ps := s.PoolStats(); ps.Pooled != 0 || ps.HighWater != 0 || ps.Dropped == 0 {
-		t.Fatalf("pool limit 0 must park nothing: %+v", ps)
-	}
-	if _, err := NewSession(cat, WithPoolLimit(-1)); err == nil {
-		t.Fatal("negative pool limit accepted")
+	if want := burst*parallelism - adaptiveCap; ps.Dropped < want {
+		t.Fatalf("burst of %d×%d dropped %d instances at cap %d, want at least %d",
+			burst, parallelism, ps.Dropped, adaptiveCap, want)
 	}
 }
 

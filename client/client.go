@@ -16,9 +16,9 @@
 //     otherwise.
 //   - 5xx and transport errors after the request may have reached the
 //     server: retried only for idempotent calls. Optimization is a pure
-//     computation over a registered catalog, so Optimize, Stats,
-//     Snapshot and Checkpoint retry; Register creates server state and
-//     does not.
+//     computation over a registered catalog, so Optimize retries, as do
+//     Delete, Stats, Healthz and FetchURL (a replica's delta pull);
+//     Register creates server state and does not.
 //   - Dial-level failures (the connection was never established):
 //     retried for every call — the request never went out.
 //   - Context cancellation and deadline expiry: never retried; the
@@ -145,19 +145,6 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return c.callJSON(ctx, http.MethodGet, "/healthz", true, nil, nil)
 }
 
-// Snapshot fetches a catalog's current plan-cache snapshot stream
-// (GET /catalogs/{id}/snapshot).
-func (c *Client) Snapshot(ctx context.Context, catalogID string) ([]byte, error) {
-	return c.do(ctx, http.MethodGet, c.Base+"/catalogs/"+url.PathEscape(catalogID)+"/snapshot", true, nil)
-}
-
-// Checkpoint persists a catalog's checkpoint on the server
-// (POST /catalogs/{id}/snapshot). Checkpointing is idempotent.
-func (c *Client) Checkpoint(ctx context.Context, catalogID string) error {
-	_, err := c.do(ctx, http.MethodPost, c.Base+"/catalogs/"+url.PathEscape(catalogID)+"/snapshot", true, nil)
-	return err
-}
-
 // FetchURL fetches an absolute URL with the client's retry policy —
 // the rmqd-to-rmqd path of replicate_from's delta pulls, where the
 // target is another server entirely and Base does not apply.
@@ -260,9 +247,9 @@ func (c *Client) attempt(ctx context.Context, httpc *http.Client, method, url st
 			return nil, -1, readErr
 		}
 		if len(data) > maxBody {
-			// A truncated body would pass for a whole one (a snapshot
-			// then fails its CRC, as if corrupt), and a retry would
-			// only fetch the same oversized body again.
+			// A truncated body would pass for a whole one (a delta
+			// stream then fails its CRC, as if corrupt), and a retry
+			// would only fetch the same oversized body again.
 			return nil, -1, fmt.Errorf("%s %s: response exceeded %d MiB", method, url, maxBody>>20)
 		}
 		return data, 0, nil

@@ -188,20 +188,17 @@ func TestErrorBodyParsing(t *testing.T) {
 
 func TestFetchURL(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/catalogs/c1/snapshot" {
+		if r.URL.Path != "/catalogs/c1/deltas" {
 			http.NotFound(w, r)
 			return
 		}
-		_, _ = w.Write([]byte("snapbytes"))
+		_, _ = w.Write([]byte("deltabytes"))
 	}))
 	defer srv.Close()
 	c := fastClient(srv)
-	data, err := c.FetchURL(context.Background(), srv.URL+"/catalogs/c1/snapshot")
-	if err != nil || string(data) != "snapbytes" {
+	data, err := c.FetchURL(context.Background(), srv.URL+"/catalogs/c1/deltas")
+	if err != nil || string(data) != "deltabytes" {
 		t.Fatalf("FetchURL = %q, %v", data, err)
-	}
-	if data, err = c.Snapshot(context.Background(), "c1"); err != nil || string(data) != "snapbytes" {
-		t.Fatalf("Snapshot = %q, %v", data, err)
 	}
 }
 
@@ -246,7 +243,7 @@ func TestOversizedBodyFailsWithoutRetry(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := fastClient(srv)
-	data, err := c.FetchURL(context.Background(), srv.URL+"/catalogs/c1/snapshot")
+	data, err := c.FetchURL(context.Background(), srv.URL+"/catalogs/c1/deltas")
 	if err == nil || !strings.Contains(err.Error(), "exceeded 64 MiB") {
 		t.Fatalf("FetchURL = %d bytes, %v; want an exceeded-64-MiB error", len(data), err)
 	}

@@ -2,8 +2,11 @@
 // HTTP/JSON: register catalogs, then optimize against them with
 // per-request deadlines, iteration budgets, metric subsets, and
 // optional streamed anytime snapshots. Each registered catalog is
-// backed by one long-lived session with the shared plan cache enabled
-// by default, so repeated queries warm-start.
+// backed by one long-lived session with the shared plan cache, so
+// repeated queries warm-start. A catalog's retention α is the one its
+// registration names ("retention", exact when absent); there is no
+// server-wide default, so a catalog keeps its α across restarts and on
+// every replica.
 //
 //	rmqd -addr :8080
 //
@@ -24,7 +27,11 @@
 // the directory is replayed, re-registering every catalog under its old
 // id with its session warm-started from the snapshot. A daemon restart
 // then serves its first repeated query at warm latency instead of the
-// ~9x cold path.
+// ~9x cold path. A snapshot that does not verify against its manifest
+// (damaged, or taken at another α) is quarantined and the catalog
+// starts cold. With -allow-snapshot-fetch, a catalog registered with
+// replicate_from pulls a peer's cache deltas; that and the snapshot
+// directory are the only routes warm state takes into a node.
 package main
 
 import (
@@ -51,7 +58,6 @@ func main() {
 		defaultTimeout = flag.Duration("default-timeout", 500*time.Millisecond, "optimization budget when a request names neither timeout_ms nor max_iterations")
 		maxTimeout     = flag.Duration("max-timeout", 30*time.Second, "cap on any request budget (also bounds shutdown drain)")
 		maxParallel    = flag.Int("max-parallelism", 0, "cap on per-request multi-start parallelism (0 = max(8, 4×GOMAXPROCS))")
-		retention      = flag.Float64("retention", 0, "default shared-cache retention α for catalogs that do not set one (0 = exact)")
 		grace          = flag.Duration("shutdown-grace", 15*time.Second, "how long SIGTERM waits for in-flight requests before closing")
 		snapshotDir    = flag.String("snapshot-dir", "", "directory for plan-cache checkpoints; restored at startup, written on a timer and at shutdown (empty = no persistence)")
 		snapshotEvery  = flag.Duration("snapshot-interval", time.Minute, "how often the background checkpointer persists plan caches to -snapshot-dir")
@@ -77,7 +83,6 @@ func main() {
 		DefaultTimeout:     *defaultTimeout,
 		MaxTimeout:         *maxTimeout,
 		MaxParallelism:     *maxParallel,
-		DefaultRetention:   *retention,
 		SnapshotDir:        *snapshotDir,
 		MaxCacheBytes:      *maxCacheBytes,
 		AllowSnapshotFetch: *allowFetch,
@@ -157,7 +162,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Printf("serving on %s (max in-flight %d, default timeout %v, max timeout %v)",
-		*addr, cfg.MaxInFlight, cfg.DefaultTimeout, cfg.MaxTimeout)
+		*addr, srv.Capacity(), cfg.DefaultTimeout, cfg.MaxTimeout)
 
 	select {
 	case err := <-errc:

@@ -2,7 +2,9 @@
 // optimization service. Each registered catalog is consistent-hashed
 // onto a replica set (-replication nodes, default 2); the replicas pull
 // plan-cache deltas from the primary continuously, so any of them can
-// answer a query warm. Queries forward to the first ready replica and
+// answer a query warm. Every replica registers with the same spec,
+// retention α included, so replicas serve at the primary's α whatever
+// node they land on. Queries forward to the first ready replica and
 // fail over on node failure; backpressure (429 + Retry-After) from a
 // live node passes through untouched. A health prober with hysteresis
 // decides which nodes receive traffic, and a repair loop re-grows

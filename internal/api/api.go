@@ -36,24 +36,18 @@ type GenerateSpec struct {
 
 // CatalogRequest is the body of POST /catalogs: either explicit tables
 // (+ optional edges) or a generate spec, plus per-catalog session
-// settings.
+// settings. Checkpoint manifests and a router's replicas keep it as
+// the catalog's spec: re-registering it rebuilds the same catalog at
+// the same retention.
 type CatalogRequest struct {
 	Name     string        `json:"name,omitempty"`
 	Tables   []TableSpec   `json:"tables,omitempty"`
 	Edges    []EdgeSpec    `json:"edges,omitempty"`
 	Generate *GenerateSpec `json:"generate,omitempty"`
-	// SharedCache controls whether the catalog's session retains the
-	// plan cache across requests (warm starts). Default true — serving
-	// repeated traffic is what the service is for.
-	SharedCache *bool `json:"shared_cache,omitempty"`
 	// Retention is the shared-cache retention precision α ≥ 1 bounding
-	// store memory (0 = exact retention).
+	// store memory (0 = exact retention). It is the catalog's α on every
+	// node and across restarts: warm state taken at another α is refused.
 	Retention float64 `json:"retention,omitempty"`
-	// Snapshot is an rmq-snap stream (base64 in JSON) to warm-start the
-	// catalog's session from, e.g. the body of another rmqd's
-	// GET /catalogs/{id}/snapshot. It must fingerprint-match the catalog
-	// being registered.
-	Snapshot []byte `json:"snapshot,omitempty"`
 	// ReplicateFrom lists peer catalog URLs (each the prefix of another
 	// rmqd's catalog, e.g. "http://node1:8080/catalogs/c7") this catalog
 	// continuously pulls cache deltas from. The catalog registers and
@@ -63,24 +57,11 @@ type CatalogRequest struct {
 	ReplicateFrom []string `json:"replicate_from,omitempty"`
 }
 
-// Spec returns the registration without its one-shot warm-start
-// Snapshot: the part worth keeping once the catalog exists.
-// Re-registering a spec — from a checkpoint manifest, or as a router's
-// replica — rebuilds the same catalog and session settings, with
-// warmth from the checkpoint's own snapshot or from replication
-// instead of a stale copy. ReplicateFrom stays: a replica restored
-// from a checkpoint must resume pulling.
-func (req CatalogRequest) Spec() CatalogRequest {
-	req.Snapshot = nil
-	return req
-}
-
 // CatalogInfo describes a registered catalog.
 type CatalogInfo struct {
-	ID          string `json:"id"`
-	Name        string `json:"name,omitempty"`
-	Tables      int    `json:"tables"`
-	SharedCache bool   `json:"shared_cache"`
+	ID     string `json:"id"`
+	Name   string `json:"name,omitempty"`
+	Tables int    `json:"tables"`
 }
 
 // OptimizeRequest is the body of POST /optimize. TimeoutMS maps to the

@@ -45,7 +45,7 @@ func newCountingNode(t *testing.T) *countingNode {
 			return
 		}
 		w.WriteHeader(http.StatusCreated)
-		fmt.Fprint(w, `{"id":"c1","tables":10,"shared_cache":true}`)
+		fmt.Fprint(w, `{"id":"c1","tables":10}`)
 	})
 	mux.HandleFunc("DELETE /catalogs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		n.deletes.Add(1)

@@ -4,16 +4,15 @@ package cluster
 // namespace: a registration hashes onto the ring, lands on a replica
 // set of Replication nodes (primary first), and the replicas register
 // with replicate_from pointing at the primary so cache deltas flow
-// continuously. Queries and snapshot fetches go through one forwarding
-// loop with one rule: a live node's reply is an answer and passes
-// through untouched (a frontier, a 429 with its Retry-After, a refused
-// request); only a failed node moves the request on — a transport
-// error or a 5xx fails over, and a 404 (the node lost the catalog)
-// drops the replica, then fails over. A repair loop re-grows placements whose
-// ready-replica count fell below the replication factor — the node
-// that died stays listed (it may come back warm), but a spare ready
-// node is seeded from the survivors so the catalog is N-way replicated
-// again.
+// continuously. Queries go through one forwarding loop with one rule:
+// a live node's reply is an answer and passes through untouched (a
+// frontier, a 429 with its Retry-After, a refused request); only a
+// failed node moves the request on — a transport error or a 5xx fails
+// over, and a 404 (the node lost the catalog) drops the replica, then
+// fails over. A repair loop re-grows placements whose ready-replica
+// count fell below the replication factor — the node that died stays
+// listed (it may come back warm), but a spare ready node is seeded from
+// the survivors so the catalog is N-way replicated again.
 //
 // Registration is deliberately optimistic: a placement that could only
 // reach one node still registers (degraded, logged, repairable) —
@@ -86,8 +85,9 @@ type Router struct {
 	nextID     uint64
 }
 
-// placement is one cluster-level catalog: its spec (the registration
-// without one-shot warm-start fields) and the replicas holding it.
+// placement is one cluster-level catalog: its spec (the registration,
+// retention included, which every replica registers with) and the
+// replicas holding it.
 type placement struct {
 	id   string
 	name string
@@ -106,8 +106,7 @@ type replicaRef struct {
 type RouterStats struct {
 	Nodes      []NodeStatus      `json:"nodes"`
 	Placements []PlacementStatus `json:"placements"`
-	// Forwards counts routed requests (optimizations and snapshot
-	// fetches); Failovers how many replica
+	// Forwards counts routed optimizations; Failovers how many replica
 	// attempts failed and moved on; RouteErrors requests that exhausted
 	// every replica; Repairs replicas re-grown by the repair loop.
 	Forwards    uint64 `json:"forwards"`
@@ -168,7 +167,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("POST /catalogs", rt.handleRegister)
 	rt.mux.HandleFunc("GET /catalogs", rt.handleList)
 	rt.mux.HandleFunc("DELETE /catalogs/{id}", rt.handleDelete)
-	rt.mux.HandleFunc("GET /catalogs/{id}/snapshot", rt.handleSnapshot)
 	rt.mux.HandleFunc("POST /optimize", rt.handleOptimize)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
@@ -214,11 +212,10 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 	want := rt.ring.PickN(id, rt.rf)
 
-	// Primary: the first candidate that accepts the registration. The
-	// primary may carry the caller's one-shot snapshot warm start;
-	// replicas get their warmth from replication instead. A 4xx is the
-	// caller's error — every node would refuse the same spec — so it
-	// passes through; only a failed node moves on to the next candidate.
+	// Primary: the first candidate that accepts the registration. A 4xx
+	// is the caller's error — every node would refuse the same spec — so
+	// it passes through; only a failed node moves on to the next
+	// candidate.
 	var primary replicaRef
 	var primaryInfo api.CatalogInfo
 	var lastErr error
@@ -244,7 +241,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	p := &placement{id: id, name: req.Name, spec: req.Spec(), replicas: []replicaRef{primary}}
+	p := &placement{id: id, name: req.Name, spec: req, replicas: []replicaRef{primary}}
 	// Replicas: same spec, cold, continuously pulling from the primary.
 	// A refused or unreachable replica degrades the placement instead
 	// of failing the registration; the repair loop re-grows it.
@@ -282,20 +279,6 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 // catalogURL is the peer-visible URL of a replica's catalog.
 func catalogURL(ref replicaRef) string {
 	return ref.node + "/catalogs/" + ref.localID
-}
-
-// jsonRequest builds a POST request carrying v as its JSON body.
-func jsonRequest(ctx context.Context, url string, v any) (*http.Request, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return req, nil
 }
 
 // readyFirst orders items with those on ready nodes in front,
@@ -357,42 +340,32 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", req.Catalog)
 		return
 	}
-	rt.forward(w, r, p, func(ref replicaRef) (*http.Request, error) {
-		req.Catalog = ref.localID
-		return jsonRequest(r.Context(), ref.node+"/optimize", &req)
-	})
+	rt.forward(w, r, p, req)
 }
 
-// handleSnapshot forwards a snapshot fetch to the first replica that
-// can serve it.
-func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	p := rt.placement(id)
-	if p == nil {
-		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", id)
-		return
-	}
-	rt.forward(w, r, p, func(ref replicaRef) (*http.Request, error) {
-		return http.NewRequestWithContext(r.Context(), http.MethodGet, catalogURL(ref)+"/snapshot", nil)
-	})
-}
-
-// forward sends a request to the placement's replicas, ready ones
-// first, and passes the first live answer through: 2xx, 429 with its
-// Retry-After, and other 4xx are a node's reply, not a node's failure.
-// A transport error or a 5xx fails over to the next replica; a 404
-// means the node restarted without persistence and lost the catalog,
-// so the replica is dropped (the repair loop re-grows the placement)
-// and the request fails over. build makes the request for one replica.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, p *placement, build func(replicaRef) (*http.Request, error)) {
+// forward sends an optimization to the placement's replicas, ready ones
+// first, each under its local catalog id, and passes the first live
+// answer through: 2xx, 429 with its Retry-After, and other 4xx are a
+// node's reply, not a node's failure. A transport error or a 5xx fails
+// over to the next replica; a 404 means the node restarted without
+// persistence and lost the catalog, so the replica is dropped (the
+// repair loop re-grows the placement) and the request fails over.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, p *placement, opt api.OptimizeRequest) {
 	rt.forwards.Add(1)
 	lastErr := errors.New("no replicas left")
 	for _, ref := range readyFirst(rt.prober, p.refs(), func(ref replicaRef) string { return ref.node }) {
-		req, err := build(ref)
+		opt.Catalog = ref.localID
+		body, err := json.Marshal(opt)
 		if err != nil {
 			api.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
+		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, ref.node+"/optimize", bytes.NewReader(body))
+		if err != nil {
+			api.WriteError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		req.Header.Set("Content-Type", "application/json")
 		resp, err := rt.httpc.Do(req)
 		switch {
 		case err != nil:

@@ -231,18 +231,10 @@ func newStubNode(t *testing.T) *stubNode {
 	})
 	mux.HandleFunc("POST /catalogs", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusCreated)
-		fmt.Fprintf(w, `{"id":"c%d","tables":10,"shared_cache":true}`, s.registered.Add(1))
+		fmt.Fprintf(w, `{"id":"c%d","tables":10}`, s.registered.Add(1))
 	})
 	mux.HandleFunc("DELETE /catalogs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("GET /catalogs/{id}/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		if s.mode.Load() == 1 {
-			w.WriteHeader(http.StatusNotFound)
-			fmt.Fprint(w, `{"error":"unknown catalog"}`)
-			return
-		}
-		fmt.Fprint(w, "snapshot of "+r.PathValue("id"))
 	})
 	mux.HandleFunc("POST /optimize", func(w http.ResponseWriter, r *http.Request) {
 		s.optimized.Add(1)
@@ -347,8 +339,10 @@ func TestRouterDropsReplicaThatLostCatalog(t *testing.T) {
 	// route error rather than hanging or lying.
 	a.mode.Store(1)
 	b.mode.Store(1)
-	if code := postJSON(t, rts.URL, "/optimize", fmt.Sprintf(`{"catalog":%q}`, info.ID), nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("all replicas gone: status %d, want 503", code)
+	var e api.ErrorResponse
+	if code := postJSON(t, rts.URL, "/optimize", fmt.Sprintf(`{"catalog":%q}`, info.ID), &e); code != http.StatusServiceUnavailable ||
+		!strings.Contains(e.Error, "lost the catalog") {
+		t.Fatalf("all replicas gone: status %d (%s), want 503 naming the lost catalog", code, e.Error)
 	}
 	if rt.routeErrors.Load() == 0 {
 		t.Fatal("route error not counted")
@@ -453,61 +447,6 @@ func TestRouterStreamsProgress(t *testing.T) {
 	}
 }
 
-// A 404 on a forwarded snapshot fetch means the node lost the catalog,
-// exactly as on /optimize: the replica is dropped and the fetch fails
-// over, and once no replica is left the 503 names the cause.
-func TestRouterSnapshot404DropsReplica(t *testing.T) {
-	a, b := newStubNode(t), newStubNode(t)
-	rt, rts := stubRouter(t, 2, a, b)
-	var info api.CatalogInfo
-	if code := postJSON(t, rts.URL, "/catalogs", genCatalog, &info); code != http.StatusCreated {
-		t.Fatalf("register: status %d", code)
-	}
-	p := rt.placement(info.ID)
-	primaryStub, otherStub := a, b
-	if p.replicas[0].node == b.ts.URL {
-		primaryStub, otherStub = b, a
-	}
-	fetch := func() (int, string) {
-		t.Helper()
-		resp, err := http.Get(rts.URL + "/catalogs/" + info.ID + "/snapshot")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(data)
-	}
-	replicas := func() int {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return len(p.replicas)
-	}
-
-	primaryStub.mode.Store(1)
-	if code, body := fetch(); code != http.StatusOK || !strings.HasPrefix(body, "snapshot of ") {
-		t.Fatalf("snapshot: status %d body %q, want the other replica's snapshot", code, body)
-	}
-	if n := replicas(); n != 1 {
-		t.Fatalf("%d replicas left, want the amnesiac one dropped", n)
-	}
-
-	otherStub.mode.Store(1)
-	code, body := fetch()
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, "lost the catalog") {
-		t.Fatalf("snapshot with every replica gone: status %d body %q, want 503 naming the lost catalog", code, body)
-	}
-	if n := replicas(); n != 0 {
-		t.Fatalf("%d replicas left, want none", n)
-	}
-	if got := rt.failovers.Load(); got != 2 {
-		t.Fatalf("failovers %d, want 2", got)
-	}
-}
-
 // A registration the spec itself makes invalid is the caller's error:
 // the first node's 400 passes through with its message, and no further
 // node is tried.
@@ -554,6 +493,38 @@ func TestRouterRejectsClientReplicateFrom(t *testing.T) {
 	body := `{"generate":{"tables":4,"graph":"chain","seed":1},"replicate_from":["http://x/catalogs/c1"]}`
 	if code := postJSON(t, rts.URL, "/catalogs", body, nil); code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: replication topology is router-owned", code)
+	}
+}
+
+// The router serves no snapshot route and refuses the registration
+// fields rmqd dropped: a replica's warm state comes from replicate_from
+// alone, and every catalog shares its plan cache.
+func TestRouterRefusesSnapshotSurface(t *testing.T) {
+	stub := newStubNode(t)
+	_, rts := stubRouter(t, 1, stub)
+	for field, body := range map[string]string{
+		"snapshot":     `{"generate":{"tables":4},"snapshot":"cm1xLXNuYXA="}`,
+		"shared_cache": `{"generate":{"tables":4},"shared_cache":false}`,
+	} {
+		var e api.ErrorResponse
+		if code := postJSON(t, rts.URL, "/catalogs", body, &e); code != http.StatusBadRequest || !strings.Contains(e.Error, `"`+field+`"`) {
+			t.Errorf("%s: status %d (%s), want 400 naming the field", field, code, e.Error)
+		}
+	}
+	if n := stub.registered.Load(); n != 0 {
+		t.Fatalf("refused registrations reached the node %d times", n)
+	}
+	var info api.CatalogInfo
+	if code := postJSON(t, rts.URL, "/catalogs", genCatalog, &info); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	resp, err := http.Get(rts.URL + "/catalogs/" + info.ID + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /catalogs/%s/snapshot: status %d, want 404", info.ID, resp.StatusCode)
 	}
 }
 

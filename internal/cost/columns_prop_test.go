@@ -64,11 +64,13 @@ func checkAgainstRef(t *testing.T, rng *rand.Rand, c *Columns, ref *refBlock, st
 
 // TestColumnsMatchVectorReference runs random sequences of every
 // mutating operation at dimensions 1–3 against a []Vector reference,
-// checking all observables after each operation. Appends dominate the
-// mix so blocks grow across many size classes; the test also fails if
-// the seeds never reach one of the cases the block layout makes
-// delicate (see the covered keys). Growth past 64 entries is the
-// rarest: a few seeds in a hundred reach it.
+// checking all observables after each operation. Each seed starts with
+// an append-only prefix of more than 64 entries, so every block grows
+// through the size classes up to there by construction: in the random
+// mix that follows, truncates, resets and reserves keep blocks short.
+// Appends dominate the mix; the test also fails if the seeds never
+// reach one of the cases the block layout makes delicate (see the
+// covered keys).
 func TestColumnsMatchVectorReference(t *testing.T) {
 	covered := map[string]bool{}
 	for seed := uint64(0); seed < 256; seed++ {
@@ -81,6 +83,15 @@ func TestColumnsMatchVectorReference(t *testing.T) {
 		var chunk []float64
 		const guard = 3
 		sentinel := math.Float64frombits(0x7ff8dead0000beef)
+		for i, prefix := 0, 65+rng.IntN(16); i < prefix; i++ {
+			v := colRandVec(rng, int(ref.dim))
+			c.Append(v)
+			ref.vecs = append(ref.vecs, v)
+			if len(ref.vecs) > 64 {
+				covered["growth past 64 entries"] = true
+			}
+			checkAgainstRef(t, rng, &c, &ref, i, "prefix Append")
+		}
 		for step := 0; step < 400; step++ {
 			n := len(ref.vecs)
 			var op string

@@ -1,13 +1,15 @@
 // Tests for the cluster replication surface: the deltas endpoint and
 // its cursor protocol (410 on history mismatch), the background puller
 // converging a replica server on a primary, degraded registration with
-// every peer down, and the liveness/readiness split.
+// every peer down, refusal of a peer at another retention α, and the
+// liveness/readiness split.
 package server
 
 import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,8 +134,10 @@ func TestReplicateFromRequiresOptInAndSharedCache(t *testing.T) {
 	if code := post(t, ts2, "/catalogs", `{`+genCatalog+`,"replicate_from":["not a url"]}`, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad peer URL: status %d, want 400", code)
 	}
+	// Every catalog shares its plan cache, so replicated deltas always
+	// have a store to merge into; a registration opting out is refused.
 	if code := post(t, ts2, "/catalogs", `{`+genCatalog+`,"shared_cache":false,"replicate_from":["http://peer/catalogs/c1"]}`, nil); code != http.StatusBadRequest {
-		t.Fatalf("replicate_from without shared cache: status %d, want 400", code)
+		t.Fatalf("replicate_from with shared_cache false: status %d, want 400", code)
 	}
 }
 
@@ -258,6 +262,40 @@ func TestReplicationDegradedWhenPeerDown(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz with dead peer after first attempt: status %d", resp.StatusCode)
+	}
+}
+
+// TestReplicationRefusesPeerAtOtherRetention pins that a replica keeps
+// its registration's α: deltas from a peer registered at another α are
+// refused and surface in /stats as the replication's last error, and
+// the replica serves cold at its own α instead of answering from stores
+// it could not serve.
+func TestReplicationRefusesPeerAtOtherRetention(t *testing.T) {
+	_, primary := testServer(t, Config{})
+	pid := register(t, primary, `{`+genCatalog+`,"retention":2}`)
+	optimize(t, primary, pid, 200)
+
+	replica, rts := testServer(t, Config{
+		AllowSnapshotFetch: true,
+		ReplicateInterval:  20 * time.Millisecond,
+	})
+	defer replica.Close()
+	rid := register(t, rts,
+		fmt.Sprintf(`{`+genCatalog+`,"replicate_from":[%q]}`, primary.URL+"/catalogs/"+pid))
+	waitFor(t, 5*time.Second, func() bool {
+		st := catalogStats(t, rts, rid)
+		return st.Replication != nil && st.Replication.Attempted
+	})
+	st := catalogStats(t, rts, rid)
+	if st.Replication.Warm || st.Replication.Failures == 0 || !strings.Contains(st.Replication.LastError, "retention") {
+		t.Fatalf("replication stats %+v, want not warm with a last error naming retention", st.Replication)
+	}
+	if st.Cache.Plans != 0 {
+		t.Fatalf("replica holds %d plans from a peer at another α", st.Cache.Plans)
+	}
+	optimize(t, rts, rid, 40)
+	if got := catalogStats(t, rts, rid).EffectiveRetention; got != 1 {
+		t.Fatalf("replica serves at α = %v, want its registration's 1", got)
 	}
 }
 

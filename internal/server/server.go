@@ -2,9 +2,16 @@
 // layer that puts the library's anytime, context-driven optimizer on
 // the wire. Clients register catalogs (POST /catalogs) and optimize
 // against them (POST /optimize); each registered catalog is backed by
-// one long-lived rmq.Session with the shared plan cache enabled by
-// default, so repeated and overlapping queries against the same catalog
-// warm-start instead of rebuilding sub-plan frontiers per request.
+// one long-lived rmq.Session with the shared plan cache, so repeated
+// and overlapping queries against the same catalog warm-start instead
+// of rebuilding sub-plan frontiers per request.
+//
+// A catalog's retention α is its registration's "retention" (exact when
+// absent), on every node and across restarts: the checkpoint manifest
+// and a router's replicas copy the registration. Warm state arrives by
+// two routes only — replicate_from pulls from a peer
+// (GET /catalogs/{id}/deltas) and the snapshot directory at startup
+// (LoadCheckpoint) — and each refuses state taken at another α.
 //
 // The paper's anytime property is the serving contract: a request's
 // deadline (timeout_ms, capped by the server's MaxTimeout) becomes a
@@ -58,14 +65,9 @@ type Config struct {
 	// MaxParallelism caps per-request multi-start parallelism. Default
 	// max(8, 4×GOMAXPROCS).
 	MaxParallelism int
-	// DefaultRetention is the shared-cache retention precision α for
-	// catalogs whose registration does not set one; 0 selects exact
-	// retention (α = 1).
-	DefaultRetention float64
 	// SnapshotDir, when set, enables plan-cache persistence: Checkpoint
 	// writes each catalog's registration manifest and rmq-snap stream
-	// there, LoadCheckpoint re-registers them at startup, and
-	// POST /catalogs/{id}/snapshot checkpoints one catalog on demand.
+	// there, and LoadCheckpoint re-registers them at startup.
 	SnapshotDir string
 	// MaxCacheBytes budgets the estimated memory of all catalogs'
 	// shared plan caches. When the total exceeds it, the server tightens
@@ -132,12 +134,11 @@ type Server struct {
 
 // catalogEntry is one registered catalog with its long-lived session.
 type catalogEntry struct {
-	id          string
-	name        string
-	tables      int
-	sharedCache bool
-	sess        *rmq.Session
-	requests    atomic.Uint64
+	id       string
+	name     string
+	tables   int
+	sess     *rmq.Session
+	requests atomic.Uint64
 	// instance is the catalog's incarnation id: random at registration,
 	// stamped into every delta stream it serves. Replication cursors are
 	// only meaningful against one instance, so a restart (new random id)
@@ -147,9 +148,9 @@ type catalogEntry struct {
 	// repl is the background delta puller for catalogs registered with
 	// replicate_from; nil otherwise.
 	repl *replicator
-	// spec is the registration's api.CatalogRequest.Spec: everything
-	// needed to rebuild the catalog and session after a restart.
-	// Checkpoint persists it as the catalog's manifest.
+	// spec is the registration: everything needed to rebuild the
+	// catalog and session after a restart. Checkpoint persists it as the
+	// catalog's manifest.
 	spec api.CatalogRequest
 }
 
@@ -179,8 +180,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /catalogs", s.handleRegisterCatalog)
 	s.mux.HandleFunc("GET /catalogs", s.handleListCatalogs)
 	s.mux.HandleFunc("DELETE /catalogs/{id}", s.handleDeleteCatalog)
-	s.mux.HandleFunc("GET /catalogs/{id}/snapshot", s.handleGetSnapshot)
-	s.mux.HandleFunc("POST /catalogs/{id}/snapshot", s.handleCheckpointCatalog)
 	s.mux.HandleFunc("GET /catalogs/{id}/deltas", s.handleGetDeltas)
 	s.mux.HandleFunc("POST /optimize", s.handleOptimize)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -245,6 +244,9 @@ func (rw *recoverableWriter) Flush() {
 
 // InFlight returns the number of currently admitted /optimize requests.
 func (s *Server) InFlight() int { return len(s.sem) }
+
+// Capacity returns the admission cap: MaxInFlight after defaults.
+func (s *Server) Capacity() int { return cap(s.sem) }
 
 // observeService folds one /optimize service time into the EWMA behind
 // the Retry-After hint (decay 1/8: a few requests dominate, history
@@ -380,13 +382,12 @@ func (s *Server) handleRegisterCatalog(w http.ResponseWriter, r *http.Request) {
 	if !api.DecodeBody(w, r, &req) {
 		return
 	}
-	entry, err := s.register(&req, "", req.Snapshot)
+	entry, err := s.register(&req, "", nil)
 	if err != nil {
-		api.WriteError(w, registerStatus(err), "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.logf("registered catalog %s (%q, %d tables, shared cache %v, warm %v)",
-		entry.id, entry.name, entry.tables, entry.sharedCache, len(req.Snapshot) > 0)
+	s.logf("registered catalog %s (%q, %d tables)", entry.id, entry.name, entry.tables)
 	api.WriteJSON(w, http.StatusCreated, entry.info())
 }
 
@@ -428,7 +429,8 @@ func buildCatalog(req *api.CatalogRequest) (*rmq.Catalog, error) {
 }
 
 // register builds the catalog and session for a registration request,
-// optionally warm-starts the session from snap, and installs the entry.
+// optionally warm-starts the session from snap (a checkpointed
+// generation), and installs the entry.
 // id pins the catalog id (checkpoint reloads reuse the persisted ids);
 // empty allocates the next one. It is the single registration path for
 // live requests and LoadCheckpoint.
@@ -440,21 +442,16 @@ func (s *Server) register(req *api.CatalogRequest, id string, snap []byte) (*cat
 	if err := s.validateReplicateFrom(req.ReplicateFrom); err != nil {
 		return nil, err
 	}
-	sharedCache := req.SharedCache == nil || *req.SharedCache
-	if len(req.ReplicateFrom) > 0 && !sharedCache {
-		return nil, fmt.Errorf("replicate_from requires shared_cache: deltas merge into the shared plan cache")
-	}
-	// The catalog's retention: registration value, server default, or
-	// exact. Fixed here for the catalog's lifetime; /stats reports it
-	// as effective_retention until budget shedding coarsens it.
+	// The catalog's retention: the registration's, exact when absent.
+	// Fixed here for the catalog's lifetime, and declared on the session
+	// so a checkpoint or a peer's deltas taken at another α are refused;
+	// /stats reports it as effective_retention until budget shedding
+	// coarsens it.
 	retention := req.Retention
-	if retention == 0 {
-		retention = s.cfg.DefaultRetention
-	}
 	if retention == 0 {
 		retention = 1
 	}
-	sess, err := rmq.NewSession(cat, rmq.WithSharedCache(sharedCache), rmq.WithCacheRetention(retention))
+	sess, err := rmq.NewSession(cat, rmq.WithSharedCache(true), rmq.WithCacheRetention(retention))
 	if err != nil {
 		return nil, err
 	}
@@ -465,12 +462,11 @@ func (s *Server) register(req *api.CatalogRequest, id string, snap []byte) (*cat
 	}
 
 	entry := &catalogEntry{
-		name:        req.Name,
-		tables:      cat.NumTables(),
-		sharedCache: sharedCache,
-		sess:        sess,
-		instance:    newInstance(),
-		spec:        req.Spec(),
+		name:     req.Name,
+		tables:   cat.NumTables(),
+		sess:     sess,
+		instance: newInstance(),
+		spec:     *req,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -491,18 +487,8 @@ func (s *Server) register(req *api.CatalogRequest, id string, snap []byte) (*cat
 	return entry, nil
 }
 
-// registerStatus maps a registration failure to an HTTP status:
-// fingerprint mismatches are 409 (the request contradicts the snapshot
-// it carries), everything else is a request problem.
-func registerStatus(err error) int {
-	if errors.Is(err, rmq.ErrSnapshotMismatch) {
-		return http.StatusConflict
-	}
-	return http.StatusBadRequest
-}
-
 func (e *catalogEntry) info() api.CatalogInfo {
-	return api.CatalogInfo{ID: e.id, Name: e.name, Tables: e.tables, SharedCache: e.sharedCache}
+	return api.CatalogInfo{ID: e.id, Name: e.name, Tables: e.tables}
 }
 
 func (s *Server) handleListCatalogs(w http.ResponseWriter, r *http.Request) {
@@ -552,7 +538,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := api.StatsResponse{
 		UptimeMS:      float64(time.Since(s.start)) / float64(time.Millisecond),
 		InFlight:      s.InFlight(),
-		Capacity:      cap(s.sem),
+		Capacity:      s.Capacity(),
 		Served:        s.served.Load(),
 		Rejected:      s.rejected.Load(),
 		Panics:        s.panics.Load(),
@@ -592,17 +578,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// errStatus maps an rmq.Optimize error to an HTTP status: retention
-// conflicts are 409 (a store restored from a registration's snapshot
-// carries another α than the catalog was registered with), a
-// contained worker panic or injected fault is a server-side failure
-// (500) — the request failed, the process and its caches did not —
-// and every other library error is a request problem.
+// errStatus maps an rmq.Optimize error to an HTTP status: a contained
+// worker panic or injected fault is a server-side failure (500) — the
+// request failed, the process and its caches did not — and every other
+// library error is a request problem.
 func errStatus(err error) int {
-	switch {
-	case errors.Is(err, rmq.ErrRetentionMismatch):
-		return http.StatusConflict
-	case errors.Is(err, rmq.ErrWorkerPanic), faultinject.IsInjected(err):
+	if errors.Is(err, rmq.ErrWorkerPanic) || faultinject.IsInjected(err) {
 		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest

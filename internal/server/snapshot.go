@@ -3,16 +3,16 @@ package server
 // Plan-cache persistence for the serving daemon. The design keeps every
 // byte of file IO off the request path (compare juju's apiserver/state
 // split): optimize handlers only ever touch the in-memory sessions,
-// while Checkpoint — driven by rmqd's background ticker, the on-demand
-// POST /catalogs/{id}/snapshot, and the final flush during graceful
-// shutdown — exports each session's shared stores under their own locks
-// and persists them with write-to-temp + fsync + atomic rename, so a
-// crash mid-checkpoint leaves the previous checkpoint intact.
+// while Checkpoint — driven by rmqd's background ticker and the final
+// flush during graceful shutdown — exports each session's shared
+// stores under their own locks and persists them with write-to-temp +
+// fsync + atomic rename, so a crash mid-checkpoint leaves the previous
+// checkpoint intact.
 //
 // A checkpointed catalog is up to three files in the snapshot
 // directory:
 //
-//	<id>.json       the registration manifest (sanitized CatalogRequest)
+//	<id>.json       the registration manifest (its CatalogRequest)
 //	<id>.snap       the rmq-snap/v1 stream of the session's plan caches
 //	<id>.snap.prev  the previous snapshot generation
 //
@@ -36,7 +36,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -52,66 +51,10 @@ import (
 // rather than slurped into memory.
 const maxSnapshotBytes = 1 << 30
 
-// CheckpointInfo reports one persisted catalog checkpoint: the POST
-// /catalogs/{id}/snapshot response body.
-type CheckpointInfo struct {
-	Catalog string `json:"catalog"`
-	Path    string `json:"path"`
-	Bytes   int    `json:"bytes"`
-}
-
 // checkpointManifest is the persisted registration of one catalog.
 type checkpointManifest struct {
 	ID      string             `json:"id"`
 	Request api.CatalogRequest `json:"request"`
-}
-
-// handleGetSnapshot serves the catalog's current plan caches as one
-// rmq-snap/v1 stream — the export side of warm replica bootstrap: a
-// second rmqd registers the same catalog with this body inline and
-// starts warm without ever sharing a filesystem.
-func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e := s.catalog(id)
-	if e == nil {
-		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", id)
-		return
-	}
-	data, err := e.sess.Snapshot()
-	if err != nil {
-		api.WriteError(w, http.StatusInternalServerError, "snapshot: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
-}
-
-// handleCheckpointCatalog persists one catalog's checkpoint to the
-// snapshot directory on demand (the same files the background
-// checkpointer writes), so operators can force a durable cut before a
-// planned restart.
-func (s *Server) handleCheckpointCatalog(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e := s.catalog(id)
-	if e == nil {
-		api.WriteError(w, http.StatusNotFound, "unknown catalog %q", id)
-		return
-	}
-	if s.cfg.SnapshotDir == "" {
-		api.WriteError(w, http.StatusConflict, "server runs without a snapshot directory")
-		return
-	}
-	n, err := s.checkpointEntry(e)
-	if err != nil {
-		api.WriteError(w, http.StatusInternalServerError, "checkpoint: %v", err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, CheckpointInfo{
-		Catalog: e.id,
-		Path:    filepath.Join(s.cfg.SnapshotDir, e.id+".snap"),
-		Bytes:   n,
-	})
 }
 
 // Checkpoint persists every registered catalog to the snapshot
@@ -126,7 +69,7 @@ func (s *Server) Checkpoint() error {
 	entries := s.entries()
 	var errs []error
 	for _, e := range entries {
-		if _, err := s.checkpointEntry(e); err != nil {
+		if err := s.checkpointEntry(e); err != nil {
 			errs = append(errs, fmt.Errorf("catalog %s: %w", e.id, err))
 		}
 	}
@@ -136,40 +79,37 @@ func (s *Server) Checkpoint() error {
 	return errors.Join(errs...)
 }
 
-// checkpointEntry writes one catalog's snapshot and manifest, returning
-// the snapshot size in bytes. The current snapshot generation is
-// rotated to .prev before the new one is installed, so even a torn
-// install (which the rename's atomicity normally rules out, but a
-// dying filesystem does not) leaves a verifiable last-good generation.
+// checkpointEntry writes one catalog's snapshot and manifest. The
+// current snapshot generation is rotated to .prev before the new one is
+// installed, so even a torn install (which the rename's atomicity
+// normally rules out, but a dying filesystem does not) leaves a
+// verifiable last-good generation.
 // The manifest is written after the snapshot: LoadCheckpoint drives
 // discovery off manifests, so a crash between the writes leaves either
 // the old pair or a fresh snapshot the old manifest still matches —
 // never a manifest pointing at nothing.
-func (s *Server) checkpointEntry(e *catalogEntry) (int, error) {
+func (s *Server) checkpointEntry(e *catalogEntry) error {
 	data, err := e.sess.Snapshot()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	manifest, err := json.Marshal(checkpointManifest{ID: e.id, Request: e.spec})
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if err := faultinject.MkdirAll("checkpoint.mkdir", s.cfg.SnapshotDir, 0o755); err != nil {
-		return 0, err
+		return err
 	}
 	cur := filepath.Join(s.cfg.SnapshotDir, e.id+".snap")
 	if _, err := os.Stat(cur); err == nil {
 		if err := faultinject.Rename("checkpoint.rotate", cur, cur+".prev"); err != nil {
-			return 0, fmt.Errorf("rotating previous snapshot: %w", err)
+			return fmt.Errorf("rotating previous snapshot: %w", err)
 		}
 	}
 	if err := writeFileAtomic(s.cfg.SnapshotDir, e.id+".snap", data); err != nil {
-		return 0, err
+		return err
 	}
-	if err := writeFileAtomic(s.cfg.SnapshotDir, e.id+".json", manifest); err != nil {
-		return 0, err
-	}
-	return len(data), nil
+	return writeFileAtomic(s.cfg.SnapshotDir, e.id+".json", manifest)
 }
 
 // pruneCheckpoints removes checkpoint files of catalogs not in the live
@@ -226,7 +166,8 @@ func checkpointOwner(name string) (string, bool) {
 //
 // A generation that fails to read or restore — truncated by a crash,
 // torn by a dying filesystem (the stream's CRC32 trailer catches it),
-// ENOSPC'd mid-write, or fingerprint-skewed against its manifest — is
+// ENOSPC'd mid-write, fingerprint-skewed against its manifest, or
+// taken at another retention α than its manifest registers — is
 // quarantined: renamed aside with a .quarantined suffix and recorded
 // for GET /stats, so the evidence survives the next checkpoint. Only
 // when no generation verifies is the catalog re-registered cold

@@ -1,14 +1,12 @@
-// Tests for the server's persistence surface: the snapshot endpoints,
-// inline warm registration, the checkpoint/restart cycle behind rmqd
-// -snapshot-dir, pruning of deleted catalogs, and cold fallback on
-// damaged checkpoint files.
+// Tests for the server's persistence surface: the checkpoint/restart
+// cycle behind rmqd -snapshot-dir, pruning of deleted catalogs, cold
+// fallback on damaged or retention-skewed checkpoint files, and the
+// snapshot routes and registration fields the protocol dropped.
 package server
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,27 +16,6 @@ import (
 
 	"rmq/internal/api"
 )
-
-// fetchSnapshot GETs a catalog's snapshot bytes.
-func fetchSnapshot(t *testing.T, ts *httptest.Server, id string) []byte {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/catalogs/" + id + "/snapshot")
-	if err != nil {
-		t.Fatalf("GET snapshot: %v", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("GET snapshot: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET snapshot: status %d: %s", resp.StatusCode, data)
-	}
-	if len(data) == 0 {
-		t.Fatal("GET snapshot: empty body")
-	}
-	return data
-}
 
 // warmCatalog registers a generated catalog and runs one fixed-budget
 // optimization so its session's shared store holds plans.
@@ -62,99 +39,21 @@ func cachePlans(t *testing.T, ts *httptest.Server, id string) int {
 
 const genBody = `{"generate":{"tables":14,"graph":"chain","seed":21}}`
 
-// TestServerSnapshotInlineWarmRegistration pins warm replica bootstrap
-// over pure HTTP: GET a warmed catalog's snapshot from one server,
-// register the same catalog on a second server with the stream inline,
-// and the new catalog starts with the donor's retained plans before
-// serving a single request.
-func TestServerSnapshotInlineWarmRegistration(t *testing.T) {
-	_, donor := testServer(t, Config{})
-	id := warmCatalog(t, donor, genBody)
-	donorPlans := cachePlans(t, donor, id)
-	if donorPlans == 0 {
-		t.Fatal("donor retained no plans")
-	}
-	snap := fetchSnapshot(t, donor, id)
-
-	_, replica := testServer(t, Config{})
-	body, err := json.Marshal(map[string]any{
-		"generate": map[string]any{"tables": 14, "graph": "chain", "seed": 21},
-		"snapshot": snap, // []byte marshals as base64
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rid := register(t, replica, string(body))
-	if got := cachePlans(t, replica, rid); got != donorPlans {
-		t.Fatalf("replica starts with %d plans, donor had %d", got, donorPlans)
-	}
-}
-
-// TestServerSnapshotMismatchConflict pins that registering a catalog
-// with another catalog's snapshot is refused with 409 and a snapshot
-// error in the body.
-func TestServerSnapshotMismatchConflict(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	id := warmCatalog(t, ts, genBody)
-	snap := fetchSnapshot(t, ts, id)
-	body, err := json.Marshal(map[string]any{
-		"generate": map[string]any{"tables": 14, "graph": "chain", "seed": 22}, // different catalog
-		"snapshot": snap,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var er api.ErrorResponse
-	if code := post(t, ts, "/catalogs", string(body), &er); code != http.StatusConflict {
-		t.Fatalf("mismatched snapshot registered with status %d (%s)", code, er.Error)
-	}
-}
-
-// TestServerSnapshotRetentionConflict pins the 409 a retention
-// conflict still gets: an inline snapshot's stores keep the α they
-// were taken at, so a catalog registered at another α cannot optimize
-// against them — answered as a conflict with server-side state, not
-// run silently under the snapshot's memory bound. Registering at the
-// snapshot's α serves.
-func TestServerSnapshotRetentionConflict(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	snap := fetchSnapshot(t, ts, warmCatalog(t, ts, genBody))
-	registerAt := func(retention float64) string {
-		body, err := json.Marshal(map[string]any{
-			"generate":  map[string]any{"tables": 14, "graph": "chain", "seed": 21},
-			"retention": retention,
-			"snapshot":  snap,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return register(t, ts, string(body))
-	}
-	var e api.ErrorResponse
-	conflicting := registerAt(2)
-	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5}`, conflicting), &e); code != http.StatusConflict {
-		t.Fatalf("α = 2 catalog over an α = 1 snapshot: status %d, want 409 (%s)", code, e.Error)
-	}
-	if !strings.Contains(e.Error, "retention") {
-		t.Errorf("conflict error %q does not mention retention", e.Error)
-	}
-	if code := post(t, ts, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":5}`, registerAt(1)), nil); code != http.StatusOK {
-		t.Fatalf("matching retention: status %d, want 200", code)
-	}
-}
-
 // TestServerSnapshotRegistrationValidation pins that the registration
-// fields the protocol dropped are refused by name, even on a server
+// fields and routes the protocol dropped are refused, even on a server
 // with a snapshot directory and outbound fetches allowed: a peer's warm
-// state comes through replicate_from or an inline snapshot, a file in
-// the directory through LoadCheckpoint, and the pool uses its adaptive
-// cap.
+// state comes only through replicate_from, a file in the directory
+// only through LoadCheckpoint, every catalog shares its plan cache, and
+// the pool uses its adaptive cap. Each field answers 400 naming it;
+// GET and POST /catalogs/{id}/snapshot answer 404.
 func TestServerSnapshotRegistrationValidation(t *testing.T) {
 	_, ts := testServer(t, Config{SnapshotDir: t.TempDir(), AllowSnapshotFetch: true})
 	for field, body := range map[string]string{
 		"snapshot_path": `{"generate":{"tables":8},"snapshot_path":"x.snap"}`,
 		"snapshot_url":  `{"generate":{"tables":8},"snapshot_url":"http://127.0.0.1:1/catalogs/c1/snapshot"}`,
 		"pool_limit":    `{"generate":{"tables":8},"pool_limit":2}`,
+		"snapshot":      `{"generate":{"tables":8},"snapshot":"cm1xLXNuYXA="}`,
+		"shared_cache":  `{"generate":{"tables":8},"shared_cache":false}`,
 	} {
 		var e api.ErrorResponse
 		if code := post(t, ts, "/catalogs", body, &e); code != http.StatusBadRequest {
@@ -162,6 +61,21 @@ func TestServerSnapshotRegistrationValidation(t *testing.T) {
 		}
 		if !strings.Contains(e.Error, `"`+field+`"`) {
 			t.Errorf("%s: error %q does not name the field", field, e.Error)
+		}
+	}
+	id := register(t, ts, `{"generate":{"tables":8}}`)
+	for _, method := range []string{http.MethodGet, http.MethodPost} {
+		req, err := http.NewRequest(method, ts.URL+"/catalogs/"+id+"/snapshot", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s /catalogs/%s/snapshot: status %d, want 404", method, id, resp.StatusCode)
 		}
 	}
 }
@@ -189,16 +103,6 @@ func TestReadSnapshotFileGuards(t *testing.T) {
 	f.Close()
 	if _, err := readSnapshotFile(dir, "big.snap"); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("oversized snapshot: %v, want a size-limit error", err)
-	}
-}
-
-// TestServerCheckpointEndpointRequiresDir pins the 409 on demand-
-// checkpointing a server that has nowhere to write.
-func TestServerCheckpointEndpointRequiresDir(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	id := register(t, ts, genBody)
-	if code := post(t, ts, "/catalogs/"+id+"/snapshot", "", nil); code != http.StatusConflict {
-		t.Fatalf("checkpoint without directory: status %d", code)
 	}
 }
 
@@ -256,19 +160,51 @@ func TestServerCheckpointRestartCycle(t *testing.T) {
 	}
 }
 
-// TestServerLoadCheckpointLegacyPoolLimit pins the upgrade path for
-// manifests written while registrations could carry pool_limit: the
-// manifest is read leniently, so the catalog still restores warm (the
-// pool then uses its adaptive cap), while a live registration carrying
-// the field is refused.
-func TestServerLoadCheckpointLegacyPoolLimit(t *testing.T) {
+// TestServerSnapshotRetentionConflict pins that a catalog's α is its
+// registration's on every restart: a checkpoint whose manifest names no
+// retention (exact) but whose snapshot was taken at α = 2 — what a
+// manifest written under a server-wide default retention looks like —
+// is quarantined with a reason naming retention, and the catalog comes
+// back cold at α = 1 and serves.
+func TestServerSnapshotRetentionConflict(t *testing.T) {
 	dir := t.TempDir()
 	srv1, ts1 := testServer(t, Config{SnapshotDir: dir})
-	id := warmCatalog(t, ts1, genBody)
-	plans := cachePlans(t, ts1, id)
+	id := warmCatalog(t, ts1, `{"generate":{"tables":14,"graph":"chain","seed":21},"retention":2}`)
 	if err := srv1.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
+	editManifest(t, dir, id, func(req map[string]any) { delete(req, "retention") })
+
+	srv2, ts2 := testServer(t, Config{SnapshotDir: dir})
+	if err := srv2.LoadCheckpoint(); err != nil {
+		t.Fatalf("LoadCheckpoint: %v", err)
+	}
+	var stats api.StatsResponse
+	getJSON(t, ts2, "/stats", &stats)
+	if len(stats.Quarantined) != 1 || stats.Quarantined[0].File != id+".snap" ||
+		!strings.Contains(stats.Quarantined[0].Reason, "retention") {
+		t.Fatalf("quarantined %+v, want %s.snap with a reason naming retention", stats.Quarantined, id)
+	}
+	if _, err := os.Stat(filepath.Join(dir, id+".snap.quarantined")); err != nil {
+		t.Fatalf("skewed snapshot not set aside: %v", err)
+	}
+	if cs := catalogStats(t, ts2, id); cs.Cache.Plans != 0 {
+		t.Fatalf("skewed snapshot restored %d plans, want a cold catalog", cs.Cache.Plans)
+	}
+	var resp api.OptimizeResponse
+	if code := post(t, ts2, "/optimize", fmt.Sprintf(`{"catalog":%q,"max_iterations":40,"seed":9}`, id), &resp); code != http.StatusOK {
+		t.Fatalf("optimize after the quarantine: status %d, want 200", code)
+	}
+	checkFrontier(t, &resp)
+	if got := catalogStats(t, ts2, id).EffectiveRetention; got != 1 {
+		t.Fatalf("catalog serves at α = %v, want its registration's 1", got)
+	}
+}
+
+// editManifest rewrites the registration in a catalog's checkpoint
+// manifest, as an older rmqd could have written it.
+func editManifest(t *testing.T, dir, id string, edit func(req map[string]any)) {
+	t.Helper()
 	path := filepath.Join(dir, id+".json")
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -281,13 +217,32 @@ func TestServerLoadCheckpointLegacyPoolLimit(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	m.Request["pool_limit"] = 2
+	edit(m.Request)
 	if raw, err = json.Marshal(m); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestServerLoadCheckpointLegacyPoolLimit pins the upgrade path for
+// manifests written while registrations could carry pool_limit and
+// shared_cache: the manifest is read leniently, so the catalog still
+// restores warm (the pool then uses its adaptive cap), while a live
+// registration carrying pool_limit is refused.
+func TestServerLoadCheckpointLegacyPoolLimit(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1 := testServer(t, Config{SnapshotDir: dir})
+	id := warmCatalog(t, ts1, genBody)
+	plans := cachePlans(t, ts1, id)
+	if err := srv1.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	editManifest(t, dir, id, func(req map[string]any) {
+		req["pool_limit"] = 2
+		req["shared_cache"] = true
+	})
 
 	srv2, ts2 := testServer(t, Config{SnapshotDir: dir})
 	if err := srv2.LoadCheckpoint(); err != nil {
@@ -370,21 +325,4 @@ func TestServerLoadCheckpointColdFallback(t *testing.T) {
 		t.Fatalf("optimize cold-fallback catalog: status %d", code)
 	}
 	checkFrontier(t, &resp)
-}
-
-// TestServerGetSnapshotRoundTripsThroughCodec sanity-checks that the
-// endpoint's bytes are a decodable stream (base64 fidelity through the
-// JSON layer is covered by the inline registration test).
-func TestServerGetSnapshotRoundTripsThroughCodec(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	id := warmCatalog(t, ts, genBody)
-	snap := fetchSnapshot(t, ts, id)
-	enc := base64.StdEncoding.EncodeToString(snap)
-	dec, err := base64.StdEncoding.DecodeString(enc)
-	if err != nil || len(dec) != len(snap) {
-		t.Fatalf("base64 round trip: %v (%d vs %d bytes)", err, len(dec), len(snap))
-	}
-	if code := post(t, ts, "/catalogs/unknown/snapshot", "", nil); code != http.StatusNotFound {
-		t.Fatalf("snapshot of unknown catalog: status %d", code)
-	}
 }

@@ -174,7 +174,8 @@ func WithSharedCache(enabled bool) Option {
 // pruning has teeth from α ≈ 2 upward (α = 2 roughly quarters a
 // long-lived session's store). The retention of a session's store is
 // fixed by the first run that creates it (per metric subset); later
-// runs reuse the store as-is.
+// runs reuse the store as-is. Passed to NewSession, it also fixes the α
+// that Session.Restore and Session.ApplyDeltas accept.
 func WithCacheRetention(alpha float64) Option {
 	return func(c *config) {
 		if alpha < 1 {

@@ -20,7 +20,9 @@ import (
 // creates a store; a later run asking for a different value would
 // silently optimize under someone else's memory bound, so the mismatch
 // is an error instead. Match the creating run's retention, omit the
-// option to reuse the store as-is, or use a separate session.
+// option to reuse the store as-is, or use a separate session. Restore
+// and ApplyDeltas report it for a stream whose stores carry another α
+// than the session's defaults declare.
 var ErrRetentionMismatch = errors.New("cache retention conflicts with the session store's retention")
 
 // ErrWorkerPanic reports that an optimizer worker panicked during a
@@ -55,6 +57,10 @@ var ErrWorkerPanic = errors.New("optimizer worker panicked")
 type Session struct {
 	cat      *Catalog
 	defaults []Option
+	// retention is the α its defaults declare through WithCacheRetention,
+	// 0 when they declare none. Restored and replicated stores must
+	// carry it.
+	retention float64
 
 	mu sync.Mutex
 	// pool holds warmed problem instances of shared-cache runs, keyed by
@@ -90,11 +96,15 @@ func NewSession(cat *Catalog, defaults ...Option) (*Session, error) {
 	if _, err := newOptimizer(cfg, nil); err != nil {
 		return nil, err
 	}
-	return &Session{
+	sess := &Session{
 		cat:      cat,
 		defaults: append([]Option(nil), defaults...),
 		pool:     make(map[string][]*opt.Problem),
-	}, nil
+	}
+	if cfg.retentionSet {
+		sess.retention = cfg.retention
+	}
+	return sess, nil
 }
 
 // Catalog returns the session's catalog.

@@ -61,8 +61,10 @@ func (s *Session) DeltaCursors() map[string]uint64 {
 // shared stores, creating stores for metric subsets the session has not
 // touched yet (at the stream's retention — the same policy Restore
 // applies). The stream must carry the session catalog's fingerprint
-// (ErrSnapshotMismatch otherwise); a store whose retention disagrees
-// with the stream's is refused. Malformed input is rejected without
+// (ErrSnapshotMismatch otherwise). A stream taken at another α than the
+// session's defaults declare is refused with ErrRetentionMismatch before
+// any store opens for it, and a live store whose retention disagrees
+// with the stream's is refused too. Malformed input is rejected without
 // panicking; a mid-stream failure leaves already-merged sections in
 // place, which is safe (every merged plan passed ordinary admission) —
 // the puller retries from its previous cursors.
@@ -77,7 +79,7 @@ func (s *Session) ApplyDeltas(data []byte) (DeltaApply, error) {
 	}
 	before := s.CacheStats().Plans
 	_, cursors, err := snapshot.DecodeDeltas(data, func(tag string, st cache.StoreState) (*cache.Shared, error) {
-		if err := validMetricsTag(tag); err != nil {
+		if err := s.acceptStore(tag, st); err != nil {
 			return nil, err
 		}
 		sh, _ := s.store(tag, st.Retention)

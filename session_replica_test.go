@@ -101,6 +101,31 @@ func TestSessionDeltaFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestSessionDeltaRetentionMismatch pins that a session whose defaults
+// declare an α refuses a delta stream taken at another one: no store
+// opens for it, so the session's own runs keep serving at its α.
+func TestSessionDeltaRetentionMismatch(t *testing.T) {
+	cat := sharedTestCatalog(12)
+	primary, _ := warmedSession(t, cat)
+	data, _, err := primary.EncodeDeltas(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := rmq.NewSession(cat, rmq.WithSharedCache(true), rmq.WithCacheRetention(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replica.ApplyDeltas(data); !errors.Is(err, rmq.ErrRetentionMismatch) {
+		t.Fatalf("ApplyDeltas of an α = 1 stream into an α = 2 session: %v, want ErrRetentionMismatch", err)
+	}
+	if cursors := replica.DeltaCursors(); len(cursors) != 0 {
+		t.Fatalf("refused stream opened %d stores", len(cursors))
+	}
+	if _, err := replica.Optimize(context.Background(), rmq.WithSeed(2), rmq.WithMaxIterations(20)); err != nil {
+		t.Fatalf("optimize after a refused stream: %v", err)
+	}
+}
+
 // TestSessionDeltaCursorsAdvance pins DeltaCursors: zero before any
 // shared-cache work, positive after, and equal to what EncodeDeltas
 // hands a puller.

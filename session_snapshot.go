@@ -64,10 +64,11 @@ func (s *Session) taggedStores(since map[string]uint64) []snapshot.TaggedStore {
 // call with WithSharedCache. Malformed, truncated or version-skewed
 // input is rejected with an error and leaves the session untouched.
 //
-// The restored stores keep the retention precision they were created
-// with; a later run passing a conflicting WithCacheRetention gets
-// ErrRetentionMismatch exactly as it would against the live store the
-// snapshot was taken from.
+// A session whose defaults declare WithCacheRetention restores only
+// streams taken at that α (ErrRetentionMismatch otherwise). A session
+// that declares none keeps the stream's α; a later run passing a
+// conflicting WithCacheRetention then gets ErrRetentionMismatch exactly
+// as it would against the live store the snapshot was taken from.
 func (s *Session) Restore(data []byte) error {
 	h, err := snapshot.Peek(data)
 	if err != nil {
@@ -83,7 +84,7 @@ func (s *Session) Restore(data []byte) error {
 	// tags, so each tag opens one store.
 	restored := make(map[string]*cache.Shared)
 	if _, err := snapshot.Decode(data, func(tag string, st cache.StoreState) (*cache.Shared, error) {
-		if err := validMetricsTag(tag); err != nil {
+		if err := s.acceptStore(tag, st); err != nil {
 			return nil, err
 		}
 		restored[tag] = cache.NewShared(tableset.NewInterner(), st.Retention)
@@ -102,6 +103,22 @@ func (s *Session) Restore(data []byte) error {
 		s.shared = make(map[string]*cache.Shared, len(restored))
 	}
 	maps.Copy(s.shared, restored)
+	return nil
+}
+
+// acceptStore checks one store section of a restored or replicated
+// stream before a store is opened for it: the tag must be a valid
+// metric subset, and the stream's α must be the one the session's
+// defaults declare, if any. Every frontier the session serves then
+// carries the Lemma-6 bound of that α.
+func (s *Session) acceptStore(tag string, st cache.StoreState) error {
+	if err := validMetricsTag(tag); err != nil {
+		return err
+	}
+	if s.retention != 0 && st.Retention != s.retention {
+		return fmt.Errorf("%w: the stream's store for %s was taken at α = %v, the session declares α = %v",
+			ErrRetentionMismatch, metricsTagName(tag), st.Retention, s.retention)
+	}
 	return nil
 }
 

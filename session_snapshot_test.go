@@ -95,6 +95,31 @@ func TestSessionSnapshotFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestSessionRestoreRetentionMismatch pins that a session whose
+// defaults declare an α refuses a snapshot taken at another one and
+// stays fresh: no store opens, and its own runs serve at its α.
+func TestSessionRestoreRetentionMismatch(t *testing.T) {
+	cat := sharedTestCatalog(12)
+	sess, _ := warmedSession(t, cat)
+	data, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := rmq.NewSession(cat, rmq.WithSharedCache(true), rmq.WithCacheRetention(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(data); !errors.Is(err, rmq.ErrRetentionMismatch) {
+		t.Fatalf("Restore of an α = 1 snapshot into an α = 2 session: %v, want ErrRetentionMismatch", err)
+	}
+	if cursors := restored.DeltaCursors(); len(cursors) != 0 {
+		t.Fatalf("refused snapshot opened %d stores", len(cursors))
+	}
+	if _, err := restored.Optimize(context.Background(), rmq.WithSeed(2), rmq.WithMaxIterations(20)); err != nil {
+		t.Fatalf("optimize after a refused snapshot: %v", err)
+	}
+}
+
 // TestSessionRestoreIntoWarmSessionFails pins that restores target
 // fresh sessions only: a session that already holds a shared store for
 // a snapshotted metric subset rejects the restore and keeps its state.

@@ -14,8 +14,8 @@ import (
 // test: one climbing step over a locally optimal 10-table bushy plan —
 // the steady state of the inner loop — must not allocate at all. The
 // move search prices every mutation of every node through the scratch
-// import, the hoisted evaluators and the climber-local card cache; a
-// single stray allocation anywhere in that path fails this test.
+// import and the hoisted evaluators; a single stray allocation anywhere
+// in that path fails this test.
 func TestStepSteadyStateAllocFree(t *testing.T) {
 	m := testModel(t, 10, 31)
 	rng := rand.New(rand.NewPCG(32, 32))
@@ -44,7 +44,7 @@ func TestClimbSteadyStateAllocsBounded(t *testing.T) {
 	m := testModel(t, 20, 33)
 	c := NewClimber(m, ClimbConfig{})
 	rng := rand.New(rand.NewPCG(34, 34))
-	// Warm the interner, scratch arena and card cache.
+	// Warm the interner and scratch arena.
 	for i := 0; i < 5; i++ {
 		c.Climb(randplan.Random(m, m.Catalog().AllTables(), rng))
 	}

@@ -57,8 +57,6 @@ type Climber struct {
 	evRootA, evRootB costmodel.OpEval
 	// vecBuf receives batch-priced candidate cost vectors (RuleCostAll).
 	vecBuf [16]cost.Vector
-	// cards caches candidate-join cardinalities across climbs.
-	cards cardCache
 	// prepared and priced count the move search's work since the
 	// climber was built: evaluator preparations (PrepareJoin calls) and
 	// candidate operators priced. Benchmarks report them.

@@ -346,9 +346,8 @@ func BenchmarkAblationClimb(b *testing.B) {
 			rng := rand.New(rand.NewPCG(2, 2))
 			c := arm.new(m)
 			// One op climbs a fixed pool of random plans, drawn and climbed
-			// once (warming the interner and card cache) before the timer starts, so
-			// every op does the same work and allocs/op does not depend on
-			// b.N.
+			// once (warming the interner) before the timer starts, so every
+			// op does the same work and allocs/op does not depend on b.N.
 			pool := make([]*plan.Plan, 4)
 			for i := range pool {
 				pool[i] = randplan.Random(m, m.Catalog().AllTables(), rng)
@@ -408,7 +407,7 @@ func BenchmarkClimbLarge(b *testing.B) {
 }
 
 // TestClimberReuseMatchesFresh checks that nothing a climber keeps
-// between climbs (scratch arena, card cache, evaluator buffers) leaks
+// between climbs (scratch arena, evaluator buffers, undo log) leaks
 // into the search: one climber reused across 200 climbs returns the
 // same plans and step counts as a fresh climber per climb. RMQ relies
 // on it when a pooled problem hands its climber to the next run.

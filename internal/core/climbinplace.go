@@ -279,7 +279,7 @@ func (c *Climber) structMoves(n *plan.Plan, kind mutate.MoveKind, childOuter, ch
 		return
 	}
 	childRel := childOuter.Rel.Union(childInner.Rel)
-	childCard := c.candidateCard(childRel)
+	childCard := m.Card(childRel)
 	// Price every child operator at once; the mask keeps the candidates
 	// whose floor (the complete cost is ≥ CombineChildren(fixed,
 	// childVec)) weakly dominates the incumbent this rule starts with.

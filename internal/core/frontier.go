@@ -9,48 +9,17 @@ import (
 	"rmq/internal/plan"
 )
 
-// defaultAlphaLevels is the number of precomputed α schedule levels
-// (⌊i/25⌋ values). Level 321 is the first where 25·0.99^level < 1, so
-// every level beyond the table is floored at 1; the generous size keeps
-// that a comfortable invariant rather than a tight one.
-const defaultAlphaLevels = 512
-
-// defaultAlphaTab[k] = max(25·0.99^k, 1), precomputed with the exact
-// formula of DefaultAlpha so table lookups are bit-identical to it. The
-// table removes a math.Pow call from every iteration of the main loop.
-var defaultAlphaTab = func() [defaultAlphaLevels]float64 {
-	var tab [defaultAlphaLevels]float64
-	for k := range tab {
-		a := 25 * math.Pow(0.99, float64(k))
-		if a < 1 {
-			a = 1
-		}
-		tab[k] = a
-	}
-	return tab
-}()
-
 // DefaultAlpha is the paper's approximation-precision schedule
 // (Algorithm 3, line 21): α = 25 · 0.99^⌊i/25⌋ for iteration counter i,
 // floored at 1. The schedule starts coarse so early iterations explore
 // many join orders quickly and refines as iterations progress, letting
-// the approximation converge towards the true Pareto frontier. Values
-// come from a precomputed table (bit-identical to the formula, which a
-// test pins down) so the hot loop never calls math.Pow.
+// the approximation converge towards the true Pareto frontier.
 func DefaultAlpha(iteration int) float64 {
-	if iteration < 0 {
-		// Out-of-domain cold path: fall back to the literal formula.
-		a := 25 * math.Pow(0.99, math.Floor(float64(iteration)/25))
-		if a < 1 {
-			return 1
-		}
-		return a
-	}
-	level := iteration / 25
-	if level >= defaultAlphaLevels {
+	a := 25 * math.Pow(0.99, math.Floor(float64(iteration)/25))
+	if a < 1 {
 		return 1
 	}
-	return defaultAlphaTab[level]
+	return a
 }
 
 // approximateFrontiers is the ApproximateFrontiers function of

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -11,31 +10,6 @@ import (
 	"rmq/internal/randplan"
 	"rmq/internal/tableset"
 )
-
-// TestDefaultAlphaTableBitIdentical pins the precomputed α schedule
-// table to the literal formula 25 · 0.99^⌊i/25⌋ floored at 1 — not just
-// close, bit-identical.
-func TestDefaultAlphaTableBitIdentical(t *testing.T) {
-	formula := func(i int) float64 {
-		a := 25 * math.Pow(0.99, math.Floor(float64(i)/25))
-		if a < 1 {
-			return 1
-		}
-		return a
-	}
-	// Dense coverage over the live part of the schedule, sparse beyond
-	// the table, plus the out-of-domain cold path.
-	for i := 0; i <= 25*(defaultAlphaLevels+10); i++ {
-		if got, want := DefaultAlpha(i), formula(i); got != want {
-			t.Fatalf("DefaultAlpha(%d) = %v, want %v (formula)", i, got, want)
-		}
-	}
-	for _, i := range []int{1 << 20, 1 << 30, -1, -25, -26} {
-		if got, want := DefaultAlpha(i), formula(i); got != want {
-			t.Fatalf("DefaultAlpha(%d) = %v, want %v (formula)", i, got, want)
-		}
-	}
-}
 
 // refFrontiers is a test-only transcription of Algorithm 3's
 // ApproximateFrontiers: plain per-table-set plan slices, every join node

@@ -147,9 +147,8 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 // retainedCache is the state RMQ stashes in a pooled problem between
 // shared-cache runs: the warmed private cache plus the sync marks that
 // make the next run's warm start incremental, and the climber, whose
-// scratch arena and card cache stay allocated and warm (a climber is
-// bound to the problem's model, and what it caches is a pure function
-// of that model). It is only reused when the session store matches
+// scratch arena and buffers stay allocated (a climber is bound to the
+// problem's model). It is only reused when the session store matches
 // (the store's identity implies the interner and metric subset match
 // too).
 type retainedCache struct {

@@ -50,6 +50,13 @@ func TestDefaultAlphaSchedule(t *testing.T) {
 	if DefaultAlpha(100000) != 1 {
 		t.Error("α should converge to 1")
 	}
+	// Level 320 is the last above the floor: 25·0.99^320 ≈ 1.002.
+	if a := DefaultAlpha(25 * 320); a <= 1 {
+		t.Errorf("α(25·320) = %g, want > 1", a)
+	}
+	if a := DefaultAlpha(25 * 321); a != 1 {
+		t.Errorf("α(25·321) = %g, want 1 (floored)", a)
+	}
 }
 
 func TestRMQProducesValidFrontier(t *testing.T) {

@@ -6,7 +6,7 @@ GO ?= go
 
 # Benchmarks gated by CI. The CI bench job runs `make bench-diff`, so
 # both lists live only here.
-GATE_BENCH = BenchmarkClimb50$$|BenchmarkClimbLarge|BenchmarkAblationClimb|BenchmarkRMQIteration50|BenchmarkJoinCost|BenchmarkNewJoin|BenchmarkStrictlyDominates|BenchmarkStepSteadyState|BenchmarkApproxFrontiers|BenchmarkParallelScaling|BenchmarkWorkloadThroughput|BenchmarkServerThroughput|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore|BenchmarkWarmStartPull|BenchmarkDominatesColumns|BenchmarkAdmissionProbe|BenchmarkBucketFill|BenchmarkSyncPull
+GATE_BENCH = BenchmarkClimb50$$|BenchmarkClimbLarge|BenchmarkRMQLarge|BenchmarkAblationClimb|BenchmarkRMQIteration50|BenchmarkJoinCost|BenchmarkNewJoin|BenchmarkStrictlyDominates|BenchmarkStepSteadyState|BenchmarkApproxFrontiers|BenchmarkParallelScaling|BenchmarkWorkloadThroughput|BenchmarkServerThroughput|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore|BenchmarkWarmStartPull|BenchmarkDominatesColumns|BenchmarkAdmissionProbe|BenchmarkBucketFill|BenchmarkSyncPull
 GATE_PKGS  = . ./internal/core ./internal/costmodel ./internal/cost ./internal/cache ./internal/server
 BENCH_OUT ?= BENCH_$(shell date +%F).json
 THRESHOLD ?= 0.2

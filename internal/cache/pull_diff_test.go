@@ -34,6 +34,7 @@ func (w workload) run(sh *cache.Shared, seed uint64, iters int) *core.RMQ {
 	for i := 0; i < iters; i++ {
 		r.Step()
 	}
+	r.Frontier() // ends the run as opt.Run's final merge does: every stage B applied
 	return r
 }
 

@@ -107,10 +107,11 @@ func sameFrontier(t *testing.T, i int, a, b []*plan.Plan) {
 }
 
 // TestStageBPanicContained injects a panic into a frontier approximation
-// running on the helper goroutine. Step must re-raise it on the worker's
-// goroutine after the join, so opt.Run's worker boundary reports a
-// *opt.PanicError with the frontier merged before the panic and the
-// process survives; no helper goroutine may be left behind.
+// running on the helper goroutine. The next Step or completion point
+// must re-raise it on the worker's goroutine, so opt.Run's worker
+// boundary reports a *opt.PanicError with the frontier merged before
+// the panic and the process survives; no helper goroutine may be left
+// behind.
 func TestStageBPanicContained(t *testing.T) {
 	base := runtime.NumGoroutine()
 	r := New(Config{})
@@ -118,7 +119,8 @@ func TestStageBPanicContained(t *testing.T) {
 	stages := 0
 	r.stageHook = func() {
 		// MergeEvery 5 completes every fifth stage inline (FrontierDelta);
-		// the eighth stage runs on the helper during step 9.
+		// step 9 hands the eighth stage to the helper, and step 10 or the
+		// merge after it re-raises its panic.
 		if stages++; stages == 8 {
 			panic("injected stage B fault")
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand/v2"
 	"runtime"
+	"sync"
 
 	"rmq/internal/cache"
 	"rmq/internal/opt"
@@ -61,18 +62,24 @@ type RMQ struct {
 	stats   Stats
 	root    *cache.Bucket // the query's table set: P[q], the frontier
 
-	// Pipelining state (see Step). pending is the climbed plan whose
-	// frontier approximation has not run yet; inflight is the one the
-	// helper goroutine approximates during the current Step.
-	pending, inflight climbed
-	async             bool     // run stage B on a helper goroutine
-	done              chan any // helper → Step: nil, or the panic it recovered
-	runInflight       func()   // r.approximateInflight, bound once so go allocates no closure
+	// Pipelining state (see Step). pending is the climbed plan of the
+	// last Step, not yet handed to stage B; ring holds the plans handed
+	// to the helper goroutine that it has not finished, oldest at head.
+	pending climbed
+	async   bool       // run stage B on a helper goroutine
+	mu      sync.Mutex // guards ring, head, queued, busy and fault
+	moved   sync.Cond  // on mu: the helper freed a slot or exited
+	ring    [ringCap]climbed
+	head    int
+	queued  int
+	busy    bool   // a helper goroutine is draining the ring
+	fault   any    // the panic that ended the helper, for join
+	drainer func() // r.drain, bound once so go allocates no closure
 	// pipe overrides the GOMAXPROCS-based choice of async; tests only.
 	pipe pipeMode
-	// stageHook, when non-nil, runs at the start of every stage B;
-	// tests only (panic injection).
-	stageHook func()
+	// stageHook and climbHook, when non-nil, run at the start of every
+	// stage B and stage A; tests only (blocking and panic injection).
+	stageHook, climbHook func()
 }
 
 // climbed is one iteration's hand-off from stage A to stage B: the
@@ -83,6 +90,13 @@ type climbed struct {
 	alpha float64
 	iter  int
 }
+
+// ringCap is the number of climbed plans Step hands to stage B ahead
+// of it: the plan the helper approximates counts, so stage A may lead
+// stage B by this many iterations before Step waits. Stage B is the
+// shorter stage on average, so the ring only absorbs the iterations
+// where it is not.
+const ringCap = 4
 
 // pipeMode selects how Step arranges its two stages.
 type pipeMode uint8
@@ -96,8 +110,9 @@ const (
 // New returns an RMQ optimizer with the given configuration; call Init
 // before stepping.
 func New(cfg Config) *RMQ {
-	r := &RMQ{cfg: cfg, done: make(chan any, 1)}
-	r.runInflight = r.approximateInflight
+	r := &RMQ{cfg: cfg}
+	r.moved.L = &r.mu
+	r.drainer = r.drain
 	return r
 }
 
@@ -112,6 +127,10 @@ func (r *RMQ) Name() string { return "RMQ" }
 
 // Init implements opt.Optimizer.
 func (r *RMQ) Init(p *opt.Problem, seed uint64) {
+	// The previous run's stage Bs finish first; a panic among them, and
+	// its pending plan, are dropped with the run.
+	r.wait()
+	r.pending = climbed{}
 	r.problem = p
 	r.rng = rand.New(rand.NewPCG(seed, 0x524d51)) // "RMQ"
 	r.sync = nil
@@ -124,13 +143,17 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 		// runs saw is still cached. A fresh problem imports the whole
 		// store once instead.
 		if rc, ok := p.Retained.(*retainedCache); ok && rc.shared == shared {
+			// A run that ended without a completion point (a panic
+			// between steps) may still approximate into the cache.
+			rc.owner.wait()
+			rc.owner = r
 			r.cache, r.sync, r.climber = rc.cache, rc.sync, rc.climber
 		} else {
 			r.cache = cache.New(p.Model.Interner())
 			r.cache.TrackDirty()
 			r.sync = shared.NewSync()
 			r.climber = NewClimber(p.Model, ClimbConfig{})
-			p.Retained = &retainedCache{shared: shared, cache: r.cache, sync: r.sync, climber: r.climber}
+			p.Retained = &retainedCache{shared: shared, cache: r.cache, sync: r.sync, climber: r.climber, owner: r}
 		}
 		r.sync.Pull(r.cache)
 	} else {
@@ -140,7 +163,6 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 	r.root = r.cache.Bucket(p.Query)
 	r.iter = 0
 	r.stats = Stats{}
-	r.pending, r.inflight = climbed{}, climbed{}
 	r.async = r.pipe == pipeAsync || r.pipe == pipeAuto && runtime.GOMAXPROCS(0) > 1
 }
 
@@ -150,12 +172,14 @@ func (r *RMQ) Init(p *opt.Problem, seed uint64) {
 // scratch arena and buffers stay allocated (a climber is bound to the
 // problem's model). It is only reused when the session store matches
 // (the store's identity implies the interner and metric subset match
-// too).
+// too). owner is the RMQ that last ran on it, whose stage Bs may still
+// be writing the cache.
 type retainedCache struct {
 	shared  *cache.Shared
 	cache   *cache.Cache
 	sync    *cache.SyncState
 	climber *Climber
+	owner   *RMQ
 }
 
 // Step runs one iteration of the main loop (Algorithm 1) and always
@@ -168,31 +192,40 @@ type retainedCache struct {
 // cache (Algorithm 3), syncs with the shared store and updates the cache
 // statistics. Climbing never reads the cache, so when more than one
 // processor is available (GOMAXPROCS > 1) Step pipelines the stages: it
-// runs the previous iteration's stage B on a helper goroutine while it
-// runs this iteration's stage A, joins both, and leaves this iteration's
-// stage B pending. Stage B sees the plans, α values and cache of a
+// hands the previous iteration's climbed plan to a helper goroutine
+// through a ring of ringCap plans, runs this iteration's stage A, keeps
+// its plan pending and returns. The helper runs stage B on the ring's
+// plans in order and exits when the ring is empty; Step waits only when
+// the ring is full. Stage B sees the plans, α values and cache of a
 // sequential run, so cache decisions and frontiers are bit-identical to
 // it. Both stages share one cost model, which is immutable apart from
 // its table-set interner, and that is safe for concurrent use.
 //
-// No goroutine outlives a Step. The helper is joined before Step
-// returns, also when stage A panics, and a panic in stage B is re-raised
-// on the caller's goroutine after the join. Frontier, FrontierDelta,
-// Stats and Cache complete a pending stage B first, so they observe
-// every Step taken. With one processor both stages run inline, back to
-// back, and nothing is left pending.
+// Stage B may still run after Step returns, until the next completion
+// point. Frontier, FrontierDelta, Stats and Cache wait for the ring and
+// then run the pending stage B inline, so they observe every Step
+// taken; Init waits for the ring and drops the pending plan. A panic in
+// stage B ends the helper and is re-raised on the caller's goroutine by
+// a later Step or, at the latest, the next completion point; a panic in
+// stage A waits for the ring before it unwinds. With one processor both
+// stages run inline, back to back, and nothing is left pending.
 func (r *RMQ) Step() bool {
+	if !r.async {
+		r.approximate(r.climb())
+		return true
+	}
 	if r.pending.plan != nil {
-		r.inflight, r.pending = r.pending, climbed{}
-		go r.runInflight()
-		defer r.join()
+		r.release(r.pending)
+		r.pending = climbed{}
 	}
-	next := r.climb()
-	if r.async {
-		r.pending = next
-	} else {
-		r.approximate(next)
-	}
+	climbing := true
+	defer func() {
+		if climbing {
+			r.wait() // stage A panicked: no stage B may outlive the unwind
+		}
+	}()
+	r.pending = r.climb()
+	climbing = false
 	return true
 }
 
@@ -200,6 +233,9 @@ func (r *RMQ) Step() bool {
 // fast multi-objective local search, and the iteration's approximation
 // precision.
 func (r *RMQ) climb() climbed {
+	if r.climbHook != nil {
+		r.climbHook()
+	}
 	r.iter++
 	p := randplan.Random(r.problem.Model, r.problem.Query, r.rng)
 	optPlan, steps := r.climber.Climb(p)
@@ -238,23 +274,82 @@ func (r *RMQ) approximate(c climbed) {
 	r.stats.CachedPlans = r.cache.NumPlans()
 }
 
-// approximateInflight is the helper goroutine's body: stage B of the
-// in-flight plan, reporting completion (and any panic) to join.
-func (r *RMQ) approximateInflight() {
-	defer func() { r.done <- recover() }()
-	r.approximate(r.inflight)
+// release hands a climbed plan to the helper goroutine, starting one
+// when none is draining the ring. It waits while the ring is full, and
+// re-raises a panic that ended the helper instead of handing c off.
+func (r *RMQ) release(c climbed) {
+	r.mu.Lock()
+	for r.queued == ringCap { //rmq:allow-loop(the helper frees a slot per stage B, or empties the ring on a panic)
+		r.moved.Wait()
+	}
+	if r.fault != nil {
+		r.mu.Unlock()
+		r.join()
+	}
+	r.ring[(r.head+r.queued)%ringCap] = c
+	r.queued++
+	start := !r.busy
+	r.busy = true
+	r.mu.Unlock()
+	if start {
+		go r.drainer()
+	}
 }
 
-// join waits for the helper goroutine and re-raises its panic, if any,
-// on the caller's goroutine.
+// drain is the helper goroutine's body: stage B of the ring's plans,
+// oldest first, until the ring is empty. A panic empties the ring and
+// is kept for join.
+func (r *RMQ) drain() {
+	defer func() {
+		if v := recover(); v != nil {
+			r.mu.Lock()
+			r.fault = v
+			r.ring, r.head, r.queued = [ringCap]climbed{}, 0, 0
+			r.busy = false
+			r.moved.Broadcast()
+			r.mu.Unlock()
+		}
+	}()
+	r.mu.Lock()
+	for r.queued > 0 { //rmq:allow-loop(Step adds at most ringCap plans ahead of the helper)
+		c := r.ring[r.head]
+		r.mu.Unlock()
+		r.approximate(c)
+		r.mu.Lock()
+		r.ring[r.head] = climbed{}
+		r.head = (r.head + 1) % ringCap
+		r.queued--
+		r.moved.Broadcast()
+	}
+	r.busy = false
+	r.moved.Broadcast()
+	r.mu.Unlock()
+}
+
+// wait blocks until no helper goroutine is draining the ring, then
+// takes the panic that ended the last one, if any.
+func (r *RMQ) wait() (fault any) {
+	r.mu.Lock()
+	for r.busy { //rmq:allow-loop(the helper clears busy when the ring is empty, or on a panic)
+		r.moved.Wait()
+	}
+	fault, r.fault = r.fault, nil
+	r.mu.Unlock()
+	return fault
+}
+
+// join waits for the ring to drain and re-raises the helper's panic, if
+// any, on the caller's goroutine.
 func (r *RMQ) join() {
-	if v := <-r.done; v != nil {
+	if v := r.wait(); v != nil {
 		panic(v)
 	}
 }
 
-// settle runs the pending stage B, if any, inline.
+// settle completes every Step taken: it joins the ring, then runs the
+// pending stage B, if any, inline.
 func (r *RMQ) settle() {
+	r.join()
 	if r.pending.plan != nil {
 		c := r.pending
 		r.pending = climbed{}

@@ -372,6 +372,29 @@ func BenchmarkRMQIteration50(b *testing.B) {
 	}
 }
 
+// BenchmarkRMQLarge times the paper's 100-table regime end to end in
+// this package: one op is a fresh RMQ on a fresh problem over a
+// 100-table chain (Steinbrunn selectivities, all three metrics), 200
+// steps, then Frontier, which completes every stage B. Unlike
+// BenchmarkClimbLarge it includes stage B and the hand-off between the
+// stages. The catalog is generated once; the problem, its interner and
+// the plan cache are built per op from fixed seeds, so allocs/op do not
+// depend on b.N.
+func BenchmarkRMQLarge(b *testing.B) {
+	cat := catalog.Generate(catalog.GenSpec{Tables: 100, Graph: catalog.Chain, Selectivity: catalog.Steinbrunn},
+		rand.New(rand.NewPCG(41, 1)))
+	for i := 0; i < b.N; i++ {
+		r := New(Config{})
+		r.Init(opt.NewProblem(cat, costmodel.AllMetrics()), 7)
+		for range 200 {
+			r.Step()
+		}
+		if len(r.Frontier()) == 0 {
+			b.Fatal("no frontier after 200 steps") //rmq:allow-bench(fires only on assertion failure, never in a passing run)
+		}
+	}
+}
+
 // ablationAlpha runs each configuration for an equal wall-clock budget
 // and returns every variant's ε-indicator α against the union of all
 // variants' results — the honest quality comparison for ablations (the

@@ -36,11 +36,16 @@ func (e *PanicError) Error() string {
 // optimizer: it steps o until the context is cancelled, o reports no
 // more work, maxSteps is reached (0 means unbounded), or after returns
 // false. after, when non-nil, runs after every step with the 1-based
-// step count; the optimizer is quiescent during the call, so after may
-// inspect o.Frontier(). Drive returns the number of steps performed.
+// step count. Drive returns the number of steps performed.
 //
-// Cancellation is checked between steps, so reaction latency is bounded
-// by the duration of a single optimizer step.
+// An optimizer need not be quiescent between steps: RMQ's Step hands
+// its frontier approximation to a helper goroutine that may still run
+// when Step returns. Frontier (and FrontierDelta) complete every step
+// taken, so after may still inspect o.Frontier().
+//
+// Cancellation is checked between steps, so Drive returns at most one
+// step after it; the caller's final Frontier then completes the work
+// still in flight, for RMQ at most one ring of frontier approximations.
 func Drive(ctx context.Context, o Optimizer, maxSteps int, after func(steps int) bool) int {
 	done := ctx.Done()
 	steps := 0

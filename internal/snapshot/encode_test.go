@@ -30,6 +30,7 @@ func runStore(tb testing.TB, tables int, graph catalog.GraphKind, metrics []cost
 		for i := 0; i < iters; i++ {
 			r.Step()
 		}
+		r.Frontier() // ends the run as opt.Run's final merge does: every stage B applied
 		if run == 0 {
 			mid = sh.DeltaCursor()
 		}
@@ -267,6 +268,7 @@ func TestEncodeConcurrentWithRuns(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				r.Step()
 			}
+			r.Frontier()
 		}(uint64(w + 1))
 	}
 	var cursor uint64
